@@ -22,7 +22,6 @@ __all__ = [
     "exp",
     "log",
     "skew",
-    "so3_exp",
     "so3_left_jacobian",
     "so3_left_jacobian_inverse",
     "se3_adjoint",
@@ -270,10 +269,6 @@ def log(pose: Pose) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Jacobian blocks used by the pose-graph optimizer.
 # ---------------------------------------------------------------------------
-
-
-def so3_exp(rotvec: np.ndarray) -> np.ndarray:
-    return Rotation.from_rotvec(rotvec).matrix()
 
 
 def so3_left_jacobian(rotvec: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from .features import FeatureCloud
 from .geometry import Pose
 from .odometry import OdometryConfig, Submap, register
-from .scan_context import CandidateMatch, ScanContextConfig
+from .scan_context import ScanContextConfig
 
 
 @dataclass
@@ -99,17 +99,6 @@ def gate_distance(t_k: Pose, t_loop: Pose) -> float:
 def adaptive_threshold(k: int, cfg: Optional[AdaptiveGateConfig] = None) -> float:
     cfg = cfg or AdaptiveGateConfig()
     return cfg.base_threshold + k / cfg.n
-
-
-def verify_candidate(
-    match: CandidateMatch,
-    t_k: Pose,
-    t_loop: Pose,
-    k: int,
-    cfg: Optional[AdaptiveGateConfig] = None,
-) -> bool:
-    """Distance gate; the boundary value counts as inside."""
-    return gate_distance(t_k, t_loop) <= adaptive_threshold(k, cfg)
 
 
 def estimate_loop_pose(

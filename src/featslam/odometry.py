@@ -138,11 +138,6 @@ class Submap:
         )
 
 
-def update_submap(submap: Submap, features: FeatureCloud, pose: Pose) -> Submap:
-    submap.insert(features, pose)
-    return submap
-
-
 # ---------------------------------------------------------------------------
 # Correspondence construction
 # ---------------------------------------------------------------------------

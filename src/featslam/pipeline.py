@@ -1,26 +1,24 @@
-"""End-to-end runs: configuration, stage wiring, and output files.
+"""End-to-end runs: configuration, the SLAM loop, and output files.
 
-A run processes scans through odometry, promotes keyframes, detects loops
-per keyframe, and re-optimizes the pose graph on every accepted loop. The
-three stages can run sequentially or as a three-thread pipeline connected
-by bounded queues; both modes execute the identical per-keyframe arithmetic
-in the identical order, so their outputs match exactly.
+A run processes scans through odometry in order and promotes keyframes.
+Each keyframe becomes a pose-graph node and queries the descriptor
+database; a match that passes the distance gate and loop refinement adds a
+loop edge and re-optimizes the graph, so the next keyframe's loop search
+reads the poses of the latest solve.
 
-Configuration is a flat ``key = value`` file with dotted keys (one table of
-known keys, unknown keys rejected) plus ``--set key=value`` overrides.
+Configuration is a flat ``key = value`` file with dotted keys plus
+``--set key=value`` overrides.  The table of known keys is built from the
+module config dataclasses, the simulator's world defaults and the
+pose-graph sigma constants; unknown keys are rejected.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from .dataset_io import (
     GroundTruthTrajectory,
@@ -53,20 +51,26 @@ from .loop_closure import (
 )
 from .odometry import OdometryConfig, OdometryState, Submap, process_frame
 from .pose_graph import (
+    LOOP_ROTATION_SIGMA,
+    LOOP_TRANSLATION_SIGMA,
+    ODOMETRY_ROTATION_SIGMA,
+    ODOMETRY_TRANSLATION_SIGMA,
     PoseGraph,
     PoseGraphConfig,
     add_loop_edge,
     add_odometry_node,
+    information_from_sigmas,
     optimize,
 )
 from .scan_context import (
+    CandidateMatch,
     DescriptorStore,
     ScanContextConfig,
     build_descriptor,
     query,
     shift_to_yaw,
 )
-from .simulate import generate_world
+from .simulate import WORLD_DEFAULTS, generate_world
 
 __all__ = [
     "PipelineConfig",
@@ -91,87 +95,59 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (type tag, default); the single source of truth for valid keys.
-_KEYS: Dict[str, Tuple[str, object]] = {
-    "dataset.scans": ("str", ""),
-    "dataset.poses": ("str", ""),
-    "dataset.calib": ("str", ""),
-    "dataset.num_lasers": ("int", 64),
-    "dataset.max_frames": ("int", 0),  # 0 = all
-    "synthetic.shape": ("str", ""),  # empty = dataset mode
-    "synthetic.frames": ("int", 400),
-    "synthetic.noise": ("float", 0.01),
-    "synthetic.seed": ("int", 0),
-    "synthetic.density": ("float", 1.0),
-    "synthetic.size": ("float", 30.0),
-    "synthetic.laps": ("float", 1.0),
-    "synthetic.step": ("float", 0.5),
-    "synthetic.separation": ("float", 60.0),
-    "output.dir": ("str", "featslam_out"),
-    "run.no_loop": ("bool", False),
-    "run.fixed_threshold": ("float", 0.0),  # <= 0 selects the adaptive gate
-    "run.threads": ("int", 1),
-    "features.neighborhood_half_width": ("int", 5),
-    "features.smoothness_threshold": ("float", 0.1),
-    "features.min_range": ("float", 2.0),
-    "features.max_range": ("float", 90.0),
-    "features.max_edges_per_sector": ("int", 2),
-    "features.max_planars_per_sector": ("int", 4),
-    "features.num_sectors": ("int", 6),
-    "features.gap_factor": ("float", 5.0),
-    "features.occlusion_gap": ("float", 0.5),
-    "odometry.max_iterations": ("int", 20),
-    "odometry.convergence_tolerance": ("float", 1e-4),
-    "odometry.freeze_step": ("float", 1e-3),
-    "odometry.freeze_cost_rel": ("float", 1e-3),
-    "odometry.refine_iterations": ("int", 40),
-    "odometry.huber_scale": ("float", 0.3),
-    "odometry.max_correspondence_distance": ("float", 5.0),
-    "odometry.edge_voxel_size": ("float", 0.4),
-    "odometry.planar_voxel_size": ("float", 0.8),
-    "odometry.crop_radius": ("float", 100.0),
-    "odometry.min_submap_edges": ("int", 10),
-    "odometry.min_submap_planars": ("int", 50),
-    "odometry.eigenvalue_floor": ("float", 1e-8),
-    "scan_context.num_rings": ("int", 20),
-    "scan_context.num_sectors": ("int", 60),
-    "scan_context.max_radius": ("float", 80.0),
-    "scan_context.num_candidates": ("int", 10),
-    "scan_context.similarity_threshold": ("float", 0.2),
-    "scan_context.exclude_recent": ("int", 50),
-    "loop.base_threshold": ("float", 20.0),
-    "loop.n": ("float", 100.0),
-    "loop.submap_half_width": ("int", 10),
-    "loop.cost_threshold": ("float", 0.3),
-    "loop.keyframe_translation": ("float", 1.0),
-    "loop.keyframe_rotation_deg": ("float", 10.0),
-    "loop.max_iterations": ("int", 50),
-    "graph.huber_scale": ("float", 1.0),
-    "graph.odometry_rotation_sigma": ("float", 0.01),
-    "graph.odometry_translation_sigma": ("float", 0.05),
-    "graph.loop_rotation_sigma": ("float", 0.05),
-    "graph.loop_translation_sigma": ("float", 0.2),
+def _field_defaults(prefix: str, cls) -> Dict[str, object]:
+    """``prefix.name -> default`` for each scalar field of a config dataclass."""
+    return {
+        f"{prefix}.{f.name}": f.default
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING
+    }
+
+
+# key -> default; a value is parsed as the type of its key's default.
+_KEYS: Dict[str, object] = {
+    "dataset.scans": "",
+    "dataset.poses": "",
+    "dataset.calib": "",
+    "dataset.num_lasers": 64,
+    "dataset.max_frames": 0,  # 0 = all
+    **{f"synthetic.{key}": value for key, value in WORLD_DEFAULTS.items()},
+    "synthetic.shape": "",  # empty = dataset mode
+    "output.dir": "featslam_out",
+    "run.no_loop": False,
+    "run.fixed_threshold": 0.0,  # <= 0 selects the adaptive gate
+    **_field_defaults("features", FeatureConfig),
+    **_field_defaults("odometry", OdometryConfig),
+    **_field_defaults("scan_context", ScanContextConfig),
+    **_field_defaults("loop", AdaptiveGateConfig),
+    **_field_defaults("loop", LoopClosureConfig),
+    "loop.max_iterations": LoopClosureConfig().registration.max_iterations,
+    "graph.huber_scale": PoseGraphConfig.huber_scale,
+    "graph.odometry_rotation_sigma": ODOMETRY_ROTATION_SIGMA,
+    "graph.odometry_translation_sigma": ODOMETRY_TRANSLATION_SIGMA,
+    "graph.loop_rotation_sigma": LOOP_ROTATION_SIGMA,
+    "graph.loop_translation_sigma": LOOP_TRANSLATION_SIGMA,
 }
 
-_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_PARSERS = {str: str, int: int, float: float, bool: _parse_bool}
 
 
 def _coerce(key: str, value) -> object:
     if key not in _KEYS:
         raise ValueError(f"unknown configuration key: {key}")
-    kind, _ = _KEYS[key]
+    kind = type(_KEYS[key])
     if isinstance(value, str):
         try:
             return _PARSERS[kind](value)
         except ValueError as e:
             raise ValueError(f"bad value for {key}: {e}") from e
-    if kind == "float" and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
-    if kind == "int" and isinstance(value, int) and not isinstance(value, bool):
+    if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    if kind == "bool" and isinstance(value, bool):
+    if kind is bool and isinstance(value, bool):
         return value
-    if kind == "str" and isinstance(value, (str, Path)):
+    if kind is str and isinstance(value, (str, Path)):
         return str(value)
     raise ValueError(f"bad value for {key}: {value!r}")
 
@@ -184,7 +160,7 @@ class PipelineConfig:
 
     @classmethod
     def from_items(cls, items: Dict[str, object]) -> "PipelineConfig":
-        values = {key: default for key, (_, default) in _KEYS.items()}
+        values = dict(_KEYS)
         for key, value in items.items():
             values[key] = _coerce(key, value)
         cfg = cls(values)
@@ -192,8 +168,6 @@ class PipelineConfig:
         return cfg
 
     def _validate(self):
-        if self["run.threads"] not in (1, 3):
-            raise ValueError("run.threads must be 1 (sequential) or 3 (staged)")
         if not self["dataset.scans"] and not self["synthetic.shape"]:
             raise ValueError(
                 "no input: set dataset.scans or synthetic.shape (or --synthetic)"
@@ -224,7 +198,7 @@ class PipelineConfig:
             self.odometry_config(), max_iterations=section.pop("max_iterations")
         )
         gate = AdaptiveGateConfig(
-            base_threshold=section.pop("base_threshold"), n=section.pop("n")
+            **{f.name: section.pop(f.name) for f in dataclasses.fields(AdaptiveGateConfig)}
         )
         return LoopClosureConfig(
             gate=gate,
@@ -234,15 +208,12 @@ class PipelineConfig:
         )
 
     def graph_config(self) -> PoseGraphConfig:
-        def info(rot_sigma, trans_sigma):
-            return np.diag([1.0 / rot_sigma**2] * 3 + [1.0 / trans_sigma**2] * 3)
-
         return PoseGraphConfig(
-            odometry_information=info(
+            odometry_information=information_from_sigmas(
                 self["graph.odometry_rotation_sigma"],
                 self["graph.odometry_translation_sigma"],
             ),
-            loop_information=info(
+            loop_information=information_from_sigmas(
                 self["graph.loop_rotation_sigma"],
                 self["graph.loop_translation_sigma"],
             ),
@@ -281,109 +252,6 @@ def parse_overrides(pairs: Sequence[str]) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Stages
-# ---------------------------------------------------------------------------
-
-class _LoopDetector:
-    """Loop stage: owns the keyframe store and the descriptor database."""
-
-    def __init__(self, loop_cfg: LoopClosureConfig, no_loop: bool,
-                 fixed_threshold: Optional[float]):
-        self.cfg = loop_cfg
-        self.no_loop = no_loop
-        self.fixed_threshold = fixed_threshold
-        self.store = KeyframeStore()
-        self.db = DescriptorStore()
-        self.events: List[LoopEvent] = []
-
-    def process(
-        self, kf: Keyframe, published: List[Pose], correction: Pose
-    ) -> Tuple[Pose, Optional[LoopConstraint]]:
-        """Detect and refine a loop for keyframe kf.
-
-        ``published`` holds the optimized poses of keyframes 0..kf.index-1;
-        ``correction`` re-bases odometry into the optimized frame.  Returns
-        the node estimate for kf and an accepted constraint, if any.
-        """
-        k = kf.index
-        self.store.append(kf)
-        estimate_k = correction.compose(kf.odometry_pose)
-        descriptor = build_descriptor(
-            kf.features, keyframe_index=k, config=self.cfg.scan_context
-        )
-        constraint = None
-        if not self.no_loop:
-            match = query(self.db, descriptor, self.cfg.scan_context)
-            if match is not None:
-                loop_idx = match.candidate_keyframe_index
-                latest = list(published) + [estimate_k]
-                d = gate_distance(latest[k], latest[loop_idx])
-                threshold = (
-                    self.fixed_threshold
-                    if self.fixed_threshold is not None
-                    else adaptive_threshold(k, self.cfg.gate)
-                )
-                if d <= threshold:
-                    yaw = shift_to_yaw(
-                        match.best_column_shift, self.cfg.scan_context.num_sectors
-                    )
-                    t0 = time.perf_counter()
-                    candidate = estimate_loop_pose(
-                        kf.features, k, self.store, loop_idx, latest, self.cfg,
-                        yaw_hint=yaw,
-                    )
-                    millis = (time.perf_counter() - t0) * 1e3
-                    self.events.append(
-                        LoopEvent(k, loop_idx, d, threshold,
-                                  match.descriptor_distance,
-                                  candidate.accepted,
-                                  candidate.registration_cost, millis)
-                    )
-                    if candidate.accepted:
-                        constraint = candidate
-                else:
-                    self.events.append(
-                        LoopEvent(k, loop_idx, d, threshold,
-                                  match.descriptor_distance,
-                                  False, float("inf"), 0.0)
-                    )
-        self.db.append(descriptor)
-        return estimate_k, constraint
-
-
-class _GraphKeeper:
-    """Graph stage: owns the pose graph and publishes pose snapshots."""
-
-    def __init__(self, graph_cfg: PoseGraphConfig):
-        self.graph = PoseGraph(graph_cfg)
-        self.correction = Pose.identity()
-        self._cond = threading.Condition()
-        self._published: List[Pose] = []
-        self._progress = -1
-
-    def wait_for(self, k: int) -> Tuple[List[Pose], Pose]:
-        """Block until keyframe k is applied; return (poses 0..k, correction)."""
-        with self._cond:
-            while self._progress < k:
-                self._cond.wait()
-            return list(self._published), self.correction
-
-    def apply(self, kf: Keyframe, node_estimate: Pose,
-              constraint: Optional[LoopConstraint]) -> None:
-        add_odometry_node(self.graph, kf.index, node_estimate)
-        if constraint is not None:
-            add_loop_edge(self.graph, constraint)
-            optimize(self.graph)
-            self.correction = self.graph.nodes[kf.index].compose(
-                kf.odometry_pose.inverse()
-            )
-        with self._cond:
-            self._published = self.graph.poses()
-            self._progress = kf.index
-            self._cond.notify_all()
-
-
-# ---------------------------------------------------------------------------
 # SLAM loop
 # ---------------------------------------------------------------------------
 
@@ -397,136 +265,91 @@ class SlamResult:
     events: List[LoopEvent]
 
 
-def _promote_keyframes(scans, odo_cfg, loop_cfg):
-    """Run odometry over all scans, yielding per-frame poses and keyframes.
+def _verify_loop(
+    k: int,
+    match: CandidateMatch,
+    poses: Sequence[Pose],
+    store: KeyframeStore,
+    cfg: LoopClosureConfig,
+    fixed_threshold: Optional[float],
+    events: List[LoopEvent],
+) -> Optional[LoopConstraint]:
+    """Gate a descriptor match for keyframe k, then refine it by registration.
 
-    Generator of (frame_index, pose, keyframe_or_none); the caller decides
-    whether to handle keyframes inline or ship them to worker threads.
+    ``poses`` holds the best-known pose of keyframes 0..k.  Logs the attempt
+    in ``events`` and returns the constraint if it is accepted.
     """
-    state = OdometryState()
-    submap = Submap(odo_cfg)
-    last_kf_pose: Optional[Pose] = None
-    next_kf = 0
-    for i, scan in enumerate(scans):
-        features, pose, _ = process_frame(state, scan, submap, odo_cfg)
-        kf = None
-        if last_kf_pose is None or is_new_keyframe(last_kf_pose, pose, loop_cfg):
-            kf = Keyframe(index=next_kf, frame_index=i,
-                          features=features, odometry_pose=pose)
-            last_kf_pose = pose
-            next_kf += 1
-        yield i, pose, kf
-
-
-def _assemble_result(frame_poses, kf_of_frame, detector, keeper) -> SlamResult:
-    final = keeper.graph.poses()
-    trajectory = []
-    for pose, k in zip(frame_poses, kf_of_frame):
-        correction = final[k].compose(detector.store[k].odometry_pose.inverse())
-        trajectory.append(correction.compose(pose))
-    return SlamResult(
-        trajectory=trajectory,
-        odometry=frame_poses,
-        keyframe_frames=[kf.frame_index for kf in detector.store.keyframes],
-        keyframe_poses=final,
-        keyframe_features=[kf.features for kf in detector.store.keyframes],
-        events=detector.events,
+    loop_idx = match.candidate_keyframe_index
+    d = gate_distance(poses[k], poses[loop_idx])
+    threshold = (
+        fixed_threshold if fixed_threshold is not None
+        else adaptive_threshold(k, cfg.gate)
     )
-
-
-def _run_sequential(scans, odo_cfg, loop_cfg, detector, keeper) -> SlamResult:
-    frame_poses: List[Pose] = []
-    kf_of_frame: List[int] = []
-    for i, pose, kf in _promote_keyframes(scans, odo_cfg, loop_cfg):
-        frame_poses.append(pose)
-        if kf is not None:
-            published, correction = keeper.wait_for(kf.index - 1)
-            estimate, constraint = detector.process(kf, published, correction)
-            keeper.apply(kf, estimate, constraint)
-        kf_of_frame.append(len(detector.store) - 1)
-    return _assemble_result(frame_poses, kf_of_frame, detector, keeper)
-
-
-class _Worker(threading.Thread):
-    """Thread that records an exception instead of dying silently."""
-
-    def __init__(self, target):
-        super().__init__(daemon=True)
-        self._target_fn = target
-        self.error: Optional[BaseException] = None
-
-    def run(self):
-        try:
-            self._target_fn()
-        except BaseException as e:  # re-raised by the coordinator
-            self.error = e
-
-
-_STOP = object()
-
-
-def _run_threaded(scans, odo_cfg, loop_cfg, detector, keeper) -> SlamResult:
-    """Three-stage pipeline: odometry -> loop detection -> graph updates.
-
-    Bounded queues provide backpressure; the loop stage waits for the graph
-    stage to finish keyframe k-1 before detecting at keyframe k, so the
-    numerical work matches the sequential mode exactly and only odometry
-    overlaps loop registration in time.
-    """
-    to_loop: "queue.Queue" = queue.Queue(maxsize=4)
-    to_graph: "queue.Queue" = queue.Queue(maxsize=4)
-    frame_poses: List[Pose] = []
-    kf_of_frame: List[int] = []
-
-    def odometry_stage():
-        kf_count = 0
-        for _, pose, kf in _promote_keyframes(scans, odo_cfg, loop_cfg):
-            frame_poses.append(pose)
-            if kf is not None:
-                kf_count += 1
-                to_loop.put(kf)
-            kf_of_frame.append(kf_count - 1)
-        to_loop.put(_STOP)
-
-    def loop_stage():
-        while True:
-            kf = to_loop.get()
-            if kf is _STOP:
-                to_graph.put(_STOP)
-                return
-            published, correction = keeper.wait_for(kf.index - 1)
-            estimate, constraint = detector.process(kf, published, correction)
-            to_graph.put((kf, estimate, constraint))
-
-    def graph_stage():
-        while True:
-            item = to_graph.get()
-            if item is _STOP:
-                return
-            keeper.apply(*item)
-
-    workers = [_Worker(odometry_stage), _Worker(loop_stage), _Worker(graph_stage)]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    for w in workers:
-        if w.error is not None:
-            raise w.error
-    return _assemble_result(frame_poses, kf_of_frame, detector, keeper)
+    if not d <= threshold:  # the boundary counts as inside; NaN does not
+        events.append(LoopEvent(k, loop_idx, d, threshold, match.descriptor_distance,
+                                False, float("inf"), 0.0))
+        return None
+    yaw = shift_to_yaw(match.best_column_shift, cfg.scan_context.num_sectors)
+    t0 = time.perf_counter()
+    candidate = estimate_loop_pose(
+        store[k].features, k, store, loop_idx, poses, cfg, yaw_hint=yaw
+    )
+    millis = (time.perf_counter() - t0) * 1e3
+    events.append(LoopEvent(k, loop_idx, d, threshold, match.descriptor_distance,
+                            candidate.accepted, candidate.registration_cost, millis))
+    return candidate if candidate.accepted else None
 
 
 def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     """Process scans end to end; returns trajectories, keyframes, and events."""
     odo_cfg = config.odometry_config()
     loop_cfg = config.loop_config()
-    detector = _LoopDetector(loop_cfg, config["run.no_loop"], config.fixed_threshold())
-    keeper = _GraphKeeper(config.graph_config())
-    if not scans:
-        return SlamResult([], [], [], [], [], [])
-    if config["run.threads"] == 3:
-        return _run_threaded(scans, odo_cfg, loop_cfg, detector, keeper)
-    return _run_sequential(scans, odo_cfg, loop_cfg, detector, keeper)
+    fixed_threshold = config.fixed_threshold()
+    graph = PoseGraph(config.graph_config())
+    state = OdometryState()
+    submap = Submap(odo_cfg)
+    store = KeyframeStore()
+    db = DescriptorStore()
+    events: List[LoopEvent] = []
+    correction = Pose.identity()  # re-bases odometry into the optimized frame
+    frame_poses: List[Pose] = []
+    kf_of_frame: List[int] = []
+    for i, scan in enumerate(scans):
+        features, pose, _ = process_frame(state, scan, submap, odo_cfg)
+        frame_poses.append(pose)
+        if not store.keyframes or is_new_keyframe(store[-1].odometry_pose, pose, loop_cfg):
+            k = len(store)
+            store.append(Keyframe(index=k, frame_index=i, features=features,
+                                  odometry_pose=pose))
+            add_odometry_node(graph, k, correction.compose(pose))
+            descriptor = build_descriptor(
+                features, keyframe_index=k, config=loop_cfg.scan_context
+            )
+            match = (None if config["run.no_loop"]
+                     else query(db, descriptor, loop_cfg.scan_context))
+            db.append(descriptor)
+            if match is not None:
+                constraint = _verify_loop(k, match, graph.nodes, store, loop_cfg,
+                                          fixed_threshold, events)
+                if constraint is not None:
+                    add_loop_edge(graph, constraint)
+                    optimize(graph)
+                    correction = graph.nodes[k].compose(pose.inverse())
+        kf_of_frame.append(len(store) - 1)
+
+    final = graph.poses()
+    trajectory = [
+        final[k].compose(store[k].odometry_pose.inverse()).compose(pose)
+        for pose, k in zip(frame_poses, kf_of_frame)
+    ]
+    return SlamResult(
+        trajectory=trajectory,
+        odometry=frame_poses,
+        keyframe_frames=[kf.frame_index for kf in store.keyframes],
+        keyframe_poses=final,
+        keyframe_features=[kf.features for kf in store.keyframes],
+        events=events,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +360,7 @@ def _load_input(config: PipelineConfig):
     """Returns (scans, ground_truth); truth is a pose list (synthetic), a
     GroundTruthTrajectory (dataset with --eval), or None."""
     if config["synthetic.shape"]:
-        spec = {
-            key.split(".", 1)[1]: value
-            for key, value in config.values.items()
-            if key.startswith("synthetic.")
-        }
-        scans, truth = generate_world(spec)
-        return scans, truth
+        return generate_world(config._section("synthetic"))
 
     scan_dir = Path(config["dataset.scans"])
     if not scan_dir.is_dir():

@@ -33,6 +33,7 @@ __all__ = [
     "add_loop_edge",
     "edge_residual",
     "edge_jacobians",
+    "information_from_sigmas",
     "optimize",
     "save_g2o",
 ]
@@ -46,14 +47,24 @@ _LAMBDA_MAX = 1e12
 _LAMBDA_MIN = 1e-12
 
 
+# Default edge standard deviations: rad for rotation, m for translation.
+ODOMETRY_ROTATION_SIGMA = 0.01
+ODOMETRY_TRANSLATION_SIGMA = 0.05
+LOOP_ROTATION_SIGMA = 0.05
+LOOP_TRANSLATION_SIGMA = 0.2
+
+
+def information_from_sigmas(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
+    """Diagonal information matrix 1/sigma^2 for the [w, v] twist layout."""
+    return np.diag([1.0 / rotation_sigma**2] * 3 + [1.0 / translation_sigma**2] * 3)
+
+
 def default_odometry_information() -> np.ndarray:
-    """Odometry edge weight: sigma 0.01 rad rotation, 0.05 m translation."""
-    return np.diag([1e4, 1e4, 1e4, 400.0, 400.0, 400.0])
+    return information_from_sigmas(ODOMETRY_ROTATION_SIGMA, ODOMETRY_TRANSLATION_SIGMA)
 
 
 def default_loop_information() -> np.ndarray:
-    """Loop edge weight: sigma 0.05 rad rotation, 0.2 m translation."""
-    return np.diag([400.0, 400.0, 400.0, 25.0, 25.0, 25.0])
+    return information_from_sigmas(LOOP_ROTATION_SIGMA, LOOP_TRANSLATION_SIGMA)
 
 
 def _validated_information(information: np.ndarray) -> np.ndarray:
@@ -101,7 +112,7 @@ class PoseGraphEdge:
 
 
 class PoseGraph:
-    """Mutable node/edge store.  Single writer; ``poses`` hands out copies."""
+    """Mutable node/edge store; ``poses`` hands out copies."""
 
     def __init__(self, config: Optional[PoseGraphConfig] = None):
         self.config = config if config is not None else PoseGraphConfig()
@@ -112,7 +123,7 @@ class PoseGraph:
         return len(self.nodes)
 
     def poses(self) -> List[Pose]:
-        """Snapshot of the current estimates, safe to read concurrently."""
+        """Copies of the current estimates."""
         return [p.copy() for p in self.nodes]
 
 

@@ -71,11 +71,6 @@ def build_descriptor(
     return ScanContextDescriptor(matrix, ring_key, keyframe_index)
 
 
-def cyclic_shift(matrix: np.ndarray, shift: int) -> np.ndarray:
-    """Move every column right by `shift` sectors (cyclic)."""
-    return np.roll(matrix, shift, axis=1)
-
-
 def shift_to_yaw(shift: int, num_sectors: int) -> float:
     """Yaw of the probe sensor relative to the matched sensor, radians.
 

@@ -364,7 +364,7 @@ def two_room_path(separation: float = 60.0, step: float = 0.35):
 # Spec-driven generation
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
+WORLD_DEFAULTS = {
     "shape": "square",
     "frames": 400,
     "noise": 0.01,
@@ -385,10 +385,10 @@ def generate_world(spec: dict):
     Keys (all optional): shape, frames, noise, seed, density, size, laps,
     step, separation.  Unknown keys are rejected.
     """
-    unknown = set(spec) - set(_DEFAULTS)
+    unknown = set(spec) - set(WORLD_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown world spec keys: {sorted(unknown)}")
-    s = dict(_DEFAULTS, **spec)
+    s = dict(WORLD_DEFAULTS, **spec)
     if s["shape"] not in SHAPES:
         raise ValueError(f"unknown world shape {s['shape']!r}")
 

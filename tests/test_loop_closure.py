@@ -16,10 +16,8 @@ from featslam.loop_closure import (
     estimate_loop_pose,
     gate_distance,
     is_new_keyframe,
-    verify_candidate,
     write_loop_log,
 )
-from featslam.scan_context import CandidateMatch
 
 
 def translate(x, y, z):
@@ -95,21 +93,23 @@ class TestAdaptiveThreshold:
 
 
 class TestVerifyCandidate:
-    match = CandidateMatch(0, 0.1, 3)
+    """The distance gate run_slam applies to a descriptor match: the
+    candidate is kept when gate_distance <= adaptive_threshold."""
 
     def test_inside_gate(self):
-        assert verify_candidate(self.match, translate(5, 0, 0), Pose.identity(), 0)
+        assert gate_distance(translate(5, 0, 0), Pose.identity()) <= adaptive_threshold(0)
 
     def test_outside_gate(self):
-        assert not verify_candidate(self.match, translate(25, 0, 0), Pose.identity(), 0)
+        assert gate_distance(translate(25, 0, 0), Pose.identity()) > adaptive_threshold(0)
 
     def test_boundary_inclusive(self):
-        assert verify_candidate(self.match, translate(20, 0, 0), Pose.identity(), 0)
+        d = gate_distance(translate(20, 0, 0), Pose.identity())
+        assert d == adaptive_threshold(0) == 20.0
 
     def test_gate_widens_with_keyframes(self):
-        t_k = translate(25, 0, 0)
-        assert not verify_candidate(self.match, t_k, Pose.identity(), 0)
-        assert verify_candidate(self.match, t_k, Pose.identity(), 600)
+        d = gate_distance(translate(25, 0, 0), Pose.identity())
+        assert d > adaptive_threshold(0)
+        assert d <= adaptive_threshold(600)
 
 
 class TestKeyframePromotion:

@@ -14,7 +14,6 @@ from featslam.odometry import (
     predict_pose,
     process_frame,
     register,
-    update_submap,
 )
 
 
@@ -86,7 +85,7 @@ class TestSubmap:
             planars=np.random.default_rng(0).uniform(0, 2, size=(500, 3)),
         )
         submap = Submap()
-        update_submap(submap, cloud, Pose.identity())
+        submap.insert(cloud, Pose.identity())
         assert 0 < submap.num_planars <= 500
 
     def test_insert_twice_idempotent(self):

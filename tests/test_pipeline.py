@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from featslam.cli import _collect_items, _synthetic_items, build_parser, main
+from featslam.loop_closure import LoopClosureConfig
+from featslam.odometry import OdometryConfig
 from featslam.pipeline import (
     PipelineConfig,
     parse_config_file,
     parse_overrides,
     run_slam,
 )
+from featslam.pose_graph import (
+    PoseGraphConfig,
+    default_loop_information,
+    default_odometry_information,
+)
+from featslam.scan_context import ScanContextConfig
+from featslam.simulate import WORLD_DEFAULTS
 
 SQUARE = {"synthetic.shape": "square"}
 
@@ -19,7 +28,6 @@ class TestConfigValues:
         cfg = PipelineConfig.from_items(SQUARE)
         assert cfg["odometry.max_iterations"] == 20
         assert cfg["scan_context.num_sectors"] == 60
-        assert cfg["run.threads"] == 1
         assert cfg["output.dir"] == "featslam_out"
 
     def test_unknown_key_rejected(self):
@@ -43,12 +51,6 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="dataset.num_lasers"):
             PipelineConfig.from_items({**SQUARE, "dataset.num_lasers": "sixty"})
 
-    def test_threads_must_be_one_or_three(self):
-        with pytest.raises(ValueError, match="1 .*or 3"):
-            PipelineConfig.from_items({**SQUARE, "run.threads": "2"})
-        for n in ("1", "3"):
-            PipelineConfig.from_items({**SQUARE, "run.threads": n})
-
     def test_no_input_rejected(self):
         with pytest.raises(ValueError, match="no input"):
             PipelineConfig.from_items({})
@@ -60,6 +62,18 @@ class TestConfigValues:
 
 
 class TestModuleConfigs:
+    def test_defaults_equal_module_defaults(self):
+        cfg = PipelineConfig.from_items(SQUARE)
+        assert cfg.odometry_config() == OdometryConfig()
+        assert cfg.scan_context_config() == ScanContextConfig()
+        assert cfg.loop_config() == LoopClosureConfig()
+        graph = cfg.graph_config()
+        assert np.array_equal(graph.odometry_information, default_odometry_information())
+        assert np.array_equal(graph.loop_information, default_loop_information())
+        assert graph.huber_scale == PoseGraphConfig().huber_scale
+        world = {key: cfg[f"synthetic.{key}"] for key in WORLD_DEFAULTS}
+        assert world == {**WORLD_DEFAULTS, "shape": "square"}
+
     def test_feature_and_odometry_sections(self):
         cfg = PipelineConfig.from_items(
             {**SQUARE, "features.min_range": "3.5", "odometry.huber_scale": "0.7"}
@@ -255,17 +269,6 @@ class TestEndToEnd:
         assert rc == 0
         for name in ("trajectory_kitti.txt", "map.ply"):
             assert (out / name).read_bytes() == (finished_run / name).read_bytes()
-        assert _loops_sans_timing(out) == _loops_sans_timing(finished_run)
-
-    def test_threaded_matches_sequential(self, finished_run, tmp_path):
-        out = tmp_path / "threaded"
-        rc = main(["run", "--synthetic", WORLD, "--out", str(out),
-                   "--set", "run.threads=3"] + SPEED)
-        assert rc == 0
-        # identical arithmetic in identical order: exact match, not a tolerance
-        assert (out / "trajectory_kitti.txt").read_bytes() == (
-            finished_run / "trajectory_kitti.txt"
-        ).read_bytes()
         assert _loops_sans_timing(out) == _loops_sans_timing(finished_run)
 
     def test_no_loop_flag_suppresses_events(self, finished_run, tmp_path):
