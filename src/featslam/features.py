@@ -12,6 +12,12 @@ sector so features cover the whole scan.
 Rings that span the full circle are treated as cyclic sequences; rings with
 large azimuthal gaps (dropouts, limited geometry) are split into open
 segments at the gaps, and segment endpoints are left unscored.
+
+The whole scan is handled in one pass: one sort orders every ring, and
+the segments of all rings are laid end to end, each cyclic one wrapped by
+half a window on either side, so every smoothness window, occlusion test
+and edge suppression covers a slice of one array.  Selection loops only
+over sectors and edge rounds, vectorised across all segments.
 """
 
 from __future__ import annotations
@@ -58,97 +64,48 @@ class FeatureConfig:
             raise ValueError("need 0 < min_range < max_range")
 
 
-def compute_smoothness(
-    ring_points: np.ndarray, i: int, half_width: int, min_range: float = 0.0
-):
-    """Smoothness of point i in an ordered list of ring points.
+def _ring_segments(ring: np.ndarray, azimuth: np.ndarray, gap_factor: float):
+    """Order every ring by azimuth and split it into segments at gaps.
 
-    Returns None ("unscored") when the point is closer to the sensor than
-    min_range.  Requires half_width <= i < len(ring_points) - half_width.
+    A ring is cut after every gap wider than gap_factor x its median gap
+    (the gap after its last point wraps round to its first).  A ring with
+    no such gap is one cyclic segment; a cut ring becomes open segments,
+    starting after its first cut.
+
+    Returns (order, start, length, cyclic): the permutation of the points
+    that lays the segments end to end in (ring, segment) order, and per
+    segment its first position in that layout, its length and whether it
+    is cyclic.
     """
-    pts = np.asarray(ring_points, dtype=float)
-    if not (half_width <= i < len(pts) - half_width):
-        raise IndexError("window does not fit inside the ring ordering")
-    p = pts[i]
-    r = np.linalg.norm(p)
-    if r < min_range:
-        return None
-    window = pts[i - half_width : i + half_width + 1]
-    diff = window.sum(axis=0) - (2 * half_width + 1) * p
-    return float(np.linalg.norm(diff) / (2 * half_width * r))
+    by_ring = np.lexsort((azimuth, ring))  # stable: equal azimuths keep scan order
+    ring, azimuth = ring[by_ring], azimuth[by_ring]
+    n = len(ring)
+    first = np.flatnonzero(np.r_[True, ring[1:] != ring[:-1]])
+    count = np.diff(np.r_[first, n])
+    ring_of = np.repeat(np.arange(len(first)), count)
+    last = first + count - 1
 
+    following = np.r_[azimuth[1:], 0.0]
+    following[last] = azimuth[first] + 2 * np.pi
+    gaps = following - azimuth
+    by_gap = gaps[np.lexsort((gaps, ring_of))]
+    # np.median's rule: the middle gap, or the mean of the middle two
+    median = (by_gap[first + (count - 1) // 2] + by_gap[first + count // 2]) / 2
+    big = gaps > gap_factor * np.maximum(median, 1e-9)[ring_of]
 
-def _segment_smoothness(pts: np.ndarray, half_width: int, cyclic: bool):
-    """Vectorized smoothness over one ring segment.
+    cuts = np.flatnonzero(big)
+    first_cut = cuts[np.diff(ring_of[cuts], prepend=-1) != 0]
+    rotate = np.zeros(len(first), dtype=int)
+    rotate[ring_of[first_cut]] = first_cut - first[ring_of[first_cut]] + 1
+    local = np.arange(n) - first[ring_of]
+    order = np.empty(n, dtype=int)
+    order[first[ring_of] + (local - rotate[ring_of]) % count[ring_of]] = np.arange(n)
 
-    Returns (sigma, scorable) arrays; non-scorable entries hold sigma = inf.
-    For open segments the first/last half_width points are unscored.
-    """
-    n = len(pts)
-    sigma = np.full(n, np.inf)
-    scorable = np.zeros(n, dtype=bool)
-    w = 2 * half_width + 1
-    if cyclic:
-        if n < w:
-            return sigma, scorable
-        idx = (np.arange(n)[:, None] + np.arange(-half_width, half_width + 1)) % n
-        window_sum = pts[idx].sum(axis=1)
-        centers = np.arange(n)
-    else:
-        if n < w:
-            return sigma, scorable
-        kernel = np.ones(w)
-        window_sum = np.stack(
-            [np.convolve(pts[:, k], kernel, mode="valid") for k in range(3)], axis=1
-        )
-        centers = np.arange(half_width, n - half_width)
-    p = pts[centers]
-    r = np.linalg.norm(p, axis=1)
-    diff = window_sum - w * p
-    ok = r > 0
-    vals = np.full(len(centers), np.inf)
-    vals[ok] = np.linalg.norm(diff[ok], axis=1) / (2 * half_width * r[ok])
-    sigma[centers] = vals
-    scorable[centers] = ok
-    return sigma, scorable
-
-
-def _occluded(rng: np.ndarray, half_width: int, cyclic: bool, gap: float):
-    """True where some window neighbor is closer by more than gap meters:
-    the point sits on the far side of an occlusion silhouette."""
-    n = len(rng)
-    flag = np.zeros(n, dtype=bool)
-    if n < 2:
-        return flag
-    for k in range(1, half_width + 1):
-        if cyclic:
-            flag |= (rng - np.roll(rng, k)) > gap
-            flag |= (rng - np.roll(rng, -k)) > gap
-        else:
-            flag[k:] |= (rng[k:] - rng[:-k]) > gap
-            flag[:-k] |= (rng[:-k] - rng[k:]) > gap
-    return flag
-
-
-def _ring_segments(azimuth: np.ndarray, gap_factor: float):
-    """Split an azimuth-sorted ring into (indices, cyclic) segments at gaps."""
-    n = len(azimuth)
-    gaps = np.diff(azimuth, append=azimuth[0] + 2 * np.pi)  # cyclic gaps
-    median_gap = np.median(gaps)
-    big = gaps > gap_factor * max(median_gap, 1e-9)
-    if not big.any():
-        return [(np.arange(n), True)]
-    cut_after = np.flatnonzero(big)
-    segments = []
-    for k in range(len(cut_after)):
-        start = (cut_after[k] + 1) % n
-        stop = cut_after[(k + 1) % len(cut_after)]
-        if stop >= start:
-            seg = np.arange(start, stop + 1)
-        else:
-            seg = np.concatenate([np.arange(start, n), np.arange(0, stop + 1)])
-        segments.append((seg, False))
-    return segments
+    ends = big[order]
+    ends[last] = True
+    stop = np.flatnonzero(ends) + 1
+    start = np.r_[0, stop[:-1]]
+    return by_ring[order], start, stop - start, rotate[ring_of[order[start]]] == 0
 
 
 def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> FeatureCloud:
@@ -158,69 +115,94 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
     max_edges_per_sector with sigma > threshold become edges, up to
     max_planars_per_sector with sigma <= threshold become planars.  Points
     within half_width of a selected edge are suppressed from further
-    selection.
+    selection.  Non-finite points are dropped first, as load_scan does.
+
+    Features come out in (ring, segment, sector, pick) order.
     """
     cfg = cfg or FeatureConfig()
-    if len(scan) == 0:
+    finite = np.isfinite(scan.xyz).all(axis=1)
+    xyz, ring = scan.xyz[finite], scan.ring[finite]
+    if len(xyz) == 0:
         return FeatureCloud(frame_index=scan.timestamp_index)
 
     hw = cfg.neighborhood_half_width
-    edges, planars = [], []
-    for ring_id in np.unique(scan.ring):
-        pts = scan.xyz[scan.ring == ring_id]
-        if len(pts) < 2 * hw + 1:
-            continue
-        azimuth = np.arctan2(pts[:, 1], pts[:, 0])
-        order = np.argsort(azimuth, kind="stable")
-        pts = pts[order]
-        azimuth = azimuth[order]
+    w = 2 * hw + 1
+    azimuth = np.arctan2(xyz[:, 1], xyz[:, 0])
+    order, start, length, cyclic = _ring_segments(ring, azimuth, cfg.gap_factor)
 
-        for seg_idx, cyclic in _ring_segments(azimuth, cfg.gap_factor):
-            seg = pts[seg_idx]
-            sigma, scorable = _segment_smoothness(seg, hw, cyclic)
-            rng = np.linalg.norm(seg, axis=1)
-            scorable &= (rng >= cfg.min_range) & (rng <= cfg.max_range)
-            scorable &= ~_occluded(rng, hw, cyclic, cfg.occlusion_gap)
+    # lay the segments end to end, each cyclic one wrapped by half a window
+    # on either side, so that every window is a slice of the layout
+    pad = np.where(cyclic, hw, 0)
+    span = length + 2 * pad
+    seg = np.repeat(np.arange(len(span)), span)
+    local = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span + pad, span)
+    source = order[start[seg] + local % length[seg]]
+    pts = xyz[source]
+    rng = np.linalg.norm(pts, axis=1)
 
-            sector = np.floor(
-                (azimuth[seg_idx] + np.pi) / (2 * np.pi) * cfg.num_sectors
-            ).astype(int) % cfg.num_sectors
+    # window centres: every point of a cyclic segment (not its wrap copies)
+    # and the interior of an open one, in segments at least a window long
+    margin = (hw - pad)[seg]
+    centre = (length[seg] >= w) & (local >= margin) & (local < length[seg] - margin)
+    centre &= (rng >= cfg.min_range) & (rng <= cfg.max_range)
+    cand = np.flatnonzero(centre)
+    if len(cand) == 0:
+        return FeatureCloud(frame_index=scan.timestamp_index)
+    # the far side of an occlusion silhouette is viewpoint-dependent
+    occluded = np.zeros(len(cand), dtype=bool)
+    for k in range(1, hw + 1):
+        occluded |= (rng[cand] - rng[cand - k]) > cfg.occlusion_gap
+        occluded |= (rng[cand] - rng[cand + k]) > cfg.occlusion_gap
+    cand = cand[~occluded]
 
-            suppressed = np.zeros(len(seg), dtype=bool)
-            n = len(seg)
-            for s in range(cfg.num_sectors):
-                cand = np.flatnonzero(scorable & (sector == s))
-                if len(cand) == 0:
-                    continue
-                by_sigma = cand[np.argsort(sigma[cand], kind="stable")]
-                picked_edges = 0
-                for i in by_sigma[::-1]:
-                    if picked_edges >= cfg.max_edges_per_sector:
-                        break
-                    if sigma[i] <= cfg.smoothness_threshold:
-                        break  # descending order: no edge candidates remain
-                    if suppressed[i]:
-                        continue
-                    edges.append(seg[i])
-                    picked_edges += 1
-                    lo, hi = i - hw, i + hw
-                    if cyclic:
-                        suppressed[np.arange(lo, hi + 1) % n] = True
-                    else:
-                        suppressed[max(lo, 0) : min(hi + 1, n)] = True
-                picked_planars = 0
-                for i in by_sigma:
-                    if picked_planars >= cfg.max_planars_per_sector:
-                        break
-                    if sigma[i] > cfg.smoothness_threshold:
-                        break
-                    if suppressed[i]:
-                        continue
-                    planars.append(seg[i])
-                    picked_planars += 1
+    # add each window up one neighbour at a time, in order: this rounds as
+    # the per-ring loop's window sums and convolutions do, bit for bit
+    inner = len(pts) - 2 * hw
+    window_sum = pts[:inner]
+    for k in range(1, w):
+        window_sum = window_sum + pts[k : inner + k]
+    diff = window_sum[cand - hw] - w * pts[cand]
+    sigma = np.linalg.norm(diff, axis=1) / (2 * hw * rng[cand])
+    sector = np.floor(
+        (azimuth[source[cand]] + np.pi) / (2 * np.pi) * cfg.num_sectors
+    ).astype(int) % cfg.num_sectors
+
+    # candidates grouped by sector, then segment, in ascending sigma with
+    # ties in segment order; each selection step works on one sector's
+    # block for all segments at once
+    by_sigma = np.lexsort((sigma, seg[cand], sector))
+    cand, sigma = cand[by_sigma], sigma[by_sigma]
+    cand_seg, cand_point = seg[cand], source[cand]
+    bounds = np.searchsorted(sector[by_sigma], np.arange(cfg.num_sectors + 1))
+    is_edge = sigma > cfg.smoothness_threshold
+    suppressed = np.zeros(len(xyz), dtype=bool)  # by scan point
+    edge_rank = np.full(len(pts), -1)
+    planar_rank = np.full(len(pts), -1)
+    for s in range(cfg.num_sectors):
+        lo, hi = bounds[s], bounds[s + 1]
+        # one edge per segment a round: the highest sigma not yet suppressed,
+        # ties to the later point; its window is suppressed before the next
+        for r in range(cfg.max_edges_per_sector):
+            pick = lo + np.flatnonzero(is_edge[lo:hi] & ~suppressed[cand_point[lo:hi]])
+            if len(pick) == 0:
+                break
+            pick = pick[np.diff(cand_seg[pick], append=-1) != 0]
+            suppressed[source[cand[pick, None] + np.arange(-hw, hw + 1)]] = True
+            edge_rank[cand[pick]] = s * cfg.max_edges_per_sector + r
+        # the lowest-sigma survivors, ties to the earlier point
+        pick = lo + np.flatnonzero(~is_edge[lo:hi] & ~suppressed[cand_point[lo:hi]])
+        run = np.arange(len(pick))
+        new_seg = np.diff(cand_seg[pick], prepend=-1) != 0
+        rank = run - np.maximum.accumulate(np.where(new_seg, run, 0))
+        keep = rank < cfg.max_planars_per_sector
+        planar_rank[cand[pick[keep]]] = s * cfg.max_planars_per_sector + rank[keep]
+
+    def in_pick_order(rank):
+        at = np.flatnonzero(rank >= 0)
+        return pts[at[np.lexsort((rank[at], seg[at]))]]
 
     return FeatureCloud(
-        edges=np.array(edges) if edges else np.zeros((0, 3)),
-        planars=np.array(planars) if planars else np.zeros((0, 3)),
+        edges=in_pick_order(edge_rank),
+        planars=in_pick_order(planar_rank),
         frame_index=scan.timestamp_index,
     )

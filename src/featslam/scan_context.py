@@ -2,11 +2,12 @@
 
 A feature cloud is summarized as a ring x sector matrix of maximum point
 heights. Matching a pair of descriptors scans all cyclic column shifts, so
-the distance is invariant to the yaw at which a place is revisited.
+the distance is invariant to the yaw at which a place is revisited. The
+shifts are scored together: the dot products of every column pair are
+formed once, and each shift gathers the pairs it lines up.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -86,8 +87,9 @@ def shift_to_yaw(shift: int, num_sectors: int) -> float:
 def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
     """Minimum column-wise cosine distance over all cyclic sector shifts.
 
-    Returns (distance in [0, 1], best shift). Columns empty in both
-    descriptors are skipped; if every column is skipped the distance is 1.
+    Returns (distance in [0, 1], best shift); the first of equally good
+    shifts wins. Columns empty in both descriptors are skipped; if every
+    column is skipped the distance is 1.
     """
     if a.matrix.shape != b.matrix.shape:
         raise ValueError(
@@ -96,30 +98,29 @@ def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
     num_sectors = a.matrix.shape[1]
     a_occ = a.matrix > _OCCUPIED_FLOOR
     b_occ = b.matrix > _OCCUPIED_FLOOR
+    a_col_occ = a_occ.any(axis=0)
+    b_col_occ = b_occ.any(axis=0)
+    if not (a_col_occ.any() or b_col_occ.any()):
+        return (1.0, 0)
     av = np.where(a_occ, a.matrix, 0.0)
     bv = np.where(b_occ, b.matrix, 0.0)
-    a_col_occ = a_occ.any(axis=0)
-    a_norm = np.linalg.norm(av, axis=0)
-
-    best = (1.0, 0)
-    for shift in range(num_sectors):
-        bs = np.roll(bv, -shift, axis=1)
-        col_occ = a_col_occ | np.roll(b_occ.any(axis=0), -shift)
-        if not col_occ.any():
-            continue
-        b_norm = np.roll(np.linalg.norm(bv, axis=0), -shift)
-        dot = (av * bs).sum(axis=0)
-        denom = a_norm * b_norm
-        # a zero column against an occupied one carries no directional
-        # information: score it as maximally distant rather than dividing
-        cos = np.where(denom > 0.0, dot / np.where(denom > 0.0, denom, 1.0), 0.0)
-        col_dist = 1.0 - cos
-        # snap float dust to zero so shifted twins compare exactly equal
-        col_dist = np.where(np.abs(col_dist) < 1e-12, 0.0, col_dist)
-        d = float(np.clip(col_dist[col_occ].mean(), 0.0, 1.0))
-        if d < best[0]:
-            best = (d, shift)
-    return best
+    # row s, column j: b's column that faces a's column j at shift s
+    column = np.arange(num_sectors)
+    shifted = (column[:, None] + column) % num_sectors
+    col_occ = a_col_occ | b_col_occ[shifted]
+    # every column pair's dot product, summed over rings in ring order
+    dot = (av[:, :, None] * bv[:, None, :]).sum(axis=0)[column, shifted]
+    denom = np.linalg.norm(av, axis=0) * np.linalg.norm(bv, axis=0)[shifted]
+    # a zero column against an occupied one carries no directional
+    # information: score it as maximally distant rather than dividing
+    cos = np.where(denom > 0.0, dot / np.where(denom > 0.0, denom, 1.0), 0.0)
+    col_dist = 1.0 - cos
+    # snap float dust to zero so shifted twins compare exactly equal
+    col_dist = np.where(np.abs(col_dist) < 1e-12, 0.0, col_dist)
+    mean = np.where(col_occ, col_dist, 0.0).sum(axis=1) / col_occ.sum(axis=1)
+    dist = np.clip(mean, 0.0, 1.0)
+    shift = int(np.argmin(dist))  # a distance of 1 at every shift gives (1.0, 0)
+    return (float(dist[shift]), shift)
 
 
 @dataclass
@@ -162,15 +163,3 @@ def query(
     if best is not None and best.descriptor_distance < cfg.similarity_threshold:
         return best
     return None
-
-
-def dump_descriptors(db: DescriptorStore, directory) -> List[str]:
-    """Write one CSV matrix per keyframe; returns the file paths."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for d in db.descriptors:
-        p = out / f"scan_context_{d.keyframe_index:06d}.csv"
-        np.savetxt(p, d.matrix, delimiter=",")
-        paths.append(str(p))
-    return paths

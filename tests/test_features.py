@@ -1,14 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from featslam.dataset_io import RawScan
-from featslam.features import (
-    FeatureCloud,
-    FeatureConfig,
-    compute_smoothness,
-    extract_features,
-)
+from featslam.features import FeatureCloud, FeatureConfig, extract_features
 from featslam.geometry import Rotation
+from featslam.simulate import generate_world
 
 
 def make_scan(xyz, ring=None):
@@ -34,29 +33,29 @@ class TestComputeSmoothness:
     def test_hand_computed_corner(self):
         # window sum minus 5*p_i = (-3, 3, 0); |p_i| = 4
         pts = np.array([(2, 0, 0), (3, 0, 0), (4, 0, 0), (4, 1, 0), (4, 2, 0)], float)
-        sigma = compute_smoothness(pts, 2, 2)
+        sigma = ref.compute_smoothness(pts, 2, 2)
         assert sigma == pytest.approx(np.sqrt(18.0) / 16.0, abs=1e-12)
 
     def test_straight_line_is_smooth(self):
         pts = np.array([(2 + k, 1, 0) for k in range(5)], float)
-        assert compute_smoothness(pts, 2, 2) == pytest.approx(0.0, abs=1e-12)
+        assert ref.compute_smoothness(pts, 2, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_min_range_returns_none(self):
         pts = np.array([(0.5 + 0.1 * k, 0, 0) for k in range(5)], float)
-        assert compute_smoothness(pts, 2, 2, min_range=2.0) is None
+        assert ref.compute_smoothness(pts, 2, 2, min_range=2.0) is None
 
     def test_window_must_fit(self):
         pts = np.zeros((5, 3))
         with pytest.raises(IndexError):
-            compute_smoothness(pts, 1, 2)
+            ref.compute_smoothness(pts, 1, 2)
         with pytest.raises(IndexError):
-            compute_smoothness(pts, 3, 2)
+            ref.compute_smoothness(pts, 3, 2)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(3, 8, size=(11, 3))
-        a = compute_smoothness(pts, 5, 5)
-        b = compute_smoothness(pts * 4.0, 5, 5)
+        a = ref.compute_smoothness(pts, 5, 5)
+        b = ref.compute_smoothness(pts * 4.0, 5, 5)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -161,29 +160,114 @@ class TestExtractFeatures:
         assert not ((th > 0.29) & (th < 0.31)).any()
 
     def test_matches_reference_smoothness_open_segment(self):
-        from featslam.features import _segment_smoothness
-
         rng = np.random.default_rng(5)
         pts = rng.uniform(3, 9, size=(40, 3))
-        sigma, scorable = _segment_smoothness(pts, 5, cyclic=False)
+        sigma, scorable = ref.segment_smoothness(pts, 5, cyclic=False)
         for i in range(5, 35):
             assert scorable[i]
             assert sigma[i] == pytest.approx(
-                compute_smoothness(pts, i, 5), rel=1e-12
+                ref.compute_smoothness(pts, i, 5), rel=1e-12
             )
         assert not scorable[:5].any() and not scorable[-5:].any()
 
     def test_matches_reference_smoothness_cyclic(self):
-        from featslam.features import _segment_smoothness
-
         pts = gear_ring(n=120)
-        sigma, scorable = _segment_smoothness(pts, 5, cyclic=True)
+        sigma, scorable = ref.segment_smoothness(pts, 5, cyclic=True)
         assert scorable.all()
         # cyclic window at i=0 equals list semantics on a rolled copy
         rolled = np.roll(pts, 5, axis=0)
         assert sigma[0] == pytest.approx(
-            compute_smoothness(rolled, 5, 5), rel=1e-12
+            ref.compute_smoothness(rolled, 5, 5), rel=1e-12
         )
+
+    def test_nonfinite_rows_dropped(self):
+        rng = np.random.default_rng(12)
+        scans, _ = generate_world({"shape": "square", "frames": 2, "seed": 4})
+        clean = scans[1]
+        bad = rng.choice(len(clean), size=6, replace=False)
+        xyz = clean.xyz.copy()
+        xyz[bad[:3], rng.integers(0, 3, 3)] = np.nan
+        xyz[bad[3:5], 0] = np.inf
+        xyz[bad[5], 2] = -np.inf
+        dirty = make_scan(xyz, clean.ring)
+        keep = np.ones(len(xyz), dtype=bool)
+        keep[bad] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = extract_features(dirty)
+        want = extract_features(make_scan(clean.xyz[keep], clean.ring[keep]))
+        assert np.array_equal(got.edges, want.edges)
+        assert np.array_equal(got.planars, want.planars)
+        assert np.isfinite(got.edges).all() and np.isfinite(got.planars).all()
+
+    def test_all_nonfinite_scan(self):
+        fc = extract_features(make_scan(np.full((40, 3), np.nan)))
+        assert fc.edges.shape == (0, 3) and fc.planars.shape == (0, 3)
+
+
+def assert_matches_loop(scan, cfg=None):
+    got = extract_features(scan, cfg)
+    want = ref.extract_features(scan, cfg)
+    assert np.array_equal(got.edges, want.edges)
+    assert np.array_equal(got.planars, want.planars)
+    assert got.frame_index == want.frame_index
+    return got
+
+
+class TestMatchesLoopReference:
+    """The whole-scan pass selects exactly what the per-ring loop selects,
+    in the same order."""
+
+    @pytest.mark.parametrize("shape", ["square", "corridor", "two_rooms", "static"])
+    def test_synthetic_worlds(self, shape):
+        scans, _ = generate_world({"shape": shape, "frames": 6, "seed": 1})
+        for scan in scans[::2]:
+            assert len(assert_matches_loop(scan)) > 0
+
+    def test_gear_ring_with_dropout_wedge(self):
+        xyz = gear_ring(n=720)
+        theta = np.arctan2(xyz[:, 1], xyz[:, 0])
+        keep = ~((theta > 0.3) & (theta < 0.3 + np.pi / 2))
+        assert len(assert_matches_loop(make_scan(xyz[keep]))) > 0
+
+    def test_rings_shorter_than_window(self):
+        short = gear_ring(n=9, z=1.0)
+        full = gear_ring(n=360, z=-1.0)
+        xyz = np.vstack([short, full, short[:3] + [0, 0, 2.0]])
+        ring = np.r_[np.full(9, 2), np.full(360, 5), np.full(3, 7)]
+        assert len(assert_matches_loop(make_scan(xyz, ring))) > 0
+        assert len(assert_matches_loop(make_scan(short))) == 0
+
+    def test_empty_scan(self):
+        assert len(assert_matches_loop(make_scan(np.zeros((0, 3))))) == 0
+
+    def test_random_rings_with_gaps_and_ties(self):
+        # shuffled multi-ring scans with dropouts, range steps, repeated
+        # azimuths and rings of every size, under several budgets
+        rng = np.random.default_rng(21)
+        configs = [
+            FeatureConfig(),
+            FeatureConfig(neighborhood_half_width=3, max_edges_per_sector=3,
+                          max_planars_per_sector=2, num_sectors=4),
+            FeatureConfig(smoothness_threshold=0.02, occlusion_gap=0.2),
+        ]
+        for trial in range(30):
+            parts, rings = [], []
+            for ring_id in rng.choice(16, size=rng.integers(1, 6), replace=False):
+                n = int(rng.integers(1, 400))
+                theta = np.round(rng.uniform(-np.pi, np.pi, n), 2)
+                if rng.random() < 0.5:  # a dropout wedge
+                    lo = rng.uniform(-np.pi, np.pi)
+                    theta = theta[(theta - lo) % (2 * np.pi) > rng.uniform(0.2, 2.0)]
+                r = rng.choice([4.0, 9.0, 15.0], size=len(theta)) + rng.normal(
+                    0, 0.05, len(theta)
+                )
+                z = np.full(len(theta), ring_id * 0.3 - 2.0)
+                parts.append(np.stack([r * np.cos(theta), r * np.sin(theta), z], 1))
+                rings.append(np.full(len(theta), ring_id))
+            xyz, ring = np.vstack(parts), np.concatenate(rings)
+            perm = rng.permutation(len(xyz))
+            assert_matches_loop(make_scan(xyz[perm], ring[perm]), configs[trial % 3])
 
 
 class TestConfig:

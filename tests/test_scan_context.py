@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from featslam.features import FeatureCloud
 from featslam.scan_context import (
     EMPTY_BIN,
@@ -9,7 +10,6 @@ from featslam.scan_context import (
     ScanContextDescriptor,
     build_descriptor,
     descriptor_distance,
-    dump_descriptors,
     query,
     shift_to_yaw,
 )
@@ -250,13 +250,69 @@ class TestShiftToYaw:
             assert shift_to_yaw(shift, cfg.num_sectors) == pytest.approx(expected)
 
 
-class TestDump:
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        store = DescriptorStore()
-        for i in range(3):
-            store.append(build_descriptor(random_cloud(rng), keyframe_index=i))
-        paths = dump_descriptors(store, tmp_path / "sc")
-        assert len(paths) == 3
-        back = np.loadtxt(paths[1], delimiter=",")
-        np.testing.assert_allclose(back, store[1].matrix, rtol=1e-12)
+
+def descriptor(matrix, keyframe_index=0):
+    return ScanContextDescriptor(matrix, (matrix > EMPTY_BIN).mean(1), keyframe_index)
+
+
+class TestMatchesLoopReference:
+    """Scoring every shift at once agrees with the per-shift loop."""
+
+    def assert_matches(self, a, b):
+        dist, shift = descriptor_distance(a, b)
+        ref_dist, ref_shift = ref.descriptor_distance(a, b)
+        assert shift == ref_shift
+        assert abs(dist - ref_dist) <= 1e-15
+        return dist, shift
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(120):
+            a, b = (
+                build_descriptor(
+                    random_cloud(rng, n=int(rng.integers(1, 400)), safe_bins=False)
+                )
+                for _ in range(2)
+            )
+            self.assert_matches(a, b)
+        cfg = ScanContextConfig()
+        for _ in range(100):  # sparse matrices with exact-zero columns and heights
+            pair = []
+            for _ in range(2):
+                m = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
+                hit = rng.random(m.shape) < rng.uniform(0.02, 0.5)
+                m[hit] = np.round(rng.uniform(-1.0, 3.0, hit.sum()), 1)
+                pair.append(descriptor(m))
+            self.assert_matches(*pair)
+
+    def test_shifted_twins(self):
+        rng = np.random.default_rng(14)
+        for k in (0, 1, 29, 30, 59):
+            d = build_descriptor(random_cloud(rng, safe_bins=False))
+            twin = ScanContextDescriptor(np.roll(d.matrix, k, axis=1), d.ring_key, 1)
+            assert self.assert_matches(d, twin) == (0.0, k)
+
+    def test_first_minimal_shift_wins(self):
+        # a pattern repeating every 20 columns matches its twin at 3 shifts
+        rng = np.random.default_rng(16)
+        cfg = ScanContextConfig()
+        tile = np.where(rng.random((cfg.num_rings, 20)) < 0.3, 1.5, EMPTY_BIN)
+        d = descriptor(np.tile(tile, (1, cfg.num_sectors // 20)))
+        twin = descriptor(np.roll(d.matrix, 27, axis=1), 1)
+        assert self.assert_matches(d, twin) == (0.0, 7)
+
+    def test_empty_descriptors(self):
+        cfg = ScanContextConfig()
+        empty = descriptor(np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN))
+        full = build_descriptor(random_cloud(np.random.default_rng(15)))
+        assert self.assert_matches(empty, empty) == (1.0, 0)
+        assert self.assert_matches(full, empty) == (1.0, 0)
+        assert self.assert_matches(empty, full) == (1.0, 0)
+
+    def test_orthogonal_columns(self):
+        cfg = ScanContextConfig()
+        a = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
+        b = a.copy()
+        a[0, ::2] = 1.0
+        b[10, 1::3] = 2.0
+        assert self.assert_matches(descriptor(a), descriptor(b)) == (1.0, 0)
