@@ -34,6 +34,13 @@ class RawScan:
     timestamp_index: int = 0
     dropped: int = 0  # non-finite points removed at load time
 
+    def __post_init__(self):
+        shape, ring = np.shape(self.xyz), np.shape(self.ring)
+        if len(shape) != 2 or shape[1] != 3:
+            raise ValueError(f"scan xyz must have shape (N, 3), got {shape}")
+        if ring != shape[:1]:
+            raise ValueError(f"scan ring must have shape ({shape[0]},), got {ring}")
+
     def __len__(self) -> int:
         return len(self.xyz)
 

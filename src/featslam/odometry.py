@@ -66,38 +66,26 @@ def _voxel_keys(points: np.ndarray, voxel: float) -> np.ndarray:
 
 
 class _VoxelSet:
-    """Keep-first voxel grid over 3-d points."""
+    """Keep-first voxel grid over 3-d points: parallel key and point arrays
+    in insertion order."""
 
     def __init__(self, voxel: float):
         self.voxel = voxel
-        self._cells: dict[int, np.ndarray] = {}
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.points = np.zeros((0, 3))
 
     def insert(self, points: np.ndarray) -> None:
-        if len(points) == 0:
-            return
         keys = _voxel_keys(points, self.voxel)
-        cells = self._cells
-        for k, p in zip(keys.tolist(), points):
-            if k not in cells:
-                cells[k] = p
+        _, first = np.unique(keys, return_index=True)
+        first.sort()  # first point per voxel, in batch order
+        first = first[~np.isin(keys[first], self.keys)]
+        self.keys = np.concatenate([self.keys, keys[first]])
+        self.points = np.concatenate([self.points, points[first]])
 
     def crop(self, center: np.ndarray, radius: float) -> None:
-        if not self._cells:
-            return
-        pts = np.array(list(self._cells.values()))
-        keep = np.linalg.norm(pts - center, axis=1) <= radius
-        if keep.all():
-            return
-        keys = list(self._cells.keys())
-        self._cells = {k: p for k, p, ok in zip(keys, pts, keep) if ok}
-
-    def points(self) -> np.ndarray:
-        if not self._cells:
-            return np.zeros((0, 3))
-        return np.array(list(self._cells.values()))
-
-    def __len__(self) -> int:
-        return len(self._cells)
+        keep = np.linalg.norm(self.points - center, axis=1) <= radius
+        self.keys = self.keys[keep]
+        self.points = self.points[keep]
 
 
 class Submap:
@@ -108,34 +96,34 @@ class Submap:
         self._edges = _VoxelSet(cfg.edge_voxel_size)
         self._planars = _VoxelSet(cfg.planar_voxel_size)
         self.crop_radius = cfg.crop_radius
-        self.edge_points = np.zeros((0, 3))
-        self.planar_points = np.zeros((0, 3))
         self.edge_tree = None
         self.planar_tree = None
 
     @property
+    def edge_points(self) -> np.ndarray:
+        return self._edges.points
+
+    @property
+    def planar_points(self) -> np.ndarray:
+        return self._planars.points
+
+    @property
     def num_edges(self) -> int:
-        return len(self._edges)
+        return len(self.edge_points)
 
     @property
     def num_planars(self) -> int:
-        return len(self._planars)
+        return len(self.planar_points)
 
     def insert(self, features: FeatureCloud, pose: Pose) -> None:
         """Add features transformed by pose, then crop around the pose and
         rebuild the search trees."""
-        if len(features.edges):
-            self._edges.insert(pose.apply(features.edges))
-        if len(features.planars):
-            self._planars.insert(pose.apply(features.planars))
+        self._edges.insert(pose.apply(features.edges))
+        self._planars.insert(pose.apply(features.planars))
         self._edges.crop(pose.translation, self.crop_radius)
         self._planars.crop(pose.translation, self.crop_radius)
-        self.edge_points = self._edges.points()
-        self.planar_points = self._planars.points()
-        self.edge_tree = cKDTree(self.edge_points) if len(self.edge_points) else None
-        self.planar_tree = (
-            cKDTree(self.planar_points) if len(self.planar_points) else None
-        )
+        self.edge_tree = cKDTree(self.edge_points) if self.num_edges else None
+        self.planar_tree = cKDTree(self.planar_points) if self.num_planars else None
 
 
 # ---------------------------------------------------------------------------
@@ -212,23 +200,27 @@ def associate(features: FeatureCloud, submap: Submap, pose: Pose, cfg: OdometryC
 
 
 def _residuals(corr: Correspondences, pose: Pose):
-    """Signed plane residuals and non-negative line residuals plus the unit
-    residual directions, all at the given pose."""
-    edir = np.zeros((len(corr.edge_points), 3))
-    er = np.zeros(len(corr.edge_points))
-    if len(corr.edge_points):
-        g = pose.apply(corr.edge_points)
-        rel = g - corr.line_centroids
-        along = np.einsum("ni,ni->n", rel, corr.line_directions)
-        rej = rel - along[:, None] * corr.line_directions
-        er = np.linalg.norm(rej, axis=1)
-        nz = er > 1e-12
-        edir[nz] = rej[nz] / er[nz, None]
-    pr = np.zeros(len(corr.plane_points))
-    if len(corr.plane_points):
-        g = pose.apply(corr.plane_points)
-        pr = np.einsum("ni,ni->n", g, corr.plane_normals) + corr.plane_offsets
-    return er, edir, pr
+    """Evaluate the correspondences at pose.
+
+    Returns the residuals, lines first (non-negative) then planes (signed);
+    the unit direction each residual is measured along (zero for a point
+    on its line); and the transformed points, in the same order.
+    """
+    g_edges = pose.apply(corr.edge_points)
+    g_planes = pose.apply(corr.plane_points)
+    rel = g_edges - corr.line_centroids
+    along = np.einsum("ni,ni->n", rel, corr.line_directions)
+    rej = rel - along[:, None] * corr.line_directions
+    er = np.linalg.norm(rej, axis=1)
+    edir = np.zeros_like(rej)
+    nz = er > 1e-12
+    edir[nz] = rej[nz] / er[nz, None]
+    pr = np.einsum("ni,ni->n", g_planes, corr.plane_normals) + corr.plane_offsets
+    return (
+        np.concatenate([er, pr]),
+        np.concatenate([edir, corr.plane_normals]),
+        np.concatenate([g_edges, g_planes]),
+    )
 
 
 def _huber_rho(r: np.ndarray, scale: float) -> np.ndarray:
@@ -241,42 +233,17 @@ def _huber_weight(r: np.ndarray, scale: float) -> np.ndarray:
     return np.where(a <= scale, 1.0, scale / np.maximum(a, 1e-300))
 
 
-def objective(corr: Correspondences, pose: Pose, huber_scale: float) -> float:
-    er, _, pr = _residuals(corr, pose)
-    return float(_huber_rho(er, huber_scale).sum() + _huber_rho(pr, huber_scale).sum())
+def _cost(r: np.ndarray, num_edges: int, huber_scale: float) -> float:
+    """Huber objective; the line and the plane terms are summed apart."""
+    rho = _huber_rho(r, huber_scale)
+    return float(rho[:num_edges].sum() + rho[num_edges:].sum())
 
 
-def build_system(corr: Correspondences, pose: Pose, huber_scale: float):
-    """Robust Gauss-Newton normal equations (H, g, objective, residuals)."""
-    er, edir, pr = _residuals(corr, pose)
-    rows = []
-    resid = []
-    weights = []
-    if len(corr.edge_points):
-        g_pts = pose.apply(corr.edge_points)
-        nz = er > 1e-12  # zero-residual lines have no defined direction
-        j = np.concatenate([np.cross(g_pts[nz], edir[nz]), edir[nz]], axis=1)
-        rows.append(j)
-        resid.append(er[nz])
-        weights.append(_huber_weight(er[nz], huber_scale))
-    if len(corr.plane_points):
-        g_pts = pose.apply(corr.plane_points)
-        j = np.concatenate(
-            [np.cross(g_pts, corr.plane_normals), corr.plane_normals], axis=1
-        )
-        rows.append(j)
-        resid.append(pr)
-        weights.append(_huber_weight(pr, huber_scale))
-    total = float(_huber_rho(er, huber_scale).sum() + _huber_rho(pr, huber_scale).sum())
-    if not rows:
-        return np.zeros((6, 6)), np.zeros(6), total, np.zeros(0)
-    j = np.vstack(rows)
-    r = np.concatenate(resid)
-    w = np.concatenate(weights)
-    jw = j * w[:, None]
-    h = j.T @ jw
-    grad = jw.T @ r
-    return h, grad, total, r
+def _normal_equations(r, dirs, g, huber_scale: float):
+    """Robust Gauss-Newton (H, gradient); residual rows are J = [g x n, n]."""
+    j = np.concatenate([np.cross(g, dirs), dirs], axis=1)
+    jw = j * _huber_weight(r, huber_scale)[:, None]
+    return j.T @ jw, jw.T @ r
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +305,10 @@ def register(
                     degenerate=True,
                     cost_trace=trace,
                 )
-        h, grad, cost, _ = build_system(corr, pose, cfg.huber_scale)
+            evaluation = _residuals(corr, pose)
+            cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
+        # frozen iterations reuse the evaluation of the accepted step
+        h, grad = _normal_equations(*evaluation, cfg.huber_scale)
         if not trace:
             trace.append(cost)
         if not (np.isfinite(h).all() and np.isfinite(grad).all()):
@@ -362,9 +332,10 @@ def register(
         accepted = None
         for _ in range(MAX_STEP_HALVINGS):
             cand = exp(alpha * delta).compose(pose)
-            c = objective(corr, cand, cfg.huber_scale)
+            cand_eval = _residuals(corr, cand)
+            c = _cost(cand_eval[0], len(corr.edge_points), cfg.huber_scale)
             if c <= cost * (1.0 - 1e-8):
-                accepted = (cand, c)
+                accepted = (cand, cand_eval, c)
                 break
             alpha *= 0.5
         if accepted is None:
@@ -373,7 +344,7 @@ def register(
                 break
             frozen = True  # stalled against shifting associations
             continue
-        pose, cost = accepted
+        pose, evaluation, cost = accepted
         trace.append(cost)
         step_norm = np.linalg.norm(alpha * delta)
         if step_norm < cfg.convergence_tolerance:
@@ -390,11 +361,9 @@ def register(
                 frozen = True
             prev_cost = cost
 
-    er, _, pr = _residuals(corr, pose)
-    all_r = np.concatenate([er, np.abs(pr)])
     return RegistrationResult(
         pose=pose,
-        final_cost=float(all_r.mean()) if len(all_r) else float("inf"),
+        final_cost=float(np.abs(evaluation[0]).mean()),
         iterations=iterations,
         converged=converged,
         degenerate=null_directions > 0,

@@ -38,9 +38,6 @@ __all__ = [
     "save_g2o",
 ]
 
-_KIND_ODOMETRY = "odometry"
-_KIND_LOOP = "loop"
-
 # Damping schedule for LM; lam scales diag(H), so it is dimensionless.
 _LAMBDA_INIT = 1e-4
 _LAMBDA_MAX = 1e12
@@ -107,8 +104,7 @@ class PoseGraphEdge:
     to_node: int
     measurement: Pose  # to-node pose expressed in the from-node frame
     information: np.ndarray
-    kind: str
-    robust: bool
+    robust: bool  # loop edges get the Huber kernel, odometry edges none
 
 
 class PoseGraph:
@@ -157,7 +153,7 @@ def add_odometry_node(
     if k > 0:
         measurement = graph.nodes[k - 1].inverse().compose(graph.nodes[k])
         graph.edges.append(
-            PoseGraphEdge(k - 1, k, measurement, info, _KIND_ODOMETRY, robust=False)
+            PoseGraphEdge(k - 1, k, measurement, info, robust=False)
         )
 
 
@@ -191,7 +187,6 @@ def add_loop_edge(
             constraint.from_keyframe,
             constraint.relative_pose.copy(),
             info,
-            _KIND_LOOP,
             robust=True,
         )
     )
@@ -249,14 +244,13 @@ def _graph_cost(nodes: List[Pose], edges: List[PoseGraphEdge], huber: float) -> 
 
 def _build_normal_equations(
     nodes: List[Pose], edges: List[PoseGraphEdge], huber: float
-) -> Tuple[sparse.csr_matrix, np.ndarray, float]:
+) -> Tuple[sparse.csr_matrix, np.ndarray]:
     """Gauss-Newton system over all nodes except node 0 (gauge fixed)."""
     dim = 6 * (len(nodes) - 1)
     g = np.zeros(dim)
     rows: List[np.ndarray] = []
     cols: List[np.ndarray] = []
     vals: List[np.ndarray] = []
-    cost = 0.0
 
     block = np.arange(6)
 
@@ -270,13 +264,9 @@ def _build_normal_equations(
         r, j_from, j_to = edge_jacobians(nodes, edge)
         w = _whitener(edge.information)
         rw = w @ r
-        s = float(rw @ rw)
+        kappa2 = 1.0
         if edge.robust:
-            rho, kappa2 = _robust_terms(s, huber)
-            cost += rho
-        else:
-            kappa2 = 1.0
-            cost += s
+            _, kappa2 = _robust_terms(float(rw @ rw), huber)
         # Parameter indices: node i occupies block i-1; node 0 has none.
         f = edge.from_node - 1
         t = edge.to_node - 1
@@ -300,7 +290,7 @@ def _build_normal_equations(
         ).tocsr()
     else:
         h = sparse.csr_matrix((dim, dim))
-    return h, g, cost
+    return h, g
 
 
 def _apply_step(nodes: List[Pose], delta: np.ndarray) -> List[Pose]:
@@ -334,7 +324,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
 
     lam = _LAMBDA_INIT
     for _ in range(max_iterations):
-        h, g, _ = _build_normal_equations(nodes, graph.edges, cfg.huber_scale)
+        h, g = _build_normal_equations(nodes, graph.edges, cfg.huber_scale)
         if np.linalg.norm(g) < cfg.gradient_tolerance:
             converged = True
             break

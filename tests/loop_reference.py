@@ -1,11 +1,13 @@
 """Per-element reference implementations, kept as test oracles.
 
-``features.extract_features`` and ``scan_context.descriptor_distance`` do
-their work in whole-array numpy passes.  The functions here are the
-straightforward loops they replace: per ring, segment, sector and candidate
-for feature extraction, and per column shift for the descriptor distance.
-Tests compare the two on seeded inputs; nothing in ``src/`` imports this
-module.
+``features.extract_features``, ``scan_context.descriptor_distance`` and the
+odometry submap and registration do their work in whole-array numpy passes
+or evaluate each pose once.  The functions here are the straightforward code
+they replace: per ring, segment, sector and candidate for feature
+extraction; per column shift for the descriptor distance; a dict per voxel
+grid; and separate residual, objective and normal-equation evaluations for
+registration.  Tests compare the two on seeded inputs; nothing in ``src/``
+imports this module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from featslam.dataset_io import RawScan
 from featslam.features import FeatureCloud, FeatureConfig
+from featslam.odometry import _huber_rho, _huber_weight, _voxel_keys
 from featslam.scan_context import _OCCUPIED_FLOOR as OCCUPIED_FLOOR
 from featslam.scan_context import ScanContextDescriptor
 
@@ -223,3 +226,94 @@ def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
         if d < best[0]:
             best = (d, shift)
     return best
+
+
+class VoxelSet:
+    """The dict-backed keep-first voxel grid that odometry._VoxelSet replaces."""
+
+    def __init__(self, voxel: float):
+        self.voxel = voxel
+        self._cells: dict[int, np.ndarray] = {}
+
+    def insert(self, points: np.ndarray) -> None:
+        if len(points) == 0:
+            return
+        keys = _voxel_keys(points, self.voxel)
+        cells = self._cells
+        for k, p in zip(keys.tolist(), points):
+            if k not in cells:
+                cells[k] = p
+
+    def crop(self, center: np.ndarray, radius: float) -> None:
+        if not self._cells:
+            return
+        pts = np.array(list(self._cells.values()))
+        keep = np.linalg.norm(pts - center, axis=1) <= radius
+        if keep.all():
+            return
+        keys = list(self._cells.keys())
+        self._cells = {k: p for k, p, ok in zip(keys, pts, keep) if ok}
+
+    def points(self) -> np.ndarray:
+        if not self._cells:
+            return np.zeros((0, 3))
+        return np.array(list(self._cells.values()))
+
+
+def residuals(corr, pose):
+    """Non-negative line residuals, their unit directions and signed plane
+    residuals, with the edge and plane branches evaluated apart."""
+    edir = np.zeros((len(corr.edge_points), 3))
+    er = np.zeros(len(corr.edge_points))
+    if len(corr.edge_points):
+        g = pose.apply(corr.edge_points)
+        rel = g - corr.line_centroids
+        along = np.einsum("ni,ni->n", rel, corr.line_directions)
+        rej = rel - along[:, None] * corr.line_directions
+        er = np.linalg.norm(rej, axis=1)
+        nz = er > 1e-12
+        edir[nz] = rej[nz] / er[nz, None]
+    pr = np.zeros(len(corr.plane_points))
+    if len(corr.plane_points):
+        g = pose.apply(corr.plane_points)
+        pr = np.einsum("ni,ni->n", g, corr.plane_normals) + corr.plane_offsets
+    return er, edir, pr
+
+
+def objective(corr, pose, huber_scale: float) -> float:
+    er, _, pr = residuals(corr, pose)
+    return float(_huber_rho(er, huber_scale).sum() + _huber_rho(pr, huber_scale).sum())
+
+
+def build_system(corr, pose, huber_scale: float):
+    """Robust Gauss-Newton normal equations (H, g, objective, residuals);
+    lines on which their point lies exactly are left out of H and g."""
+    er, edir, pr = residuals(corr, pose)
+    rows = []
+    resid = []
+    weights = []
+    if len(corr.edge_points):
+        g_pts = pose.apply(corr.edge_points)
+        nz = er > 1e-12
+        j = np.concatenate([np.cross(g_pts[nz], edir[nz]), edir[nz]], axis=1)
+        rows.append(j)
+        resid.append(er[nz])
+        weights.append(_huber_weight(er[nz], huber_scale))
+    if len(corr.plane_points):
+        g_pts = pose.apply(corr.plane_points)
+        j = np.concatenate(
+            [np.cross(g_pts, corr.plane_normals), corr.plane_normals], axis=1
+        )
+        rows.append(j)
+        resid.append(pr)
+        weights.append(_huber_weight(pr, huber_scale))
+    total = float(_huber_rho(er, huber_scale).sum() + _huber_rho(pr, huber_scale).sum())
+    if not rows:
+        return np.zeros((6, 6)), np.zeros(6), total, np.zeros(0)
+    j = np.vstack(rows)
+    r = np.concatenate(resid)
+    w = np.concatenate(weights)
+    jw = j * w[:, None]
+    h = j.T @ jw
+    grad = jw.T @ r
+    return h, grad, total, r

@@ -4,6 +4,7 @@ import pytest
 from featslam.dataset_io import (
     FormatError,
     GroundTruthTrajectory,
+    RawScan,
     export_map,
     export_trajectory,
     load_calibration,
@@ -86,6 +87,23 @@ class TestLoadScan:
             except FormatError:
                 continue
             assert np.isfinite(scan.xyz).all()
+
+
+class TestRawScanShapes:
+    @staticmethod
+    def scan(xyz, ring):
+        return RawScan(xyz=np.asarray(xyz, float), intensity=np.zeros(len(xyz)),
+                       ring=np.asarray(ring, int))
+
+    def test_ring_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"ring must have shape \(5,\), got \(4,\)"):
+            self.scan(np.ones((5, 3)), [0, 1, 2, 3])
+        with pytest.raises(ValueError, match=r"ring must have shape \(5,\), got \(5, 1\)"):
+            self.scan(np.ones((5, 3)), np.zeros((5, 1)))
+
+    def test_two_column_xyz_rejected(self):
+        with pytest.raises(ValueError, match=r"xyz must have shape \(N, 3\), got \(5, 2\)"):
+            self.scan(np.ones((5, 2)), np.zeros(5))
 
 
 class TestGroundTruth:

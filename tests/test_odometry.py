@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import featslam.odometry as odo
+import loop_reference as ref
 from featslam.features import FeatureCloud
 from featslam.geometry import Pose, Rotation, exp
 from featslam.odometry import (
@@ -9,8 +11,6 @@ from featslam.odometry import (
     OdometryConfig,
     OdometryState,
     Submap,
-    build_system,
-    objective,
     predict_pose,
     process_frame,
     register,
@@ -121,6 +121,74 @@ class TestSubmap:
         assert submap.num_planars <= bound_p
 
 
+class TestVoxelSetMatchesReference:
+    """Array-backed voxel grid against the dict-backed keep-first loop it
+    replaces (tests/loop_reference.py): same points, same order."""
+
+    @staticmethod
+    def assert_same(grid, ref_grid):
+        assert np.array_equal(grid.points, ref_grid.points())
+        assert np.array_equal(grid.keys, odo._voxel_keys(grid.points, grid.voxel))
+
+    def test_seeded_insert_crop_sequences(self):
+        rng = np.random.default_rng(3)
+        for voxel in (0.4, 0.8, 1.3):
+            for _ in range(10):
+                grid, ref_grid = odo._VoxelSet(voxel), ref.VoxelSet(voxel)
+                for _ in range(15):
+                    if rng.random() < 0.25:
+                        center = rng.uniform(-10, 10, 3)
+                        radius = rng.uniform(0.0, 25.0)
+                        grid.crop(center, radius)
+                        ref_grid.crop(center, radius)
+                    else:
+                        # fresh points around the origin (negative coordinates
+                        # included), repeats within the batch, and points in
+                        # voxels already present
+                        fresh = rng.uniform(-8, 8, size=(rng.integers(0, 60), 3))
+                        parts = [fresh]
+                        if len(fresh):
+                            parts.append(fresh[rng.integers(0, len(fresh), 20)])
+                        if len(grid.points):
+                            old = grid.points[rng.integers(0, len(grid.points), 15)]
+                            parts.append(old + rng.uniform(-0.5, 0.5, old.shape) * voxel)
+                        batch = np.concatenate(parts)[rng.permutation(sum(map(len, parts)))]
+                        grid.insert(batch)
+                        ref_grid.insert(batch)
+                    self.assert_same(grid, ref_grid)
+
+    def test_duplicates_and_present_voxels_keep_first(self):
+        grid, ref_grid = odo._VoxelSet(1.0), ref.VoxelSet(1.0)
+        a = np.array([[-0.5, -0.5, -0.5], [2.2, 0.1, 0.0], [-0.1, -0.9, -0.2]])
+        b = np.array([[2.9, 0.9, 0.9], [-3.5, 0.0, 0.0], [-3.1, 0.5, 0.5]])
+        for batch in (a, b, np.zeros((0, 3)), a[::-1]):
+            grid.insert(batch)
+            ref_grid.insert(batch)
+            self.assert_same(grid, ref_grid)
+        np.testing.assert_array_equal(grid.points, [a[0], a[1], b[1]])
+
+    def test_crop_removes_nothing_or_everything(self):
+        rng = np.random.default_rng(4)
+        grid, ref_grid = odo._VoxelSet(0.4), ref.VoxelSet(0.4)
+        pts = rng.uniform(-20, 20, size=(400, 3))
+        steps = [
+            ("insert", pts),
+            ("crop", (np.zeros(3), 1e9)),  # removes nothing
+            ("crop", (np.full(3, 500.0), 1.0)),  # removes everything
+            ("crop", (np.zeros(3), 10.0)),  # on the empty grid
+            ("insert", np.zeros((0, 3))),
+            ("insert", pts),
+        ]
+        for op, arg in steps:
+            for g in (grid, ref_grid):
+                if op == "insert":
+                    g.insert(arg)
+                else:
+                    g.crop(*arg)
+            self.assert_same(grid, ref_grid)
+        assert grid.keys.dtype == np.int64 and grid.points.shape[1] == 3
+
+
 class TestRegister:
     def test_self_registration(self):
         submap = corner_submap()
@@ -222,38 +290,133 @@ class TestRegister:
             register(corner_cloud(), corner_submap(), Pose.identity())
 
 
-class TestJacobian:
-    @staticmethod
-    def random_correspondences(rng, n_edges=8, n_planes=12):
-        edge_points = rng.uniform(-5, 5, size=(n_edges, 3))
-        cents = rng.uniform(-5, 5, size=(n_edges, 3))
-        dirs = rng.normal(size=(n_edges, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        plane_points = rng.uniform(-5, 5, size=(n_planes, 3))
-        normals = rng.normal(size=(n_planes, 3))
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        offsets = rng.uniform(0.5, 3.0, size=n_planes)
-        return Correspondences(edge_points, cents, dirs, plane_points, normals, offsets)
+def random_correspondences(rng, n_edges=8, n_planes=12):
+    edge_points = rng.uniform(-5, 5, size=(n_edges, 3))
+    cents = rng.uniform(-5, 5, size=(n_edges, 3))
+    dirs = rng.normal(size=(n_edges, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    plane_points = rng.uniform(-5, 5, size=(n_planes, 3))
+    normals = rng.normal(size=(n_planes, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    offsets = rng.uniform(0.5, 3.0, size=n_planes)
+    return Correspondences(edge_points, cents, dirs, plane_points, normals, offsets)
 
+
+def random_pose(rng):
+    return Pose(Rotation.from_rotvec(rng.uniform(-0.3, 0.3, 3)), rng.uniform(-1, 1, 3))
+
+
+def evaluate(corr, pose, huber):
+    """Cost, H and gradient the way register reads them off one evaluation."""
+    r, dirs, g = odo._residuals(corr, pose)
+    h, grad = odo._normal_equations(r, dirs, g, huber)
+    return odo._cost(r, len(corr.edge_points), huber), h, grad
+
+
+class TestJacobian:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         huber = 0.3
         for trial in range(20):
-            corr = self.random_correspondences(rng)
-            pose = Pose(
-                Rotation.from_rotvec(rng.uniform(-0.3, 0.3, 3)),
-                rng.uniform(-1, 1, 3),
-            )
-            _, grad, _, _ = build_system(corr, pose, huber)
+            corr = random_correspondences(rng)
+            pose = random_pose(rng)
+            _, _, grad = evaluate(corr, pose, huber)
             h = 1e-6
             for k in range(6):
                 e = np.zeros(6)
                 e[k] = h
-                up = objective(corr, exp(e).compose(pose), huber)
-                dn = objective(corr, exp(-e).compose(pose), huber)
+                up, _, _ = evaluate(corr, exp(e).compose(pose), huber)
+                dn, _, _ = evaluate(corr, exp(-e).compose(pose), huber)
                 fd = (up - dn) / (2 * h)
                 denom = max(abs(fd), abs(grad[k]), 1e-6)
                 assert abs(fd - grad[k]) / denom < 1e-4, (trial, k)
+
+
+class TestEvaluationMatchesReference:
+    """One evaluation per pose against the separate residual, objective and
+    normal-equation passes it replaces (tests/loop_reference.py)."""
+
+    HUBER = 0.3
+
+    def check(self, corr, pose):
+        cost, h, grad = evaluate(corr, pose, self.HUBER)
+        ref_h, ref_grad, ref_cost, _ = ref.build_system(corr, pose, self.HUBER)
+        assert cost == ref_cost == ref.objective(corr, pose, self.HUBER)
+        r, dirs, g = odo._residuals(corr, pose)
+        er, edir, pr = ref.residuals(corr, pose)
+        ne = len(corr.edge_points)
+        assert np.array_equal(r, np.concatenate([er, pr]))
+        assert np.array_equal(dirs, np.concatenate([edir, corr.plane_normals]))
+        assert np.array_equal(
+            g, np.concatenate([pose.apply(corr.edge_points), pose.apply(corr.plane_points)])
+        )
+        # register's final mean |r| equals the reference's concatenation
+        if len(r):
+            assert np.abs(r).mean() == np.concatenate([er, np.abs(pr)]).mean()
+        return h, grad, ref_h, ref_grad, r[:ne]
+
+    def test_random_correspondences_bit_identical(self):
+        rng = np.random.default_rng(11)
+        for n_edges, n_planes in [(8, 12), (40, 300), (1, 1), (25, 0), (0, 60), (0, 0)]:
+            for _ in range(5):
+                corr = random_correspondences(rng, n_edges, n_planes)
+                h, grad, ref_h, ref_grad, _ = self.check(corr, random_pose(rng))
+                assert np.array_equal(h, ref_h)
+                assert np.array_equal(grad, ref_grad)
+
+    def test_zero_residual_edge_within_rounding(self):
+        # A point on its line has a zero row in J here, and no row at all in
+        # the reference, so the BLAS sums may group the terms differently.
+        # Bound fixed from float64: two orders of an n-term dot product
+        # differ by at most 2 n eps sum|terms|.
+        rng = np.random.default_rng(12)
+        for n_edges, n_planes in [(8, 12), (30, 0), (1, 0)]:
+            for _ in range(5):
+                corr = random_correspondences(rng, n_edges, n_planes)
+                pose = random_pose(rng)
+                corr.line_centroids[0] = pose.apply(corr.edge_points)[0]
+                h, grad, ref_h, ref_grad, er = self.check(corr, pose)
+                assert er[0] == 0.0
+                r, dirs, g = odo._residuals(corr, pose)
+                j = np.abs(np.concatenate([np.cross(g, dirs), dirs], axis=1))
+                w = ref._huber_weight(r, self.HUBER)
+                n = len(r)
+                tol = 2 * n * np.finfo(float).eps
+                assert (np.abs(h - ref_h) <= tol * (j.T @ (j * w[:, None]))).all()
+                bound = tol * (j.T @ (w * np.abs(r)))
+                assert (np.abs(grad - ref_grad) <= bound).all()
+
+    def test_each_pose_evaluated_once(self, monkeypatch):
+        counts = {"associate": 0, "steps": 0}
+        evaluated = []
+        keep_alive = []  # an id() is unique only while its object lives
+
+        def counting_associate(*args, **kwargs):
+            counts["associate"] += 1
+            return associate(*args, **kwargs)
+
+        def counting_exp(twist):
+            counts["steps"] += 1
+            return exp(twist)
+
+        def counting_residuals(corr, pose):
+            keep_alive.append(corr)
+            evaluated.append((id(corr), pose.matrix().tobytes()))
+            return residuals(corr, pose)
+
+        associate, residuals = odo.associate, odo._residuals
+        monkeypatch.setattr(odo, "associate", counting_associate)
+        monkeypatch.setattr(odo, "exp", counting_exp)
+        monkeypatch.setattr(odo, "_residuals", counting_residuals)
+        scans, _ = TestProcessFrame.corridor_scans(3, 0.5)
+        state, submap = OdometryState(), Submap()
+        iterations = 0
+        for scan in scans:
+            _, _, res = process_frame(state, scan, submap)
+            iterations += res.iterations if res else 0
+        assert counts["associate"] < iterations  # some iterations froze
+        assert len(evaluated) == counts["associate"] + counts["steps"]
+        assert len(set(evaluated)) == len(evaluated)
 
 
 class TestProcessFrame:

@@ -81,7 +81,6 @@ class TestGraphConstruction:
         add_odometry_node(g, 1, tpose(1.0))
         assert len(g) == 2
         assert len(g.edges) == 1
-        assert g.edges[0].kind == "odometry"
         assert not g.edges[0].robust
         assert (g.edges[0].from_node, g.edges[0].to_node) == (0, 1)
 
@@ -130,7 +129,6 @@ class TestLoopEdges:
         add_loop_edge(g, c)
         assert len(g.edges) == 3
         e = g.edges[-1]
-        assert e.kind == "loop"
         assert e.robust
         assert (e.from_node, e.to_node) == (0, 2)
         np.testing.assert_allclose(np.diag(e.information), [400.0] * 3 + [25.0] * 3)
@@ -277,7 +275,7 @@ class TestInvariants:
         g_b.nodes = [shift.compose(p) for p in g_a.nodes]
         g_b.edges = [
             PoseGraphEdge(e.from_node, e.to_node, e.measurement.copy(),
-                          e.information.copy(), e.kind, e.robust)
+                          e.information.copy(), e.robust)
             for e in g_a.edges
         ]
         optimize(g_a, max_iterations=300)
@@ -301,7 +299,7 @@ class TestInvariants:
         for _ in range(20):
             nodes = [random_pose(rng) for _ in range(3)]
             edge = PoseGraphEdge(0, 2, random_pose(rng),
-                                 default_loop_information(), "loop", True)
+                                 default_loop_information(), True)
             _, j_from, j_to = edge_jacobians(nodes, edge)
             for idx, jac in ((0, j_from), (2, j_to)):
                 fd = np.zeros((6, 6))
