@@ -32,14 +32,27 @@ class RawScan:
     intensity: np.ndarray  # (N,) float32 pass-through
     ring: np.ndarray  # (N,) int laser index in [0, num_lasers)
     timestamp_index: int = 0
-    dropped: int = 0  # non-finite points removed at load time
+    dropped: int = 0  # non-finite points removed so far
 
     def __post_init__(self):
+        """Check the shapes, then drop the rows whose xyz is not finite,
+        with their ring and intensity, and count them in dropped."""
         shape, ring = np.shape(self.xyz), np.shape(self.ring)
         if len(shape) != 2 or shape[1] != 3:
             raise ValueError(f"scan xyz must have shape (N, 3), got {shape}")
         if ring != shape[:1]:
             raise ValueError(f"scan ring must have shape ({shape[0]},), got {ring}")
+        intensity = np.shape(self.intensity)
+        if intensity != shape[:1]:
+            raise ValueError(
+                f"scan intensity must have shape ({shape[0]},), got {intensity}"
+            )
+        if not np.isfinite(self.xyz).all():
+            finite = np.isfinite(self.xyz).all(axis=1)
+            self.xyz = self.xyz[finite]
+            self.ring = self.ring[finite]
+            self.intensity = self.intensity[finite]
+            self.dropped += int(len(finite) - finite.sum())
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -66,30 +79,26 @@ def ring_from_elevation(xyz: np.ndarray, num_lasers: int) -> np.ndarray:
     elevation span; out-of-span angles clip to the boundary rings."""
     elev = np.degrees(np.arctan2(xyz[:, 2], np.hypot(xyz[:, 0], xyz[:, 1])))
     span = ELEVATION_MAX_DEG - ELEVATION_MIN_DEG
-    ring = np.floor((elev - ELEVATION_MIN_DEG) / span * num_lasers).astype(int)
-    return np.clip(ring, 0, num_lasers - 1)
+    ring = np.floor((elev - ELEVATION_MIN_DEG) / span * num_lasers)
+    # a NaN elevation (a point RawScan drops) becomes ring 0, not a bad cast
+    return np.clip(np.nan_to_num(ring), 0, num_lasers - 1).astype(int)
 
 
 def load_scan(path: str | os.PathLike, num_lasers: int = 64) -> RawScan:
     """Decode a KITTI velodyne .bin file.
 
-    Non-finite points are dropped (KITTI contains stray returns); the number
-    removed is reported on the returned scan.
+    Points with a non-finite coordinate are dropped by RawScan (KITTI
+    contains stray returns); the number removed is reported on the scan.
     """
     nbytes = os.path.getsize(path)
     if nbytes % 16 != 0:
         raise FormatError(f"{path}: size {nbytes} bytes is not a multiple of 16")
-    raw = np.fromfile(path, dtype="<f4")
-    pts = raw.reshape(-1, 4)
-    finite = np.all(np.isfinite(pts), axis=1)
-    dropped = int(len(pts) - finite.sum())
-    pts = pts[finite]
+    pts = np.fromfile(path, dtype="<f4").reshape(-1, 4)
     xyz = pts[:, :3].astype(np.float64)
     return RawScan(
         xyz=xyz,
         intensity=pts[:, 3].copy(),
-        ring=ring_from_elevation(xyz, num_lasers) if len(xyz) else np.zeros(0, int),
-        dropped=dropped,
+        ring=ring_from_elevation(xyz, num_lasers),
     )
 
 

@@ -115,13 +115,12 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
     max_edges_per_sector with sigma > threshold become edges, up to
     max_planars_per_sector with sigma <= threshold become planars.  Points
     within half_width of a selected edge are suppressed from further
-    selection.  Non-finite points are dropped first, as load_scan does.
+    selection.  RawScan has already dropped non-finite points.
 
     Features come out in (ring, segment, sector, pick) order.
     """
     cfg = cfg or FeatureConfig()
-    finite = np.isfinite(scan.xyz).all(axis=1)
-    xyz, ring = scan.xyz[finite], scan.ring[finite]
+    xyz, ring = scan.xyz, scan.ring
     if len(xyz) == 0:
         return FeatureCloud(frame_index=scan.timestamp_index)
 

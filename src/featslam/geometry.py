@@ -20,6 +20,7 @@ __all__ = [
     "Rotation",
     "Pose",
     "exp",
+    "exp_rt",
     "log",
     "skew",
     "so3_left_jacobian",
@@ -257,6 +258,24 @@ def exp(twist: np.ndarray) -> Pose:
     twist = np.asarray(twist, dtype=float).reshape(6)
     w, v = twist[:3], twist[3:]
     return Pose(Rotation.from_rotvec(w), _so3_v_matrix(w) @ v)
+
+
+def exp_rt(twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SE(3) exponential of a twist [w, v] as a rotation matrix (Rodrigues)
+    and a translation; the matrix form of exp, for loops that compose
+    many steps without building a Pose for each."""
+    w, v = twist[:3], twist[3:]
+    theta = np.linalg.norm(w)
+    k = skew(w)
+    if theta < 1e-6:
+        r = np.eye(3) + k + 0.5 * (k @ k)
+    else:
+        r = (
+            np.eye(3)
+            + (np.sin(theta) / theta) * k
+            + ((1.0 - np.cos(theta)) / (theta * theta)) * (k @ k)
+        )
+    return r, _so3_v_matrix(w) @ v
 
 
 def log(pose: Pose) -> np.ndarray:

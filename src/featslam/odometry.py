@@ -9,7 +9,9 @@ are solved through a truncated eigen-decomposition, which both reports and
 disarms unconstrained directions (long corridors, single planes).
 
 Pose updates are left-multiplicative: pose <- exp(delta) . pose, with the
-twist laid out [wx, wy, wz, vx, vy, vz].
+twist laid out [wx, wy, wz, vx, vy, vz].  Inside registration the pose is
+a rotation matrix and a translation, and each tried step is composed with
+3x3 products; a Pose is built only for the result.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from featslam.features import FeatureCloud, FeatureConfig, extract_features
-from featslam.geometry import Pose, exp
+from featslam.geometry import Pose, Rotation, exp_rt
 
 
 class IllConditionedError(RuntimeError):
@@ -47,6 +49,16 @@ class OdometryConfig:
     eigenvalue_floor: float = 1e-8  # relative truncation cutoff
     features: FeatureConfig = field(default_factory=FeatureConfig)
 
+    def __post_init__(self):
+        for name in ("max_iterations", "refine_iterations"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.max_iterations + self.refine_iterations < 1:
+            raise ValueError(
+                "max_iterations + refine_iterations must be >= 1, got "
+                f"{self.max_iterations} + {self.refine_iterations}"
+            )
+
 
 KNN = 5  # neighbors per correspondence
 LINE_EIGEN_RATIO = 3.0  # largest eigenvalue must exceed ratio x second
@@ -65,27 +77,49 @@ def _voxel_keys(points: np.ndarray, voxel: float) -> np.ndarray:
     return (ijk[:, 0] << 42) | (ijk[:, 1] << 21) | ijk[:, 2]
 
 
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which keys occur in sorted_keys."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
 class _VoxelSet:
     """Keep-first voxel grid over 3-d points: parallel key and point arrays
-    in insertion order."""
+    in insertion order, and a sorted copy of the keys for membership tests.
+    insert and crop report whether they changed the set."""
 
     def __init__(self, voxel: float):
         self.voxel = voxel
         self.keys = np.zeros(0, dtype=np.int64)
         self.points = np.zeros((0, 3))
+        self._sorted = self.keys
 
-    def insert(self, points: np.ndarray) -> None:
+    def insert(self, points: np.ndarray) -> bool:
         keys = _voxel_keys(points, self.voxel)
-        _, first = np.unique(keys, return_index=True)
-        first.sort()  # first point per voxel, in batch order
-        first = first[~np.isin(keys[first], self.keys)]
+        unique, first = np.unique(keys, return_index=True)
+        new = ~_member(self._sorted, unique)
+        if not new.any():
+            return False
+        first = np.sort(first[new])  # first point per new voxel, in batch order
         self.keys = np.concatenate([self.keys, keys[first]])
         self.points = np.concatenate([self.points, points[first]])
+        self._sorted = np.sort(np.concatenate([self._sorted, unique[new]]))
+        return True
 
-    def crop(self, center: np.ndarray, radius: float) -> None:
+    def crop(self, center: np.ndarray, radius: float) -> bool:
         keep = np.linalg.norm(self.points - center, axis=1) <= radius
+        if keep.all():
+            return False
         self.keys = self.keys[keep]
         self.points = self.points[keep]
+        self._sorted = np.sort(self.keys)
+        return True
+
+
+def _tree(points: np.ndarray):
+    return cKDTree(points) if len(points) else None
 
 
 class Submap:
@@ -116,14 +150,17 @@ class Submap:
         return len(self.planar_points)
 
     def insert(self, features: FeatureCloud, pose: Pose) -> None:
-        """Add features transformed by pose, then crop around the pose and
-        rebuild the search trees."""
-        self._edges.insert(pose.apply(features.edges))
-        self._planars.insert(pose.apply(features.planars))
-        self._edges.crop(pose.translation, self.crop_radius)
-        self._planars.crop(pose.translation, self.crop_radius)
-        self.edge_tree = cKDTree(self.edge_points) if self.num_edges else None
-        self.planar_tree = cKDTree(self.planar_points) if self.num_planars else None
+        """Add features transformed by pose, then crop around the pose.  A
+        search tree is rebuilt only when its voxel set changed."""
+        center = pose.translation
+        edges = self._edges.insert(pose.apply(features.edges))
+        planars = self._planars.insert(pose.apply(features.planars))
+        edges |= self._edges.crop(center, self.crop_radius)
+        planars |= self._planars.crop(center, self.crop_radius)
+        if edges:
+            self.edge_tree = _tree(self.edge_points)
+        if planars:
+            self.planar_tree = _tree(self.planar_points)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +187,51 @@ def _empty(n=0):
     return np.zeros((n, 3))
 
 
-def associate(features: FeatureCloud, submap: Submap, pose: Pose, cfg: OdometryConfig):
-    """Match features (at the given pose) to submap lines and planes."""
+def _fit_planes(a: np.ndarray):
+    """Least-squares planes n.p = -1 through each group of points a (N, K, 3).
+
+    The normal equations (a^T a) n = -sum(a) are solved through the
+    adjugate of the symmetric 3x3 matrix: one set of cofactors gives both
+    the determinant and the solution.  Returns the unit normals, the
+    offsets d (so that n.p + d = 0 on the plane) and where the fit is
+    defined; undefined rows hold zeros.
+    """
+    x, y, z = a[..., 0], a[..., 1], a[..., 2]
+    xx, xy, xz = (x * x).sum(1), (x * y).sum(1), (x * z).sum(1)
+    yy, yz, zz = (y * y).sum(1), (y * z).sum(1), (z * z).sum(1)
+    bx, by, bz = -x.sum(1), -y.sum(1), -z.sum(1)
+    c00, c01, c02 = yy * zz - yz * yz, xz * yz - xy * zz, xy * yz - xz * yy
+    c11, c12, c22 = xx * zz - xz * xz, xy * xz - xx * yz, xx * yy - xy * xy
+    det = xx * c00 + xy * c01 + xz * c02
+    frob2 = xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz)
+    solvable = np.abs(det) > 1e-9 * (np.sqrt(frob2) ** 3 + 1e-300)
+    inv_det = np.where(solvable, 1.0 / np.where(solvable, det, 1.0), 0.0)
+    n = np.empty((len(det), 3))
+    n[:, 0] = (c00 * bx + c01 * by + c02 * bz) * inv_det
+    n[:, 1] = (c01 * bx + c11 * by + c12 * bz) * inv_det
+    n[:, 2] = (c02 * bx + c12 * by + c22 * bz) * inv_det
+    norm = np.linalg.norm(n, axis=1)
+    ok = solvable & (norm > 1e-12)
+    safe = np.where(ok, norm, 1.0)
+    return (
+        np.where(ok[:, None], n / safe[:, None], 0.0),
+        np.where(ok, 1.0 / safe, 0.0),
+        ok,
+    )
+
+
+def associate(
+    features: FeatureCloud,
+    submap: Submap,
+    rotation: np.ndarray,
+    translation: np.ndarray,
+    cfg: OdometryConfig,
+):
+    """Match features, at the pose (rotation matrix, translation), to
+    submap lines and planes."""
     e_pts, e_cent, e_dir = _empty(), _empty(), _empty()
     if len(features.edges) and submap.edge_tree is not None:
-        g = pose.apply(features.edges)
+        g = features.edges @ rotation.T + translation
         dist, idx = submap.edge_tree.query(g, k=KNN)
         near = dist[:, -1] <= cfg.max_correspondence_distance
         group = submap.edge_points[idx]  # (N, 5, 3)
@@ -170,24 +247,11 @@ def associate(features: FeatureCloud, submap: Submap, pose: Pose, cfg: OdometryC
 
     p_pts, p_n, p_d = _empty(), _empty(), np.zeros(0)
     if len(features.planars) and submap.planar_tree is not None:
-        g = pose.apply(features.planars)
+        g = features.planars @ rotation.T + translation
         dist, idx = submap.planar_tree.query(g, k=KNN)
         near = dist[:, -1] <= cfg.max_correspondence_distance
         a = submap.planar_points[idx]  # (N, 5, 3)
-        m = np.einsum("nki,nkj->nij", a, a)
-        b = -a.sum(axis=1)
-        det = np.abs(np.linalg.det(m))
-        scale = np.linalg.norm(m, axis=(1, 2)) ** 3 + 1e-300
-        solvable = det > 1e-9 * scale
-        n = np.zeros_like(b)
-        if solvable.any():
-            n[solvable] = np.linalg.solve(m[solvable], b[solvable][..., None])[..., 0]
-        norm = np.linalg.norm(n, axis=1)
-        ok = solvable & (norm > 1e-12)
-        unit = np.zeros_like(n)
-        unit[ok] = n[ok] / norm[ok, None]
-        offset = np.zeros(len(n))
-        offset[ok] = 1.0 / norm[ok]
+        unit, offset, ok = _fit_planes(a)
         # every neighbor must lie on the fitted plane
         d_fit = np.abs(np.einsum("nki,ni->nk", a, unit) + offset[:, None])
         flat = (d_fit <= PLANE_FIT_TOLERANCE).all(axis=1)
@@ -199,15 +263,15 @@ def associate(features: FeatureCloud, submap: Submap, pose: Pose, cfg: OdometryC
     return Correspondences(e_pts, e_cent, e_dir, p_pts, p_n, p_d)
 
 
-def _residuals(corr: Correspondences, pose: Pose):
-    """Evaluate the correspondences at pose.
+def _residuals(corr: Correspondences, rotation: np.ndarray, translation: np.ndarray):
+    """Evaluate the correspondences at the pose (rotation matrix, translation).
 
     Returns the residuals, lines first (non-negative) then planes (signed);
     the unit direction each residual is measured along (zero for a point
     on its line); and the transformed points, in the same order.
     """
-    g_edges = pose.apply(corr.edge_points)
-    g_planes = pose.apply(corr.plane_points)
+    g_edges = corr.edge_points @ rotation.T + translation
+    g_planes = corr.plane_points @ rotation.T + translation
     rel = g_edges - corr.line_centroids
     along = np.einsum("ni,ni->n", rel, corr.line_directions)
     rej = rel - along[:, None] * corr.line_directions
@@ -241,7 +305,12 @@ def _cost(r: np.ndarray, num_edges: int, huber_scale: float) -> float:
 
 def _normal_equations(r, dirs, g, huber_scale: float):
     """Robust Gauss-Newton (H, gradient); residual rows are J = [g x n, n]."""
-    j = np.concatenate([np.cross(g, dirs), dirs], axis=1)
+    (gx, gy, gz), (nx, ny, nz) = g.T, dirs.T
+    j = np.empty((len(r), 6))
+    j[:, 0] = gy * nz - gz * ny
+    j[:, 1] = gz * nx - gx * nz
+    j[:, 2] = gx * ny - gy * nx
+    j[:, 3:] = dirs
     jw = j * _huber_weight(r, huber_scale)[:, None]
     return j.T @ jw, jw.T @ r
 
@@ -284,11 +353,10 @@ def register(
             pose=initial.copy(), final_cost=float("inf"), iterations=0, degenerate=True
         )
 
-    pose = initial.copy()
+    rotation, translation = initial.rotation.matrix(), initial.translation
     trace = []
     converged = False
     null_directions = 0
-    corr = None
     iterations = 0
     prev_cost = None
     frozen = False
@@ -296,16 +364,16 @@ def register(
     while iterations < budget:
         iterations += 1
         if not frozen:
-            corr = associate(features, submap, pose, cfg)
+            corr = associate(features, submap, rotation, translation, cfg)
             if len(corr) < MIN_TOTAL_MATCHES:
                 return RegistrationResult(
-                    pose=pose,
+                    pose=Pose(Rotation.from_matrix(rotation), translation),
                     final_cost=float("inf"),
                     iterations=iterations,
                     degenerate=True,
                     cost_trace=trace,
                 )
-            evaluation = _residuals(corr, pose)
+            evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
         # frozen iterations reuse the evaluation of the accepted step
         h, grad = _normal_equations(*evaluation, cfg.huber_scale)
@@ -331,11 +399,12 @@ def register(
         alpha = 1.0
         accepted = None
         for _ in range(MAX_STEP_HALVINGS):
-            cand = exp(alpha * delta).compose(pose)
-            cand_eval = _residuals(corr, cand)
+            step_r, step_t = exp_rt(alpha * delta)
+            cand_r, cand_t = step_r @ rotation, step_r @ translation + step_t
+            cand_eval = _residuals(corr, cand_r, cand_t)
             c = _cost(cand_eval[0], len(corr.edge_points), cfg.huber_scale)
             if c <= cost * (1.0 - 1e-8):
-                accepted = (cand, cand_eval, c)
+                accepted = (cand_r, cand_t, cand_eval, c)
                 break
             alpha *= 0.5
         if accepted is None:
@@ -344,7 +413,7 @@ def register(
                 break
             frozen = True  # stalled against shifting associations
             continue
-        pose, evaluation, cost = accepted
+        rotation, translation, evaluation, cost = accepted
         trace.append(cost)
         step_norm = np.linalg.norm(alpha * delta)
         if step_norm < cfg.convergence_tolerance:
@@ -362,7 +431,7 @@ def register(
             prev_cost = cost
 
     return RegistrationResult(
-        pose=pose,
+        pose=Pose(Rotation.from_matrix(rotation), translation),
         final_cost=float(np.abs(evaluation[0]).mean()),
         iterations=iterations,
         converged=converged,

@@ -14,6 +14,7 @@ pose-graph sigma constants; unknown keys are rejected.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -49,7 +50,13 @@ from .loop_closure import (
     is_new_keyframe,
     write_loop_log,
 )
-from .odometry import OdometryConfig, OdometryState, Submap, process_frame
+from .odometry import (
+    OdometryConfig,
+    OdometryState,
+    RegistrationResult,
+    Submap,
+    process_frame,
+)
 from .pose_graph import (
     LOOP_ROTATION_SIGMA,
     LOOP_TRANSLATION_SIGMA,
@@ -172,6 +179,18 @@ class PipelineConfig:
             raise ValueError(
                 "no input: set dataset.scans or synthetic.shape (or --synthetic)"
             )
+        # build every module config, so that a bad value fails before a run
+        for section, build in (
+            ("features", self.feature_config),
+            ("odometry", self.odometry_config),
+            ("scan_context", self.scan_context_config),
+            ("loop", self.loop_config),
+            ("graph", self.graph_config),
+        ):
+            try:
+                build()
+            except ValueError as e:
+                raise ValueError(f"{section}: {e}") from e
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -263,6 +282,10 @@ class SlamResult:
     keyframe_poses: List[Pose]  # optimized keyframe poses
     keyframe_features: list
     events: List[LoopEvent]
+    # per frame: the odometry registration (None for the first frame) and
+    # the non-finite points its scan dropped
+    registrations: List[Optional[RegistrationResult]]
+    dropped_points: List[int]
 
 
 def _verify_loop(
@@ -314,9 +337,13 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     correction = Pose.identity()  # re-bases odometry into the optimized frame
     frame_poses: List[Pose] = []
     kf_of_frame: List[int] = []
+    registrations: List[Optional[RegistrationResult]] = []
+    dropped_points: List[int] = []
     for i, scan in enumerate(scans):
-        features, pose, _ = process_frame(state, scan, submap, odo_cfg)
+        features, pose, registration = process_frame(state, scan, submap, odo_cfg)
         frame_poses.append(pose)
+        registrations.append(registration)
+        dropped_points.append(scan.dropped)
         if not store.keyframes or is_new_keyframe(store[-1].odometry_pose, pose, loop_cfg):
             k = len(store)
             store.append(Keyframe(index=k, frame_index=i, features=features,
@@ -349,6 +376,8 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
         keyframe_poses=final,
         keyframe_features=[kf.features for kf in store.keyframes],
         events=events,
+        registrations=registrations,
+        dropped_points=dropped_points,
     )
 
 
@@ -388,10 +417,30 @@ def _load_input(config: PipelineConfig):
     return scans, truth
 
 
+def _write_frame_log(result: SlamResult, path) -> None:
+    """One row per frame: keyframe flag, odometry registration diagnostics
+    (empty for the first frame, which is not registered) and the number of
+    non-finite points dropped from its scan."""
+    keyframes = set(result.keyframe_frames)
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow([
+            "frame", "keyframe", "iterations", "converged", "degenerate_directions",
+            "edge_matches", "plane_matches", "final_cost", "dropped_points",
+        ])
+        for i, (reg, dropped) in enumerate(zip(result.registrations, result.dropped_points)):
+            fields = [""] * 6
+            if reg is not None:
+                fields = [reg.iterations, int(reg.converged), reg.degenerate_directions,
+                          reg.num_edge_matches, reg.num_plane_matches, reg.final_cost]
+            writer.writerow([i, int(i in keyframes), *fields, dropped])
+
+
 def _write_outputs(result: SlamResult, truth, config: PipelineConfig, out: Path):
     export_trajectory(result.trajectory, out / "trajectory_kitti.txt", "kitti")
     export_trajectory(result.trajectory, out / "trajectory_tum.txt", "tum")
     write_loop_log(result.events, out / "loops.csv")
+    _write_frame_log(result, out / "frames.csv")
     export_map(
         zip(result.keyframe_features, result.keyframe_poses), out / "map.ply"
     )

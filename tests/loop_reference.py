@@ -5,9 +5,10 @@ odometry submap and registration do their work in whole-array numpy passes
 or evaluate each pose once.  The functions here are the straightforward code
 they replace: per ring, segment, sector and candidate for feature
 extraction; per column shift for the descriptor distance; a dict per voxel
-grid; and separate residual, objective and normal-equation evaluations for
-registration.  Tests compare the two on seeded inputs; nothing in ``src/``
-imports this module.
+grid; separate residual, objective and normal-equation evaluations for
+registration; and a batched einsum, determinant and solve for the plane
+fits of the correspondence search.  Tests compare the two on seeded
+inputs; nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ import numpy as np
 
 from featslam.dataset_io import RawScan
 from featslam.features import FeatureCloud, FeatureConfig
-from featslam.odometry import _huber_rho, _huber_weight, _voxel_keys
+from featslam.odometry import (
+    KNN,
+    LINE_EIGEN_RATIO,
+    PLANE_FIT_TOLERANCE,
+    Correspondences,
+    _huber_rho,
+    _huber_weight,
+    _voxel_keys,
+)
 from featslam.scan_context import _OCCUPIED_FLOOR as OCCUPIED_FLOOR
 from featslam.scan_context import ScanContextDescriptor
 
@@ -317,3 +326,54 @@ def build_system(corr, pose, huber_scale: float):
     h = j.T @ jw
     grad = jw.T @ r
     return h, grad, total, r
+
+
+def associate(features, submap, pose, cfg):
+    """odometry.associate with the plane fits solved by np.linalg: the
+    normal equations (a^T a) n = -sum(a) formed by einsum, their
+    determinant by np.linalg.det and their solution by np.linalg.solve."""
+    e_pts, e_cent, e_dir = np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))
+    if len(features.edges) and submap.edge_tree is not None:
+        g = pose.apply(features.edges)
+        dist, idx = submap.edge_tree.query(g, k=KNN)
+        near = dist[:, -1] <= cfg.max_correspondence_distance
+        group = submap.edge_points[idx]  # (N, 5, 3)
+        cent = group.mean(axis=1)
+        q = group - cent[:, None, :]
+        cov = np.einsum("nki,nkj->nij", q, q) / KNN
+        vals, vecs = np.linalg.eigh(cov)  # ascending
+        linear = vals[:, 2] >= LINE_EIGEN_RATIO * vals[:, 1]
+        keep = near & linear
+        e_pts = features.edges[keep]
+        e_cent = cent[keep]
+        e_dir = vecs[keep][:, :, 2]
+
+    p_pts, p_n, p_d = np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)
+    if len(features.planars) and submap.planar_tree is not None:
+        g = pose.apply(features.planars)
+        dist, idx = submap.planar_tree.query(g, k=KNN)
+        near = dist[:, -1] <= cfg.max_correspondence_distance
+        a = submap.planar_points[idx]  # (N, 5, 3)
+        m = np.einsum("nki,nkj->nij", a, a)
+        b = -a.sum(axis=1)
+        det = np.abs(np.linalg.det(m))
+        scale = np.linalg.norm(m, axis=(1, 2)) ** 3 + 1e-300
+        solvable = det > 1e-9 * scale
+        n = np.zeros_like(b)
+        if solvable.any():
+            n[solvable] = np.linalg.solve(m[solvable], b[solvable][..., None])[..., 0]
+        norm = np.linalg.norm(n, axis=1)
+        ok = solvable & (norm > 1e-12)
+        unit = np.zeros_like(n)
+        unit[ok] = n[ok] / norm[ok, None]
+        offset = np.zeros(len(n))
+        offset[ok] = 1.0 / norm[ok]
+        # every neighbor must lie on the fitted plane
+        d_fit = np.abs(np.einsum("nki,ni->nk", a, unit) + offset[:, None])
+        flat = (d_fit <= PLANE_FIT_TOLERANCE).all(axis=1)
+        keep = near & ok & flat
+        p_pts = features.planars[keep]
+        p_n = unit[keep]
+        p_d = offset[keep]
+
+    return Correspondences(e_pts, e_cent, e_dir, p_pts, p_n, p_d)

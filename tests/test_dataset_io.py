@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,22 @@ class TestRawScanShapes:
             self.scan(np.ones((5, 3)), [0, 1, 2, 3])
         with pytest.raises(ValueError, match=r"ring must have shape \(5,\), got \(5, 1\)"):
             self.scan(np.ones((5, 3)), np.zeros((5, 1)))
+
+    def test_intensity_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"intensity must have shape \(5,\), got \(4,\)"):
+            RawScan(xyz=np.ones((5, 3)), intensity=np.zeros(4), ring=np.zeros(5, int))
+
+    def test_in_memory_nonfinite_rows_dropped_and_counted(self):
+        xyz = np.array([[1.0, 0, 0], [np.nan, 0, 0], [2.0, 0, 0], [0, np.inf, 0],
+                        [0, 0, -np.inf], [3.0, 0, 0]])
+        scan = RawScan(xyz=xyz, intensity=np.arange(6.0), ring=np.arange(6), dropped=1)
+        assert scan.dropped == 1 + 3
+        np.testing.assert_array_equal(scan.xyz[:, 0], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(scan.ring, [0, 2, 5])
+        np.testing.assert_array_equal(scan.intensity, [0.0, 2.0, 5.0])
+        # a copy of a clean scan keeps the count and drops nothing more
+        again = dataclasses.replace(scan, timestamp_index=7)
+        assert again.dropped == 4 and len(again) == 3
 
     def test_two_column_xyz_rejected(self):
         with pytest.raises(ValueError, match=r"xyz must have shape \(N, 3\), got \(5, 2\)"):

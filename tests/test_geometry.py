@@ -118,6 +118,27 @@ class TestExpLog:
         np.testing.assert_allclose(p.rotation.matrix(), r_oracle, atol=1e-12)
         np.testing.assert_allclose(p.translation, np.zeros(3), atol=1e-15)
 
+    def test_exp_rt_matches_exp(self):
+        # The matrix form of exp: angles on both sides of its small-angle
+        # branch (1e-6), down to 1e-12 and zero, typical steps, and angles
+        # near pi/2.  Each entry of either form is a sum of at most three
+        # terms of magnitude <= 1 (rotation) or <= |v|_1 (translation) after
+        # at most five roundings: within 8 eps of exact, 16 eps of the other.
+        rng = np.random.default_rng(6)
+        eps = np.finfo(float).eps
+        angles = [0.0, 1e-12, 1e-9, 5e-7, 1e-6 * (1 - 1e-9), 1e-6, 2e-6, 1e-3, 0.05, 1.0]
+        angles += list(np.pi / 2 + np.array([-1e-6, 0.0, 1e-6, 1e-3]))
+        for angle in angles:
+            for _ in range(25):
+                axis = rng.standard_normal(3)
+                axis /= np.linalg.norm(axis)
+                twist = np.concatenate([angle * axis, rng.uniform(-3, 3, 3)])
+                r, t = geometry.exp_rt(twist)
+                m = geometry.exp(twist).matrix()
+                assert np.abs(r - m[:3, :3]).max() <= 16 * eps, angle
+                assert np.abs(t - m[:3, 3]).max() <= 16 * eps * np.abs(twist[3:]).sum()
+                assert np.abs(r @ r.T - np.eye(3)).max() <= 16 * eps
+
     def test_round_trip_bulk(self):
         # 10,000 random twists with rotation angle < 3.0 rad.
         rng = np.random.default_rng(4)

@@ -3,8 +3,8 @@ import pytest
 
 import featslam.odometry as odo
 import loop_reference as ref
-from featslam.features import FeatureCloud
-from featslam.geometry import Pose, Rotation, exp
+from featslam.features import FeatureCloud, extract_features
+from featslam.geometry import Pose, Rotation, exp, exp_rt
 from featslam.odometry import (
     Correspondences,
     IllConditionedError,
@@ -15,6 +15,7 @@ from featslam.odometry import (
     process_frame,
     register,
 )
+from featslam.simulate import generate_world
 
 
 def translate(x, y, z):
@@ -120,6 +121,40 @@ class TestSubmap:
         assert submap.num_edges <= bound_e
         assert submap.num_planars <= bound_p
 
+    def test_same_voxels_keep_the_trees(self):
+        cloud = corner_cloud()
+        submap = Submap()
+        submap.insert(cloud, Pose.identity())
+        trees = submap.edge_tree, submap.planar_tree
+        submap.insert(cloud, Pose.identity())
+        assert submap.edge_tree is trees[0] and submap.planar_tree is trees[1]
+
+    def test_new_voxel_rebuilds_only_its_own_tree(self):
+        submap = corner_submap()
+        edge_tree, planar_tree = submap.edge_tree, submap.planar_tree
+        submap.insert(FeatureCloud(edges=np.array([[5.0, 5.0, 0.5]])), Pose.identity())
+        assert submap.edge_tree is not edge_tree and submap.planar_tree is planar_tree
+        edge_tree = submap.edge_tree
+        submap.insert(FeatureCloud(planars=np.array([[2.0, 2.0, 2.0]])), Pose.identity())
+        assert submap.edge_tree is edge_tree and submap.planar_tree is not planar_tree
+        for tree, points in ((submap.edge_tree, submap.edge_points),
+                             (submap.planar_tree, submap.planar_points)):
+            assert np.array_equal(tree.data, points)
+
+    def test_crop_rebuilds_the_trees(self):
+        submap = corner_submap()
+        submap.insert(FeatureCloud(), translate(150.0, 0.0, 0.0))
+        assert (submap.num_edges, submap.num_planars) == (0, 0)
+        assert submap.edge_tree is None and submap.planar_tree is None
+
+    def test_trees_index_the_current_points(self):
+        scans, _ = TestProcessFrame.corridor_scans(8, 0.5)
+        state, submap = OdometryState(), Submap(OdometryConfig(crop_radius=12.0))
+        for scan in scans:
+            process_frame(state, scan, submap)
+            assert np.array_equal(submap.edge_tree.data, submap.edge_points)
+            assert np.array_equal(submap.planar_tree.data, submap.planar_points)
+
 
 class TestVoxelSetMatchesReference:
     """Array-backed voxel grid against the dict-backed keep-first loop it
@@ -187,6 +222,66 @@ class TestVoxelSetMatchesReference:
                     g.crop(*arg)
             self.assert_same(grid, ref_grid)
         assert grid.keys.dtype == np.int64 and grid.points.shape[1] == 3
+
+
+class TestAssociateMatchesReference:
+    """The adjugate plane fit against the einsum/det/solve fit it replaces
+    (tests/loop_reference.py), on seeded frames of the built-in worlds, at
+    the predicted pose and at perturbed poses around it."""
+
+    @staticmethod
+    def cases(shape, seed):
+        scans, _ = generate_world({"shape": shape, "frames": 6, "seed": seed})
+        cfg = OdometryConfig()
+        state, submap = OdometryState(), Submap(cfg)
+        for scan in scans[:5]:
+            process_frame(state, scan, submap, cfg)
+        features = extract_features(scans[5], cfg.features)
+        rng = np.random.default_rng(seed)
+        start = predict_pose(state)
+        poses = [start] + [random_pose(rng).compose(start) for _ in range(4)]
+        return features, submap, poses, cfg
+
+    @pytest.mark.parametrize("shape", ["square", "corridor", "two_rooms"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_seeded_frames(self, shape, seed):
+        features, submap, poses, cfg = self.cases(shape, seed)
+        planars = features.planars
+        # distinct rows, so equal kept points mean equal keep masks
+        assert len(np.unique(planars, axis=0)) == len(planars)
+        eps = np.finfo(float).eps
+        for pose in poses:
+            got = odo.associate(
+                features, submap, pose.rotation.matrix(), pose.translation, cfg
+            )
+            want = ref.associate(features, submap, pose, cfg)
+            assert np.array_equal(got.edge_points, want.edge_points)
+            assert np.array_equal(got.line_centroids, want.line_centroids)
+            assert np.array_equal(got.line_directions, want.line_directions)
+            assert np.array_equal(got.plane_points, want.plane_points)
+            assert len(got.plane_points) > 0
+
+            keep = (planars[:, None] == got.plane_points[None]).all(axis=2).any(axis=1)
+            _, idx = submap.planar_tree.query(pose.apply(planars[keep]), k=odo.KNN)
+            a = submap.planar_points[idx]
+            s = np.linalg.svd(np.einsum("nki,nkj->nij", a, a), compute_uv=False)
+            # chi = |m|^3 / |det m| = s1^2 / (s2 s3) >= the condition number
+            # s1 / s3.  Forming m from five-term sums perturbs it by <= 15 eps
+            # |m| (both methods).  LU is backward stable (3n = 9 eps), so
+            # np.linalg.solve is within (15 + 9) eps s1 / s3 <= (15 + 9) eps
+            # chi of the exact n.  The
+            # adjugate is not: each cofactor is two rounded products of
+            # entries <= s1, so the numerator and the determinant are each
+            # within 21 eps s1^2 |b| and 21 eps s1^3, a relative error of at
+            # most 21 eps chi each, within (15 + 42) eps chi of the exact n.
+            rel = (15 + 9 + 15 + 42) * eps * s[:, 0] ** 2 / (s[:, 1] * s[:, 2])
+            assert (rel < 0.5).all()
+            # n = unit / offset; the unit normal moves by at most 2 rel |n| / |n|
+            # and the offset 1 / |n| by at most rel / (1 - rel) of itself
+            du = np.abs(got.plane_normals - want.plane_normals).max(axis=1)
+            assert (du <= 2 * rel).all()
+            dd = np.abs(got.plane_offsets - want.plane_offsets)
+            assert (dd <= rel / (1 - rel) * want.plane_offsets).all()
 
 
 class TestRegister:
@@ -273,6 +368,23 @@ class TestRegister:
         b = register(feats, submap, Pose.identity())
         assert (a.pose.matrix() == b.pose.matrix()).all()
 
+    def test_empty_iteration_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            OdometryConfig(max_iterations=0, refine_iterations=0)
+        with pytest.raises(ValueError, match="refine_iterations must be >= 0"):
+            OdometryConfig(refine_iterations=-1)
+
+    def test_refinement_only_budget(self):
+        # the loop-registration key may leave only the frozen refinement
+        cfg = OdometryConfig(max_iterations=0)
+        submap = corner_submap(cfg)
+        move = translate(0.1, 0.05, 0.0).compose(rotz(1.0))
+        cloud = corner_cloud()
+        feats = FeatureCloud(edges=move.apply(cloud.edges), planars=move.apply(cloud.planars))
+        res = register(feats, submap, Pose.identity(), cfg)
+        assert 1 <= res.iterations <= cfg.refine_iterations
+        assert np.linalg.norm(res.pose.translation - move.inverse().translation) < 5e-3
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_ill_conditioned_raises(self, monkeypatch):
         import featslam.odometry as odo
@@ -306,9 +418,13 @@ def random_pose(rng):
     return Pose(Rotation.from_rotvec(rng.uniform(-0.3, 0.3, 3)), rng.uniform(-1, 1, 3))
 
 
+def residuals(corr, pose):
+    return odo._residuals(corr, pose.rotation.matrix(), pose.translation)
+
+
 def evaluate(corr, pose, huber):
     """Cost, H and gradient the way register reads them off one evaluation."""
-    r, dirs, g = odo._residuals(corr, pose)
+    r, dirs, g = residuals(corr, pose)
     h, grad = odo._normal_equations(r, dirs, g, huber)
     return odo._cost(r, len(corr.edge_points), huber), h, grad
 
@@ -342,7 +458,7 @@ class TestEvaluationMatchesReference:
         cost, h, grad = evaluate(corr, pose, self.HUBER)
         ref_h, ref_grad, ref_cost, _ = ref.build_system(corr, pose, self.HUBER)
         assert cost == ref_cost == ref.objective(corr, pose, self.HUBER)
-        r, dirs, g = odo._residuals(corr, pose)
+        r, dirs, g = residuals(corr, pose)
         er, edir, pr = ref.residuals(corr, pose)
         ne = len(corr.edge_points)
         assert np.array_equal(r, np.concatenate([er, pr]))
@@ -377,7 +493,7 @@ class TestEvaluationMatchesReference:
                 corr.line_centroids[0] = pose.apply(corr.edge_points)[0]
                 h, grad, ref_h, ref_grad, er = self.check(corr, pose)
                 assert er[0] == 0.0
-                r, dirs, g = odo._residuals(corr, pose)
+                r, dirs, g = residuals(corr, pose)
                 j = np.abs(np.concatenate([np.cross(g, dirs), dirs], axis=1))
                 w = ref._huber_weight(r, self.HUBER)
                 n = len(r)
@@ -395,18 +511,18 @@ class TestEvaluationMatchesReference:
             counts["associate"] += 1
             return associate(*args, **kwargs)
 
-        def counting_exp(twist):
+        def counting_step(twist):
             counts["steps"] += 1
-            return exp(twist)
+            return exp_rt(twist)
 
-        def counting_residuals(corr, pose):
+        def counting_residuals(corr, rotation, translation):
             keep_alive.append(corr)
-            evaluated.append((id(corr), pose.matrix().tobytes()))
-            return residuals(corr, pose)
+            evaluated.append((id(corr), rotation.tobytes() + translation.tobytes()))
+            return unwrapped_residuals(corr, rotation, translation)
 
-        associate, residuals = odo.associate, odo._residuals
+        associate, unwrapped_residuals = odo.associate, odo._residuals
         monkeypatch.setattr(odo, "associate", counting_associate)
-        monkeypatch.setattr(odo, "exp", counting_exp)
+        monkeypatch.setattr(odo, "exp_rt", counting_step)
         monkeypatch.setattr(odo, "_residuals", counting_residuals)
         scans, _ = TestProcessFrame.corridor_scans(3, 0.5)
         state, submap = OdometryState(), Submap()

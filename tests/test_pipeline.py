@@ -1,9 +1,13 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from featslam import pipeline
 from featslam.cli import _collect_items, _synthetic_items, build_parser, main
+from featslam.dataset_io import RawScan
 from featslam.loop_closure import LoopClosureConfig
 from featslam.odometry import OdometryConfig
 from featslam.pipeline import (
@@ -18,7 +22,7 @@ from featslam.pose_graph import (
     default_odometry_information,
 )
 from featslam.scan_context import ScanContextConfig
-from featslam.simulate import WORLD_DEFAULTS
+from featslam.simulate import WORLD_DEFAULTS, generate_world
 
 SQUARE = {"synthetic.shape": "square"}
 
@@ -99,6 +103,32 @@ class TestModuleConfigs:
         )
         info = cfg.graph_config().loop_information
         np.testing.assert_allclose(np.diag(info), [100.0] * 3 + [4.0] * 3)
+
+
+class TestIterationBudget:
+    @pytest.mark.parametrize("items, message", [
+        ({"odometry.max_iterations": "0", "odometry.refine_iterations": "0"},
+         "odometry: max_iterations + refine_iterations must be >= 1, got 0 + 0"),
+        ({"odometry.max_iterations": "-1"}, "odometry: max_iterations must be >= 0"),
+        ({"odometry.refine_iterations": "-3"}, "odometry: refine_iterations must be >= 0"),
+        ({"loop.max_iterations": "-1"}, "loop: max_iterations must be >= 0"),
+        ({"loop.max_iterations": "0", "odometry.refine_iterations": "0"},
+         "loop: max_iterations + refine_iterations must be >= 1"),
+    ])
+    def test_rejected_before_any_frame(self, tmp_path, capsys, items, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PipelineConfig.from_items({**SQUARE, **items})
+        out = tmp_path / "out"
+        sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value}")]
+        rc = main(["run", "--synthetic", "square,frames=4,seed=0", "--out", str(out)] + sets)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # the run never started
+
+    def test_loop_refinement_only_budget_is_valid(self):
+        cfg = PipelineConfig.from_items({**SQUARE, "loop.max_iterations": "0"})
+        assert cfg.loop_config().registration.max_iterations == 0
+        assert cfg.loop_config().registration.refine_iterations == 40
 
 
 class TestConfigFile:
@@ -279,3 +309,57 @@ class TestEndToEnd:
         assert (out / "loops.csv").read_text().splitlines() == [
             "from,to,d,d_thre,sc_distance,accepted,cost,millis"
         ]
+
+
+class TestFrameLog:
+    COLUMNS = ["frame", "keyframe", "iterations", "converged", "degenerate_directions",
+               "edge_matches", "plane_matches", "final_cost", "dropped_points"]
+
+    @staticmethod
+    def rows(path):
+        with open(path, newline="") as f:
+            return list(csv.DictReader(f))
+
+    def test_rows_equal_the_slam_result(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["run", "--synthetic", "square,frames=12,size=24,seed=3", "--out", str(out)])
+        assert rc == 0
+        config = PipelineConfig.from_items(
+            _synthetic_items("square,frames=12,size=24,seed=3")
+        )
+        scans, _ = generate_world(config._section("synthetic"))
+        result = run_slam(scans, config)
+
+        rows = self.rows(out / "frames.csv")
+        assert list(rows[0]) == self.COLUMNS
+        assert len(rows) == len(scans) == len(result.registrations)
+        assert [row["frame"] for row in rows] == [str(i) for i in range(len(scans))]
+        keyframes = set(result.keyframe_frames)
+        assert [row["keyframe"] for row in rows] == [
+            str(int(i in keyframes)) for i in range(len(scans))
+        ]
+        assert result.registrations[0] is None
+        assert all(rows[0][key] == "" for key in self.COLUMNS[2:-1])
+        for row, reg in zip(rows[1:], result.registrations[1:]):
+            assert int(row["iterations"]) == reg.iterations
+            assert row["converged"] == str(int(reg.converged))
+            assert int(row["degenerate_directions"]) == reg.degenerate_directions
+            assert int(row["edge_matches"]) == reg.num_edge_matches
+            assert int(row["plane_matches"]) == reg.num_plane_matches
+            assert float(row["final_cost"]) == reg.final_cost
+        assert [int(row["dropped_points"]) for row in rows] == result.dropped_points
+
+    def test_in_memory_nonfinite_points_reported(self, tmp_path):
+        scans, _ = generate_world({"shape": "square", "frames": 4, "seed": 0})
+        clean = scans[2]
+        xyz = clean.xyz.copy()
+        xyz[:5, 1] = np.nan
+        xyz[5:7, 2] = np.inf
+        scans[2] = RawScan(xyz=xyz, intensity=clean.intensity, ring=clean.ring,
+                           timestamp_index=2)
+        assert scans[2].dropped == 7
+        result = run_slam(scans, PipelineConfig.from_items(SQUARE))
+        assert result.dropped_points == [0, 0, 7, 0]
+        pipeline._write_frame_log(result, tmp_path / "frames.csv")
+        rows = self.rows(tmp_path / "frames.csv")
+        assert [row["dropped_points"] for row in rows] == ["0", "0", "7", "0"]
