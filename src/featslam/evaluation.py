@@ -14,15 +14,14 @@ against the classic dense baseline.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Pose, Rotation
-from .loop_closure import LoopEvent, read_loop_log
+from .loop_closure import LoopEvent
 
 __all__ = [
     "SEGMENT_LENGTHS",
@@ -133,16 +132,11 @@ def kitti_relative_errors(
     )
 
 
-def timing_stats(loop_event_log: Union[str, os.PathLike, Sequence[LoopEvent]]) -> TimingStats:
+def timing_stats(events: Sequence[LoopEvent]) -> TimingStats:
     """Mean/median wall time (ms) over accepted loop events.
 
-    Accepts either a parsed event list or a path to the loop-event CSV.
     An empty or all-rejected log reports count 0 with absent statistics.
     """
-    if isinstance(loop_event_log, (str, os.PathLike)):
-        events: Sequence[LoopEvent] = read_loop_log(loop_event_log)
-    else:
-        events = list(loop_event_log)
     times = np.array([e.millis for e in events if e.accepted], dtype=float)
     if len(times) == 0:
         return TimingStats(None, None, 0)

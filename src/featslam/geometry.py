@@ -7,7 +7,7 @@ Conventions used throughout the package:
 * Twists are plain 6-vectors ``[wx, wy, wz, vx, vy, vz]`` -- rotational part
   first (rad), translational part second (m).
 * Optimizer updates are LEFT-multiplicative everywhere:
-  ``pose <- exp(delta) @ pose``.  Jacobians in :mod:`featslam.odometry` and
+  ``pose <- exp_rt(delta) @ pose``.  Jacobians in :mod:`featslam.odometry` and
   :mod:`featslam.pose_graph` are derived for this convention.
 """
 
@@ -19,32 +19,26 @@ __all__ = [
     "DegenerateRotationError",
     "Rotation",
     "Pose",
-    "exp",
+    "adjoint_rt",
     "exp_rt",
-    "log",
+    "left_jacobian_inverse",
+    "log_rt",
     "skew",
-    "so3_left_jacobian",
-    "so3_left_jacobian_inverse",
-    "se3_adjoint",
-    "se3_left_jacobian",
-    "se3_left_jacobian_inverse",
-    "se3_right_jacobian_inverse",
 ]
 
 
 class DegenerateRotationError(ValueError):
-    """Raised when log() is evaluated too close to the pi-rotation cut."""
+    """Raised when log_rt() is evaluated too close to the pi-rotation cut."""
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """3x3 cross-product matrix of v."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """3x3 cross-product matrix of v, or (N, 3, 3) matrices of an (N, 3) stack."""
+    v = np.asarray(v, dtype=float)
+    k = np.zeros(v.shape + (3,))
+    k[..., 0, 1], k[..., 0, 2] = -v[..., 2], v[..., 1]
+    k[..., 1, 0], k[..., 1, 2] = v[..., 2], -v[..., 0]
+    k[..., 2, 0], k[..., 2, 1] = -v[..., 1], v[..., 0]
+    return k
 
 
 class Rotation:
@@ -107,24 +101,6 @@ class Rotation:
             v[k] = (m[k, i] + m[i, k]) * s
             x, y, z = v
         return cls(w, x, y, z)
-
-    def as_rotvec(self) -> np.ndarray:
-        """Logarithm map: quaternion to axis-angle vector (rad).
-
-        Raises DegenerateRotationError for angles within 1e-6 of pi, where
-        the axis is not recoverable to the accuracy promised elsewhere.
-        """
-        w = self.q[0]
-        v = self.q[1:]
-        s = np.linalg.norm(v)
-        theta = 2.0 * np.arctan2(s, w)
-        if theta > np.pi - 1e-6:
-            raise DegenerateRotationError(f"rotation angle {theta} too close to pi")
-        if s < 1e-12:
-            scale = 2.0 / w if w > 0 else 2.0
-        else:
-            scale = theta / s
-        return v * scale
 
     def matrix(self) -> np.ndarray:
         w, x, y, z = self.q
@@ -224,148 +200,119 @@ class Pose:
 
 
 # ---------------------------------------------------------------------------
-# Tangent-space maps.  Twist layout: [wx, wy, wz, vx, vy, vz].
+# Tangent-space maps.  Twist layout: [wx, wy, wz, vx, vy, vz].  Each map
+# takes a stack of twists or transforms (exp_rt also a single twist), so one
+# call serves every edge or node of a pose graph.
 # ---------------------------------------------------------------------------
-
-
-def _so3_v_matrix(rotvec: np.ndarray) -> np.ndarray:
-    # V(w) such that exp([w, v]) has translation V(w) v; equals the SO(3)
-    # left Jacobian.
-    theta = np.linalg.norm(rotvec)
-    k = skew(rotvec)
-    if theta < 1e-6:
-        return np.eye(3) + 0.5 * k + k @ k / 6.0
-    a = (1.0 - np.cos(theta)) / (theta * theta)
-    b = (theta - np.sin(theta)) / (theta * theta * theta)
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def _so3_v_inverse(rotvec: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(rotvec)
-    k = skew(rotvec)
-    if theta < 1e-4:
-        # 1/theta^2 - (1+cos)/(2 theta sin) = 1/12 + theta^2/720 + O(theta^4)
-        c = 1.0 / 12.0 + theta * theta / 720.0
-    else:
-        c = 1.0 / (theta * theta) - (1.0 + np.cos(theta)) / (
-            2.0 * theta * np.sin(theta)
-        )
-    return np.eye(3) - 0.5 * k + c * (k @ k)
-
-
-def exp(twist: np.ndarray) -> Pose:
-    """SE(3) exponential of a twist [w, v]."""
-    twist = np.asarray(twist, dtype=float).reshape(6)
-    w, v = twist[:3], twist[3:]
-    return Pose(Rotation.from_rotvec(w), _so3_v_matrix(w) @ v)
 
 
 def exp_rt(twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SE(3) exponential of a twist [w, v] as a rotation matrix (Rodrigues)
-    and a translation; the matrix form of exp, for loops that compose
-    many steps without building a Pose for each."""
-    w, v = twist[:3], twist[3:]
-    theta = np.linalg.norm(w)
+    """SE(3) exponential of a twist [w, v], or of an (N, 6) stack, as
+    rotation matrices (Rodrigues) and translations V(w) v."""
+    twist = np.asarray(twist, dtype=float)
+    w = twist[..., :3]
+    # rounded as a 1-D np.linalg.norm, so each twist takes the same branch
+    # below as in Rotation.from_rotvec
+    theta = np.sqrt(w[..., None, :] @ w[..., :, None])
     k = skew(w)
-    if theta < 1e-6:
-        r = np.eye(3) + k + 0.5 * (k @ k)
-    else:
-        r = (
-            np.eye(3)
-            + (np.sin(theta) / theta) * k
-            + ((1.0 - np.cos(theta)) / (theta * theta)) * (k @ k)
-        )
-    return r, _so3_v_matrix(w) @ v
+    kk = k @ k
+    small = theta < 1e-6
+    t = np.where(small, 1.0, theta)
+    # sin/t, (1 - cos)/t^2 and (t - sin)/t^3, by their limits at t = 0
+    sin = np.sin(t)
+    a = sin / t
+    b = (1.0 - np.cos(t)) / (t * t)
+    c = (t - sin) / (t * t * t)
+    a[small], b[small], c[small] = 1.0, 0.5, 1.0 / 6.0
+    eye = np.eye(3)
+    rotation = eye + a * k + b * kk
+    v_matrix = eye + b * k + c * kk  # the SO(3) left Jacobian
+    return rotation, (v_matrix @ twist[..., 3:, None])[..., 0]
 
 
-def log(pose: Pose) -> np.ndarray:
-    """SE(3) logarithm; inverse of exp for rotation angle < pi - 1e-6."""
-    w = pose.rotation.as_rotvec()
-    v = _so3_v_inverse(w) @ pose.translation
-    return np.concatenate([w, v])
+def _so3_v_inverse(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # inverses of the V(w) of exp_rt (SO(3) left Jacobians); theta = |w|
+    k = skew(w)
+    theta = theta[:, None, None]
+    small = theta < 1e-4
+    t = np.where(small, 1.0, theta)
+    # 1/theta^2 - (1+cos)/(2 theta sin) = 1/12 + theta^2/720 + O(theta^4)
+    c = np.where(
+        small,
+        1.0 / 12.0 + theta * theta / 720.0,
+        1.0 / (t * t) - (1.0 + np.cos(t)) / (2.0 * t * np.sin(t)),
+    )
+    return np.eye(3) - 0.5 * k + c * (k @ k)
 
 
-# ---------------------------------------------------------------------------
-# Jacobian blocks used by the pose-graph optimizer.
-# ---------------------------------------------------------------------------
+def log_rt(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """SE(3) logarithm of (N, 3, 3) rotations and (N, 3) translations as
+    (N, 6) twists; inverse of exp_rt for rotation angles below pi - 1e-6.
+
+    Raises DegenerateRotationError when any angle is within 1e-6 of pi."""
+    r = rotation
+    axis = 0.5 * np.stack(
+        [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]],
+        axis=-1,
+    )  # sin(theta) times the unit axis
+    s = np.linalg.norm(axis, axis=-1)
+    theta = np.arctan2(s, 0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0))
+    if np.any(theta > np.pi - 1e-6):
+        raise DegenerateRotationError(f"rotation angle {theta.max()} too close to pi")
+    w = axis * np.where(s > 0.0, theta / np.where(s > 0.0, s, 1.0), 1.0)[:, None]
+    v = _so3_v_inverse(w, theta) @ translation[:, :, None]
+    return np.concatenate([w, v[:, :, 0]], axis=1)
 
 
-def so3_left_jacobian(rotvec: np.ndarray) -> np.ndarray:
-    return _so3_v_matrix(rotvec)
-
-
-def so3_left_jacobian_inverse(rotvec: np.ndarray) -> np.ndarray:
-    return _so3_v_inverse(rotvec)
-
-
-def se3_adjoint(pose: Pose) -> np.ndarray:
-    """Adjoint of a pose for the [w, v] twist layout:
-    Adj(T) [w, v] = [R w, t x (R w) + R v]."""
-    r = pose.rotation.matrix()
-    adj = np.zeros((6, 6))
-    adj[:3, :3] = r
-    adj[3:, :3] = skew(pose.translation) @ r
-    adj[3:, 3:] = r
-    return adj
-
-
-def _se3_q_block(rotvec: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    # Coupling block of the SE(3) left Jacobian (Barfoot's Q matrix, permuted
-    # into the rotation-first twist layout).
-    theta = np.linalg.norm(rotvec)
-    wx = skew(rotvec)
+def _se3_coupling(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    # Coupling block Q of the SE(3) left Jacobian (Barfoot's Q matrix,
+    # permuted into the rotation-first twist layout).
+    theta = np.linalg.norm(w, axis=-1)[:, None, None]
+    wx = skew(w)
     px = skew(rho)
     wpx = wx @ px
     pwx = px @ wx
     wpwx = wpx @ wx
-    if theta < 1e-3:
-        t2 = theta * theta
-        c1 = 1.0 / 6.0 - t2 / 120.0  # (theta - sin)/theta^3
-        c2 = 1.0 / 24.0 - t2 / 720.0  # (1 - theta^2/2 - cos)/theta^4
-        c3 = 1.0 / 120.0 - t2 / 2520.0  # c2 - 3 (theta - sin - theta^3/6)/theta^5
-    else:
-        t2 = theta * theta
-        t3 = t2 * theta
-        t4 = t3 * theta
-        t5 = t4 * theta
-        st, ct = np.sin(theta), np.cos(theta)
-        c1 = (theta - st) / t3
-        m = 1.0 - 0.5 * t2 - ct
-        c2 = m / t4
-        c3 = (m / t4 - 3.0 * (theta - st - t3 / 6.0) / t5)
-    q = (
+    small = theta < 1e-3
+    t = np.where(small, 1.0, theta)
+    t2, t3 = t * t, t * t * t
+    st, ct = np.sin(t), np.cos(t)
+    m = 1.0 - 0.5 * t2 - ct
+    s2 = theta * theta
+    # (t - sin)/t^3, (1 - t^2/2 - cos)/t^4 and c2 - 3 (t - sin - t^3/6)/t^5,
+    # by their series below 1e-3 rad
+    c1 = np.where(small, 1.0 / 6.0 - s2 / 120.0, (t - st) / t3)
+    c2 = np.where(small, 1.0 / 24.0 - s2 / 720.0, m / (t2 * t2))
+    c3 = np.where(
+        small,
+        1.0 / 120.0 - s2 / 2520.0,
+        m / (t2 * t2) - 3.0 * (t - st - t3 / 6.0) / (t3 * t2),
+    )
+    return (
         0.5 * px
         + c1 * (wpx + pwx + wpwx)
         - c2 * (wx @ wpx + pwx @ wx - 3.0 * wpwx)
         - 0.5 * c3 * (wpwx @ wx + wx @ wpwx)
     )
-    return q
 
 
-def se3_left_jacobian(twist: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SE(3): exp(xi + d) ~= exp(J_l(xi) d) exp(xi)."""
-    twist = np.asarray(twist, dtype=float).reshape(6)
-    w, v = twist[:3], twist[3:]
-    jl = so3_left_jacobian(w)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jl
-    out[3:, 3:] = jl
-    out[3:, :3] = _se3_q_block(w, v)
+def left_jacobian_inverse(twist: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) inverses of the SE(3) left Jacobians of (N, 6) twists,
+    where exp(xi + d) ~= exp(J_l(xi) d) exp(xi)."""
+    w, rho = twist[:, :3], twist[:, 3:]
+    jli = _so3_v_inverse(w, np.linalg.norm(w, axis=-1))
+    out = np.zeros((len(twist), 6, 6))
+    out[:, :3, :3] = jli
+    out[:, 3:, 3:] = jli
+    out[:, 3:, :3] = -jli @ _se3_coupling(w, rho) @ jli
     return out
 
 
-def se3_left_jacobian_inverse(twist: np.ndarray) -> np.ndarray:
-    twist = np.asarray(twist, dtype=float).reshape(6)
-    w, v = twist[:3], twist[3:]
-    jli = so3_left_jacobian_inverse(w)
-    q = _se3_q_block(w, v)
-    out = np.zeros((6, 6))
-    out[:3, :3] = jli
-    out[3:, 3:] = jli
-    out[3:, :3] = -jli @ q @ jli
+def adjoint_rt(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) adjoints for the [w, v] twist layout:
+    Adj(T) [w, v] = [R w, t x (R w) + R v]."""
+    out = np.zeros((len(rotation), 6, 6))
+    out[:, :3, :3] = rotation
+    out[:, 3:, :3] = skew(translation) @ rotation
+    out[:, 3:, 3:] = rotation
     return out
-
-
-def se3_right_jacobian_inverse(twist: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian: log(exp(xi) exp(d)) ~= xi + J_r^-1(xi) d."""
-    return se3_left_jacobian_inverse(-np.asarray(twist, dtype=float))

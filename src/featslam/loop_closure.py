@@ -24,9 +24,9 @@ class AdaptiveGateConfig:
     n: float = 100.0  # trajectory-length divisor: gate widens by 1 m per n keyframes
 
     def __post_init__(self):
-        if self.base_threshold <= 0:
+        if not self.base_threshold > 0:
             raise ValueError("base_threshold must be positive")
-        if self.n <= 0:
+        if not self.n > 0:
             raise ValueError("n must be positive")
 
 
@@ -178,23 +178,3 @@ def write_loop_log(events: Sequence[LoopEvent], path) -> None:
                     f"{e.millis:.3f}",
                 ]
             )
-
-
-def read_loop_log(path) -> List[LoopEvent]:
-    """Parse a CSV written by write_loop_log."""
-    events = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            events.append(
-                LoopEvent(
-                    from_keyframe=int(row["from"]),
-                    to_keyframe=int(row["to"]),
-                    d=float(row["d"]),
-                    d_thre=float(row["d_thre"]),
-                    sc_distance=float(row["sc_distance"]),
-                    accepted=bool(int(row["accepted"])),
-                    cost=float(row["cost"]),
-                    millis=float(row["millis"]),
-                )
-            )
-    return events

@@ -328,10 +328,8 @@ class RegistrationResult:
     converged: bool = False
     degenerate: bool = False
     degenerate_directions: int = 0
-    objective: float = 0.0
     num_edge_matches: int = 0
     num_plane_matches: int = 0
-    cost_trace: list = field(default_factory=list)
 
 
 MIN_TOTAL_MATCHES = 10
@@ -354,7 +352,6 @@ def register(
         )
 
     rotation, translation = initial.rotation.matrix(), initial.translation
-    trace = []
     converged = False
     null_directions = 0
     iterations = 0
@@ -371,14 +368,11 @@ def register(
                     final_cost=float("inf"),
                     iterations=iterations,
                     degenerate=True,
-                    cost_trace=trace,
                 )
             evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
         # frozen iterations reuse the evaluation of the accepted step
         h, grad = _normal_equations(*evaluation, cfg.huber_scale)
-        if not trace:
-            trace.append(cost)
         if not (np.isfinite(h).all() and np.isfinite(grad).all()):
             raise IllConditionedError("non-finite normal equations")
 
@@ -414,7 +408,6 @@ def register(
             frozen = True  # stalled against shifting associations
             continue
         rotation, translation, evaluation, cost = accepted
-        trace.append(cost)
         step_norm = np.linalg.norm(alpha * delta)
         if step_norm < cfg.convergence_tolerance:
             converged = True
@@ -437,10 +430,8 @@ def register(
         converged=converged,
         degenerate=null_directions > 0,
         degenerate_directions=null_directions,
-        objective=trace[-1] if trace else 0.0,
         num_edge_matches=len(corr.edge_points),
         num_plane_matches=len(corr.plane_points),
-        cost_trace=trace,
     )
 
 

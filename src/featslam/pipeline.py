@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +63,7 @@ from .pose_graph import (
     LOOP_TRANSLATION_SIGMA,
     ODOMETRY_ROTATION_SIGMA,
     ODOMETRY_TRANSLATION_SIGMA,
+    OptimizationReport,
     PoseGraph,
     PoseGraphConfig,
     add_loop_edge,
@@ -145,10 +147,12 @@ def _coerce(key: str, value) -> object:
     kind = type(_KEYS[key])
     if isinstance(value, str):
         try:
-            return _PARSERS[kind](value)
+            value = _PARSERS[kind](value)
         except ValueError as e:
             raise ValueError(f"bad value for {key}: {e}") from e
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not math.isfinite(value):
+            raise ValueError(f"bad value for {key}: {value!r} is not finite")
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -275,6 +279,17 @@ def parse_overrides(pairs: Sequence[str]) -> Dict[str, str]:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class GraphSolve:
+    """One pose-graph solve, for the run log."""
+
+    keyframe: int  # the keyframe whose accepted loop triggered the solve
+    nodes: int
+    edges: int
+    report: OptimizationReport
+    millis: float
+
+
+@dataclass
 class SlamResult:
     trajectory: List[Pose]  # per frame, loop-corrected
     odometry: List[Pose]  # per frame, before loop correction
@@ -286,6 +301,7 @@ class SlamResult:
     # the non-finite points its scan dropped
     registrations: List[Optional[RegistrationResult]]
     dropped_points: List[int]
+    solves: List[GraphSolve]  # one per accepted loop
 
 
 def _verify_loop(
@@ -339,6 +355,7 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     kf_of_frame: List[int] = []
     registrations: List[Optional[RegistrationResult]] = []
     dropped_points: List[int] = []
+    solves: List[GraphSolve] = []
     for i, scan in enumerate(scans):
         features, pose, registration = process_frame(state, scan, submap, odo_cfg)
         frame_poses.append(pose)
@@ -360,7 +377,11 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
                                           fixed_threshold, events)
                 if constraint is not None:
                     add_loop_edge(graph, constraint)
-                    optimize(graph)
+                    t0 = time.perf_counter()
+                    report = optimize(graph)
+                    millis = (time.perf_counter() - t0) * 1e3
+                    solves.append(GraphSolve(k, len(graph.nodes), len(graph.edges),
+                                             report, millis))
                     correction = graph.nodes[k].compose(pose.inverse())
         kf_of_frame.append(len(store) - 1)
 
@@ -378,6 +399,7 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
         events=events,
         registrations=registrations,
         dropped_points=dropped_points,
+        solves=solves,
     )
 
 
@@ -436,11 +458,27 @@ def _write_frame_log(result: SlamResult, path) -> None:
             writer.writerow([i, int(i in keyframes), *fields, dropped])
 
 
+def _write_graph_log(result: SlamResult, path) -> None:
+    """One row per pose-graph solve: the keyframe that triggered it, the
+    graph size, the LM iterations and costs, and its wall time."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow([
+            "keyframe", "nodes", "edges", "iterations", "initial_cost", "final_cost",
+            "converged", "millis",
+        ])
+        for s in result.solves:
+            writer.writerow([s.keyframe, s.nodes, s.edges, s.report.iterations,
+                             s.report.initial_cost, s.report.final_cost,
+                             int(s.report.converged), f"{s.millis:.3f}"])
+
+
 def _write_outputs(result: SlamResult, truth, config: PipelineConfig, out: Path):
     export_trajectory(result.trajectory, out / "trajectory_kitti.txt", "kitti")
     export_trajectory(result.trajectory, out / "trajectory_tum.txt", "tum")
     write_loop_log(result.events, out / "loops.csv")
     _write_frame_log(result, out / "frames.csv")
+    _write_graph_log(result, out / "graph.csv")
     export_map(
         zip(result.keyframe_features, result.keyframe_poses), out / "map.ply"
     )

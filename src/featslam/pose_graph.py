@@ -9,7 +9,7 @@ Optimization minimizes
 over all node poses except node 0, which is held fixed to remove the global
 gauge freedom.  ``rho`` is the identity for odometry edges and a Huber kernel
 for loop edges.  State updates are left-multiplicative, matching the rest of
-the package: ``T <- exp(delta) T``.
+the package: ``T <- exp_rt(delta) T``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .geometry import Pose, exp, log, se3_adjoint, se3_left_jacobian_inverse
+from .geometry import Pose, Rotation, adjoint_rt, exp_rt, left_jacobian_inverse, log_rt
 from .loop_closure import LoopConstraint
 
 __all__ = [
@@ -31,11 +31,8 @@ __all__ = [
     "OptimizationReport",
     "add_odometry_node",
     "add_loop_edge",
-    "edge_residual",
-    "edge_jacobians",
     "information_from_sigmas",
     "optimize",
-    "save_g2o",
 ]
 
 # Damping schedule for LM; lam scales diag(H), so it is dimensionless.
@@ -92,9 +89,9 @@ class PoseGraphConfig:
     def __post_init__(self):
         self.odometry_information = _validated_information(self.odometry_information)
         self.loop_information = _validated_information(self.loop_information)
-        if self.huber_scale <= 0.0:
+        if not self.huber_scale > 0.0:
             raise ValueError("huber_scale must be positive")
-        if self.cost_rel_tolerance < 0.0 or self.gradient_tolerance < 0.0:
+        if not (self.cost_rel_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
             raise ValueError("tolerances must be non-negative")
 
 
@@ -192,113 +189,105 @@ def add_loop_edge(
     )
 
 
-def edge_residual(nodes: List[Pose], edge: PoseGraphEdge) -> np.ndarray:
-    """Twist error log(M^-1 (T_from^-1 T_to)), zero for a consistent edge."""
-    rel = nodes[edge.from_node].inverse().compose(nodes[edge.to_node])
-    return log(edge.measurement.inverse().compose(rel))
+class _EdgeArrays:
+    """The edge set of one solve as stacked arrays, with the COO pattern of
+    its normal equations; both are fixed while the edge set is fixed.
 
-
-def edge_jacobians(
-    nodes: List[Pose], edge: PoseGraphEdge
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual and its derivatives wrt left perturbations of the endpoints.
-
-    With P = M^-1 T_from^-1 the residual is r = log(P T_to).  Perturbing
-    either endpoint inserts exp(+-delta) left of T_to, which conjugates
-    through P:  r(delta) = log(exp(Adj(P) delta) exp(r)), hence
-
-        dr/d(delta_to)   =  Jl^-1(r) Adj(P)
-        dr/d(delta_from) = -Jl^-1(r) Adj(P)
-
-    Returns (residual, J_from, J_to).
+    The whitening factors are taken here, at solve time, so an information
+    matrix edited after insertion is honoured.
     """
-    prefix = edge.measurement.inverse().compose(nodes[edge.from_node].inverse())
-    r = log(prefix.compose(nodes[edge.to_node]))
-    j_to = se3_left_jacobian_inverse(r) @ se3_adjoint(prefix)
-    return r, -j_to, j_to
+
+    def __init__(self, edges: List[PoseGraphEdge], num_nodes: int, huber: float):
+        self.num_nodes = num_nodes
+        self.huber = huber
+        self.from_node = np.array([e.from_node for e in edges])
+        self.to_node = np.array([e.to_node for e in edges])
+        self.robust = np.array([e.robust for e in edges])
+        m_rot = np.stack([e.measurement.rotation.matrix() for e in edges])
+        m_trans = np.stack([e.measurement.translation for e in edges])
+        self.inv_rot = m_rot.transpose(0, 2, 1)
+        self.inv_trans = -(self.inv_rot @ m_trans[:, :, None])[:, :, 0]
+        # info = L L^T  =>  ||r||^2_info = ||L^T r||^2
+        info = np.stack([e.information for e in edges])
+        self.whitener = np.linalg.cholesky(info).transpose(0, 2, 1)
+
+        # Each edge adds one block B as +B at (from, from) and (to, to) and
+        # -B at (from, to) and (to, from).  Node i owns parameter block i-1;
+        # node 0 (gauge fixed) owns none, so blocks touching it are dropped.
+        blocks_i = np.stack([self.from_node, self.to_node, self.from_node, self.to_node], 1) - 1
+        blocks_j = np.stack([self.from_node, self.to_node, self.to_node, self.from_node], 1) - 1
+        self.keep = (blocks_i >= 0) & (blocks_j >= 0)
+        k = np.arange(6)
+        rows = 6 * blocks_i[:, :, None, None] + k[:, None]
+        cols = 6 * blocks_j[:, :, None, None] + k[None, :]
+        self.rows = np.broadcast_to(rows, self.keep.shape + (6, 6))[self.keep].ravel()
+        self.cols = np.broadcast_to(cols, self.keep.shape + (6, 6))[self.keep].ravel()
+        self.sign = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
 
 
-def _whitener(information: np.ndarray) -> np.ndarray:
-    # info = L L^T  =>  ||r||^2_info = ||L^T r||^2
-    return np.linalg.cholesky(information).T
+@dataclass
+class _Evaluation:
+    """Per-edge residuals, Huber weights and total cost at one node state."""
+
+    prefix_rot: np.ndarray  # P = M^-1 T_from^-1, (E, 3, 3) and (E, 3)
+    prefix_trans: np.ndarray
+    residual: np.ndarray  # r = log(P T_to), (E, 6)
+    whitened: np.ndarray  # W r, (E, 6)
+    weight: np.ndarray  # IRLS weight rho'(||W r||^2), (E,)
+    cost: float
 
 
-def _robust_terms(s: float, delta: float) -> Tuple[float, float]:
-    """Huber rho(s) and IRLS weight rho'(s) for squared norm s, scale delta."""
-    if s <= delta * delta:
-        return s, 1.0
+def _evaluate(
+    edges: _EdgeArrays, rotation: np.ndarray, translation: np.ndarray
+) -> _Evaluation:
+    """Twist errors log(M^-1 T_from^-1 T_to) of every edge, zero for a
+    consistent edge, and the robust cost sum_e rho(||W_e r_e||^2)."""
+    prefix_rot = edges.inv_rot @ rotation[edges.from_node].transpose(0, 2, 1)
+    prefix_trans = edges.inv_trans - (
+        prefix_rot @ translation[edges.from_node][:, :, None]
+    )[:, :, 0]
+    r = log_rt(
+        prefix_rot @ rotation[edges.to_node],
+        (prefix_rot @ translation[edges.to_node][:, :, None])[:, :, 0] + prefix_trans,
+    )
+    rw = (edges.whitener @ r[:, :, None])[:, :, 0]
+    s = (rw * rw).sum(axis=1)
+    # Huber on the squared norm: rho(s) = s inside the scale, else
+    # 2 delta sqrt(s) - delta^2 with weight rho'(s) = delta / sqrt(s)
+    delta = edges.huber
     root = np.sqrt(s)
-    return 2.0 * delta * root - delta * delta, delta / root
+    outer = edges.robust & (s > delta * delta)
+    rho = np.where(outer, 2.0 * delta * root - delta * delta, s)
+    weight = np.where(edges.robust, delta / np.maximum(root, delta), 1.0)
+    return _Evaluation(prefix_rot, prefix_trans, r, rw, weight, float(rho.sum()))
 
 
-def _graph_cost(nodes: List[Pose], edges: List[PoseGraphEdge], huber: float) -> float:
-    total = 0.0
-    for edge in edges:
-        r = edge_residual(nodes, edge)
-        s = float(r @ edge.information @ r)
-        if edge.robust:
-            s, _ = _robust_terms(s, huber)
-        total += s
-    return total
+def _jacobians(ev: _Evaluation) -> np.ndarray:
+    """(E, 6, 6) derivatives of each residual wrt a left perturbation of the
+    edge's to-node; the from-node's derivative is the negative.
+
+    Perturbing either endpoint inserts exp(+-d) left of T_to, which
+    conjugates through P:  r(d) = log(exp(Adj(P) d) exp(r)), hence
+    J_to = Jl^-1(r) Adj(P) and J_from = -J_to.
+    """
+    return left_jacobian_inverse(ev.residual) @ adjoint_rt(ev.prefix_rot, ev.prefix_trans)
 
 
-def _build_normal_equations(
-    nodes: List[Pose], edges: List[PoseGraphEdge], huber: float
+def _normal_equations(
+    edges: _EdgeArrays, ev: _Evaluation
 ) -> Tuple[sparse.csr_matrix, np.ndarray]:
     """Gauss-Newton system over all nodes except node 0 (gauge fixed)."""
-    dim = 6 * (len(nodes) - 1)
-    g = np.zeros(dim)
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-
-    block = np.arange(6)
-
-    def _add_block(bi: int, bj: int, m: np.ndarray) -> None:
-        r, c = np.meshgrid(6 * bi + block, 6 * bj + block, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(m.ravel())
-
-    for edge in edges:
-        r, j_from, j_to = edge_jacobians(nodes, edge)
-        w = _whitener(edge.information)
-        rw = w @ r
-        kappa2 = 1.0
-        if edge.robust:
-            _, kappa2 = _robust_terms(float(rw @ rw), huber)
-        # Parameter indices: node i occupies block i-1; node 0 has none.
-        f = edge.from_node - 1
-        t = edge.to_node - 1
-        jw_from = w @ j_from
-        jw_to = w @ j_to
-        if f >= 0:
-            _add_block(f, f, kappa2 * (jw_from.T @ jw_from))
-            g[6 * f : 6 * f + 6] += kappa2 * (jw_from.T @ rw)
-        if t >= 0:
-            _add_block(t, t, kappa2 * (jw_to.T @ jw_to))
-            g[6 * t : 6 * t + 6] += kappa2 * (jw_to.T @ rw)
-        if f >= 0 and t >= 0:
-            cross = kappa2 * (jw_from.T @ jw_to)
-            _add_block(f, t, cross)
-            _add_block(t, f, cross.T)
-
-    if rows:
-        h = sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        ).tocsr()
-    else:
-        h = sparse.csr_matrix((dim, dim))
-    return h, g
-
-
-def _apply_step(nodes: List[Pose], delta: np.ndarray) -> List[Pose]:
-    out = [nodes[0].copy()]
-    for i in range(1, len(nodes)):
-        xi = delta[6 * (i - 1) : 6 * i]
-        out.append(exp(xi).compose(nodes[i]))
-    return out
+    wj = edges.whitener @ _jacobians(ev)
+    kwj = ev.weight[:, None, None] * wj
+    block = kwj.transpose(0, 2, 1) @ wj  # kappa (WJ)^T (WJ)
+    grad = (kwj.transpose(0, 2, 1) @ ev.whitened[:, :, None])[:, :, 0]
+    dim = 6 * (edges.num_nodes - 1)
+    values = (edges.sign * block[:, None])[edges.keep].ravel()
+    h = sparse.coo_matrix((values, (edges.rows, edges.cols)), shape=(dim, dim)).tocsr()
+    g = np.zeros((edges.num_nodes, 6))
+    np.add.at(g, edges.to_node, grad)
+    np.add.at(g, edges.from_node, -grad)
+    return h, g[1:].ravel()
 
 
 def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
@@ -307,24 +296,29 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
     Stops when the relative cost decrease falls below
     ``config.cost_rel_tolerance``, the gradient norm falls below
     ``config.gradient_tolerance``, or no damping value yields a decrease
-    (reported as ``converged=False`` with the best iterate kept).
+    (reported as ``converged=False`` with the best iterate kept).  Each node
+    state is evaluated once: a trial step's evaluation gives its cost and,
+    when the step is accepted, the next normal equations.
     """
     if not graph.nodes:
         raise ValueError("cannot optimize an empty graph")
+    if not graph.edges:
+        return OptimizationReport(0.0, 0.0, 0, True)
     cfg = graph.config
-    nodes = [p.copy() for p in graph.nodes]
-    cost = _graph_cost(nodes, graph.edges, cfg.huber_scale)
-    initial_cost = cost
+    n = len(graph.nodes)
+    rotation = np.stack([p.rotation.matrix() for p in graph.nodes])
+    translation = np.stack([p.translation for p in graph.nodes])
+    edges = _EdgeArrays(graph.edges, n, cfg.huber_scale)
+    current = _evaluate(edges, rotation, translation)
+    initial_cost = current.cost
+    if n == 1:
+        return OptimizationReport(initial_cost, initial_cost, 0, True)
     iterations = 0
     converged = False
 
-    if len(nodes) == 1 or not graph.edges:
-        graph.nodes = nodes
-        return OptimizationReport(float(initial_cost), float(cost), 0, True)
-
     lam = _LAMBDA_INIT
     for _ in range(max_iterations):
-        h, g = _build_normal_equations(nodes, graph.edges, cfg.huber_scale)
+        h, g = _normal_equations(edges, current)
         if np.linalg.norm(g) < cfg.gradient_tolerance:
             converged = True
             break
@@ -334,12 +328,15 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
             damped = h + sparse.diags(lam * np.maximum(diag, 1e-32))
             delta = spsolve(damped.tocsc(), -g)
             if np.all(np.isfinite(delta)):
-                candidate = _apply_step(nodes, delta)
-                new_cost = _graph_cost(candidate, graph.edges, cfg.huber_scale)
-                if new_cost < cost:
-                    rel_decrease = (cost - new_cost) / max(cost, 1e-300)
-                    nodes = candidate
-                    cost = new_cost
+                step_rot, step_trans = exp_rt(delta.reshape(n - 1, 6))
+                cand_rot = rotation.copy()
+                cand_trans = translation.copy()
+                cand_rot[1:] = step_rot @ rotation[1:]
+                cand_trans[1:] = (step_rot @ translation[1:, :, None])[:, :, 0] + step_trans
+                trial = _evaluate(edges, cand_rot, cand_trans)
+                if trial.cost < current.cost:
+                    rel_decrease = (current.cost - trial.cost) / max(current.cost, 1e-300)
+                    rotation, translation, current = cand_rot, cand_trans, trial
                     lam = max(lam / 3.0, _LAMBDA_MIN)
                     iterations += 1
                     stepped = True
@@ -353,36 +350,8 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
         if converged:
             break
 
-    graph.nodes = nodes
-    return OptimizationReport(float(initial_cost), float(cost), iterations, converged)
-
-
-# g2o stores the information matrix over [trans, rot]; internal twist order
-# is [rot, trans].
-_G2O_ORDER = np.array([3, 4, 5, 0, 1, 2])
-
-
-def save_g2o(graph: PoseGraph, path) -> None:
-    """Text dump in g2o VERTEX_SE3:QUAT / EDGE_SE3:QUAT format."""
-    lines = []
-    for i, pose in enumerate(graph.nodes):
-        t = pose.translation
-        w, x, y, z = pose.rotation.q
-        lines.append(
-            f"VERTEX_SE3:QUAT {i} {t[0]:.12g} {t[1]:.12g} {t[2]:.12g} "
-            f"{x:.12g} {y:.12g} {z:.12g} {w:.12g}"
-        )
-    for edge in graph.edges:
-        t = edge.measurement.translation
-        w, x, y, z = edge.measurement.rotation.q
-        info = edge.information[np.ix_(_G2O_ORDER, _G2O_ORDER)]
-        upper = " ".join(
-            f"{info[i, j]:.12g}" for i in range(6) for j in range(i, 6)
-        )
-        lines.append(
-            f"EDGE_SE3:QUAT {edge.from_node} {edge.to_node} "
-            f"{t[0]:.12g} {t[1]:.12g} {t[2]:.12g} "
-            f"{x:.12g} {y:.12g} {z:.12g} {w:.12g} {upper}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if iterations:
+        graph.nodes[1:] = [
+            Pose(Rotation.from_matrix(r), t) for r, t in zip(rotation[1:], translation[1:])
+        ]
+    return OptimizationReport(initial_cost, current.cost, iterations, converged)

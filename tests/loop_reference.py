@@ -6,17 +6,23 @@ or evaluate each pose once.  The functions here are the straightforward code
 they replace: per ring, segment, sector and candidate for feature
 extraction; per column shift for the descriptor distance; a dict per voxel
 grid; separate residual, objective and normal-equation evaluations for
-registration; and a batched einsum, determinant and solve for the plane
-fits of the correspondence search.  Tests compare the two on seeded
-inputs; nothing in ``src/`` imports this module.
+registration; a batched einsum, determinant and solve for the plane
+fits of the correspondence search; and SE(3) exp, log, left Jacobians and
+adjoint on one quaternion pose or twist at a time, with the pose-graph
+Levenberg-Marquardt solve built on them, one edge at a time and with a
+cost pass separate from each normal-equation pass.  Tests compare the two
+on seeded inputs; nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from featslam.dataset_io import RawScan
 from featslam.features import FeatureCloud, FeatureConfig
+from featslam.geometry import DegenerateRotationError, Pose, Rotation, skew
 from featslam.odometry import (
     KNN,
     LINE_EIGEN_RATIO,
@@ -26,6 +32,10 @@ from featslam.odometry import (
     _huber_weight,
     _voxel_keys,
 )
+from featslam.pose_graph import _LAMBDA_INIT as LAMBDA_INIT
+from featslam.pose_graph import _LAMBDA_MAX as LAMBDA_MAX
+from featslam.pose_graph import _LAMBDA_MIN as LAMBDA_MIN
+from featslam.pose_graph import OptimizationReport
 from featslam.scan_context import _OCCUPIED_FLOOR as OCCUPIED_FLOOR
 from featslam.scan_context import ScanContextDescriptor
 
@@ -377,3 +387,270 @@ def associate(features, submap, pose, cfg):
         p_d = offset[keep]
 
     return Correspondences(e_pts, e_cent, e_dir, p_pts, p_n, p_d)
+
+
+# ---------------------------------------------------------------------------
+# SE(3) maps on one twist or pose, through quaternions, and the per-edge
+# Levenberg-Marquardt pose-graph solve that evaluated every state twice.
+# ---------------------------------------------------------------------------
+
+
+def rotvec(rotation: Rotation) -> np.ndarray:
+    """Logarithm map: quaternion to axis-angle vector (rad).
+
+    Raises DegenerateRotationError for angles within 1e-6 of pi."""
+    w = rotation.q[0]
+    v = rotation.q[1:]
+    s = np.linalg.norm(v)
+    theta = 2.0 * np.arctan2(s, w)
+    if theta > np.pi - 1e-6:
+        raise DegenerateRotationError(f"rotation angle {theta} too close to pi")
+    if s < 1e-12:
+        scale = 2.0 / w if w > 0 else 2.0
+    else:
+        scale = theta / s
+    return v * scale
+
+
+def so3_left_jacobian(rotvec: np.ndarray) -> np.ndarray:
+    # V(w) such that exp([w, v]) has translation V(w) v
+    theta = np.linalg.norm(rotvec)
+    k = skew(rotvec)
+    if theta < 1e-6:
+        return np.eye(3) + 0.5 * k + k @ k / 6.0
+    a = (1.0 - np.cos(theta)) / (theta * theta)
+    b = (theta - np.sin(theta)) / (theta * theta * theta)
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def so3_left_jacobian_inverse(rotvec: np.ndarray) -> np.ndarray:
+    theta = np.linalg.norm(rotvec)
+    k = skew(rotvec)
+    if theta < 1e-4:
+        # 1/theta^2 - (1+cos)/(2 theta sin) = 1/12 + theta^2/720 + O(theta^4)
+        c = 1.0 / 12.0 + theta * theta / 720.0
+    else:
+        c = 1.0 / (theta * theta) - (1.0 + np.cos(theta)) / (
+            2.0 * theta * np.sin(theta)
+        )
+    return np.eye(3) - 0.5 * k + c * (k @ k)
+
+
+def exp(twist: np.ndarray) -> Pose:
+    """SE(3) exponential of a twist [w, v]."""
+    twist = np.asarray(twist, dtype=float).reshape(6)
+    w, v = twist[:3], twist[3:]
+    return Pose(Rotation.from_rotvec(w), so3_left_jacobian(w) @ v)
+
+
+def log(pose: Pose) -> np.ndarray:
+    """SE(3) logarithm; inverse of exp for rotation angle < pi - 1e-6."""
+    w = rotvec(pose.rotation)
+    v = so3_left_jacobian_inverse(w) @ pose.translation
+    return np.concatenate([w, v])
+
+
+def se3_adjoint(pose: Pose) -> np.ndarray:
+    """Adj(T) [w, v] = [R w, t x (R w) + R v]."""
+    r = pose.rotation.matrix()
+    adj = np.zeros((6, 6))
+    adj[:3, :3] = r
+    adj[3:, :3] = skew(pose.translation) @ r
+    adj[3:, 3:] = r
+    return adj
+
+
+def se3_q_block(rotvec: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    # Coupling block of the SE(3) left Jacobian (Barfoot's Q matrix, permuted
+    # into the rotation-first twist layout).
+    theta = np.linalg.norm(rotvec)
+    wx = skew(rotvec)
+    px = skew(rho)
+    wpx = wx @ px
+    pwx = px @ wx
+    wpwx = wpx @ wx
+    if theta < 1e-3:
+        t2 = theta * theta
+        c1 = 1.0 / 6.0 - t2 / 120.0  # (theta - sin)/theta^3
+        c2 = 1.0 / 24.0 - t2 / 720.0  # (1 - theta^2/2 - cos)/theta^4
+        c3 = 1.0 / 120.0 - t2 / 2520.0  # c2 - 3 (theta - sin - theta^3/6)/theta^5
+    else:
+        t2 = theta * theta
+        t3 = t2 * theta
+        t4 = t3 * theta
+        t5 = t4 * theta
+        st, ct = np.sin(theta), np.cos(theta)
+        c1 = (theta - st) / t3
+        m = 1.0 - 0.5 * t2 - ct
+        c2 = m / t4
+        c3 = (m / t4 - 3.0 * (theta - st - t3 / 6.0) / t5)
+    return (
+        0.5 * px
+        + c1 * (wpx + pwx + wpwx)
+        - c2 * (wx @ wpx + pwx @ wx - 3.0 * wpwx)
+        - 0.5 * c3 * (wpwx @ wx + wx @ wpwx)
+    )
+
+
+def se3_left_jacobian(twist: np.ndarray) -> np.ndarray:
+    """Left Jacobian of SE(3): exp(xi + d) ~= exp(J_l(xi) d) exp(xi)."""
+    twist = np.asarray(twist, dtype=float).reshape(6)
+    w, v = twist[:3], twist[3:]
+    jl = so3_left_jacobian(w)
+    out = np.zeros((6, 6))
+    out[:3, :3] = jl
+    out[3:, 3:] = jl
+    out[3:, :3] = se3_q_block(w, v)
+    return out
+
+
+def se3_left_jacobian_inverse(twist: np.ndarray) -> np.ndarray:
+    twist = np.asarray(twist, dtype=float).reshape(6)
+    w, v = twist[:3], twist[3:]
+    jli = so3_left_jacobian_inverse(w)
+    out = np.zeros((6, 6))
+    out[:3, :3] = jli
+    out[3:, 3:] = jli
+    out[3:, :3] = -jli @ se3_q_block(w, v) @ jli
+    return out
+
+
+def edge_residual(nodes, edge) -> np.ndarray:
+    """Twist error log(M^-1 (T_from^-1 T_to)), zero for a consistent edge."""
+    rel = nodes[edge.from_node].inverse().compose(nodes[edge.to_node])
+    return log(edge.measurement.inverse().compose(rel))
+
+
+def edge_jacobians(nodes, edge):
+    """(residual, J_from, J_to) with r = log(P T_to), P = M^-1 T_from^-1:
+    dr/d(delta_to) = Jl^-1(r) Adj(P) = -dr/d(delta_from)."""
+    prefix = edge.measurement.inverse().compose(nodes[edge.from_node].inverse())
+    r = log(prefix.compose(nodes[edge.to_node]))
+    j_to = se3_left_jacobian_inverse(r) @ se3_adjoint(prefix)
+    return r, -j_to, j_to
+
+
+def whitener(information: np.ndarray) -> np.ndarray:
+    # info = L L^T  =>  ||r||^2_info = ||L^T r||^2
+    return np.linalg.cholesky(information).T
+
+
+def robust_terms(s: float, delta: float):
+    """Huber rho(s) and IRLS weight rho'(s) for squared norm s, scale delta."""
+    if s <= delta * delta:
+        return s, 1.0
+    root = np.sqrt(s)
+    return 2.0 * delta * root - delta * delta, delta / root
+
+
+def graph_cost(nodes, edges, huber: float) -> float:
+    total = 0.0
+    for edge in edges:
+        r = edge_residual(nodes, edge)
+        s = float(r @ edge.information @ r)
+        if edge.robust:
+            s, _ = robust_terms(s, huber)
+        total += s
+    return total
+
+
+def build_normal_equations(nodes, edges, huber: float):
+    """Gauss-Newton (H, g) over all nodes except node 0, one block at a time."""
+    dim = 6 * (len(nodes) - 1)
+    g = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    block = np.arange(6)
+
+    def add_block(bi, bj, m):
+        r, c = np.meshgrid(6 * bi + block, 6 * bj + block, indexing="ij")
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append(m.ravel())
+
+    for edge in edges:
+        r, j_from, j_to = edge_jacobians(nodes, edge)
+        w = whitener(edge.information)
+        rw = w @ r
+        kappa2 = 1.0
+        if edge.robust:
+            _, kappa2 = robust_terms(float(rw @ rw), huber)
+        f = edge.from_node - 1
+        t = edge.to_node - 1
+        jw_from = w @ j_from
+        jw_to = w @ j_to
+        if f >= 0:
+            add_block(f, f, kappa2 * (jw_from.T @ jw_from))
+            g[6 * f : 6 * f + 6] += kappa2 * (jw_from.T @ rw)
+        if t >= 0:
+            add_block(t, t, kappa2 * (jw_to.T @ jw_to))
+            g[6 * t : 6 * t + 6] += kappa2 * (jw_to.T @ rw)
+        if f >= 0 and t >= 0:
+            cross = kappa2 * (jw_from.T @ jw_to)
+            add_block(f, t, cross)
+            add_block(t, f, cross.T)
+
+    if rows:
+        h = sparse.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(dim, dim),
+        ).tocsr()
+    else:
+        h = sparse.csr_matrix((dim, dim))
+    return h, g
+
+
+def apply_step(nodes, delta):
+    out = [nodes[0].copy()]
+    for i in range(1, len(nodes)):
+        out.append(exp(delta[6 * (i - 1) : 6 * i]).compose(nodes[i]))
+    return out
+
+
+def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
+    """Levenberg-Marquardt on Pose lists, with a separate cost pass per trial
+    step and a normal-equation pass per accepted state."""
+    if not graph.nodes:
+        raise ValueError("cannot optimize an empty graph")
+    cfg = graph.config
+    nodes = [p.copy() for p in graph.nodes]
+    cost = graph_cost(nodes, graph.edges, cfg.huber_scale)
+    initial_cost = cost
+    iterations = 0
+    converged = False
+    if len(nodes) == 1 or not graph.edges:
+        graph.nodes = nodes
+        return OptimizationReport(float(initial_cost), float(cost), 0, True)
+
+    lam = LAMBDA_INIT
+    for _ in range(max_iterations):
+        h, g = build_normal_equations(nodes, graph.edges, cfg.huber_scale)
+        if np.linalg.norm(g) < cfg.gradient_tolerance:
+            converged = True
+            break
+        diag = h.diagonal()
+        stepped = False
+        while lam <= LAMBDA_MAX:
+            damped = h + sparse.diags(lam * np.maximum(diag, 1e-32))
+            delta = spsolve(damped.tocsc(), -g)
+            if np.all(np.isfinite(delta)):
+                candidate = apply_step(nodes, delta)
+                new_cost = graph_cost(candidate, graph.edges, cfg.huber_scale)
+                if new_cost < cost:
+                    rel_decrease = (cost - new_cost) / max(cost, 1e-300)
+                    nodes = candidate
+                    cost = new_cost
+                    lam = max(lam / 3.0, LAMBDA_MIN)
+                    iterations += 1
+                    stepped = True
+                    if rel_decrease < cfg.cost_rel_tolerance:
+                        converged = True
+                    break
+            lam *= 10.0
+        if not stepped:
+            converged = False
+            break
+        if converged:
+            break
+
+    graph.nodes = nodes
+    return OptimizationReport(float(initial_cost), float(cost), iterations, converged)

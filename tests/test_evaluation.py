@@ -19,7 +19,7 @@ from featslam.evaluation import (
     write_eval_json,
 )
 from featslam.geometry import Pose, Rotation
-from featslam.loop_closure import LoopEvent, read_loop_log, write_loop_log
+from featslam.loop_closure import LoopEvent
 
 
 def straight_trajectory(total_m, step_m=1.0, scale=1.0):
@@ -189,14 +189,6 @@ class TestTimingStats:
         assert stats.count == 2
         assert stats.mean_ms == pytest.approx(200.0)
 
-    def test_reads_loop_log_csv(self, tmp_path):
-        events = [_event(12.5), _event(37.5, accepted=False), _event(20.0)]
-        path = tmp_path / "loops.csv"
-        write_loop_log(events, path)
-        assert read_loop_log(path) == events
-        stats = timing_stats(path)
-        assert stats.count == 2
-        assert stats.mean_ms == pytest.approx(16.25)
 
     def test_attach_loop_stats_fills_counts(self):
         events = [_event(10.0), _event(20.0, accepted=False)]

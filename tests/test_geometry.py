@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import loop_reference as ref
 from featslam import geometry
 from featslam.geometry import DegenerateRotationError, Pose, Rotation
 
@@ -102,66 +103,87 @@ class TestApply:
             np.testing.assert_allclose(batched[i], p.apply(pts[i]), atol=1e-12)
 
 
+def matrices(poses):
+    """(N, 3, 3) rotations and (N, 3) translations of a Pose list."""
+    return (np.stack([p.rotation.matrix() for p in poses]),
+            np.stack([p.translation for p in poses]))
+
+
+def random_twists(rng, n, max_angle, max_trans):
+    axis = rng.standard_normal((n, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    w = axis * rng.uniform(0.0, max_angle, (n, 1))
+    return np.concatenate([w, rng.uniform(-max_trans, max_trans, (n, 3))], axis=1)
+
+
 class TestExpLog:
     def test_exp_zero(self):
-        assert pose_close(geometry.exp(np.zeros(6)), Pose.identity())
+        r, t = geometry.exp_rt(np.zeros(6))
+        np.testing.assert_array_equal(r, np.eye(3))
+        np.testing.assert_array_equal(t, np.zeros(3))
 
     def test_log_identity(self):
-        np.testing.assert_allclose(geometry.log(Pose.identity()), np.zeros(6))
+        np.testing.assert_array_equal(
+            geometry.log_rt(np.eye(3)[None], np.zeros((1, 3))), np.zeros((1, 6))
+        )
 
     def test_exp_matches_rodrigues(self):
         # Independent oracle: Rodrigues formula evaluated directly.
         theta = 0.1
         k = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
         r_oracle = np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
-        p = geometry.exp([0, 0, theta, 0, 0, 0])
-        np.testing.assert_allclose(p.rotation.matrix(), r_oracle, atol=1e-12)
-        np.testing.assert_allclose(p.translation, np.zeros(3), atol=1e-15)
+        r, t = geometry.exp_rt([0, 0, theta, 0, 0, 0])
+        np.testing.assert_allclose(r, r_oracle, atol=1e-12)
+        np.testing.assert_allclose(t, np.zeros(3), atol=1e-15)
 
     def test_exp_rt_matches_exp(self):
-        # The matrix form of exp: angles on both sides of its small-angle
-        # branch (1e-6), down to 1e-12 and zero, typical steps, and angles
-        # near pi/2.  Each entry of either form is a sum of at most three
-        # terms of magnitude <= 1 (rotation) or <= |v|_1 (translation) after
-        # at most five roundings: within 8 eps of exact, 16 eps of the other.
+        # exp_rt against the quaternion exp (tests/loop_reference.py):
+        # angles on both sides of its small-angle branch (1e-6), down to
+        # 1e-12 and zero, typical steps, and angles near pi/2.  Each entry of
+        # either form is a sum of at most three terms of magnitude <= 1
+        # (rotation) or <= |v|_1 (translation) after at most five roundings:
+        # within 8 eps of exact, 16 eps of the other.  A stack gives the
+        # same bits as its rows one at a time.
         rng = np.random.default_rng(6)
         eps = np.finfo(float).eps
         angles = [0.0, 1e-12, 1e-9, 5e-7, 1e-6 * (1 - 1e-9), 1e-6, 2e-6, 1e-3, 0.05, 1.0]
         angles += list(np.pi / 2 + np.array([-1e-6, 0.0, 1e-6, 1e-3]))
         for angle in angles:
-            for _ in range(25):
-                axis = rng.standard_normal(3)
-                axis /= np.linalg.norm(axis)
-                twist = np.concatenate([angle * axis, rng.uniform(-3, 3, 3)])
-                r, t = geometry.exp_rt(twist)
-                m = geometry.exp(twist).matrix()
+            axis = rng.standard_normal((25, 3))
+            axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+            twists = np.concatenate([angle * axis, rng.uniform(-3, 3, (25, 3))], axis=1)
+            rs, ts = geometry.exp_rt(twists)
+            for twist, r, t in zip(twists, rs, ts):
+                m = ref.exp(twist).matrix()
                 assert np.abs(r - m[:3, :3]).max() <= 16 * eps, angle
                 assert np.abs(t - m[:3, 3]).max() <= 16 * eps * np.abs(twist[3:]).sum()
                 assert np.abs(r @ r.T - np.eye(3)).max() <= 16 * eps
+                one_r, one_t = geometry.exp_rt(twist)
+                np.testing.assert_array_equal(one_r, r)
+                np.testing.assert_array_equal(one_t, t)
 
     def test_round_trip_bulk(self):
-        # 10,000 random twists with rotation angle < 3.0 rad.
+        # 10,000 random twists with rotation angle < 3.0 rad, in one stack.
         rng = np.random.default_rng(4)
-        for _ in range(10_000):
-            axis = rng.standard_normal(3)
-            axis /= np.linalg.norm(axis)
-            w = axis * rng.uniform(0.0, 3.0)
-            v = rng.uniform(-20, 20, 3)
-            twist = np.concatenate([w, v])
-            back = geometry.log(geometry.exp(twist))
-            assert np.max(np.abs(back - twist)) < 1e-8
+        twists = random_twists(rng, 10_000, 3.0, 20.0)
+        back = geometry.log_rt(*geometry.exp_rt(twists))
+        assert np.max(np.abs(back - twists)) < 1e-8
 
     def test_exp_log_pose_round_trip(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            p = random_pose(rng)
-            q = geometry.exp(geometry.log(p))
-            assert pose_close(p, q, tol=1e-9)
+        r, t = matrices([random_pose(rng) for _ in range(200)])
+        r2, t2 = geometry.exp_rt(geometry.log_rt(r, t))
+        assert np.abs(r2 - r).max() < 1e-9
+        assert np.abs(t2 - t).max() < 1e-9
 
     def test_log_near_pi_raises(self):
-        p = Pose(Rotation.from_rotvec([0, 0, np.pi - 1e-9]), np.zeros(3))
+        r, t = matrices([
+            Pose(Rotation.from_rotvec([0, 0, 0.5]), np.zeros(3)),
+            Pose(Rotation.from_rotvec([0, 0, np.pi - 1e-9]), np.zeros(3)),
+        ])
+        geometry.log_rt(r[:1], t[:1])
         with pytest.raises(DegenerateRotationError):
-            geometry.log(p)
+            geometry.log_rt(r, t)
 
 
 class TestQuaternionInvariants:
@@ -185,53 +207,62 @@ class TestQuaternionInvariants:
 
 
 class TestJacobianBlocks:
-    """Numerical checks of the SE(3) Jacobian helpers used by the optimizer."""
+    """Numerical checks of the stacked SE(3) Jacobian maps the optimizer
+    calls, with the quaternion left Jacobian of tests/loop_reference.py."""
+
+    @staticmethod
+    def numeric(f, xi, h=1e-6):
+        """Central differences of the (N, 6) map f along each twist axis."""
+        num = np.zeros((len(xi), 6, 6))
+        for k in range(6):
+            d = np.zeros(6)
+            d[k] = h
+            num[:, :, k] = (f(d) - f(-d)) / (2 * h)
+        return num
 
     def test_left_jacobian_definition(self):
-        # exp(xi + d) ~= exp(J_l(xi) d) exp(xi)
+        # exp(xi + d) ~= exp(J_l(xi) d) exp(xi), so
+        # log(exp(e) exp(xi)) ~= xi + J_l^-1(xi) e
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            xi = rng.uniform(-1.0, 1.0, 6)
-            jl = geometry.se3_left_jacobian(xi)
-            h = 1e-6
-            num = np.zeros((6, 6))
-            for k in range(6):
-                d = np.zeros(6)
-                d[k] = h
-                plus = geometry.exp(xi + d).compose(geometry.exp(xi).inverse())
-                minus = geometry.exp(xi - d).compose(geometry.exp(xi).inverse())
-                num[:, k] = (geometry.log(plus) - geometry.log(minus)) / (2 * h)
-            np.testing.assert_allclose(jl, num, atol=1e-5)
+        xi = rng.uniform(-1.0, 1.0, (20, 6))
+        r, t = geometry.exp_rt(xi)
+
+        def left(e):
+            er, et = geometry.exp_rt(e)
+            return geometry.log_rt(er @ r, t @ er.T + et)
+
+        num = self.numeric(left, xi)
+        np.testing.assert_allclose(geometry.left_jacobian_inverse(xi), num, atol=1e-5)
 
     def test_left_jacobian_inverse(self):
         rng = np.random.default_rng(9)
-        for _ in range(20):
-            xi = rng.uniform(-1.5, 1.5, 6)
-            prod = geometry.se3_left_jacobian(xi) @ geometry.se3_left_jacobian_inverse(xi)
-            np.testing.assert_allclose(prod, np.eye(6), atol=1e-9)
+        xi = rng.uniform(-1.5, 1.5, (20, 6))
+        jli = geometry.left_jacobian_inverse(xi)
+        for x, inv in zip(xi, jli):
+            np.testing.assert_allclose(ref.se3_left_jacobian(x) @ inv, np.eye(6), atol=1e-9)
 
     def test_right_jacobian_inverse_definition(self):
-        # log(exp(xi) exp(d)) ~= xi + J_r^-1(xi) d
+        # log(exp(xi) exp(d)) ~= xi + J_r^-1(xi) d, with J_r^-1(xi) = J_l^-1(-xi)
         rng = np.random.default_rng(10)
-        for _ in range(20):
-            xi = rng.uniform(-1.0, 1.0, 6)
-            jri = geometry.se3_right_jacobian_inverse(xi)
-            h = 1e-6
-            num = np.zeros((6, 6))
-            for k in range(6):
-                d = np.zeros(6)
-                d[k] = h
-                plus = geometry.log(geometry.exp(xi).compose(geometry.exp(d)))
-                minus = geometry.log(geometry.exp(xi).compose(geometry.exp(-d)))
-                num[:, k] = (plus - minus) / (2 * h)
-            np.testing.assert_allclose(jri, num, atol=1e-5)
+        xi = rng.uniform(-1.0, 1.0, (20, 6))
+        r, t = geometry.exp_rt(xi)
+
+        def right(d):
+            dr, dt = geometry.exp_rt(d)
+            return geometry.log_rt(r @ dr, r @ dt + t)
+
+        num = self.numeric(right, xi)
+        np.testing.assert_allclose(geometry.left_jacobian_inverse(-xi), num, atol=1e-5)
 
     def test_adjoint_sandwich(self):
         # T exp(xi) T^-1 == exp(Adj(T) xi)
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            t = random_pose(rng, max_angle=2.0, max_trans=5.0)
-            xi = rng.uniform(-0.5, 0.5, 6)
-            lhs = t.compose(geometry.exp(xi)).compose(t.inverse())
-            rhs = geometry.exp(geometry.se3_adjoint(t) @ xi)
-            assert pose_close(lhs, rhs, tol=1e-8)
+        r, t = matrices([random_pose(rng, max_angle=2.0, max_trans=5.0) for _ in range(20)])
+        xi = rng.uniform(-0.5, 0.5, (20, 6))
+        er, et = geometry.exp_rt(xi)
+        lhs_r = r @ er @ r.transpose(0, 2, 1)
+        lhs_t = (r @ et[:, :, None])[:, :, 0] + t - (lhs_r @ t[:, :, None])[:, :, 0]
+        adj = geometry.adjoint_rt(r, t)
+        rhs_r, rhs_t = geometry.exp_rt((adj @ xi[:, :, None])[:, :, 0])
+        assert np.abs(lhs_r - rhs_r).max() < 1e-8
+        assert np.abs(lhs_t - rhs_t).max() < 1e-8

@@ -90,6 +90,10 @@ class TestAdaptiveThreshold:
             AdaptiveGateConfig(base_threshold=-1)
         with pytest.raises(ValueError):
             AdaptiveGateConfig(n=0)
+        with pytest.raises(ValueError):
+            AdaptiveGateConfig(base_threshold=float("nan"))
+        with pytest.raises(ValueError):
+            AdaptiveGateConfig(n=float("nan"))
 
 
 class TestVerifyCandidate:

@@ -114,6 +114,15 @@ class TestIterationBudget:
         ({"loop.max_iterations": "-1"}, "loop: max_iterations must be >= 0"),
         ({"loop.max_iterations": "0", "odometry.refine_iterations": "0"},
          "loop: max_iterations + refine_iterations must be >= 1"),
+        # a non-finite float would pass every "x <= 0" check and switch a
+        # stage off: no graph correction, no loop, or the adaptive gate
+        *[({key: value}, f"bad value for {key}: {value} is not finite")
+          for key, value in (
+              ("graph.huber_scale", "nan"), ("loop.base_threshold", "nan"),
+              ("loop.n", "nan"), ("loop.cost_threshold", "nan"),
+              ("odometry.huber_scale", "nan"), ("run.fixed_threshold", "nan"),
+              ("graph.loop_translation_sigma", "inf"),
+          )],
     ])
     def test_rejected_before_any_frame(self, tmp_path, capsys, items, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -300,6 +309,22 @@ class TestEndToEnd:
         for name in ("trajectory_kitti.txt", "map.ply"):
             assert (out / name).read_bytes() == (finished_run / name).read_bytes()
         assert _loops_sans_timing(out) == _loops_sans_timing(finished_run)
+
+    def test_graph_log_has_one_row_per_accepted_loop(self, finished_run):
+        with open(finished_run / "loops.csv", newline="") as f:
+            loops = list(csv.DictReader(f))
+        with open(finished_run / "graph.csv", newline="") as f:
+            reader = csv.DictReader(f)
+            assert reader.fieldnames == [
+                "keyframe", "nodes", "edges", "iterations", "initial_cost",
+                "final_cost", "converged", "millis",
+            ]
+            rows = list(reader)
+        accepted = [row for row in loops if row["accepted"] == "1"]
+        assert len(rows) == len(accepted)
+        assert [row["keyframe"] for row in rows] == [row["from"] for row in accepted]
+        for row in rows:
+            assert float(row["final_cost"]) <= float(row["initial_cost"])
 
     def test_no_loop_flag_suppresses_events(self, finished_run, tmp_path):
         out = tmp_path / "odo"

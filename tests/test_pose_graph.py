@@ -2,13 +2,19 @@
 
 Oracles: a dense grid search for the 3-node chain, a closed-form generalized
 least-squares solve for small translation-only graphs, central finite
-differences for the edge Jacobians, and a known-ground-truth drifting circle.
+differences for the edge Jacobians, a known-ground-truth drifting circle,
+and the per-edge quaternion solve of tests/loop_reference.py for the batched
+evaluation and normal equations.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
-from featslam.geometry import Pose, Rotation, exp, log
+import featslam.pose_graph as pg
+import loop_reference as ref
+from featslam.geometry import Pose, Rotation, exp_rt
 from featslam.loop_closure import LoopConstraint
 from featslam.pose_graph import (
     OptimizationReport,
@@ -19,10 +25,7 @@ from featslam.pose_graph import (
     add_odometry_node,
     default_loop_information,
     default_odometry_information,
-    edge_jacobians,
-    edge_residual,
     optimize,
-    save_g2o,
 )
 
 
@@ -39,6 +42,19 @@ def random_pose(rng, rot_scale=0.5, trans_scale=2.0):
         Rotation.from_rotvec(rng.normal(0.0, rot_scale, 3)),
         rng.normal(0.0, trans_scale, 3),
     )
+
+
+def stacked(nodes):
+    """(N, 3, 3) rotations and (N, 3) translations of a Pose list."""
+    return (np.stack([p.rotation.matrix() for p in nodes]),
+            np.stack([p.translation for p in nodes]))
+
+
+def evaluate(graph):
+    """The edge arrays of graph and the batched evaluation optimize runs at
+    its nodes."""
+    edges = pg._EdgeArrays(graph.edges, len(graph.nodes), graph.config.huber_scale)
+    return edges, pg._evaluate(edges, *stacked(graph.nodes))
 
 
 def noisy_chain_graph(rng, n_nodes, loop_pairs, rot_sigma=0.005, trans_sigma=0.02,
@@ -166,6 +182,10 @@ class TestLoopEdges:
             PoseGraphConfig(odometry_information=np.zeros((6, 6)))
         with pytest.raises(ValueError):
             PoseGraphConfig(huber_scale=0.0)
+        with pytest.raises(ValueError):
+            PoseGraphConfig(huber_scale=float("nan"))
+        with pytest.raises(ValueError):
+            PoseGraphConfig(gradient_tolerance=float("nan"))
 
 
 class TestOptimizeExamples:
@@ -280,10 +300,9 @@ class TestInvariants:
         ]
         optimize(g_a, max_iterations=300)
         optimize(g_b, max_iterations=300)
-        for ea, eb in zip(g_a.edges, g_b.edges):
-            ra = edge_residual(g_a.nodes, ea)
-            rb = edge_residual(g_b.nodes, eb)
-            np.testing.assert_allclose(ra, rb, atol=1e-8)
+        _, ev_a = evaluate(g_a)
+        _, ev_b = evaluate(g_b)
+        np.testing.assert_allclose(ev_a.residual, ev_b.residual, atol=1e-8)
 
     def test_final_cost_never_exceeds_initial(self):
         rng = np.random.default_rng(17)
@@ -294,26 +313,30 @@ class TestInvariants:
             assert report.final_cost <= report.initial_cost
 
     def test_edge_jacobians_match_finite_differences(self):
+        # 20 independent edges (3i -> 3i+2) in one batch; perturbing every
+        # from-node (or to-node) at once moves each edge by its own only.
         rng = np.random.default_rng(23)
         eps = 1e-6
-        for _ in range(20):
-            nodes = [random_pose(rng) for _ in range(3)]
-            edge = PoseGraphEdge(0, 2, random_pose(rng),
-                                 default_loop_information(), True)
-            _, j_from, j_to = edge_jacobians(nodes, edge)
-            for idx, jac in ((0, j_from), (2, j_to)):
-                fd = np.zeros((6, 6))
-                for k in range(6):
-                    d = np.zeros(6)
-                    d[k] = eps
-                    plus = list(nodes)
-                    plus[idx] = exp(d).compose(nodes[idx])
-                    minus = list(nodes)
-                    minus[idx] = exp(-d).compose(nodes[idx])
-                    fd[:, k] = (edge_residual(plus, edge)
-                                - edge_residual(minus, edge)) / (2 * eps)
-                rel = np.abs(jac - fd).max() / np.abs(fd).max()
-                assert rel < 1e-4
+        g = PoseGraph()
+        g.nodes = [random_pose(rng) for _ in range(60)]
+        g.edges = [PoseGraphEdge(3 * i, 3 * i + 2, random_pose(rng),
+                                 default_loop_information(), True) for i in range(20)]
+        edges, ev = evaluate(g)
+        j_to = pg._jacobians(ev)
+        rotation, translation = stacked(g.nodes)
+        for ends, jac in ((edges.from_node, -j_to), (edges.to_node, j_to)):
+            fd = np.zeros((20, 6, 6))
+            for k in range(6):
+                sides = []
+                for sign in (1.0, -1.0):
+                    step_r, step_t = exp_rt(sign * eps * np.eye(6)[k])
+                    rot, trans = rotation.copy(), translation.copy()
+                    rot[ends] = step_r @ rot[ends]
+                    trans[ends] = trans[ends] @ step_r.T + step_t
+                    sides.append(pg._evaluate(edges, rot, trans).residual)
+                fd[:, :, k] = (sides[0] - sides[1]) / (2 * eps)
+            rel = np.abs(jac - fd).max(axis=(1, 2)) / np.abs(fd).max(axis=(1, 2))
+            assert rel.max() < 1e-4
 
     def test_translation_only_graph_matches_closed_form_gls(self):
         # Rotation weights pinned far above the translation weights keep the
@@ -373,33 +396,141 @@ class TestInvariants:
             assert g.nodes[k].rotation.angle() < 1e-6
 
 
-class TestG2oDump:
-    def test_dump_format_and_information_order(self, tmp_path):
+def seeded_graph(seed, n=12):
+    """Random nodes joined by an odometry chain and six robust loop edges:
+    two from node 0, a parallel pair between nodes 3 and 9, errors inside
+    and far beyond the Huber scale, and one information matrix replaced by
+    a full one after insertion."""
+    rng = np.random.default_rng(seed)
+    g = PoseGraph()
+    g.nodes = [random_pose(rng, rot_scale=0.5, trans_scale=5.0) for _ in range(n)]
+
+    def measured(i, j, rot_noise, trans_noise):
+        noise = Pose(Rotation.from_rotvec(rng.normal(0.0, rot_noise, 3)),
+                     rng.normal(0.0, trans_noise, 3))
+        return g.nodes[i].inverse().compose(g.nodes[j]).compose(noise)
+
+    for k in range(1, n):
+        g.edges.append(PoseGraphEdge(k - 1, k, measured(k - 1, k, 0.01, 0.05),
+                                     default_odometry_information(), False))
+    for i, j, rot_noise, trans_noise in [(0, 7, 0.002, 0.01), (0, 11, 0.3, 2.0),
+                                         (3, 9, 0.002, 0.01), (3, 9, 0.2, 1.5),
+                                         (2, 10, 0.1, 1.0), (6, 1, 0.002, 0.01)]:
+        g.edges.append(PoseGraphEdge(i, j, measured(i, j, rot_noise, trans_noise),
+                                     default_loop_information(), True))
+    a = rng.normal(size=(6, 6))
+    g.edges[-2].information = a @ a.T + 6.0 * np.eye(6)
+    return g
+
+
+class TestEvaluationMatchesReference:
+    """The batched evaluation and normal equations optimize runs against the
+    per-edge quaternion oracle (tests/loop_reference.py)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cost_and_normal_equations(self, seed):
+        g = seeded_graph(seed)
+        huber = g.config.huber_scale
+        edges, ev = evaluate(g)
+        h, grad = pg._normal_equations(edges, ev)
+        ref_cost = ref.graph_cost(g.nodes, g.edges, huber)
+        ref_h, ref_grad = ref.build_normal_equations(g.nodes, g.edges, huber)
+
+        # Error scale, fixed from float64 eps before measuring.  Both sides
+        # compose the same three transforms and take a log, in a different
+        # order (3x3 matrices here, quaternions there): some dozens of
+        # roundings of terms no larger than T = 1 + the largest translation,
+        # so each residual and Jacobian entry differs by <= 128 eps T in
+        # absolute and relative terms respectively (Jl^-1 carries the
+        # residual's error into J).  With u_e = ||W_e||_2 T the whitened
+        # size of that error, and 2 for the products and sums after it:
+        #   cost:  c sum_e (s_e + ||W_e r_e|| u_e)
+        #   H:     c sum_e kappa_e |W_e J_e|^T |W_e J_e|   (assembled)
+        #   g:     c sum_e kappa_e |W_e J_e|^T (|W_e r_e| + u_e)
+        # with c = 256 eps T.
+        t_max = max(np.abs(p.translation).max() for p in g.nodes)
+        t_max = max([t_max] + [np.abs(e.measurement.translation).max() for e in g.edges])
+        c = 256 * np.finfo(float).eps * (1.0 + t_max)
+        n = len(g.nodes)
+        cost_scale = 0.0
+        h_scale = np.zeros((n, n, 6, 6))
+        g_scale = np.zeros((n, 6))
+        inside = beyond = 0
+        for e in g.edges:
+            r, _, j_to = ref.edge_jacobians(g.nodes, e)
+            w = ref.whitener(e.information)
+            rw, wj = w @ r, np.abs(w @ j_to)
+            s = float(rw @ rw)
+            kappa = ref.robust_terms(s, huber)[1] if e.robust else 1.0
+            inside += e.robust and s <= huber * huber
+            beyond += e.robust and s > huber * huber
+            u = np.linalg.norm(w, 2) * (1.0 + t_max)
+            cost_scale += s + np.sqrt(s) * u
+            for a in (e.from_node, e.to_node):
+                g_scale[a] += kappa * wj.T @ (np.abs(rw) + u)
+                for b in (e.from_node, e.to_node):
+                    h_scale[a, b] += kappa * wj.T @ wj
+        assert inside >= 3 and beyond >= 2  # both sides of the Huber scale
+        h_scale = h_scale[1:, 1:].transpose(0, 2, 1, 3).reshape(6 * (n - 1), -1)
+
+        assert abs(ev.cost - ref_cost) <= c * cost_scale
+        assert (np.abs(h.toarray() - ref_h.toarray()) <= c * h_scale).all()
+        assert (np.abs(grad - ref_grad) <= c * g_scale[1:].ravel()).all()
+
+    def test_each_state_evaluated_once(self, monkeypatch):
+        # the accepted step's evaluation gives both its cost and the next
+        # normal equations; no solve evaluates one node state twice
+        states = []
+
+        def counting(edges, rotation, translation):
+            states.append(rotation.tobytes() + translation.tobytes())
+            return unwrapped(edges, rotation, translation)
+
+        unwrapped = pg._evaluate
+        monkeypatch.setattr(pg, "_evaluate", counting)
+        rng = np.random.default_rng(11)
+        g, _ = noisy_chain_graph(rng, 30, [(29, 0), (20, 3), (25, 12)])
+        report = optimize(g, max_iterations=100)
+        assert report.iterations >= 3
+        assert len(states) >= 1 + report.iterations
+        assert len(set(states)) == len(states)
+
+
+class TestScale:
+    def test_thousand_node_multi_lap_chain_matches_reference(self):
+        # Four laps of a 250-node circle with a yaw bias, so the chain
+        # drifts by lap; every 30th node of laps 2-4 closes a loop to the
+        # same place one lap earlier.
+        rng = np.random.default_rng(5)
+        per_lap, laps, radius = 250, 4, 40.0
+        true = []
+        for k in range(per_lap * laps):
+            yaw = k * (2 * np.pi / per_lap)
+            pos = radius * np.array([np.sin(yaw), 1.0 - np.cos(yaw), 0.01 * k / per_lap])
+            true.append(Pose(Rotation.from_rotvec([0, 0, yaw]), pos))
+        bias = rotz(0.04)
         g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
-        add_odometry_node(g, 1, tpose(1.0).compose(rotz(30)))
-        add_loop_edge(g, LoopConstraint(1, 0, tpose(1.0), 0.0, True))
-        path = tmp_path / "graph.g2o"
-        save_g2o(g, path)
-        lines = path.read_text().strip().splitlines()
-        vertices = [l for l in lines if l.startswith("VERTEX_SE3:QUAT ")]
-        edges = [l for l in lines if l.startswith("EDGE_SE3:QUAT ")]
-        assert len(vertices) == 2
-        assert len(edges) == 2
-        assert all(len(v.split()) == 9 for v in vertices)
-        assert all(len(e.split()) == 31 for e in edges)
+        add_odometry_node(g, 0, true[0])
+        est = true[0]
+        for k in range(1, len(true)):
+            rel = true[k - 1].inverse().compose(true[k])
+            jitter = Pose(Rotation.from_rotvec(rng.normal(0.0, 1e-3, 3)),
+                          rng.normal(0.0, 0.01, 3))
+            est = est.compose(bias.compose(rel).compose(jitter))
+            add_odometry_node(g, k, est)
+        loops = range(per_lap, len(true), 30)
+        for k in loops:
+            rel = true[k - per_lap].inverse().compose(true[k])
+            add_loop_edge(g, LoopConstraint(k, k - per_lap, rel, 0.0, True))
+        assert len(g) == 1000 and len(loops) >= 20
 
-        tok = edges[0].split()
-        assert (tok[1], tok[2]) == ("0", "1")
-        upper = np.array([float(v) for v in tok[10:]])
-        # g2o information order is translation-first: (0,0) -> trans x,
-        # (3,3) -> rot x at flattened upper-triangular index 15.
-        assert upper[0] == pytest.approx(400.0)
-        assert upper[15] == pytest.approx(1e4)
-        # Off-diagonal blocks of a diagonal information matrix stay zero.
-        assert upper[1:6].max() == 0.0
-
-        vt = vertices[1].split()
-        np.testing.assert_allclose([float(v) for v in vt[2:5]], [1.0, 0.0, 0.0])
-        quat = np.array([float(v) for v in vt[5:]])  # qx qy qz qw
-        assert quat[3] == pytest.approx(np.cos(np.deg2rad(15.0)))
+        oracle = copy.deepcopy(g)
+        report = optimize(g)
+        ref_report = ref.optimize(oracle)
+        assert report.iterations == ref_report.iterations
+        assert report.converged == ref_report.converged
+        assert report.final_cost < 0.5 * report.initial_cost
+        assert abs(report.final_cost - ref_report.final_cost) <= 1e-9 * ref_report.final_cost
+        gap = max(np.linalg.norm(a.translation - b.translation)
+                  for a, b in zip(g.nodes, oracle.nodes))
+        assert gap < 1e-6
