@@ -218,10 +218,11 @@ def exp_rt(twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kk = k @ k
     small = theta < 1e-6
     t = np.where(small, 1.0, theta)
-    # sin/t, (1 - cos)/t^2 and (t - sin)/t^3, by their limits at t = 0
+    # sin/t, (1 - cos)/t^2 and (t - sin)/t^3, by their limits at t = 0;
+    # 1 - cos is formed as 2 sin^2(t/2), which does not cancel for small t
     sin = np.sin(t)
     a = sin / t
-    b = (1.0 - np.cos(t)) / (t * t)
+    b = 2.0 * np.sin(0.5 * t) ** 2 / (t * t)
     c = (t - sin) / (t * t * t)
     a[small], b[small], c[small] = 1.0, 0.5, 1.0 / 6.0
     eye = np.eye(3)

@@ -79,7 +79,7 @@ from .scan_context import (
     query,
     shift_to_yaw,
 )
-from .simulate import WORLD_DEFAULTS, generate_world
+from .simulate import WORLD_DEFAULTS, check_world_spec, generate_world
 
 __all__ = [
     "PipelineConfig",
@@ -184,13 +184,16 @@ class PipelineConfig:
                 "no input: set dataset.scans or synthetic.shape (or --synthetic)"
             )
         # build every module config, so that a bad value fails before a run
-        for section, build in (
+        checks = [
             ("features", self.feature_config),
             ("odometry", self.odometry_config),
             ("scan_context", self.scan_context_config),
             ("loop", self.loop_config),
             ("graph", self.graph_config),
-        ):
+        ]
+        if self["synthetic.shape"]:
+            checks.append(("synthetic", lambda: check_world_spec(self._section("synthetic"))))
+        for section, build in checks:
             try:
                 build()
             except ValueError as e:

@@ -14,6 +14,7 @@ sensor at a negative z.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,39 +74,67 @@ class LidarModel:
         return d, ring
 
 
-def _wall_hits(origin, dirs, wall: Wall):
-    """Ray parameter t per ray for one wall (inf when missed)."""
-    p0 = np.asarray(wall.p0, float)
-    p1 = np.asarray(wall.p1, float)
-    u = p1 - p0
-    n = np.array([-u[1], u[0]])
-    denom = dirs[:, :2] @ n
-    t = np.full(len(dirs), np.inf)
-    ok = np.abs(denom) > 1e-12
-    t_ok = ((p0 - origin[:2]) @ n) / denom[ok]
-    hit_xy = origin[:2] + t_ok[:, None] * dirs[ok, :2]
-    s = (hit_xy - p0) @ u / (u @ u)
-    z = origin[2] + t_ok * dirs[ok, 2]
-    good = (t_ok > 0) & (s >= 0.0) & (s <= 1.0) & (z >= wall.z0) & (z <= wall.z1)
-    vals = np.where(good, t_ok, np.inf)
-    t[ok] = vals
-    return t
+# Walls or poles cast per array pass: bounds each (block, rays) temporary
+# to a few hundred kB, however many primitives the world has.
+_BLOCK = 8
 
 
-def _pole_hits(origin, dirs, pole: Pole):
-    c = np.asarray(pole.center, float)
-    oc = origin[:2] - c
+def _lower_to_wall_hits(t, origin, dirs, walls):
+    """Lower each ray's t to its nearest wall hit.
+
+    Per (wall, ray): the hit solves (o + t d - p0) . n = 0 with n the
+    segment normal; it counts when t > 0, the segment parameter s is in
+    [0, 1] and the height in [z0, z1].  Rays within 1e-12 of parallel
+    miss."""
+    p0 = np.array([w.p0 for w in walls], float)
+    u = np.array([w.p1 for w in walls], float) - p0
+    n = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    num = ((p0 - origin[:2]) * n).sum(axis=1)[:, None]
+    uu = (u * u).sum(axis=1)[:, None]
+    z0 = np.array([w.z0 for w in walls], float)[:, None]
+    z1 = np.array([w.z1 for w in walls], float)[:, None]
+    dx, dy, dz = dirs.T
+    for b in (slice(k, k + _BLOCK) for k in range(0, len(walls), _BLOCK)):
+        denom = n[b, :1] * dx + n[b, 1:] * dy
+        good = np.abs(denom) > 1e-12
+        hit = np.divide(num[b], denom, out=denom)
+        good &= hit > 0
+        s = (origin[0] + hit * dx - p0[b, :1]) * u[b, :1]
+        s += (origin[1] + hit * dy - p0[b, 1:]) * u[b, 1:]
+        s /= uu[b]
+        good &= (s >= 0.0) & (s <= 1.0)
+        z = np.multiply(hit, dz, out=s)
+        z += origin[2]
+        good &= (z >= z0[b]) & (z <= z1[b])
+        hit[~good] = np.inf
+        np.minimum(t, hit.min(axis=0), out=t)
+
+
+def _lower_to_pole_hits(t, origin, dirs, poles):
+    """Lower each ray's t to its nearest pole hit: the smaller root of
+    |o + t d - c|^2 = r^2 in the plane, counted when it is positive and
+    its height is in [z0, z1].  Rays within 1e-12 of vertical miss."""
+    oc = origin[:2] - np.array([p.center for p in poles], float)
+    c0 = ((oc * oc).sum(axis=1) - np.array([p.radius for p in poles]) ** 2)[:, None]
+    z0 = np.array([p.z0 for p in poles], float)[:, None]
+    z1 = np.array([p.z1 for p in poles], float)[:, None]
     a = np.einsum("ni,ni->n", dirs[:, :2], dirs[:, :2])
-    b = 2.0 * dirs[:, :2] @ oc
-    c0 = oc @ oc - pole.radius**2
-    disc = b * b - 4.0 * a * c0
-    t = np.full(len(dirs), np.inf)
-    ok = (disc >= 0) & (a > 1e-12)
-    root = (-b[ok] - np.sqrt(disc[ok])) / (2.0 * a[ok])
-    z = origin[2] + root * dirs[ok, 2]
-    good = (root > 0) & (z >= pole.z0) & (z <= pole.z1)
-    t[ok] = np.where(good, root, np.inf)
-    return t
+    four_a, two_a = 4.0 * a, 2.0 * a
+    dx2, dy2 = 2.0 * dirs[:, 0], 2.0 * dirs[:, 1]
+    for b in (slice(k, k + _BLOCK) for k in range(0, len(poles), _BLOCK)):
+        half = oc[b, :1] * dx2 + oc[b, 1:] * dy2  # the b of b^2 - 4ac
+        disc = half * half - four_a * c0[b]
+        good = (disc >= 0) & (a > 1e-12)
+        root = np.sqrt(disc, out=disc)
+        root += half
+        np.negative(root, out=root)
+        root /= two_a
+        good &= root > 0
+        z = np.multiply(root, dirs[:, 2], out=half)
+        z += origin[2]
+        good &= (z >= z0[b]) & (z <= z1[b])
+        root[~good] = np.inf
+        np.minimum(t, root.min(axis=0), out=t)
 
 
 def _ground_hits(origin, dirs, ground_z):
@@ -113,6 +142,20 @@ def _ground_hits(origin, dirs, ground_z):
     t = np.full(len(dirs), np.inf)
     ok = dz < -1e-12
     t[ok] = (ground_z - origin[2]) / dz[ok]
+    return t
+
+
+def _nearest_hits(world: World, origin, dirs):
+    """Ray parameter of each ray's nearest surface hit; inf where none."""
+    t = np.full(len(dirs), np.inf)
+    # misses divide by zero and take roots of negatives; they are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if world.walls:
+            _lower_to_wall_hits(t, origin, dirs, world.walls)
+        if world.poles:
+            _lower_to_pole_hits(t, origin, dirs, world.poles)
+    if world.ground_z is not None:
+        np.minimum(t, _ground_hits(origin, dirs, world.ground_z), out=t)
     return t
 
 
@@ -128,13 +171,7 @@ def simulate_scan(
     d_world = d_sensor @ pose.rotation.matrix().T
     origin = pose.translation
 
-    t = np.full(len(d_world), np.inf)
-    for wall in world.walls:
-        t = np.minimum(t, _wall_hits(origin, d_world, wall))
-    for pole in world.poles:
-        t = np.minimum(t, _pole_hits(origin, d_world, pole))
-    if world.ground_z is not None:
-        t = np.minimum(t, _ground_hits(origin, d_world, world.ground_z))
+    t = _nearest_hits(world, origin, d_world)
 
     if model.noise_std > 0:
         t = t + rng.normal(0.0, model.noise_std, size=len(t))
@@ -378,19 +415,52 @@ WORLD_DEFAULTS = {
 
 SHAPES = ("square", "corridor", "two_rooms", "static")
 
+# numeric key -> (lowest value, whether the lowest value itself is allowed);
+# frames and seed, integers by default, must be integers
+_SPEC_LIMITS = {
+    "frames": (1, True),
+    "seed": (0, True),
+    "noise": (0, True),
+    "density": (0, True),
+    "size": (0, False),
+    "laps": (0, False),
+    "step": (0, False),
+    "separation": (0, False),
+}
 
-def generate_world(spec: dict):
-    """Build (scans, ground_truth_poses) from a flat spec dict.
 
-    Keys (all optional): shape, frames, noise, seed, density, size, laps,
-    step, separation.  Unknown keys are rejected.
-    """
+def check_world_spec(spec: dict) -> dict:
+    """The spec with defaults filled in, after checking every key.
+
+    Raises ValueError naming the key for an unknown key or shape, a value
+    that is not a finite number (an integer for frames and seed), or one
+    below its limit: frames >= 1, seed, noise, density >= 0, and size,
+    laps, step, separation > 0."""
     unknown = set(spec) - set(WORLD_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown world spec keys: {sorted(unknown)}")
     s = dict(WORLD_DEFAULTS, **spec)
     if s["shape"] not in SHAPES:
         raise ValueError(f"unknown world shape {s['shape']!r}")
+    for key, (low, inclusive) in _SPEC_LIMITS.items():
+        value = s[key]
+        integral = isinstance(WORLD_DEFAULTS[key], int)
+        kind = numbers.Integral if integral else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            noun = "an integer" if integral else "a finite number"
+            raise ValueError(f"{key} must be {noun}, got {value!r}")
+        if not (value >= low if inclusive else value > low):
+            raise ValueError(f"{key} must be {'>=' if inclusive else '>'} {low}, got {value!r}")
+    return s
+
+
+def generate_world(spec: dict):
+    """Build (scans, ground_truth_poses) from a flat spec dict.
+
+    Keys (all optional): shape, frames, noise, seed, density, size, laps,
+    step, separation; checked by check_world_spec.
+    """
+    s = check_world_spec(spec)
 
     if s["shape"] == "square":
         world = square_loop_world(s["size"], density=s["density"], seed=s["seed"])

@@ -10,8 +10,9 @@ registration; a batched einsum, determinant and solve for the plane
 fits of the correspondence search; and SE(3) exp, log, left Jacobians and
 adjoint on one quaternion pose or twist at a time, with the pose-graph
 Levenberg-Marquardt solve built on them, one edge at a time and with a
-cost pass separate from each normal-equation pass.  Tests compare the two
-on seeded inputs; nothing in ``src/`` imports this module.
+cost pass separate from each normal-equation pass; and the simulator's ray
+caster, one wall or pole at a time.  Tests compare the two on seeded
+inputs; nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from featslam.pose_graph import _LAMBDA_MIN as LAMBDA_MIN
 from featslam.pose_graph import OptimizationReport
 from featslam.scan_context import _OCCUPIED_FLOOR as OCCUPIED_FLOOR
 from featslam.scan_context import ScanContextDescriptor
+from featslam.simulate import Pole, Wall, World, _ground_hits
 
 
 def compute_smoothness(
@@ -418,7 +420,7 @@ def so3_left_jacobian(rotvec: np.ndarray) -> np.ndarray:
     k = skew(rotvec)
     if theta < 1e-6:
         return np.eye(3) + 0.5 * k + k @ k / 6.0
-    a = (1.0 - np.cos(theta)) / (theta * theta)
+    a = 2.0 * np.sin(0.5 * theta) ** 2 / (theta * theta)  # (1 - cos) / theta^2
     b = (theta - np.sin(theta)) / (theta * theta * theta)
     return np.eye(3) + a * k + b * (k @ k)
 
@@ -654,3 +656,57 @@ def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
 
     graph.nodes = nodes
     return OptimizationReport(float(initial_cost), float(cost), iterations, converged)
+
+
+# ---------------------------------------------------------------------------
+# Simulator ray casting, one wall or pole at a time, on the rays that can
+# hit it.
+# ---------------------------------------------------------------------------
+
+
+def wall_hits(origin, dirs, wall: Wall):
+    """Ray parameter t per ray for one wall (inf when missed)."""
+    p0 = np.asarray(wall.p0, float)
+    p1 = np.asarray(wall.p1, float)
+    u = p1 - p0
+    n = np.array([-u[1], u[0]])
+    denom = dirs[:, :2] @ n
+    t = np.full(len(dirs), np.inf)
+    ok = np.abs(denom) > 1e-12
+    t_ok = ((p0 - origin[:2]) @ n) / denom[ok]
+    hit_xy = origin[:2] + t_ok[:, None] * dirs[ok, :2]
+    s = (hit_xy - p0) @ u / (u @ u)
+    z = origin[2] + t_ok * dirs[ok, 2]
+    good = (t_ok > 0) & (s >= 0.0) & (s <= 1.0) & (z >= wall.z0) & (z <= wall.z1)
+    vals = np.where(good, t_ok, np.inf)
+    t[ok] = vals
+    return t
+
+
+def pole_hits(origin, dirs, pole: Pole):
+    """Ray parameter t per ray for one pole (inf when missed)."""
+    c = np.asarray(pole.center, float)
+    oc = origin[:2] - c
+    a = np.einsum("ni,ni->n", dirs[:, :2], dirs[:, :2])
+    b = 2.0 * dirs[:, :2] @ oc
+    c0 = oc @ oc - pole.radius**2
+    disc = b * b - 4.0 * a * c0
+    t = np.full(len(dirs), np.inf)
+    ok = (disc >= 0) & (a > 1e-12)
+    root = (-b[ok] - np.sqrt(disc[ok])) / (2.0 * a[ok])
+    z = origin[2] + root * dirs[ok, 2]
+    good = (root > 0) & (z >= pole.z0) & (z <= pole.z1)
+    t[ok] = np.where(good, root, np.inf)
+    return t
+
+
+def nearest_hits(world: World, origin, dirs):
+    """Ray parameter of each ray's nearest surface hit; inf where none."""
+    t = np.full(len(dirs), np.inf)
+    for wall in world.walls:
+        t = np.minimum(t, wall_hits(origin, dirs, wall))
+    for pole in world.poles:
+        t = np.minimum(t, pole_hits(origin, dirs, pole))
+    if world.ground_z is not None:
+        t = np.minimum(t, _ground_hits(origin, dirs, world.ground_z))
+    return t

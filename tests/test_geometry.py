@@ -162,6 +162,21 @@ class TestExpLog:
                 np.testing.assert_array_equal(one_r, r)
                 np.testing.assert_array_equal(one_t, t)
 
+    def test_small_angle_coefficient_matches_series(self):
+        # Just above exp's 1e-6 branch, (1 - cos t) / t^2 computed as written
+        # cancels: relative error ~eps / t^2.  Against its series 1/2 - t^2/24
+        # + t^4/720 (the next term is below 1e-22 relative for t <= 1e-3),
+        # the coefficient of V(w) = I + b K + c K^2 read as V[1, 0] / t for w
+        # along z passes through about six roundings: within 8 eps, for
+        # exp_rt and the quaternion oracle exp alike.
+        eps = np.finfo(float).eps
+        angles = np.append(np.nextafter(1e-6, 1.0), np.geomspace(1e-6, 1e-3, 30)[1:])
+        for t in angles:
+            series = 0.5 - t * t / 24.0 + t**4 / 720.0
+            twist = np.array([0.0, 0.0, t, 1.0, 0.0, 0.0])
+            for translation in (geometry.exp_rt(twist)[1], ref.exp(twist).translation):
+                assert abs(translation[1] / t / series - 1.0) <= 8 * eps, t
+
     def test_round_trip_bulk(self):
         # 10,000 random twists with rotation angle < 3.0 rad, in one stack.
         rng = np.random.default_rng(4)

@@ -123,6 +123,15 @@ class TestIterationBudget:
               ("odometry.huber_scale", "nan"), ("run.fixed_threshold", "nan"),
               ("graph.loop_translation_sigma", "inf"),
           )],
+        # world specs that hung, crashed or gave a wrong world
+        ({"synthetic.shape": "two_rooms", "synthetic.step": "-0.35"},
+         "synthetic: step must be > 0, got -0.35"),
+        ({"synthetic.step": "0"}, "synthetic: step must be > 0, got 0.0"),
+        ({"synthetic.noise": "-1"}, "synthetic: noise must be >= 0, got -1.0"),
+        ({"synthetic.frames": "0"}, "synthetic: frames must be >= 1, got 0"),
+        ({"synthetic.seed": "-1"}, "synthetic: seed must be >= 0, got -1"),
+        ({"synthetic.separation": "0"}, "synthetic: separation must be > 0, got 0.0"),
+        ({"synthetic.density": "-2"}, "synthetic: density must be >= 0, got -2.0"),
     ])
     def test_rejected_before_any_frame(self, tmp_path, capsys, items, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,8 +1,13 @@
+import re
+
+import loop_reference as ref
 import numpy as np
 import pytest
 
+from featslam import simulate
 from featslam.geometry import Pose, Rotation
 from featslam.simulate import (
+    SHAPES,
     LidarModel,
     Pole,
     Wall,
@@ -80,6 +85,159 @@ class TestSimulateScan:
         assert (ranges <= model.max_range + 0.1).all()
 
 
+EPS = np.finfo(float).eps
+
+
+def wall_bound(origin, dirs, wall):
+    """One wall's oracle t per ray, and how far two roundings of it can lie
+    apart.  t = (a . n) / (d . n), with a = p0 - o rounded alike in both
+    casters; a 2-term dot product, fused or not, is within eps times the
+    sum of its |terms| of exact and the quotient within eps/2 of its own,
+    so each caster is within eps (|a . n|_terms + |t| |d . n|_terms) /
+    |d . n| + eps |t| of exact: 4x that covers the two with a 2x margin."""
+    p0 = np.asarray(wall.p0, float)
+    u = np.asarray(wall.p1, float) - p0
+    n = np.array([-u[1], u[0]])
+    t = ref.wall_hits(origin, dirs, wall)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.abs((p0 - origin[:2]) * n).sum() + np.abs(t) * np.abs(dirs[:, :2] * n).sum(1)
+        return t, 4 * EPS * (terms / np.abs(dirs[:, :2] @ n) + np.abs(t))
+
+
+def pole_bound(origin, dirs, pole):
+    """One pole's oracle t per ray and its bound, as in wall_bound.  The
+    root (-b - sqrt(disc)) / 2a, disc = b^2 - 4 a c, has a alike in both
+    casters; b and c are 2-term dot products (within eps of their |terms|
+    each), disc then moves by 2|b| db + 4a dc plus its own rounding, and
+    sqrt(disc) by ddisc / (2 sqrt(disc)), or at most sqrt(ddisc) near a
+    tangent."""
+    oc = origin[:2] - np.asarray(pole.center, float)
+    a = np.einsum("ni,ni->n", dirs[:, :2], dirs[:, :2])
+    b = 2.0 * dirs[:, :2] @ oc
+    c = oc @ oc - pole.radius**2
+    db = EPS * 2.0 * np.abs(dirs[:, :2] * oc).sum(1)
+    dc = EPS * (oc @ oc + pole.radius**2)
+    t = ref.pole_hits(origin, dirs, pole)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = np.maximum(b * b - 4.0 * a * c, 0.0)
+        ddisc = 2 * np.abs(b) * db + 4 * a * dc + EPS * (b * b + 4 * a * abs(c))
+        dsqrt = np.minimum(ddisc / (2 * np.sqrt(disc)), np.sqrt(ddisc)) + EPS * np.sqrt(disc)
+        return t, 4 * ((db + dsqrt) / (2 * a) + EPS * np.abs(t))
+
+
+def check_caster(world, origin, dirs, model=LidarModel()):
+    """The batched caster against the per-primitive oracle: the same rays
+    hit and are kept, each t within the bound of the primitives it hits
+    (the nearest of several moves by at most their largest change).
+    Returns the largest |difference| / bound."""
+    got = simulate._nearest_hits(world, origin, dirs)
+    want = ref.nearest_hits(world, origin, dirs)
+    hit = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), hit)
+
+    def kept(t):
+        return hit & (t >= model.min_range) & (t <= model.max_range)
+
+    np.testing.assert_array_equal(kept(got), kept(want))
+    bound = np.zeros(len(dirs))  # the ground is cast alike in both
+    for t, b in [wall_bound(origin, dirs, w) for w in world.walls] + [
+        pole_bound(origin, dirs, p) for p in world.poles
+    ]:
+        bound = np.maximum(bound, np.where(np.isfinite(t), b, 0.0))
+    diff = np.abs(got[hit] - want[hit])
+    assert (diff <= bound[hit]).all(), (diff - bound[hit]).max()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.nan_to_num(diff / bound[hit]).max(initial=0.0))
+
+
+def random_world(rng, walls=12, poles=10, ground=True):
+    """More walls and poles than one array pass takes, so blocks are split."""
+    return World(
+        walls=[
+            Wall(tuple(rng.uniform(-20, 20, 2)), tuple(rng.uniform(-20, 20, 2)),
+                 float(rng.uniform(-3, -1)), float(rng.uniform(0.5, 3)))
+            for _ in range(walls)
+        ],
+        poles=[
+            Pole(tuple(rng.uniform(-15, 15, 2)), float(rng.uniform(0.1, 0.6)),
+                 float(rng.uniform(-3, -1)), float(rng.uniform(0.5, 3)))
+            for _ in range(poles)
+        ],
+        ground_z=float(rng.uniform(-2.5, -1)) if ground else None,
+    )
+
+
+def world_rays(pose, model=LidarModel(num_rings=32, elevation_min_deg=-30,
+                                      elevation_max_deg=30)):
+    dirs, _ = model.ray_directions()
+    return pose.translation, dirs @ pose.rotation.matrix().T
+
+
+class TestCasterMatchesReference:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("walls, poles, ground", [
+        (12, 10, True), (0, 10, True), (12, 0, True), (12, 10, False), (0, 0, True),
+    ])
+    def test_seeded_worlds(self, seed, walls, poles, ground):
+        rng = np.random.default_rng(seed)
+        world = random_world(rng, walls, poles, ground)
+        # one rolled and pitched pose, then three random tilts and headings
+        poses = [Pose(Rotation.from_rotvec([0.3, -0.25, 1.1]), [1.0, -2.0, 0.2])]
+        for _ in range(3):
+            tilt = rng.uniform(-0.4, 0.4, 3) + [0.0, 0.0, rng.uniform(-np.pi, np.pi)]
+            position = np.append(rng.uniform(-5, 5, 2), rng.uniform(-0.5, 0.5))
+            poses.append(Pose(Rotation.from_rotvec(tilt), position))
+        for pose in poses:
+            check_caster(world, *world_rays(pose))
+
+    def test_degenerate_rays(self):
+        # exact in both casters, so each ray's outcome is known
+        _, model_dirs = world_rays(Pose.identity())
+        special = np.array([
+            [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+            [0.5, 0.0, np.sqrt(0.75)],
+        ])
+        dirs = np.concatenate([special, model_dirs])
+
+        # rays along +-x are parallel to both walls (d . n = 0); the sensor
+        # lies on the first wall's line (a . n = 0), so that wall has t = 0
+        # or 0/0 for every ray and is never hit
+        walls = [Wall((-10.0, 2.0), (10.0, 2.0)), Wall((-10.0, 6.0), (10.0, 6.0))]
+        t = simulate._nearest_hits(World(walls, [], None), np.array([0.0, 2.0, 0.0]), dirs)
+        np.testing.assert_array_equal(t[:4], [np.inf, np.inf, 4.0, np.inf])
+        check_caster(World(walls, [], None), np.array([0.0, 2.0, 0.0]), dirs)
+
+        # a sensor inside a pole: its near root lies behind the sensor, so
+        # the rays reach the wall beyond
+        world = World([Wall((5.0, -5.0), (5.0, 5.0))], [Pole((0.2, 0.0), radius=1.0)], None)
+        t = simulate._nearest_hits(world, np.zeros(3), dirs)
+        np.testing.assert_array_equal(t[:1], [5.0])
+        check_caster(world, np.zeros(3), dirs)
+
+        # rays tangent to a pole: disc is exactly 0 and the ray touches it
+        poles = [Pole((5.0, 1.0), radius=1.0, z1=20.0), Pole((1.0, -5.0), radius=1.0)]
+        t = simulate._nearest_hits(World([], poles, None), np.zeros(3), dirs)
+        np.testing.assert_array_equal(t[:5], [5.0, np.inf, np.inf, 5.0, 10.0])
+        check_caster(World([], poles, None), np.zeros(3), dirs)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_generated_shapes(self, monkeypatch, shape):
+        spec = {
+            "square": {"frames": 20},
+            "corridor": {"frames": 20},
+            # 2 m steps reach the corridor between the rooms within 60 frames
+            "two_rooms": {"frames": 60, "step": 2.0},
+            "static": {"frames": 3},
+        }[shape]
+        spec = dict(spec, shape=shape, seed=1)
+        scans, _ = generate_world(spec)
+        monkeypatch.setattr(simulate, "_nearest_hits", ref.nearest_hits)
+        want, _ = generate_world(spec)
+        for a, b in zip(scans, want):
+            np.testing.assert_array_equal(a.ring, b.ring)
+            assert np.abs(a.xyz - b.xyz).max() <= 1e-9
+
+
 class TestPaths:
     def test_straight_path_spacing(self):
         path = straight_path(5, 0.5)
@@ -125,6 +283,27 @@ class TestGenerateWorld:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError):
             generate_world({"shape": "dodecahedron"})
+
+    @pytest.mark.parametrize("spec, message", [
+        # a negative step never ended the two_rooms corridor walk
+        ({"shape": "two_rooms", "step": -0.35}, "step must be > 0, got -0.35"),
+        ({"shape": "corridor", "step": 0.0}, "step must be > 0, got 0.0"),
+        ({"shape": "two_rooms", "step": float("nan")}, "step must be a finite number, got nan"),
+        ({"laps": float("nan")}, "laps must be a finite number, got nan"),
+        ({"laps": 0.0}, "laps must be > 0, got 0.0"),
+        ({"size": -30.0}, "size must be > 0, got -30.0"),
+        ({"shape": "two_rooms", "separation": float("inf")},
+         "separation must be a finite number, got inf"),
+        ({"noise": -1.0}, "noise must be >= 0, got -1.0"),
+        ({"density": -0.5}, "density must be >= 0, got -0.5"),
+        ({"frames": 0}, "frames must be >= 1, got 0"),
+        ({"frames": 2.5}, "frames must be an integer, got 2.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"noise": "0.1"}, "noise must be a finite number, got '0.1'"),
+    ])
+    def test_bad_spec_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_world(spec)
 
     def test_static_shape_produces_identical_scans(self):
         scans, poses = generate_world({"shape": "static", "frames": 2, "noise": 0.0})
