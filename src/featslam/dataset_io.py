@@ -105,13 +105,11 @@ def load_scan(path: str | os.PathLike, num_lasers: int = 64) -> RawScan:
 def _parse_pose_line(tokens: list[str], lineno: int, path: str) -> Pose:
     if len(tokens) != 12:
         raise FormatError(f"{path}:{lineno}: expected 12 values, got {len(tokens)}")
+    # a token that is not a number, or a 3x3 block that is not a rotation
     try:
-        vals = np.array([float(t) for t in tokens]).reshape(3, 4)
+        return Pose.from_matrix(np.array([float(t) for t in tokens]).reshape(3, 4))
     except ValueError as e:
         raise FormatError(f"{path}:{lineno}: {e}") from e
-    m = np.eye(4)
-    m[:3, :] = vals
-    return Pose.from_matrix(m)
 
 
 def load_poses(path: str | os.PathLike) -> list[Pose]:
@@ -150,6 +148,21 @@ def load_ground_truth(
     return GroundTruthTrajectory(camera_poses=poses, calibration=calib)
 
 
+def _quaternion(m: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix by
+    Shepperd's method: the row of 4 q q^T with the largest diagonal entry."""
+    t = np.trace(m)
+    k = np.array([
+        [1.0 + t, m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]],
+        [m[2, 1] - m[1, 2], 1.0 + 2.0 * m[0, 0] - t, m[0, 1] + m[1, 0], m[0, 2] + m[2, 0]],
+        [m[0, 2] - m[2, 0], m[0, 1] + m[1, 0], 1.0 + 2.0 * m[1, 1] - t, m[1, 2] + m[2, 1]],
+        [m[1, 0] - m[0, 1], m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], 1.0 + 2.0 * m[2, 2] - t],
+    ])
+    q = k[np.argmax(np.diag(k))]
+    q = q / np.linalg.norm(q)
+    return -q if q[0] < 0.0 else q
+
+
 def _fmt(values) -> str:
     return " ".join(f"{v:.12g}" for v in values)
 
@@ -165,7 +178,7 @@ def export_trajectory(
             if format == "kitti":
                 f.write(_fmt(pose.matrix()[:3, :].reshape(-1)) + "\n")
             else:
-                w, x, y, z = pose.rotation.q
+                w, x, y, z = _quaternion(pose.rotation.matrix())
                 t = pose.translation
                 f.write(f"{i} " + _fmt([t[0], t[1], t[2], x, y, z, w]) + "\n")
 

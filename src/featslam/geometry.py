@@ -2,8 +2,13 @@
 
 Conventions used throughout the package:
 
-* Rotations are stored as unit quaternions ``(w, x, y, z)`` with ``w >= 0``
-  (double-cover canonicalization) and are renormalized after every compose.
+* A rotation is one read-only 3x3 matrix: ``compose`` is a product and
+  ``inverse`` the transpose, and neither renormalizes.  Odometry's
+  constant-velocity prediction ``cur (prev^-1 cur)`` multiplies a product's
+  drift off SO(3) by about 2.4 per frame, so every matrix an optimizer
+  hands back (registration, the pose-graph solve, ICP) or a file holds goes
+  through ``Rotation.from_matrix``, the one projection onto SO(3).
+* Quaternions appear only in the TUM writer of :mod:`featslam.dataset_io`.
 * Twists are plain 6-vectors ``[wx, wy, wz, vx, vy, vz]`` -- rotational part
   first (rad), translational part second (m).
 * Optimizer updates are LEFT-multiplicative everywhere:
@@ -41,110 +46,82 @@ def skew(v: np.ndarray) -> np.ndarray:
     return k
 
 
+# |M^T M - I| from_matrix accepts (~100x that of KITTI's 7 digits), and
+# the one its polar steps reach; each step about squares it, so two reach
+# it from 1e-4 and at most four are taken
+_ORTHONORMAL_TOLERANCE = 1e-4
+_POLAR_TOLERANCE = 4.0 * np.finfo(float).eps
+
+
 class Rotation:
-    """Unit quaternion rotation, canonicalized to w >= 0."""
+    """Rotation stored as one read-only (3, 3) matrix.
 
-    __slots__ = ("q",)
+    The constructor keeps the matrix as given; ``from_matrix`` checks and
+    projects a matrix an optimizer or a file hands back."""
 
-    def __init__(self, w: float, x: float, y: float, z: float):
-        q = np.array([w, x, y, z], dtype=float)
-        n = np.linalg.norm(q)
-        if not np.isfinite(n) or n == 0.0:
-            raise ValueError("quaternion norm must be finite and non-zero")
-        q /= n
-        if q[0] < 0.0:
-            q = -q
-        self.q = q
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        m = np.array(matrix, dtype=float).reshape(3, 3)
+        m.flags.writeable = False
+        self._matrix = m
 
     @classmethod
     def identity(cls) -> "Rotation":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def _from_quat_array(cls, q: np.ndarray) -> "Rotation":
-        return cls(q[0], q[1], q[2], q[3])
+        return cls(np.eye(3))
 
     @classmethod
     def from_rotvec(cls, rotvec: np.ndarray) -> "Rotation":
-        """Exponential map: axis-angle vector (rad) to quaternion."""
-        rotvec = np.asarray(rotvec, dtype=float)
-        theta = np.linalg.norm(rotvec)
-        half = 0.5 * theta
-        if theta < 1e-8:
-            # sin(t/2)/t = 1/2 - t^2/48 + O(t^4)
-            s = 0.5 - theta * theta / 48.0
-        else:
-            s = np.sin(half) / theta
-        return cls(np.cos(half), *(rotvec * s))
+        """Exponential map: axis-angle vector (rad), the rotation part of exp_rt."""
+        return cls(exp_rt(np.append(np.asarray(rotvec, dtype=float), np.zeros(3)))[0])
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Rotation":
-        """Quaternion from a rotation matrix (Shepperd's method)."""
-        m = np.asarray(m, dtype=float)
-        t = np.trace(m)
-        if t > 0.0:
-            r = np.sqrt(1.0 + t)
-            w = 0.5 * r
-            s = 0.5 / r
-            x = (m[2, 1] - m[1, 2]) * s
-            y = (m[0, 2] - m[2, 0]) * s
-            z = (m[1, 0] - m[0, 1]) * s
-        else:
-            i = int(np.argmax(np.diag(m)))
-            j, k = (i + 1) % 3, (i + 2) % 3
-            r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
-            v = np.empty(3)
-            v[i] = 0.5 * r
-            s = 0.5 / r
-            w = (m[k, j] - m[j, k]) * s
-            v[j] = (m[j, i] + m[i, j]) * s
-            v[k] = (m[k, i] + m[i, k]) * s
-            x, y, z = v
-        return cls(w, x, y, z)
+    def from_matrix(cls, matrix: np.ndarray) -> "Rotation":
+        """The rotation nearest a matrix within 1e-4 of orthonormal.
+
+        Raises ValueError for a matrix that is not finite, has det <= 0 or
+        has |M^T M - I|max > 1e-4.  Then takes polar (Newton-Schulz) steps
+        R <- 1.5 R - 0.5 R R^T R until |R^T R - I|max <= 4 eps; a matrix
+        already that close is kept as it is."""
+        m = np.array(matrix, dtype=float).reshape(3, 3)
+        if not np.isfinite(m).all():
+            raise ValueError("rotation matrix is not finite")
+        det, gram = np.linalg.det(m), m.T @ m
+        error = np.abs(gram - np.eye(3)).max()
+        if not (det > 0.0 and error <= _ORTHONORMAL_TOLERANCE):
+            raise ValueError(f"not a rotation matrix: det {det:.3g}, |M^T M - I| {error:.3g}")
+        for _ in range(4):
+            if error <= _POLAR_TOLERANCE:
+                break
+            m = 1.5 * m - 0.5 * (m @ gram)
+            gram = m.T @ m
+            error = np.abs(gram - np.eye(3)).max()
+        return cls(m)
 
     def matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        xx, yy, zz = x * x, y * y, z * z
-        wx, wy, wz = w * x, w * y, w * z
-        xy, xz, yz = x * y, x * z, y * z
-        return np.array(
-            [
-                [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
-                [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
-                [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
-            ]
-        )
+        """The stored (3, 3) array, read-only."""
+        return self._matrix
 
     def compose(self, other: "Rotation") -> "Rotation":
-        """Hamilton product self * other, renormalized."""
-        w1, x1, y1, z1 = self.q
-        w2, x2, y2, z2 = other.q
-        return Rotation(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        """self * other."""
+        return Rotation(self._matrix @ other._matrix)
 
     def inverse(self) -> "Rotation":
-        w, x, y, z = self.q
-        return Rotation(w, -x, -y, -z)
+        return Rotation(self._matrix.T)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Rotate one 3-vector or an (N, 3) array of points."""
-        points = np.asarray(points, dtype=float)
-        return points @ self.matrix().T
+        return np.asarray(points, dtype=float) @ self._matrix.T
 
     def angle(self) -> float:
         """Rotation angle in [0, pi]."""
-        return 2.0 * np.arctan2(np.linalg.norm(self.q[1:]), self.q[0])
+        return float(_axis_angle(self._matrix)[2])
 
     def angle_to(self, other: "Rotation") -> float:
         return self.inverse().compose(other).angle()
 
     def __repr__(self) -> str:
-        w, x, y, z = self.q
-        return f"Rotation(w={w:.6f}, x={x:.6f}, y={y:.6f}, z={z:.6f})"
+        return f"Rotation({np.round(self._matrix, 6).tolist()})"
 
 
 class Pose:
@@ -188,11 +165,10 @@ class Pose:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one 3-vector or an (N, 3) array: R p + t."""
-        points = np.asarray(points, dtype=float)
-        return points @ self.rotation.matrix().T + self.translation
+        return self.rotation.apply(points) + self.translation
 
     def copy(self) -> "Pose":
-        return Pose(Rotation._from_quat_array(self.rotation.q), self.translation)
+        return Pose(self.rotation, self.translation)
 
     def __repr__(self) -> str:
         t = self.translation
@@ -211,8 +187,6 @@ def exp_rt(twist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotation matrices (Rodrigues) and translations V(w) v."""
     twist = np.asarray(twist, dtype=float)
     w = twist[..., :3]
-    # rounded as a 1-D np.linalg.norm, so each twist takes the same branch
-    # below as in Rotation.from_rotvec
     theta = np.sqrt(w[..., None, :] @ w[..., :, None])
     k = skew(w)
     kk = k @ k
@@ -246,18 +220,20 @@ def _so3_v_inverse(w: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.eye(3) - 0.5 * k + c * (k @ k)
 
 
+def _axis_angle(r: np.ndarray):
+    """sin(theta) times the unit axis, sin(theta), and the angle theta in
+    [0, pi] of a (..., 3, 3) stack of rotations."""
+    axis = 0.5 * (r[..., [2, 0, 1], [1, 2, 0]] - r[..., [1, 2, 0], [2, 0, 1]])
+    s = np.linalg.norm(axis, axis=-1)
+    return axis, s, np.arctan2(s, 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0))
+
+
 def log_rt(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     """SE(3) logarithm of (N, 3, 3) rotations and (N, 3) translations as
     (N, 6) twists; inverse of exp_rt for rotation angles below pi - 1e-6.
 
     Raises DegenerateRotationError when any angle is within 1e-6 of pi."""
-    r = rotation
-    axis = 0.5 * np.stack(
-        [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]],
-        axis=-1,
-    )  # sin(theta) times the unit axis
-    s = np.linalg.norm(axis, axis=-1)
-    theta = np.arctan2(s, 0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0))
+    axis, s, theta = _axis_angle(rotation)
     if np.any(theta > np.pi - 1e-6):
         raise DegenerateRotationError(f"rotation angle {theta.max()} too close to pi")
     w = axis * np.where(s > 0.0, theta / np.where(s > 0.0, s, 1.0), 1.0)[:, None]

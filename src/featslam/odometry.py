@@ -11,7 +11,9 @@ disarms unconstrained directions (long corridors, single planes).
 Pose updates are left-multiplicative: pose <- exp(delta) . pose, with the
 twist laid out [wx, wy, wz, vx, vy, vz].  Inside registration the pose is
 a rotation matrix and a translation, and each tried step is composed with
-3x3 products; a Pose is built only for the result.
+3x3 products; every result is projected onto SO(3) by
+``Rotation.from_matrix``, so the constant-velocity prediction does not
+compound rounding.
 """
 
 from __future__ import annotations
@@ -344,14 +346,13 @@ def register(
 ) -> RegistrationResult:
     """Estimate the pose aligning features to the submap, from initial."""
     cfg = cfg or OdometryConfig()
+    rotation, translation = initial.rotation.matrix(), initial.translation
     if submap.num_edges < cfg.min_submap_edges or (
         submap.num_planars < cfg.min_submap_planars
     ):
-        return RegistrationResult(
-            pose=initial.copy(), final_cost=float("inf"), iterations=0, degenerate=True
-        )
+        return RegistrationResult(Pose(Rotation.from_matrix(rotation), translation),
+                                  float("inf"), 0, degenerate=True)
 
-    rotation, translation = initial.rotation.matrix(), initial.translation
     converged = False
     null_directions = 0
     iterations = 0
@@ -363,12 +364,8 @@ def register(
         if not frozen:
             corr = associate(features, submap, rotation, translation, cfg)
             if len(corr) < MIN_TOTAL_MATCHES:
-                return RegistrationResult(
-                    pose=Pose(Rotation.from_matrix(rotation), translation),
-                    final_cost=float("inf"),
-                    iterations=iterations,
-                    degenerate=True,
-                )
+                return RegistrationResult(Pose(Rotation.from_matrix(rotation), translation),
+                                          float("inf"), iterations, degenerate=True)
             evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
         # frozen iterations reuse the evaluation of the accepted step

@@ -13,6 +13,7 @@ sensor at a negative z.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -61,17 +62,21 @@ class LidarModel:
     noise_std: float = 0.01
 
     def ray_directions(self):
-        """Unit directions (R*A, 3) and their ring ids, sensor frame."""
-        elev = np.radians(
-            np.linspace(self.elevation_min_deg, self.elevation_max_deg, self.num_rings)
-        )
-        azim = np.linspace(-np.pi, np.pi, self.points_per_ring, endpoint=False)
-        e, a = np.meshgrid(elev, azim, indexing="ij")
-        d = np.stack(
-            [np.cos(e) * np.cos(a), np.cos(e) * np.sin(a), np.sin(e)], axis=-1
-        ).reshape(-1, 3)
-        ring = np.repeat(np.arange(self.num_rings), self.points_per_ring)
-        return d, ring
+        """Unit directions (R*A, 3) and their ring ids, sensor frame; read-only
+        arrays shared by every model with the same ray geometry."""
+        return _ray_directions(self.num_rings, self.elevation_min_deg,
+                               self.elevation_max_deg, self.points_per_ring)
+
+
+@functools.lru_cache(maxsize=8)
+def _ray_directions(num_rings, elevation_min_deg, elevation_max_deg, points_per_ring):
+    elev = np.radians(np.linspace(elevation_min_deg, elevation_max_deg, num_rings))
+    azim = np.linspace(-np.pi, np.pi, points_per_ring, endpoint=False)
+    e, a = np.meshgrid(elev, azim, indexing="ij")
+    d = np.stack([np.cos(e) * np.cos(a), np.cos(e) * np.sin(a), np.sin(e)], axis=-1).reshape(-1, 3)
+    ring = np.repeat(np.arange(num_rings), points_per_ring)
+    d.flags.writeable = ring.flags.writeable = False
+    return d, ring
 
 
 # Walls or poles cast per array pass: bounds each (block, rays) temporary
@@ -415,6 +420,9 @@ WORLD_DEFAULTS = {
 
 SHAPES = ("square", "corridor", "two_rooms", "static")
 
+# corner radius (m) of the square course; a size below twice it is rejected
+SQUARE_CORNER_RADIUS = 3.0
+
 # numeric key -> (lowest value, whether the lowest value itself is allowed);
 # frames and seed, integers by default, must be integers
 _SPEC_LIMITS = {
@@ -435,7 +443,8 @@ def check_world_spec(spec: dict) -> dict:
     Raises ValueError naming the key for an unknown key or shape, a value
     that is not a finite number (an integer for frames and seed), or one
     below its limit: frames >= 1, seed, noise, density >= 0, and size,
-    laps, step, separation > 0."""
+    laps, step, separation > 0; a square course's size must also be at
+    least twice SQUARE_CORNER_RADIUS."""
     unknown = set(spec) - set(WORLD_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown world spec keys: {sorted(unknown)}")
@@ -451,6 +460,9 @@ def check_world_spec(spec: dict) -> dict:
             raise ValueError(f"{key} must be {noun}, got {value!r}")
         if not (value >= low if inclusive else value > low):
             raise ValueError(f"{key} must be {'>=' if inclusive else '>'} {low}, got {value!r}")
+    if s["shape"] == "square" and s["size"] < 2 * SQUARE_CORNER_RADIUS:
+        raise ValueError(f"size must be >= {2 * SQUARE_CORNER_RADIUS} for the square "
+                         f"course (twice its corner radius), got {s['size']!r}")
     return s
 
 
@@ -464,7 +476,7 @@ def generate_world(spec: dict):
 
     if s["shape"] == "square":
         world = square_loop_world(s["size"], density=s["density"], seed=s["seed"])
-        poses = rounded_square_path(s["size"], 3.0, s["frames"], laps=s["laps"])
+        poses = rounded_square_path(s["size"], SQUARE_CORNER_RADIUS, s["frames"], laps=s["laps"])
     elif s["shape"] == "corridor":
         length = s["frames"] * s["step"] + 10.0
         world = corridor_world(length=length, density=s["density"])

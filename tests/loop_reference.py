@@ -7,8 +7,10 @@ they replace: per ring, segment, sector and candidate for feature
 extraction; per column shift for the descriptor distance; a dict per voxel
 grid; separate residual, objective and normal-equation evaluations for
 registration; a batched einsum, determinant and solve for the plane
-fits of the correspondence search; and SE(3) exp, log, left Jacobians and
-adjoint on one quaternion pose or twist at a time, with the pose-graph
+fits of the correspondence search; the unit-quaternion rotation
+(``QuaternionRotation``) that ``geometry.Rotation`` stored before it held a
+matrix, and SE(3) exp, log, left Jacobians and adjoint on one pose or twist
+at a time, with exp and log through quaternions, and the pose-graph
 Levenberg-Marquardt solve built on them, one edge at a time and with a
 cost pass separate from each normal-equation pass; and the simulator's ray
 caster, one wall or pole at a time.  Tests compare the two on seeded
@@ -392,17 +394,111 @@ def associate(features, submap, pose, cfg):
 
 
 # ---------------------------------------------------------------------------
-# SE(3) maps on one twist or pose, through quaternions, and the per-edge
-# Levenberg-Marquardt pose-graph solve that evaluated every state twice.
+# The quaternion rotation, SE(3) maps on one twist or pose through it, and
+# the per-edge Levenberg-Marquardt pose-graph solve that evaluated every
+# state twice.
 # ---------------------------------------------------------------------------
 
 
+class QuaternionRotation:
+    """Unit quaternion rotation, canonicalized to w >= 0 and renormalized
+    after every compose: the rotation type the matrix-backed
+    ``geometry.Rotation`` replaced."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, w: float, x: float, y: float, z: float):
+        q = np.array([w, x, y, z], dtype=float)
+        n = np.linalg.norm(q)
+        if not np.isfinite(n) or n == 0.0:
+            raise ValueError("quaternion norm must be finite and non-zero")
+        q /= n
+        if q[0] < 0.0:
+            q = -q
+        self.q = q
+
+    @classmethod
+    def from_rotvec(cls, rotvec: np.ndarray) -> "QuaternionRotation":
+        """Exponential map: axis-angle vector (rad) to quaternion."""
+        rotvec = np.asarray(rotvec, dtype=float)
+        theta = np.linalg.norm(rotvec)
+        half = 0.5 * theta
+        if theta < 1e-8:
+            # sin(t/2)/t = 1/2 - t^2/48 + O(t^4)
+            s = 0.5 - theta * theta / 48.0
+        else:
+            s = np.sin(half) / theta
+        return cls(np.cos(half), *(rotvec * s))
+
+    @classmethod
+    def from_matrix(cls, m: np.ndarray) -> "QuaternionRotation":
+        """Quaternion from a rotation matrix (Shepperd's method)."""
+        m = np.asarray(m, dtype=float)
+        t = np.trace(m)
+        if t > 0.0:
+            r = np.sqrt(1.0 + t)
+            w = 0.5 * r
+            s = 0.5 / r
+            x = (m[2, 1] - m[1, 2]) * s
+            y = (m[0, 2] - m[2, 0]) * s
+            z = (m[1, 0] - m[0, 1]) * s
+        else:
+            i = int(np.argmax(np.diag(m)))
+            j, k = (i + 1) % 3, (i + 2) % 3
+            r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+            v = np.empty(3)
+            v[i] = 0.5 * r
+            s = 0.5 / r
+            w = (m[k, j] - m[j, k]) * s
+            v[j] = (m[j, i] + m[i, j]) * s
+            v[k] = (m[k, i] + m[i, k]) * s
+            x, y, z = v
+        return cls(w, x, y, z)
+
+    def matrix(self) -> np.ndarray:
+        w, x, y, z = self.q
+        xx, yy, zz = x * x, y * y, z * z
+        wx, wy, wz = w * x, w * y, w * z
+        xy, xz, yz = x * y, x * z, y * z
+        return np.array(
+            [
+                [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
+                [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
+                [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
+            ]
+        )
+
+    def compose(self, other: "QuaternionRotation") -> "QuaternionRotation":
+        """Hamilton product self * other, renormalized."""
+        w1, x1, y1, z1 = self.q
+        w2, x2, y2, z2 = other.q
+        return QuaternionRotation(
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+
+    def inverse(self) -> "QuaternionRotation":
+        w, x, y, z = self.q
+        return QuaternionRotation(w, -x, -y, -z)
+
+    def apply(self, points: np.ndarray) -> np.ndarray:
+        return np.asarray(points, dtype=float) @ self.matrix().T
+
+    def angle(self) -> float:
+        """Rotation angle in [0, pi]."""
+        return 2.0 * np.arctan2(np.linalg.norm(self.q[1:]), self.q[0])
+
+
 def rotvec(rotation: Rotation) -> np.ndarray:
-    """Logarithm map: quaternion to axis-angle vector (rad).
+    """Logarithm map: rotation to axis-angle vector (rad), through its
+    quaternion.
 
     Raises DegenerateRotationError for angles within 1e-6 of pi."""
-    w = rotation.q[0]
-    v = rotation.q[1:]
+    q = QuaternionRotation.from_matrix(rotation.matrix()).q
+    w = q[0]
+    v = q[1:]
     s = np.linalg.norm(v)
     theta = 2.0 * np.arctan2(s, w)
     if theta > np.pi - 1e-6:
@@ -442,7 +538,7 @@ def exp(twist: np.ndarray) -> Pose:
     """SE(3) exponential of a twist [w, v]."""
     twist = np.asarray(twist, dtype=float).reshape(6)
     w, v = twist[:3], twist[3:]
-    return Pose(Rotation.from_rotvec(w), so3_left_jacobian(w) @ v)
+    return Pose(Rotation(QuaternionRotation.from_rotvec(w).matrix()), so3_left_jacobian(w) @ v)
 
 
 def log(pose: Pose) -> np.ndarray:

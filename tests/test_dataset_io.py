@@ -138,6 +138,37 @@ class TestGroundTruth:
         with pytest.raises(FormatError, match="2"):
             load_poses(p)
 
+    @pytest.mark.parametrize("block", [
+        "0 0 0 0 0 0 0 0 0",  # loaded as a half turn about x
+        "2 0 0 0 2 0 0 0 2",  # loaded as the identity
+        "1 0 0 0 1 0 0 0 -1",  # a reflection, loaded as the identity
+        "1 0.5 0 0 1 0 0 0 1",  # a shear, loaded as a 14 deg yaw
+        "nan 0 0 0 1 0 0 0 1",  # a bare ValueError from the quaternion norm
+    ], ids=["zero_row", "twice_identity", "reflection", "shear", "nan"])
+    def test_non_rotation_reports_line(self, tmp_path, block):
+        # the 3x3 block of a pose or Tr line must be a rotation to ~1e-4
+        m = block.split()
+        line = " ".join(m[0:3] + ["1"] + m[3:6] + ["2"] + m[6:9] + ["3"])
+        p = tmp_path / "poses.txt"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" + line + "\n")
+        with pytest.raises(FormatError, match=r"poses\.txt:2: .*rotation matrix"):
+            load_poses(p)
+        c = tmp_path / "calib.txt"
+        c.write_text("P0: 1 0 0 0 0 1 0 0 0 0 1 0\nTr: " + line + "\n")
+        with pytest.raises(FormatError, match=r"calib\.txt:2: .*rotation matrix"):
+            load_calibration(c)
+
+    def test_seven_digit_rotation_accepted(self, tmp_path):
+        # a rotation written to 7 significant digits, as KITTI's files are,
+        # loads as the nearest rotation
+        r = Rotation.from_rotvec([0.3, -1.2, 0.7]).matrix()
+        rows = np.hstack([r, [[1.0], [2.0], [3.0]]])
+        p = tmp_path / "poses.txt"
+        p.write_text(" ".join(f"{v:.6e}" for v in rows.ravel()) + "\n")
+        m = load_poses(p)[0].rotation.matrix()
+        assert np.abs(m.T @ m - np.eye(3)).max() <= 4 * np.finfo(float).eps
+        assert np.abs(m - r).max() < 1e-6
+
     def test_calibration_tr_line(self, tmp_path):
         c = tmp_path / "calib.txt"
         c.write_text(

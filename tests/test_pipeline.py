@@ -132,6 +132,8 @@ class TestIterationBudget:
         ({"synthetic.seed": "-1"}, "synthetic: seed must be >= 0, got -1"),
         ({"synthetic.separation": "0"}, "synthetic: separation must be > 0, got 0.0"),
         ({"synthetic.density": "-2"}, "synthetic: density must be >= 0, got -2.0"),
+        ({"synthetic.size": "1"}, "synthetic: size must be >= 6.0 for the square "
+                                  "course (twice its corner radius), got 1.0"),
     ])
     def test_rejected_before_any_frame(self, tmp_path, capsys, items, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -300,6 +300,12 @@ class TestGenerateWorld:
         ({"frames": 2.5}, "frames must be an integer, got 2.5"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"noise": "0.1"}, "noise must be a finite number, got '0.1'"),
+        # below twice the 3 m corner radius the square path had a negative
+        # perimeter (-1.15 m at size 1) and wandered around the origin
+        ({"size": 1.0}, "size must be >= 6.0 for the square course "
+                        "(twice its corner radius), got 1.0"),
+        ({"shape": "square", "size": 5.99}, "size must be >= 6.0 for the square course "
+                                            "(twice its corner radius), got 5.99"),
     ])
     def test_bad_spec_rejected(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -317,6 +323,14 @@ class TestGenerateWorld:
         )
         d = np.linalg.norm(poses[0].translation - poses[-1].translation)
         assert d < 1e-9
+
+    def test_smallest_square_is_a_circle(self):
+        # size 6 leaves no straight edge: the path is the 3 m corner circle
+        _, poses = generate_world({"shape": "square", "frames": 9, "size": 6.0})
+        radii = [np.linalg.norm(p.translation) for p in poses]
+        np.testing.assert_allclose(radii, 3.0, atol=1e-9)
+        # size is only limited for the square course
+        generate_world({"shape": "corridor", "frames": 1, "size": 1.0})
 
     def test_scan_count_matches_frames(self):
         scans, poses = generate_world({"shape": "corridor", "frames": 3, "noise": 0.01})
