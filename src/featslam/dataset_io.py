@@ -31,7 +31,6 @@ class RawScan:
     xyz: np.ndarray  # (N, 3) float64, meters
     intensity: np.ndarray  # (N,) float32 pass-through
     ring: np.ndarray  # (N,) int laser index in [0, num_lasers)
-    timestamp_index: int = 0
     dropped: int = 0  # non-finite points removed so far
 
     def __post_init__(self):

@@ -1,4 +1,4 @@
-"""Trajectory accuracy metrics, loop timing statistics, and plot data.
+"""Trajectory accuracy metrics and the dense-ICP baseline.
 
 Accuracy follows the KITTI odometry protocol: relative pose errors over
 subsequences of 100..800 m, start frames stepped every 10 frames, each
@@ -6,35 +6,29 @@ error normalized by the subsequence length.  Both trajectories must already
 live in a common frame; KITTI runs are compared in the left-camera frame
 after conjugating the estimate with the LiDAR->camera calibration.
 
-Also bundles a point-to-point ICP reference registration, kept out of the
+Also holds a point-to-point ICP reference registration, kept out of the
 pipeline itself: it exists to benchmark the feature-based loop estimator
-against the classic dense baseline.
+against the classic dense baseline.  Writing a run's files is the
+pipeline's job; nothing here touches disk.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import Pose, Rotation
-from .loop_closure import LoopEvent
 
 __all__ = [
     "SEGMENT_LENGTHS",
     "LengthErrors",
     "EvalReport",
     "IcpResult",
-    "TimingStats",
     "icp_point_to_point",
     "kitti_relative_errors",
-    "timing_stats",
-    "attach_loop_stats",
-    "emit_plot_data",
-    "write_eval_json",
 ]
 
 SEGMENT_LENGTHS = tuple(range(100, 900, 100))  # meters
@@ -54,18 +48,8 @@ class LengthErrors:
 class EvalReport:
     ate_percent: float
     are_deg_per_100m: float
-    per_length: Dict[int, LengthErrors] = field(default_factory=dict)
     insufficient_length: bool = False
-    mean_loop_ms: Optional[float] = None
-    median_loop_ms: Optional[float] = None
-    loops_accepted: int = 0
-    loops_rejected: int = 0
-
-
-class TimingStats(NamedTuple):
-    mean_ms: Optional[float]
-    median_ms: Optional[float]
-    count: int
+    per_length: Dict[int, LengthErrors] = field(default_factory=dict)
 
 
 def _path_distances(poses: Sequence[Pose]) -> np.ndarray:
@@ -132,44 +116,6 @@ def kitti_relative_errors(
     )
 
 
-def timing_stats(events: Sequence[LoopEvent]) -> TimingStats:
-    """Mean/median wall time (ms) over accepted loop events.
-
-    An empty or all-rejected log reports count 0 with absent statistics.
-    """
-    times = np.array([e.millis for e in events if e.accepted], dtype=float)
-    if len(times) == 0:
-        return TimingStats(None, None, 0)
-    return TimingStats(float(times.mean()), float(np.median(times)), len(times))
-
-
-def attach_loop_stats(report: EvalReport, events: Sequence[LoopEvent]) -> EvalReport:
-    """Fill the loop timing/count fields of a metric report in place."""
-    stats = timing_stats(events)
-    report.mean_loop_ms = stats.mean_ms
-    report.median_loop_ms = stats.median_ms
-    report.loops_accepted = sum(1 for e in events if e.accepted)
-    report.loops_rejected = sum(1 for e in events if not e.accepted)
-    return report
-
-
-def emit_plot_data(
-    estimate: Sequence[Pose], truth: Sequence[Pose], path
-) -> None:
-    """CSV of per-frame planar positions for external trajectory plots."""
-    if len(estimate) != len(truth):
-        raise ValueError(
-            f"trajectory length mismatch: estimate {len(estimate)}, truth {len(truth)}"
-        )
-    with open(path, "w") as f:
-        f.write("frame,est_x,est_y,gt_x,gt_y\n")
-        for i, (est, gt) in enumerate(zip(estimate, truth)):
-            f.write(
-                f"{i},{est.translation[0]:.6f},{est.translation[1]:.6f},"
-                f"{gt.translation[0]:.6f},{gt.translation[1]:.6f}\n"
-            )
-
-
 @dataclass
 class IcpResult:
     pose: Pose  # global pose of the source cloud
@@ -222,25 +168,3 @@ def icp_point_to_point(
             break
     return IcpResult(pose=pose, rms=rms, iterations=iterations)
 
-
-def write_eval_json(report: EvalReport, path) -> None:
-    payload = {
-        "ate_percent": report.ate_percent,
-        "are_deg_per_100m": report.are_deg_per_100m,
-        "insufficient_length": report.insufficient_length,
-        "per_length": {
-            str(length): {
-                "ate_percent": le.ate_percent,
-                "are_deg_per_100m": le.are_deg_per_100m,
-                "pairs": le.pairs,
-            }
-            for length, le in report.per_length.items()
-        },
-        "mean_loop_ms": report.mean_loop_ms,
-        "median_loop_ms": report.median_loop_ms,
-        "loops_accepted": report.loops_accepted,
-        "loops_rejected": report.loops_rejected,
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")

@@ -35,7 +35,6 @@ class FeatureCloud:
 
     edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     planars: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    frame_index: int = 0
 
     def __len__(self) -> int:
         return len(self.edges) + len(self.planars)
@@ -122,7 +121,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
     cfg = cfg or FeatureConfig()
     xyz, ring = scan.xyz, scan.ring
     if len(xyz) == 0:
-        return FeatureCloud(frame_index=scan.timestamp_index)
+        return FeatureCloud()
 
     hw = cfg.neighborhood_half_width
     w = 2 * hw + 1
@@ -146,7 +145,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
     centre &= (rng >= cfg.min_range) & (rng <= cfg.max_range)
     cand = np.flatnonzero(centre)
     if len(cand) == 0:
-        return FeatureCloud(frame_index=scan.timestamp_index)
+        return FeatureCloud()
     # the far side of an occlusion silhouette is viewpoint-dependent
     occluded = np.zeros(len(cand), dtype=bool)
     for k in range(1, hw + 1):
@@ -200,8 +199,4 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
         at = np.flatnonzero(rank >= 0)
         return pts[at[np.lexsort((rank[at], seg[at]))]]
 
-    return FeatureCloud(
-        edges=in_pick_order(edge_rank),
-        planars=in_pick_order(planar_rank),
-        frame_index=scan.timestamp_index,
-    )
+    return FeatureCloud(edges=in_pick_order(edge_rank), planars=in_pick_order(planar_rank))

@@ -6,7 +6,6 @@ drift) grows. Accepted candidates are refined by registering the current
 feature cloud against a submap assembled around the loop keyframe.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -158,23 +157,3 @@ class LoopEvent:
     cost: float
     millis: float
 
-
-def write_loop_log(events: Sequence[LoopEvent], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["from", "to", "d", "d_thre", "sc_distance", "accepted", "cost", "millis"]
-        )
-        for e in events:
-            writer.writerow(
-                [
-                    e.from_keyframe,
-                    e.to_keyframe,
-                    f"{e.d:.6f}",
-                    f"{e.d_thre:.6f}",
-                    f"{e.sc_distance:.6f}",
-                    int(e.accepted),
-                    f"{e.cost:.6f}",
-                    f"{e.millis:.3f}",
-                ]
-            )

@@ -441,7 +441,6 @@ def register(
 class OdometryState:
     current_pose: Pose = field(default_factory=Pose.identity)
     previous_pose: Pose = field(default_factory=Pose.identity)
-    frame_index: int = 0
 
 
 def predict_pose(state: OdometryState) -> Pose:
@@ -472,5 +471,4 @@ def process_frame(
     submap.insert(features, pose)
     state.previous_pose = state.current_pose
     state.current_pose = pose
-    state.frame_index += 1
     return features, pose, result

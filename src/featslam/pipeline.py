@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import json
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from .dataset_io import (
     GroundTruthTrajectory,
@@ -30,12 +33,7 @@ from .dataset_io import (
     load_ground_truth,
     load_scan,
 )
-from .evaluation import (
-    attach_loop_stats,
-    emit_plot_data,
-    kitti_relative_errors,
-    write_eval_json,
-)
+from .evaluation import kitti_relative_errors
 from .features import FeatureConfig
 from .geometry import Pose
 from .loop_closure import (
@@ -49,7 +47,6 @@ from .loop_closure import (
     estimate_loop_pose,
     gate_distance,
     is_new_keyframe,
-    write_loop_log,
 )
 from .odometry import (
     OdometryConfig,
@@ -73,8 +70,8 @@ from .pose_graph import (
 )
 from .scan_context import (
     CandidateMatch,
-    DescriptorStore,
     ScanContextConfig,
+    ScanContextDescriptor,
     build_descriptor,
     query,
     shift_to_yaw,
@@ -193,6 +190,8 @@ class PipelineConfig:
         ]
         if self["synthetic.shape"]:
             checks.append(("synthetic", lambda: check_world_spec(self._section("synthetic"))))
+        elif self["dataset.poses"] and not self["dataset.calib"]:
+            raise ValueError("dataset: dataset.poses requires dataset.calib")
         for section, build in checks:
             try:
                 build()
@@ -351,7 +350,7 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     state = OdometryState()
     submap = Submap(odo_cfg)
     store = KeyframeStore()
-    db = DescriptorStore()
+    db: List[ScanContextDescriptor] = []
     events: List[LoopEvent] = []
     correction = Pose.identity()  # re-bases odometry into the optimized frame
     frame_poses: List[Pose] = []
@@ -407,111 +406,121 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
 
 
 # ---------------------------------------------------------------------------
-# Input loading and the full run
+# Input, output files and the full run
 # ---------------------------------------------------------------------------
 
 def _load_input(config: PipelineConfig):
-    """Returns (scans, ground_truth); truth is a pose list (synthetic), a
-    GroundTruthTrajectory (dataset with --eval), or None."""
+    """Returns (scans, truth).  Truth is None for a dataset without poses;
+    a synthetic world's truth is in the LiDAR frame, so its calibration is
+    the identity."""
     if config["synthetic.shape"]:
-        return generate_world(config._section("synthetic"))
+        scans, poses = generate_world(config._section("synthetic"))
+        return scans, GroundTruthTrajectory(poses, Pose.identity())
 
     scan_dir = Path(config["dataset.scans"])
     if not scan_dir.is_dir():
         raise OSError(f"dataset directory not found: {scan_dir}")
-    paths = sorted(scan_dir.glob("*.bin"))
     limit = config["dataset.max_frames"]
-    if limit > 0:
-        paths = paths[:limit]
-    scans = [
-        dataclasses.replace(
-            load_scan(p, config["dataset.num_lasers"]), timestamp_index=i
-        )
-        for i, p in enumerate(paths)
-    ]
-    truth = None
-    if config["dataset.poses"]:
-        if not config["dataset.calib"]:
-            raise ValueError("dataset.poses requires dataset.calib")
-        truth = load_ground_truth(config["dataset.poses"], config["dataset.calib"])
-        if limit > 0:
-            truth = GroundTruthTrajectory(
-                camera_poses=truth.camera_poses[:limit],
-                calibration=truth.calibration,
-            )
-    return scans, truth
+    end = limit if limit > 0 else None
+    paths = sorted(scan_dir.glob("*.bin"))[:end]
+    scans = [load_scan(p, config["dataset.num_lasers"]) for p in paths]
+    if not config["dataset.poses"]:
+        return scans, None
+    truth = load_ground_truth(config["dataset.poses"], config["dataset.calib"])
+    return scans, GroundTruthTrajectory(truth.camera_poses[:end], truth.calibration)
 
 
-def _write_frame_log(result: SlamResult, path) -> None:
-    """One row per frame: keyframe flag, odometry registration diagnostics
-    (empty for the first frame, which is not registered) and the number of
-    non-finite points dropped from its scan."""
-    keyframes = set(result.keyframe_frames)
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """A header line, then one line per row; every line ends in LF."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([
-            "frame", "keyframe", "iterations", "converged", "degenerate_directions",
-            "edge_matches", "plane_matches", "final_cost", "dropped_points",
-        ])
-        for i, (reg, dropped) in enumerate(zip(result.registrations, result.dropped_points)):
-            fields = [""] * 6
-            if reg is not None:
-                fields = [reg.iterations, int(reg.converged), reg.degenerate_directions,
-                          reg.num_edge_matches, reg.num_plane_matches, reg.final_cost]
-            writer.writerow([i, int(i in keyframes), *fields, dropped])
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _write_graph_log(result: SlamResult, path) -> None:
-    """One row per pose-graph solve: the keyframe that triggered it, the
-    graph size, the LM iterations and costs, and its wall time."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([
-            "keyframe", "nodes", "edges", "iterations", "initial_cost", "final_cost",
-            "converged", "millis",
-        ])
-        for s in result.solves:
-            writer.writerow([s.keyframe, s.nodes, s.edges, s.report.iterations,
-                             s.report.initial_cost, s.report.final_cost,
-                             int(s.report.converged), f"{s.millis:.3f}"])
-
-
-def _write_outputs(result: SlamResult, truth, config: PipelineConfig, out: Path):
+def _write_outputs(
+    result: SlamResult, truth: Optional[GroundTruthTrajectory], out: Path
+) -> None:
+    """Write every file of a run; evaluation.json and plot.csv need truth."""
     export_trajectory(result.trajectory, out / "trajectory_kitti.txt", "kitti")
     export_trajectory(result.trajectory, out / "trajectory_tum.txt", "tum")
-    write_loop_log(result.events, out / "loops.csv")
-    _write_frame_log(result, out / "frames.csv")
-    _write_graph_log(result, out / "graph.csv")
-    export_map(
-        zip(result.keyframe_features, result.keyframe_poses), out / "map.ply"
+    export_map(zip(result.keyframe_features, result.keyframe_poses), out / "map.ply")
+    # one row per loop attempt
+    _write_csv(
+        out / "loops.csv",
+        ["from", "to", "d", "d_thre", "sc_distance", "accepted", "cost", "millis"],
+        ([e.from_keyframe, e.to_keyframe, f"{e.d:.6f}", f"{e.d_thre:.6f}",
+          f"{e.sc_distance:.6f}", int(e.accepted), f"{e.cost:.6f}", f"{e.millis:.3f}"]
+         for e in result.events),
+    )
+    # one row per frame: keyframe flag, odometry registration diagnostics
+    # (empty for the first frame, which is not registered) and the number of
+    # non-finite points dropped from its scan
+    keyframes = set(result.keyframe_frames)
+    frame_rows = []
+    for i, (reg, dropped) in enumerate(zip(result.registrations, result.dropped_points)):
+        fields = [""] * 6
+        if reg is not None:
+            fields = [reg.iterations, int(reg.converged), reg.degenerate_directions,
+                      reg.num_edge_matches, reg.num_plane_matches, reg.final_cost]
+        frame_rows.append([i, int(i in keyframes), *fields, dropped])
+    _write_csv(
+        out / "frames.csv",
+        ["frame", "keyframe", "iterations", "converged", "degenerate_directions",
+         "edge_matches", "plane_matches", "final_cost", "dropped_points"],
+        frame_rows,
+    )
+    # one row per pose-graph solve: the keyframe that triggered it, the graph
+    # size, the LM iterations and costs, and its wall time
+    _write_csv(
+        out / "graph.csv",
+        ["keyframe", "nodes", "edges", "iterations", "initial_cost", "final_cost",
+         "converged", "millis"],
+        ([s.keyframe, s.nodes, s.edges, s.report.iterations, s.report.initial_cost,
+          s.report.final_cost, int(s.report.converged), f"{s.millis:.3f}"]
+         for s in result.solves),
     )
     if truth is None or not result.trajectory:
         return
-    if isinstance(truth, GroundTruthTrajectory):
-        calib = truth.calibration
-        calib_inv = calib.inverse()
-        est_eval = [calib.compose(p).compose(calib_inv) for p in result.trajectory]
-        truth_eval = truth.camera_poses
-        truth_plot = truth.lidar_poses()
-    else:
-        est_eval = result.trajectory
-        truth_eval = list(truth)
-        truth_plot = list(truth)
-    report = kitti_relative_errors(est_eval, truth_eval)
-    attach_loop_stats(report, result.events)
-    write_eval_json(report, out / "evaluation.json")
-    emit_plot_data(result.trajectory, truth_plot, out / "plot.csv")
+    # KITTI errors are taken in the camera frame
+    calib, calib_inv = truth.calibration, truth.calibration.inverse()
+    report = kitti_relative_errors(
+        [calib.compose(p).compose(calib_inv) for p in result.trajectory],
+        truth.camera_poses,
+    )
+    # the report's fields, then the wall time (ms) of the accepted loop
+    # refinements (absent when none was accepted) and the loop counts
+    times = [e.millis for e in result.events if e.accepted]
+    with open(out / "evaluation.json", "w") as f:
+        json.dump({
+            **dataclasses.asdict(report),
+            "mean_loop_ms": float(np.mean(times)) if times else None,
+            "median_loop_ms": float(np.median(times)) if times else None,
+            "loops_accepted": len(times),
+            "loops_rejected": len(result.events) - len(times),
+        }, f, indent=2)
+        f.write("\n")
+    # planar positions, both in the LiDAR frame, for trajectory plots
+    _write_csv(
+        out / "plot.csv",
+        ["frame", "est_x", "est_y", "gt_x", "gt_y"],
+        ([i, f"{est.translation[0]:.6f}", f"{est.translation[1]:.6f}",
+          f"{gt.translation[0]:.6f}", f"{gt.translation[1]:.6f}"]
+         for i, (est, gt) in enumerate(
+             zip(result.trajectory, truth.lidar_poses(), strict=True))),
+    )
 
 
 def run(config: PipelineConfig) -> int:
-    """Execute a full run and write all outputs; returns the exit status."""
-    out = Path(config["output.dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute a full run and write all outputs; returns the exit status.
+
+    The input is loaded and checked before the output directory is made."""
     scans, truth = _load_input(config)
-    if truth is not None and len(truth) < len(scans):
+    if truth is not None and len(truth) != len(scans):
         raise ValueError(
             f"ground truth has {len(truth)} poses for {len(scans)} scans"
         )
-    result = run_slam(scans, config)
-    _write_outputs(result, truth, config, out)
+    out = Path(config["output.dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    _write_outputs(run_slam(scans, config), truth, out)
     return 0

@@ -7,8 +7,8 @@ shifts are scored together: the dot products of every column pair are
 formed once, and each shift gathers the pairs it lines up.
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,31 +123,15 @@ def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
     return (float(dist[shift]), shift)
 
 
-@dataclass
-class DescriptorStore:
-    """Append-only keyframe descriptor database."""
-
-    descriptors: List[ScanContextDescriptor] = field(default_factory=list)
-
-    def append(self, descriptor: ScanContextDescriptor):
-        self.descriptors.append(descriptor)
-
-    def __len__(self):
-        return len(self.descriptors)
-
-    def __getitem__(self, i):
-        return self.descriptors[i]
-
-
 def query(
-    db: DescriptorStore,
+    database: Sequence[ScanContextDescriptor],
     probe: ScanContextDescriptor,
     config: Optional[ScanContextConfig] = None,
 ) -> Optional[CandidateMatch]:
     """Two-stage retrieval: ring-key nearest neighbors, then full distance."""
     cfg = config or ScanContextConfig()
     horizon = probe.keyframe_index - cfg.exclude_recent
-    eligible = [d for d in db.descriptors if d.keyframe_index < horizon]
+    eligible = [d for d in database if d.keyframe_index < horizon]
     if not eligible:
         return None
     keys = np.stack([d.ring_key for d in eligible])

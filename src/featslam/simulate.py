@@ -169,7 +169,6 @@ def simulate_scan(
     pose: Pose,
     model: LidarModel,
     rng: np.random.Generator,
-    frame_index: int = 0,
 ) -> RawScan:
     """Cast one scan from the given sensor pose; points in the sensor frame."""
     d_sensor, ring = model.ray_directions()
@@ -185,7 +184,6 @@ def simulate_scan(
         xyz=d_sensor[keep] * t[keep, None],
         intensity=np.zeros(keep.sum(), dtype=np.float32),
         ring=ring[keep],
-        timestamp_index=frame_index,
     )
 
 
@@ -491,8 +489,5 @@ def generate_world(spec: dict):
 
     model = LidarModel(noise_std=s["noise"])
     rng = np.random.default_rng(s["seed"])
-    scans = [
-        simulate_scan(world, pose, model, rng, frame_index=k)
-        for k, pose in enumerate(poses)
-    ]
+    scans = [simulate_scan(world, pose, model, rng) for pose in poses]
     return scans, poses

@@ -148,7 +148,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
     """
     cfg = cfg or FeatureConfig()
     if len(scan) == 0:
-        return FeatureCloud(frame_index=scan.timestamp_index)
+        return FeatureCloud()
 
     hw = cfg.neighborhood_half_width
     edges, planars = [], []
@@ -208,7 +208,6 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
     return FeatureCloud(
         edges=np.array(edges) if edges else np.zeros((0, 3)),
         planars=np.array(planars) if planars else np.zeros((0, 3)),
-        frame_index=scan.timestamp_index,
     )
 
 

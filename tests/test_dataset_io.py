@@ -116,7 +116,7 @@ class TestRawScanShapes:
         np.testing.assert_array_equal(scan.ring, [0, 2, 5])
         np.testing.assert_array_equal(scan.intensity, [0.0, 2.0, 5.0])
         # a copy of a clean scan keeps the count and drops nothing more
-        again = dataclasses.replace(scan, timestamp_index=7)
+        again = dataclasses.replace(scan)
         assert again.dropped == 4 and len(again) == 3
 
     def test_two_column_xyz_rejected(self):

@@ -1,25 +1,28 @@
-"""Relative-error metrics, loop timing statistics, and plot/report output.
+"""Relative-error metrics, the dense-ICP baseline, and the evaluation files
+a run writes (evaluation.json, plot.csv).
 
 The metric oracle is a from-scratch evaluator working directly on 4x4
 matrices (numpy only, no shared helpers with the implementation).
 """
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from featslam.dataset_io import GroundTruthTrajectory
 from featslam.evaluation import (
     EvalReport,
-    attach_loop_stats,
-    emit_plot_data,
+    LengthErrors,
     icp_point_to_point,
     kitti_relative_errors,
-    timing_stats,
-    write_eval_json,
 )
 from featslam.geometry import Pose, Rotation
 from featslam.loop_closure import LoopEvent
+
+LOOP_KEYS = ["mean_loop_ms", "median_loop_ms", "loops_accepted", "loops_rejected"]
 
 
 def straight_trajectory(total_m, step_m=1.0, scale=1.0):
@@ -172,40 +175,54 @@ def _event(millis, accepted=True, frm=60, to=2):
     )
 
 
+def lidar_truth(poses):
+    """Truth in the LiDAR frame, as a synthetic world gives it."""
+    return GroundTruthTrajectory(camera_poses=list(poses), calibration=Pose.identity())
+
+
+def written_evaluation(write_run, events=(), estimate=None, truth=None):
+    """evaluation.json of a run; one identity frame unless given."""
+    if estimate is None:
+        estimate = [Pose.identity()]
+    out = write_run(estimate, events, truth or lidar_truth(estimate))
+    return json.loads((out / "evaluation.json").read_text())
+
+
 class TestTimingStats:
-    def test_mean_and_median_of_accepted_events(self):
-        stats = timing_stats([_event(100.0), _event(200.0)])
-        assert stats.mean_ms == pytest.approx(150.0)
-        assert stats.median_ms == pytest.approx(150.0)
-        assert stats.count == 2
+    """The loop timing and count keys of evaluation.json."""
 
-    def test_empty_log_reports_absent_stats(self):
-        stats = timing_stats([])
-        assert stats == (None, None, 0)
+    def test_mean_and_median_of_accepted_events(self, write_run):
+        data = written_evaluation(write_run, [_event(100.0), _event(200.0)])
+        assert data["mean_loop_ms"] == pytest.approx(150.0)
+        assert data["median_loop_ms"] == pytest.approx(150.0)
+        assert data["loops_accepted"] == 2
 
-    def test_rejected_events_excluded(self):
+    def test_empty_log_reports_absent_stats(self, write_run):
+        for events in ([], [_event(50.0, accepted=False)]):
+            data = written_evaluation(write_run, events)
+            assert (data["mean_loop_ms"], data["median_loop_ms"],
+                    data["loops_accepted"]) == (None, None, 0)
+
+    def test_rejected_events_excluded(self, write_run):
         events = [_event(100.0), _event(900.0, accepted=False), _event(300.0)]
-        stats = timing_stats(events)
-        assert stats.count == 2
-        assert stats.mean_ms == pytest.approx(200.0)
+        data = written_evaluation(write_run, events)
+        assert data["loops_accepted"] == 2
+        assert data["mean_loop_ms"] == pytest.approx(200.0)
 
-
-    def test_attach_loop_stats_fills_counts(self):
+    def test_accepted_and_rejected_counts(self, write_run):
         events = [_event(10.0), _event(20.0, accepted=False)]
-        report = EvalReport(1.0, 0.1)
-        attach_loop_stats(report, events)
-        assert report.loops_accepted == 1
-        assert report.loops_rejected == 1
-        assert report.mean_loop_ms == pytest.approx(10.0)
+        data = written_evaluation(write_run, events)
+        assert data["loops_accepted"] == 1
+        assert data["loops_rejected"] == 1
+        assert data["mean_loop_ms"] == pytest.approx(10.0)
 
 
 class TestPlotData:
-    def test_two_pose_trajectories(self, tmp_path):
+    def test_two_pose_trajectories(self, write_run):
         est = straight_trajectory(1.0, step_m=1.0)
         gt = straight_trajectory(2.0, step_m=2.0)
-        path = tmp_path / "plot.csv"
-        emit_plot_data(est, gt, path)
-        lines = path.read_text().strip().splitlines()
+        out = write_run(est, truth=lidar_truth(gt))
+        lines = (out / "plot.csv").read_text().strip().splitlines()
         assert lines[0] == "frame,est_x,est_y,gt_x,gt_y"
         assert len(lines) == 3
         assert all(len(l.split(",")) == 5 for l in lines)
@@ -213,34 +230,69 @@ class TestPlotData:
         assert float(row[1]) == pytest.approx(1.0)
         assert float(row[3]) == pytest.approx(2.0)
 
-    def test_identity_trajectories_give_zeros(self, tmp_path):
+    def test_identity_trajectories_give_zeros(self, write_run):
         poses = [Pose(Rotation.identity(), np.zeros(3))] * 3
-        path = tmp_path / "plot.csv"
-        emit_plot_data(poses, poses, path)
-        for line in path.read_text().strip().splitlines()[1:]:
+        out = write_run(poses, truth=lidar_truth(poses))
+        for line in (out / "plot.csv").read_text().strip().splitlines()[1:]:
             assert [float(v) for v in line.split(",")[1:]] == [0.0] * 4
 
-    def test_length_mismatch_rejected(self, tmp_path):
+    def test_length_mismatch_rejected(self, write_run):
         est = straight_trajectory(5.0)
         with pytest.raises(ValueError):
-            emit_plot_data(est[:-1], est, tmp_path / "plot.csv")
+            write_run(est[:-1], truth=lidar_truth(est))
 
 
 class TestEvalJson:
-    def test_round_trip_fields(self, tmp_path):
+    def test_round_trip_fields(self, write_run):
         truth = straight_trajectory(900.0)
         estimate = straight_trajectory(900.0, scale=1.01)
         report = kitti_relative_errors(estimate, truth)
-        attach_loop_stats(report, [_event(42.0)])
-        path = tmp_path / "eval.json"
-        write_eval_json(report, path)
-        data = json.loads(path.read_text())
+        data = written_evaluation(write_run, [_event(42.0)], estimate, lidar_truth(truth))
         assert data["ate_percent"] == pytest.approx(report.ate_percent)
         assert data["are_deg_per_100m"] == pytest.approx(report.are_deg_per_100m)
         assert data["per_length"]["100"]["pairs"] == 81
         assert data["loops_accepted"] == 1
         assert data["mean_loop_ms"] == pytest.approx(42.0)
         assert data["insufficient_length"] is False
+
+    def test_keys_are_the_report_fields_then_the_loop_stats(self, write_run):
+        truth = straight_trajectory(150.0)
+        data = written_evaluation(write_run, estimate=truth, truth=lidar_truth(truth))
+        assert list(data) == [f.name for f in dataclasses.fields(EvalReport)] + LOOP_KEYS
+        assert list(data["per_length"]) == ["100"]
+        assert list(data["per_length"]["100"]) == [
+            f.name for f in dataclasses.fields(LengthErrors)
+        ]
+
+    def test_errors_taken_in_camera_frame(self, write_run):
+        """Estimate and truth live in the LiDAR frame; KITTI truth is in the
+        camera frame, so the estimate is conjugated with the calibration Tr.
+        With an offset Tr the errors differ from the LiDAR-frame ones."""
+        rng = np.random.default_rng(11)
+        lidar, _ = random_trajectory(rng, 150)
+        estimate = perturbed(lidar, rng)
+        tr = Pose(Rotation.from_rotvec([1.2, -1.2, 1.2]), np.array([0.3, -0.8, -1.5]))
+        camera = [tr.compose(p).compose(tr.inverse()) for p in lidar]
+        truth = GroundTruthTrajectory(camera_poses=camera, calibration=tr)
+        out = write_run(estimate, [], truth)
+        expected = kitti_relative_errors(
+            [tr.compose(p).compose(tr.inverse()) for p in estimate], camera
+        )
+        assert not expected.insufficient_length
+        assert json.loads((out / "evaluation.json").read_text()) == json.loads(json.dumps(
+            {**dataclasses.asdict(expected), "mean_loop_ms": None, "median_loop_ms": None,
+             "loops_accepted": 0, "loops_rejected": 0}
+        ))
+        in_lidar = kitti_relative_errors(estimate, lidar)
+        assert abs(in_lidar.ate_percent - expected.ate_percent) > 1e-2
+        # plot.csv shows both trajectories in the LiDAR frame
+        with open(out / "plot.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        for row, est, gt in zip(rows, estimate, lidar, strict=True):
+            assert [float(row[k]) for k in ("est_x", "est_y")] == pytest.approx(
+                est.translation[:2], abs=5e-7)
+            assert [float(row[k]) for k in ("gt_x", "gt_y")] == pytest.approx(
+                gt.translation[:2], abs=5e-7)
 
 
 class TestIcpOracle:

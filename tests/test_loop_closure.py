@@ -16,7 +16,6 @@ from featslam.loop_closure import (
     estimate_loop_pose,
     gate_distance,
     is_new_keyframe,
-    write_loop_log,
 )
 
 
@@ -231,18 +230,17 @@ class TestEstimateLoopPose:
 
 
 class TestLoopLog:
-    def test_csv_format(self, tmp_path):
+    def test_csv_format(self, write_run):
         events = [
             LoopEvent(80, 3, 4.2, 20.8, 0.13, True, 0.05, 12.5),
             LoopEvent(95, 7, 30.0, 20.95, 0.19, False, float("inf"), 3.25),
         ]
-        path = tmp_path / "loops.csv"
-        write_loop_log(events, path)
-        with open(path) as f:
+        out = write_run(events=events)
+        with open(out / "loops.csv", newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["from", "to", "d", "d_thre", "sc_distance",
                            "accepted", "cost", "millis"]
-        assert rows[1][0] == "80" and rows[1][1] == "3"
-        assert rows[1][5] == "1" and rows[2][5] == "0"
-        assert float(rows[1][2]) == pytest.approx(4.2)
+        assert rows[1] == ["80", "3", "4.200000", "20.800000", "0.130000", "1",
+                           "0.050000", "12.500"]
+        assert rows[2][5] == "0" and rows[2][6] == "inf"
         assert len(rows) == 3

@@ -558,7 +558,7 @@ class TestProcessFrame:
         model = LidarModel(noise_std=noise)
         rng = np.random.default_rng(seed)
         path = straight_path(frames, step)
-        return [simulate_scan(world, p, model, rng, k) for k, p in enumerate(path)], path
+        return [simulate_scan(world, p, model, rng) for p in path], path
 
     def test_single_frame_identity(self):
         scans, _ = self.corridor_scans(1, 0.5)
@@ -589,8 +589,7 @@ class TestProcessFrame:
             walls += pillar(cx, cy, 2.0, -0.45, 2.2)
         world = World(walls=walls, poles=[], ground_z=-1.5)
         scan = simulate_scan(
-            world, Pose.identity(), LidarModel(noise_std=0.0),
-            np.random.default_rng(0), 0,
+            world, Pose.identity(), LidarModel(noise_std=0.0), np.random.default_rng(0)
         )
         state, submap = OdometryState(), Submap()
         cfg = OdometryConfig()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -7,7 +8,9 @@ import pytest
 
 from featslam import pipeline
 from featslam.cli import _collect_items, _synthetic_items, build_parser, main
-from featslam.dataset_io import RawScan
+from featslam.dataset_io import RawScan, load_ground_truth
+from featslam.evaluation import kitti_relative_errors
+from featslam.geometry import Pose, Rotation
 from featslam.loop_closure import LoopClosureConfig
 from featslam.odometry import OdometryConfig
 from featslam.pipeline import (
@@ -22,7 +25,15 @@ from featslam.pose_graph import (
     default_odometry_information,
 )
 from featslam.scan_context import ScanContextConfig
-from featslam.simulate import WORLD_DEFAULTS, generate_world
+from featslam.simulate import (
+    SQUARE_CORNER_RADIUS,
+    WORLD_DEFAULTS,
+    LidarModel,
+    generate_world,
+    rounded_square_path,
+    simulate_scan,
+    square_loop_world,
+)
 
 SQUARE = {"synthetic.shape": "square"}
 
@@ -220,6 +231,18 @@ class TestCliArgs:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_poses_without_calib_rejected(self, tmp_path, capsys):
+        message = "dataset: dataset.poses requires dataset.calib"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PipelineConfig.from_items({"dataset.scans": str(tmp_path),
+                                       "dataset.poses": str(tmp_path / "poses.txt")})
+        rc = main(["run", "--set", f"dataset.scans={tmp_path}",
+                   "--eval", str(tmp_path / "poses.txt"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_eval_path_noted_as_ignored_for_synthetic(self, tmp_path, capsys):
         rc = main(["run", "--synthetic", "square,frames=3",
@@ -245,21 +268,31 @@ class TestDegenerateInputs:
         assert (out / "trajectory_kitti.txt").read_text() == ""
         assert (out / "loops.csv").read_text().startswith("from,to,")
 
-    def test_truth_shorter_than_scans(self, tmp_path, capsys):
+    @staticmethod
+    def run_two_scans(tmp_path, num_poses):
+        """Run two one-point scans against num_poses identity poses."""
         scans = tmp_path / "scans"
         scans.mkdir()
         for name in ("000000.bin", "000001.bin"):
             np.array([[5.0, 1.0, 0.5, 0.0]], dtype=np.float32).tofile(scans / name)
         poses = tmp_path / "poses.txt"
-        poses.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
+        poses.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" * num_poses)
         calib = tmp_path / "calib.txt"
         calib.write_text("Tr: 1 0 0 0 0 1 0 0 0 0 1 0\n")
-        rc = main(["run", "--set", f"dataset.scans={scans}",
-                   "--set", f"dataset.poses={poses}",
-                   "--set", f"dataset.calib={calib}",
-                   "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert "1 poses for 2 scans" in capsys.readouterr().err
+        return main(["run", "--set", f"dataset.scans={scans}",
+                     "--set", f"dataset.poses={poses}",
+                     "--set", f"dataset.calib={calib}",
+                     "--out", str(tmp_path / "out")])
+
+    def test_truth_shorter_than_scans(self, tmp_path, capsys):
+        assert self.run_two_scans(tmp_path, 1) == 1
+        assert "ground truth has 1 poses for 2 scans" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_truth_longer_than_scans(self, tmp_path, capsys):
+        assert self.run_two_scans(tmp_path, 3) == 1
+        assert "ground truth has 3 poses for 2 scans" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 # One modest world with a genuine revisit, run once and inspected by several
@@ -337,6 +370,14 @@ class TestEndToEnd:
         for row in rows:
             assert float(row["final_cost"]) <= float(row["initial_cost"])
 
+    def test_lines_end_in_lf(self, finished_run):
+        names = sorted(path.name for path in finished_run.iterdir())
+        assert names == ["evaluation.json", "frames.csv", "graph.csv", "loops.csv",
+                         "map.ply", "plot.csv", "trajectory_kitti.txt",
+                         "trajectory_tum.txt"]
+        for name in names:
+            assert b"\r" not in (finished_run / name).read_bytes(), name
+
     def test_no_loop_flag_suppresses_events(self, finished_run, tmp_path):
         out = tmp_path / "odo"
         rc = main(["run", "--synthetic", "square,frames=40,size=24,seed=0",
@@ -391,11 +432,74 @@ class TestFrameLog:
         xyz = clean.xyz.copy()
         xyz[:5, 1] = np.nan
         xyz[5:7, 2] = np.inf
-        scans[2] = RawScan(xyz=xyz, intensity=clean.intensity, ring=clean.ring,
-                           timestamp_index=2)
+        scans[2] = RawScan(xyz=xyz, intensity=clean.intensity, ring=clean.ring)
         assert scans[2].dropped == 7
         result = run_slam(scans, PipelineConfig.from_items(SQUARE))
         assert result.dropped_points == [0, 0, 7, 0]
-        pipeline._write_frame_log(result, tmp_path / "frames.csv")
+        pipeline._write_outputs(result, None, tmp_path)
         rows = self.rows(tmp_path / "frames.csv")
         assert [row["dropped_points"] for row in rows] == ["0", "0", "7", "0"]
+
+
+def _kitti_line(pose):
+    return " ".join(f"{v:.17g}" for v in pose.matrix()[:3].ravel()) + "\n"
+
+
+def write_kitti_sequence(root, calibration, frames=3):
+    """A KITTI-layout sequence: the first frames of a 60-frame square course as
+    velodyne .bin scans, their poses in the camera frame of ``calibration``
+    (Tr, LiDAR -> camera) and a calib.txt holding Tr.  Returns the
+    dataset.* configuration items."""
+    world = square_loop_world(24.0, seed=0)
+    lidar = rounded_square_path(24.0, SQUARE_CORNER_RADIUS, 60)[:frames]
+    rng = np.random.default_rng(0)
+    (root / "scans").mkdir()
+    for i, pose in enumerate(lidar):
+        scan = simulate_scan(world, pose, LidarModel(), rng)
+        points = np.column_stack([scan.xyz, scan.intensity]).astype("<f4")
+        points.tofile(root / "scans" / f"{i:06d}.bin")
+    camera = [calibration.compose(p).compose(calibration.inverse()) for p in lidar]
+    (root / "poses.txt").write_text("".join(_kitti_line(p) for p in camera))
+    (root / "calib.txt").write_text("Tr: " + _kitti_line(calibration))
+    return {f"dataset.{key}": str(root / name) for key, name in
+            (("scans", "scans"), ("poses", "poses.txt"), ("calib", "calib.txt"))}
+
+
+class TestDatasetRun:
+    # KITTI's LiDAR -> camera: x forward becomes z forward, plus an offset
+    TR = Pose(Rotation.from_matrix(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
+                                             [1.0, 0.0, 0.0]])),
+              np.array([-0.004, -0.076, -0.27]))
+
+    def test_evaluated_in_the_camera_frame(self, tmp_path):
+        items = write_kitti_sequence(tmp_path, self.TR)
+        out = tmp_path / "out"
+        sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value}")]
+        assert main(["run", *sets, "--out", str(out)]) == 0
+        assert b"\r" not in b"".join(path.read_bytes() for path in out.iterdir())
+
+        config = PipelineConfig.from_items(items)
+        scans, truth = pipeline._load_input(config)
+        assert len(truth) == len(scans) == 3
+        trajectory = run_slam(scans, config).trajectory
+        tr, tr_inv = truth.calibration, truth.calibration.inverse()
+        expected = kitti_relative_errors(
+            [tr.compose(p).compose(tr_inv) for p in trajectory], truth.camera_poses
+        )
+        report = json.loads((out / "evaluation.json").read_text())
+        assert report == {**json.loads(json.dumps(dataclasses.asdict(expected))),
+                          "mean_loop_ms": None, "median_loop_ms": None,
+                          "loops_accepted": 0, "loops_rejected": 0}
+
+        gt = load_ground_truth(items["dataset.poses"], items["dataset.calib"]).lidar_poses()
+        with open(out / "plot.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(row["gt_x"], row["gt_y"]) for row in rows] == [
+            (f"{p.translation[0]:.6f}", f"{p.translation[1]:.6f}") for p in gt
+        ]
+        assert [(row["est_x"], row["est_y"]) for row in rows] == [
+            (f"{p.translation[0]:.6f}", f"{p.translation[1]:.6f}") for p in trajectory
+        ]
+        # the camera frame differs from the LiDAR frame the plot is drawn in
+        camera_xy = [p.translation[:2] for p in truth.camera_poses]
+        assert not np.allclose(camera_xy, [p.translation[:2] for p in gt], atol=0.1)

@@ -5,7 +5,6 @@ import loop_reference as ref
 from featslam.features import FeatureCloud
 from featslam.scan_context import (
     EMPTY_BIN,
-    DescriptorStore,
     ScanContextConfig,
     ScanContextDescriptor,
     build_descriptor,
@@ -161,11 +160,11 @@ class TestYawEquivariance:
 class TestQuery:
     def test_empty_store(self):
         probe = build_descriptor(random_cloud(np.random.default_rng(0)), 100)
-        assert query(DescriptorStore(), probe) is None
+        assert query([], probe) is None
 
     def test_exact_copy_found(self):
         rng = np.random.default_rng(5)
-        store = DescriptorStore()
+        store = []
         fc = random_cloud(rng)
         store.append(build_descriptor(fc, keyframe_index=5))
         for i in range(6, 20):
@@ -178,7 +177,7 @@ class TestQuery:
 
     def test_recent_keyframes_excluded(self):
         rng = np.random.default_rng(6)
-        store = DescriptorStore()
+        store = []
         fc = random_cloud(rng)
         store.append(build_descriptor(fc, keyframe_index=59))
         probe = build_descriptor(fc, keyframe_index=100)
@@ -190,7 +189,7 @@ class TestQuery:
 
     def test_never_returns_recent(self):
         rng = np.random.default_rng(7)
-        store = DescriptorStore()
+        store = []
         for i in range(120):
             store.append(build_descriptor(random_cloud(rng, n=80), keyframe_index=i))
         for probe_idx in (60, 90, 119):
@@ -203,7 +202,7 @@ class TestQuery:
         rng = np.random.default_rng(8)
         cfg = ScanContextConfig()
         clouds = [random_cloud(rng, n=250, safe_bins=False) for _ in range(100)]
-        store = DescriptorStore()
+        store = []
         for i, fc in enumerate(clouds):
             store.append(build_descriptor(fc, keyframe_index=i))
         target = clouds[17]
@@ -217,7 +216,7 @@ class TestQuery:
         assert match is not None
         assert match.candidate_keyframe_index == 17
         # independent brute-force oracle over the full store
-        dists = [descriptor_distance(probe, d)[0] for d in store.descriptors]
+        dists = [descriptor_distance(probe, d)[0] for d in store]
         assert int(np.argmin(dists)) == 17
 
 

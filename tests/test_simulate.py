@@ -44,8 +44,8 @@ class TestSimulateScan:
         world = corridor_world()
         model = LidarModel(noise_std=0.0)
         rng = np.random.default_rng(0)
-        a = simulate_scan(world, Pose.identity(), model, rng, 0)
-        b = simulate_scan(world, Pose.identity(), model, rng, 1)
+        a = simulate_scan(world, Pose.identity(), model, rng)
+        b = simulate_scan(world, Pose.identity(), model, rng)
         np.testing.assert_array_equal(a.xyz, b.xyz)
         np.testing.assert_array_equal(a.ring, b.ring)
 
@@ -53,7 +53,7 @@ class TestSimulateScan:
         world = World(walls=[Wall((5.0, -10.0), (5.0, 10.0))], poles=[], ground_z=-100.0)
         model = LidarModel(noise_std=0.0, num_rings=1, elevation_min_deg=0,
                            elevation_max_deg=0)
-        scan = simulate_scan(world, Pose.identity(), model, np.random.default_rng(0), 0)
+        scan = simulate_scan(world, Pose.identity(), model, np.random.default_rng(0))
         assert len(scan.xyz) > 0
         np.testing.assert_allclose(scan.xyz[:, 0], 5.0, atol=1e-9)
 
@@ -62,7 +62,7 @@ class TestSimulateScan:
         world = World(walls=[], poles=[pole], ground_z=-100.0)
         model = LidarModel(noise_std=0.0, num_rings=1, elevation_min_deg=0,
                            elevation_max_deg=0, points_per_ring=720)
-        scan = simulate_scan(world, Pose.identity(), model, np.random.default_rng(0), 0)
+        scan = simulate_scan(world, Pose.identity(), model, np.random.default_rng(0))
         assert len(scan.xyz) > 0
         r = np.linalg.norm(scan.xyz[:, :2] - np.array([4.0, 0.0]), axis=1)
         np.testing.assert_allclose(r, 0.3, atol=1e-9)
@@ -71,7 +71,7 @@ class TestSimulateScan:
         world = World(walls=[Wall((5.0, -10.0), (5.0, 10.0))], poles=[], ground_z=-100.0)
         model = LidarModel(noise_std=0.05, num_rings=1, elevation_min_deg=0,
                            elevation_max_deg=0)
-        scan = simulate_scan(world, Pose.identity(), model, np.random.default_rng(3), 0)
+        scan = simulate_scan(world, Pose.identity(), model, np.random.default_rng(3))
         spread = scan.xyz[:, 0].std()
         assert 0.0 < spread < 0.2
 
@@ -79,7 +79,7 @@ class TestSimulateScan:
         world = corridor_world()
         model = LidarModel(noise_std=0.0)
         pose = Pose(Rotation.from_rotvec([0, 0, 0.3]), [4.0, 0.5, 0.0])
-        scan = simulate_scan(world, pose, model, np.random.default_rng(0), 0)
+        scan = simulate_scan(world, pose, model, np.random.default_rng(0))
         ranges = np.linalg.norm(scan.xyz, axis=1)
         assert (ranges >= model.min_range - 1e-6).all()
         assert (ranges <= model.max_range + 0.1).all()
