@@ -15,7 +15,7 @@ pipeline's job; nothing here touches disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -46,8 +46,10 @@ class LengthErrors:
 
 @dataclass
 class EvalReport:
-    ate_percent: float
-    are_deg_per_100m: float
+    """Errors pooled over every length; None when no length fits the path."""
+
+    ate_percent: Optional[float]
+    are_deg_per_100m: Optional[float]
     insufficient_length: bool = False
     per_length: Dict[int, LengthErrors] = field(default_factory=dict)
 
@@ -73,7 +75,7 @@ def kitti_relative_errors(
     error pose is E = inverse(rel_truth) * rel_est.  Translational error is
     |translation(E)|/L (reported as percent), rotational error angle(E)/L
     (reported as deg per 100 m).  A trajectory shorter than the smallest L
-    yields a report flagged insufficient_length.
+    yields a report flagged insufficient_length, with no errors (None).
     """
     if len(estimate) != len(truth):
         raise ValueError(
@@ -107,7 +109,7 @@ def kitti_relative_errors(
             r_all.extend(r_errs)
 
     if not t_all:
-        return EvalReport(0.0, 0.0, per_length={}, insufficient_length=True)
+        return EvalReport(None, None, per_length={}, insufficient_length=True)
     return EvalReport(
         ate_percent=float(np.mean(t_all)) * 100.0,
         are_deg_per_100m=float(np.mean(r_all)) * 100.0 * 180.0 / np.pi,

@@ -500,14 +500,17 @@ def _write_outputs(
             "loops_rejected": len(result.events) - len(times),
         }, f, indent=2)
         f.write("\n")
-    # planar positions, both in the LiDAR frame, for trajectory plots
+    # planar positions in the LiDAR frame for trajectory plots; the estimate
+    # starts at the identity, so it is moved into truth's frame by
+    # gt_0 est_0^-1 (about the identity on KITTI, whose truth starts there)
+    gt = truth.lidar_poses()
+    align = gt[0].compose(result.trajectory[0].inverse())
     _write_csv(
         out / "plot.csv",
         ["frame", "est_x", "est_y", "gt_x", "gt_y"],
-        ([i, f"{est.translation[0]:.6f}", f"{est.translation[1]:.6f}",
-          f"{gt.translation[0]:.6f}", f"{gt.translation[1]:.6f}"]
-         for i, (est, gt) in enumerate(
-             zip(result.trajectory, truth.lidar_poses(), strict=True))),
+        ([i, *(f"{v:.6f}" for v in align.compose(est).translation[:2]),
+          *(f"{v:.6f}" for v in pose.translation[:2])]
+         for i, (est, pose) in enumerate(zip(result.trajectory, gt, strict=True))),
     )
 
 

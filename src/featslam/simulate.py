@@ -2,8 +2,9 @@
 
 Worlds are built from three primitive surfaces: vertical wall segments,
 vertical cylinder poles, and a horizontal ground plane.  Scans are produced
-by casting one ray per (ring, azimuth) cell, keeping the nearest surface
-hit, and perturbing the range with Gaussian noise.  Ground-truth poses are
+by casting one ray per (ring, azimuth) cell, each wall and pole only
+against the rays of its azimuth window, keeping the nearest surface hit,
+and perturbing the range with Gaussian noise.  Ground-truth poses are
 emitted alongside the scans, so end-pose error and loop-closure behavior
 can be checked exactly.
 
@@ -79,67 +80,107 @@ def _ray_directions(num_rings, elevation_min_deg, elevation_max_deg, points_per_
     return d, ring
 
 
-# Walls or poles cast per array pass: bounds each (block, rays) temporary
-# to a few hundred kB, however many primitives the world has.
-_BLOCK = 8
+# Each wall's and pole's azimuth window is widened by this much (rad), far
+# above the rounding of arctan2 and of the hit tests: no ray left out of a
+# window could hit its primitive.
+_WINDOW_MARGIN = 1e-6
 
 
-def _lower_to_wall_hits(t, origin, dirs, walls):
+def _window_pairs(order, azimuth, lo, hi):
+    """(primitive, ray) index pairs: primitive k with every ray whose world
+    azimuth lies in [lo[k], hi[k]] (rad; each window narrower than 2 pi,
+    its ends within pi of [-pi, pi]).  The part of a window past -pi or +pi
+    is moved by 2 pi.  azimuth holds the sorted ray azimuths, order their
+    ray indices."""
+    k = np.arange(len(lo))
+    below, above = lo < -np.pi, hi > np.pi
+    prim = np.concatenate([k, k[below], k[above]])
+    start = np.searchsorted(azimuth, np.concatenate(
+        [np.maximum(lo, -np.pi), lo[below] + 2 * np.pi, np.full(above.sum(), -np.pi)]), "left")
+    stop = np.searchsorted(azimuth, np.concatenate(
+        [np.minimum(hi, np.pi), np.full(below.sum(), np.pi), hi[above] - 2 * np.pi]), "right")
+    count = np.maximum(stop - start, 0)
+    first = np.cumsum(count) - count  # each window's first pair
+    pos = np.arange(count.sum()) + np.repeat(start - first, count)
+    return np.repeat(prim, count), order[pos]
+
+
+def _lower_to_wall_hits(t, origin, dirs, order, azimuth, walls):
     """Lower each ray's t to its nearest wall hit.
 
+    A wall is cast against the rays in the wedge between its endpoints as
+    seen from the sensor, or all rays when the sensor is on its line
+    (a . n ~ 0: its distance from the line is within the margin times its
+    distance from the endpoints, and the wedge could face either way).
     Per (wall, ray): the hit solves (o + t d - p0) . n = 0 with n the
     segment normal; it counts when t > 0, the segment parameter s is in
     [0, 1] and the height in [z0, z1].  Rays within 1e-12 of parallel
     miss."""
     p0 = np.array([w.p0 for w in walls], float)
-    u = np.array([w.p1 for w in walls], float) - p0
+    p1 = np.array([w.p1 for w in walls], float)
+    u = p1 - p0
     n = np.stack([-u[:, 1], u[:, 0]], axis=1)
-    num = ((p0 - origin[:2]) * n).sum(axis=1)[:, None]
-    uu = (u * u).sum(axis=1)[:, None]
-    z0 = np.array([w.z0 for w in walls], float)[:, None]
-    z1 = np.array([w.z1 for w in walls], float)[:, None]
-    dx, dy, dz = dirs.T
-    for b in (slice(k, k + _BLOCK) for k in range(0, len(walls), _BLOCK)):
-        denom = n[b, :1] * dx + n[b, 1:] * dy
-        good = np.abs(denom) > 1e-12
-        hit = np.divide(num[b], denom, out=denom)
-        good &= hit > 0
-        s = (origin[0] + hit * dx - p0[b, :1]) * u[b, :1]
-        s += (origin[1] + hit * dy - p0[b, 1:]) * u[b, 1:]
-        s /= uu[b]
-        good &= (s >= 0.0) & (s <= 1.0)
-        z = np.multiply(hit, dz, out=s)
-        z += origin[2]
-        good &= (z >= z0[b]) & (z <= z1[b])
-        hit[~good] = np.inf
-        np.minimum(t, hit.min(axis=0), out=t)
+    a = p0 - origin[:2]
+    num = (a * n).sum(axis=1)
+    b = p1 - origin[:2]
+    # the wedge is the short way round from one endpoint's azimuth
+    alpha0, alpha1 = np.arctan2(a[:, 1], a[:, 0]), np.arctan2(b[:, 1], b[:, 0])
+    width = (alpha1 - alpha0) % (2 * np.pi)
+    lo = np.where(width <= np.pi, alpha0, alpha1)
+    width = np.minimum(width, 2 * np.pi - width)
+    reach = np.hypot(a[:, 0], a[:, 1]) + np.hypot(b[:, 0], b[:, 1])
+    on_line = np.abs(num) <= _WINDOW_MARGIN * np.hypot(u[:, 0], u[:, 1]) * reach
+    lo = np.where(on_line, -np.pi, lo - _WINDOW_MARGIN)
+    hi = np.where(on_line, np.pi, lo + width + 2 * _WINDOW_MARGIN)
+    w, r = _window_pairs(order, azimuth, lo, hi)
+
+    dx, dy, dz = dirs[r].T
+    denom = n[w, 0] * dx + n[w, 1] * dy
+    good = np.abs(denom) > 1e-12
+    hit = np.divide(num[w], denom, out=denom)
+    good &= hit > 0
+    s = (origin[0] + hit * dx - p0[w, 0]) * u[w, 0]
+    s += (origin[1] + hit * dy - p0[w, 1]) * u[w, 1]
+    s /= (u * u).sum(axis=1)[w]
+    good &= (s >= 0.0) & (s <= 1.0)
+    z = np.multiply(hit, dz, out=s)
+    z += origin[2]
+    good &= (z >= np.array([v.z0 for v in walls], float)[w])
+    good &= (z <= np.array([v.z1 for v in walls], float)[w])
+    np.minimum.at(t, r[good], hit[good])
 
 
-def _lower_to_pole_hits(t, origin, dirs, poles):
-    """Lower each ray's t to its nearest pole hit: the smaller root of
-    |o + t d - c|^2 = r^2 in the plane, counted when it is positive and
-    its height is in [z0, z1].  Rays within 1e-12 of vertical miss."""
+def _lower_to_pole_hits(t, origin, dirs, order, azimuth, poles):
+    """Lower each ray's t to its nearest pole hit.
+
+    A pole at distance D is cast against the rays within asin(min(r / D, 1))
+    of the azimuth of its centre.  From inside the pole that is the half
+    circle facing its centre: a positive root needs d . (c - o) > 0, and
+    none is positive there anyway.  Per (pole, ray): the smaller root of
+    |o + t d - c|^2 = r^2 in the plane, counted when it is positive and its
+    height is in [z0, z1].  Rays within 1e-12 of vertical miss."""
     oc = origin[:2] - np.array([p.center for p in poles], float)
-    c0 = ((oc * oc).sum(axis=1) - np.array([p.radius for p in poles]) ** 2)[:, None]
-    z0 = np.array([p.z0 for p in poles], float)[:, None]
-    z1 = np.array([p.z1 for p in poles], float)[:, None]
-    a = np.einsum("ni,ni->n", dirs[:, :2], dirs[:, :2])
-    four_a, two_a = 4.0 * a, 2.0 * a
-    dx2, dy2 = 2.0 * dirs[:, 0], 2.0 * dirs[:, 1]
-    for b in (slice(k, k + _BLOCK) for k in range(0, len(poles), _BLOCK)):
-        half = oc[b, :1] * dx2 + oc[b, 1:] * dy2  # the b of b^2 - 4ac
-        disc = half * half - four_a * c0[b]
-        good = (disc >= 0) & (a > 1e-12)
-        root = np.sqrt(disc, out=disc)
-        root += half
-        np.negative(root, out=root)
-        root /= two_a
-        good &= root > 0
-        z = np.multiply(root, dirs[:, 2], out=half)
-        z += origin[2]
-        good &= (z >= z0[b]) & (z <= z1[b])
-        root[~good] = np.inf
-        np.minimum(t, root.min(axis=0), out=t)
+    radius = np.array([p.radius for p in poles], float)
+    c0 = (oc * oc).sum(axis=1) - radius ** 2
+    centre = np.arctan2(-oc[:, 1], -oc[:, 0])
+    spread = np.arcsin(np.minimum(radius / np.hypot(oc[:, 0], oc[:, 1]), 1.0)) + _WINDOW_MARGIN
+    w, r = _window_pairs(order, azimuth, centre - spread, centre + spread)
+
+    d = dirs[r]
+    a = np.einsum("ni,ni->n", d[:, :2], d[:, :2])
+    half = oc[w, 0] * (2.0 * d[:, 0]) + oc[w, 1] * (2.0 * d[:, 1])  # the b of b^2 - 4ac
+    disc = half * half - (4.0 * a) * c0[w]
+    good = (disc >= 0) & (a > 1e-12)
+    root = np.sqrt(disc, out=disc)
+    root += half
+    np.negative(root, out=root)
+    root /= 2.0 * a
+    good &= root > 0
+    z = np.multiply(root, d[:, 2], out=half)
+    z += origin[2]
+    good &= (z >= np.array([p.z0 for p in poles], float)[w])
+    good &= (z <= np.array([p.z1 for p in poles], float)[w])
+    np.minimum.at(t, r[good], root[good])
 
 
 def _ground_hits(origin, dirs, ground_z):
@@ -151,14 +192,21 @@ def _ground_hits(origin, dirs, ground_z):
 
 
 def _nearest_hits(world: World, origin, dirs):
-    """Ray parameter of each ray's nearest surface hit; inf where none."""
+    """Ray parameter of each ray's nearest surface hit; inf where none.
+
+    The rays are sorted once by world azimuth; each wall and pole is then
+    cast only against the rays of its azimuth window, walls in one array
+    pass and poles in another."""
     t = np.full(len(dirs), np.inf)
+    azimuth = np.arctan2(dirs[:, 1], dirs[:, 0])
+    order = np.argsort(azimuth)
+    azimuth = azimuth[order]
     # misses divide by zero and take roots of negatives; they are masked
     with np.errstate(divide="ignore", invalid="ignore"):
         if world.walls:
-            _lower_to_wall_hits(t, origin, dirs, world.walls)
+            _lower_to_wall_hits(t, origin, dirs, order, azimuth, world.walls)
         if world.poles:
-            _lower_to_pole_hits(t, origin, dirs, world.poles)
+            _lower_to_pole_hits(t, origin, dirs, order, azimuth, world.poles)
     if world.ground_z is not None:
         np.minimum(t, _ground_hits(origin, dirs, world.ground_z), out=t)
     return t

@@ -13,8 +13,9 @@ matrix, and SE(3) exp, log, left Jacobians and adjoint on one pose or twist
 at a time, with exp and log through quaternions, and the pose-graph
 Levenberg-Marquardt solve built on them, one edge at a time and with a
 cost pass separate from each normal-equation pass; and the simulator's ray
-caster, one wall or pole at a time.  Tests compare the two on seeded
-inputs; nothing in ``src/`` imports this module.
+caster, one wall or pole at a time, and blocked, every wall and pole
+against every ray.  Tests compare the two on seeded inputs; nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -754,8 +755,8 @@ def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
 
 
 # ---------------------------------------------------------------------------
-# Simulator ray casting, one wall or pole at a time, on the rays that can
-# hit it.
+# Simulator ray casting, one wall or pole at a time, and blocked: both cast
+# every primitive against every ray.
 # ---------------------------------------------------------------------------
 
 
@@ -792,6 +793,87 @@ def pole_hits(origin, dirs, pole: Pole):
     z = origin[2] + root * dirs[ok, 2]
     good = (root > 0) & (z >= pole.z0) & (z <= pole.z1)
     t[ok] = np.where(good, root, np.inf)
+    return t
+
+
+# Walls or poles cast per array pass in the blocked caster.
+_BLOCK = 8
+
+
+def _lower_to_wall_hits(t, origin, dirs, walls):
+    """Lower each ray's t to its nearest wall hit, every wall against every
+    ray, _BLOCK walls per array pass.
+
+    Per (wall, ray): the hit solves (o + t d - p0) . n = 0 with n the
+    segment normal; it counts when t > 0, the segment parameter s is in
+    [0, 1] and the height in [z0, z1].  Rays within 1e-12 of parallel
+    miss."""
+    p0 = np.array([w.p0 for w in walls], float)
+    u = np.array([w.p1 for w in walls], float) - p0
+    n = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    num = ((p0 - origin[:2]) * n).sum(axis=1)[:, None]
+    uu = (u * u).sum(axis=1)[:, None]
+    z0 = np.array([w.z0 for w in walls], float)[:, None]
+    z1 = np.array([w.z1 for w in walls], float)[:, None]
+    dx, dy, dz = dirs.T
+    for b in (slice(k, k + _BLOCK) for k in range(0, len(walls), _BLOCK)):
+        denom = n[b, :1] * dx + n[b, 1:] * dy
+        good = np.abs(denom) > 1e-12
+        hit = np.divide(num[b], denom, out=denom)
+        good &= hit > 0
+        s = (origin[0] + hit * dx - p0[b, :1]) * u[b, :1]
+        s += (origin[1] + hit * dy - p0[b, 1:]) * u[b, 1:]
+        s /= uu[b]
+        good &= (s >= 0.0) & (s <= 1.0)
+        z = np.multiply(hit, dz, out=s)
+        z += origin[2]
+        good &= (z >= z0[b]) & (z <= z1[b])
+        hit[~good] = np.inf
+        np.minimum(t, hit.min(axis=0), out=t)
+
+
+def _lower_to_pole_hits(t, origin, dirs, poles):
+    """Lower each ray's t to its nearest pole hit, every pole against every
+    ray, _BLOCK poles per array pass: the smaller root of
+    |o + t d - c|^2 = r^2 in the plane, counted when it is positive and its
+    height is in [z0, z1].  Rays within 1e-12 of vertical miss."""
+    oc = origin[:2] - np.array([p.center for p in poles], float)
+    c0 = ((oc * oc).sum(axis=1) - np.array([p.radius for p in poles]) ** 2)[:, None]
+    z0 = np.array([p.z0 for p in poles], float)[:, None]
+    z1 = np.array([p.z1 for p in poles], float)[:, None]
+    a = np.einsum("ni,ni->n", dirs[:, :2], dirs[:, :2])
+    four_a, two_a = 4.0 * a, 2.0 * a
+    dx2, dy2 = 2.0 * dirs[:, 0], 2.0 * dirs[:, 1]
+    for b in (slice(k, k + _BLOCK) for k in range(0, len(poles), _BLOCK)):
+        half = oc[b, :1] * dx2 + oc[b, 1:] * dy2  # the b of b^2 - 4ac
+        disc = half * half - four_a * c0[b]
+        good = (disc >= 0) & (a > 1e-12)
+        root = np.sqrt(disc, out=disc)
+        root += half
+        np.negative(root, out=root)
+        root /= two_a
+        good &= root > 0
+        z = np.multiply(root, dirs[:, 2], out=half)
+        z += origin[2]
+        good &= (z >= z0[b]) & (z <= z1[b])
+        root[~good] = np.inf
+        np.minimum(t, root.min(axis=0), out=t)
+
+
+def blocked_nearest_hits(world: World, origin, dirs):
+    """The simulator's caster before azimuth windows: each ray's nearest
+    surface hit, every wall and pole cast against every ray in blocks.  The
+    windowed caster runs the same arithmetic on each (primitive, ray) pair
+    it keeps, so the two agree bit for bit."""
+    t = np.full(len(dirs), np.inf)
+    # misses divide by zero and take roots of negatives; they are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if world.walls:
+            _lower_to_wall_hits(t, origin, dirs, world.walls)
+        if world.poles:
+            _lower_to_pole_hits(t, origin, dirs, world.poles)
+    if world.ground_z is not None:
+        np.minimum(t, _ground_hits(origin, dirs, world.ground_z), out=t)
     return t
 
 

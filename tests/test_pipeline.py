@@ -346,6 +346,18 @@ class TestEndToEnd:
         assert plot[0] == "frame,est_x,est_y,gt_x,gt_y"
         assert len(plot) == 231
 
+    def test_plot_estimate_starts_at_truth(self, finished_run):
+        # the square course starts at (0, -12) heading +x, the estimate at
+        # the identity: plot.csv draws the estimate from truth's first pose,
+        # and the tracks stay within 1 m of each other (0.27 m at most)
+        with open(finished_run / "plot.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert (rows[0]["est_x"], rows[0]["est_y"]) == (rows[0]["gt_x"], rows[0]["gt_y"])
+        assert (float(rows[0]["gt_x"]), float(rows[0]["gt_y"])) == (0.0, -12.0)
+        xy = np.array([[float(row[k]) for k in ("est_x", "est_y", "gt_x", "gt_y")]
+                       for row in rows])
+        assert np.hypot(*(xy[:, :2] - xy[:, 2:]).T).max() < 1.0
+
     def test_rerun_is_byte_identical(self, finished_run, tmp_path):
         out = tmp_path / "again"
         rc = main(["run", "--synthetic", WORLD, "--out", str(out)] + SPEED)
@@ -487,6 +499,8 @@ class TestDatasetRun:
             [tr.compose(p).compose(tr_inv) for p in trajectory], truth.camera_poses
         )
         report = json.loads((out / "evaluation.json").read_text())
+        # three frames are far short of 100 m: no errors, not zero errors
+        assert report["ate_percent"] is None and report["are_deg_per_100m"] is None
         assert report == {**json.loads(json.dumps(dataclasses.asdict(expected))),
                           "mean_loop_ms": None, "median_loop_ms": None,
                           "loops_accepted": 0, "loops_rejected": 0}
@@ -497,8 +511,11 @@ class TestDatasetRun:
         assert [(row["gt_x"], row["gt_y"]) for row in rows] == [
             (f"{p.translation[0]:.6f}", f"{p.translation[1]:.6f}") for p in gt
         ]
+        # the estimate in truth's frame: gt_0 est_0^-1 est_i
+        align = gt[0].compose(trajectory[0].inverse())
         assert [(row["est_x"], row["est_y"]) for row in rows] == [
-            (f"{p.translation[0]:.6f}", f"{p.translation[1]:.6f}") for p in trajectory
+            (f"{q.translation[0]:.6f}", f"{q.translation[1]:.6f}")
+            for q in (align.compose(p) for p in trajectory)
         ]
         # the camera frame differs from the LiDAR frame the plot is drawn in
         camera_xy = [p.translation[:2] for p in truth.camera_poses]

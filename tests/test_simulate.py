@@ -126,11 +126,13 @@ def pole_bound(origin, dirs, pole):
 
 
 def check_caster(world, origin, dirs, model=LidarModel()):
-    """The batched caster against the per-primitive oracle: the same rays
-    hit and are kept, each t within the bound of the primitives it hits
-    (the nearest of several moves by at most their largest change).
-    Returns the largest |difference| / bound."""
+    """The windowed caster against the blocked caster, bit for bit, and
+    against the per-primitive oracle: the same rays hit and are kept, each t
+    within the bound of the primitives it hits (the nearest of several moves
+    by at most their largest change).  Returns the largest |difference| /
+    bound."""
     got = simulate._nearest_hits(world, origin, dirs)
+    np.testing.assert_array_equal(got, ref.blocked_nearest_hits(world, origin, dirs))
     want = ref.nearest_hits(world, origin, dirs)
     hit = np.isfinite(want)
     np.testing.assert_array_equal(np.isfinite(got), hit)
@@ -151,7 +153,8 @@ def check_caster(world, origin, dirs, model=LidarModel()):
 
 
 def random_world(rng, walls=12, poles=10, ground=True):
-    """More walls and poles than one array pass takes, so blocks are split."""
+    """Walls and poles at random, many of them long or near the sensor, so
+    windows overlap and cross the azimuth seam."""
     return World(
         walls=[
             Wall(tuple(rng.uniform(-20, 20, 2)), tuple(rng.uniform(-20, 20, 2)),
@@ -231,11 +234,91 @@ class TestCasterMatchesReference:
         }[shape]
         spec = dict(spec, shape=shape, seed=1)
         scans, _ = generate_world(spec)
+        monkeypatch.setattr(simulate, "_nearest_hits", ref.blocked_nearest_hits)
+        blocked, _ = generate_world(spec)
         monkeypatch.setattr(simulate, "_nearest_hits", ref.nearest_hits)
         want, _ = generate_world(spec)
-        for a, b in zip(scans, want):
-            np.testing.assert_array_equal(a.ring, b.ring)
-            assert np.abs(a.xyz - b.xyz).max() <= 1e-9
+        for a, b, c in zip(scans, blocked, want, strict=True):
+            assert a.xyz.tobytes() == b.xyz.tobytes()
+            assert a.ring.tobytes() == b.ring.tobytes()
+            np.testing.assert_array_equal(a.ring, c.ring)
+            assert np.abs(a.xyz - c.xyz).max() <= 1e-9
+
+
+def azimuth(dirs):
+    return np.arctan2(dirs[:, 1], dirs[:, 0])
+
+
+class TestAzimuthWindows:
+    """Cases where a wall's or pole's azimuth window is split, widened to
+    every ray or hit at its edge; each equals the blocked caster bit for
+    bit."""
+
+    def cast(self, world, origin, dirs):
+        t = simulate._nearest_hits(world, origin, dirs)
+        np.testing.assert_array_equal(t, ref.blocked_nearest_hits(world, origin, dirs))
+        return t
+
+    def test_windows_across_the_seam_behind_the_sensor(self):
+        # both windows cross azimuth +-pi: rays just either side of it hit
+        _, dirs = world_rays(Pose.identity())
+        for world in (World([Wall((-5.0, 1.0), (-5.0, -1.0))], [], None),
+                      World([], [Pole((-6.0, 0.05), radius=0.3)], None)):
+            hit = np.isfinite(self.cast(world, np.zeros(3), dirs))
+            assert (azimuth(dirs)[hit] > 3.0).any() and (azimuth(dirs)[hit] < -3.0).any()
+
+    def test_sensor_on_a_wall_line(self):
+        # the sensor lies within rounding of the wall's line, so the wedge
+        # between the endpoints could face either way: the rays of one half
+        # plane hit at t of about 1e-16
+        wall = Wall((1.7, 1.1), (6.2, 1.2))
+        origin = np.append(np.asarray(wall.p0) + 0.37 * (np.subtract(wall.p1, wall.p0)), 0.0)
+        _, dirs = world_rays(Pose.identity())
+        t = self.cast(World([wall], [], None), origin, dirs)
+        assert np.isfinite(t).sum() > len(dirs) // 3
+        assert t[np.isfinite(t)].max() < 1e-12
+
+    def test_sensor_inside_a_pole(self):
+        # the near root lies behind the sensor: nothing but the wall beyond
+        world = World([Wall((5.0, -5.0), (5.0, 5.0))],
+                      [Pole((0.2, 0.0), radius=1.0), Pole((0.0, 0.0), radius=0.5)], None)
+        _, dirs = world_rays(Pose.identity())
+        t = self.cast(world, np.zeros(3), dirs)
+        assert np.isfinite(t).any()
+        assert (t[np.isfinite(t)] >= 5.0).all()
+
+    def test_zero_length_wall(self):
+        _, dirs = world_rays(Pose.identity())
+        for origin in (np.zeros(3), np.array([3.0, 1.0, 0.0])):
+            t = self.cast(World([Wall((3.0, 1.0), (3.0, 1.0))], [], None), origin, dirs)
+            assert not np.isfinite(t).any()
+
+    def test_rays_tangent_to_poles(self):
+        # each ray touches its pole at an edge of the pole's window: along
+        # y = 1 heading +x, x = -1 heading +y, y = -1 heading -x (azimuth pi)
+        _, dirs = world_rays(Pose.identity())
+        for pole, origin, ray, want in [
+            (Pole((5.0, 2.0), radius=1.0), [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], 5.0),
+            (Pole((-2.0, 4.0), radius=1.0), [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 4.0),
+            (Pole((-3.0, -2.0), radius=1.0), [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], 3.0),
+        ]:
+            rays = np.concatenate([[ray], dirs])
+            t = self.cast(World([], [pole], None), np.array(origin), rays)
+            assert t[0] == want
+
+    def test_pitched_pose_near_vertical_rays(self):
+        # pitched up by 88 degrees: 28 rays lie within 3 degrees of straight
+        # up, the steepest within 0.6; tall walls and poles catch some
+        world = random_world(np.random.default_rng(4), 12, 10, False)
+        for prim in world.walls + world.poles:
+            prim.z1 = 400.0
+        pose = Pose(Rotation.from_rotvec([0.2, -np.radians(88.0), 0.0]), [0.5, -1.0, 0.0])
+        origin, dirs = world_rays(pose)
+        t = self.cast(world, origin, dirs)
+        steep = np.hypot(dirs[:, 0], dirs[:, 1]) < 0.05
+        assert steep.sum() > 20
+        assert np.isfinite(t[steep]).any()
+        check_caster(world, origin, dirs)
 
 
 class TestPaths:
