@@ -57,10 +57,17 @@ class FeatureConfig:
     occlusion_gap: float = 0.5
 
     def __post_init__(self):
-        if self.neighborhood_half_width <= 0 or self.num_sectors <= 0:
-            raise ValueError("window and sector counts must be positive")
+        for name in ("neighborhood_half_width", "num_sectors"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0 < self.min_range < self.max_range):
             raise ValueError("need 0 < min_range < max_range")
+        for name in ("smoothness_threshold", "max_edges_per_sector", "max_planars_per_sector"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("gap_factor", "occlusion_gap"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 def _ring_segments(ring: np.ndarray, azimuth: np.ndarray, gap_factor: float):

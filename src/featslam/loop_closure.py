@@ -43,6 +43,13 @@ class LoopClosureConfig:
     keyframe_translation: float = 1.0  # m
     keyframe_rotation_deg: float = 10.0
 
+    def __post_init__(self):
+        for name in ("submap_half_width", "keyframe_translation", "keyframe_rotation_deg"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.cost_threshold > 0:
+            raise ValueError(f"cost_threshold must be > 0, got {self.cost_threshold}")
+
 
 @dataclass
 class LoopConstraint:

@@ -52,9 +52,15 @@ class OdometryConfig:
     features: FeatureConfig = field(default_factory=FeatureConfig)
 
     def __post_init__(self):
-        for name in ("max_iterations", "refine_iterations"):
-            if getattr(self, name) < 0:
+        for name in ("max_iterations", "refine_iterations", "convergence_tolerance",
+                     "freeze_step", "freeze_cost_rel", "min_submap_edges",
+                     "min_submap_planars", "eigenvalue_floor"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("huber_scale", "max_correspondence_distance", "edge_voxel_size",
+                     "planar_voxel_size", "crop_radius"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.max_iterations + self.refine_iterations < 1:
             raise ValueError(
                 "max_iterations + refine_iterations must be >= 1, got "

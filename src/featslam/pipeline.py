@@ -8,8 +8,10 @@ reads the poses of the latest solve.
 
 Configuration is a flat ``key = value`` file with dotted keys plus
 ``--set key=value`` overrides.  The table of known keys is built from the
-module config dataclasses, the simulator's world defaults and the
-pose-graph sigma constants; unknown keys are rejected.
+module config dataclasses (``PoseGraphConfig``'s edge sigmas and Huber
+scale, not its LM tolerances) and the simulator's world defaults; unknown
+keys are rejected.  Every value is range-checked by the config it builds
+before a run starts.
 """
 
 from __future__ import annotations
@@ -56,16 +58,11 @@ from .odometry import (
     process_frame,
 )
 from .pose_graph import (
-    LOOP_ROTATION_SIGMA,
-    LOOP_TRANSLATION_SIGMA,
-    ODOMETRY_ROTATION_SIGMA,
-    ODOMETRY_TRANSLATION_SIGMA,
     OptimizationReport,
     PoseGraph,
     PoseGraphConfig,
     add_loop_edge,
     add_odometry_node,
-    information_from_sigmas,
     optimize,
 )
 from .scan_context import (
@@ -128,11 +125,10 @@ _KEYS: Dict[str, object] = {
     **_field_defaults("loop", AdaptiveGateConfig),
     **_field_defaults("loop", LoopClosureConfig),
     "loop.max_iterations": LoopClosureConfig().registration.max_iterations,
-    "graph.huber_scale": PoseGraphConfig.huber_scale,
-    "graph.odometry_rotation_sigma": ODOMETRY_ROTATION_SIGMA,
-    "graph.odometry_translation_sigma": ODOMETRY_TRANSLATION_SIGMA,
-    "graph.loop_rotation_sigma": LOOP_ROTATION_SIGMA,
-    "graph.loop_translation_sigma": LOOP_TRANSLATION_SIGMA,
+    # the LM tolerances stay out of the table
+    **{f"graph.{name}": getattr(PoseGraphConfig, name)
+       for name in ("huber_scale", "odometry_rotation_sigma", "odometry_translation_sigma",
+                    "loop_rotation_sigma", "loop_translation_sigma")},
 }
 
 _PARSERS = {str: str, int: int, float: float, bool: _parse_bool}
@@ -179,6 +175,10 @@ class PipelineConfig:
         if not self["dataset.scans"] and not self["synthetic.shape"]:
             raise ValueError(
                 "no input: set dataset.scans or synthetic.shape (or --synthetic)"
+            )
+        if self["dataset.num_lasers"] < 1:
+            raise ValueError(
+                f"dataset: num_lasers must be >= 1, got {self['dataset.num_lasers']}"
             )
         # build every module config, so that a bad value fails before a run
         checks = [
@@ -233,17 +233,7 @@ class PipelineConfig:
         )
 
     def graph_config(self) -> PoseGraphConfig:
-        return PoseGraphConfig(
-            odometry_information=information_from_sigmas(
-                self["graph.odometry_rotation_sigma"],
-                self["graph.odometry_translation_sigma"],
-            ),
-            loop_information=information_from_sigmas(
-                self["graph.loop_rotation_sigma"],
-                self["graph.loop_translation_sigma"],
-            ),
-            huber_scale=self["graph.huber_scale"],
-        )
+        return PoseGraphConfig(**self._section("graph"))
 
     def fixed_threshold(self) -> Optional[float]:
         value = self["run.fixed_threshold"]

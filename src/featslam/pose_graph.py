@@ -7,14 +7,18 @@ Optimization minimizes
     sum_e rho(||log(M_e^-1 (T_from^-1 T_to))||^2_Lambda_e)
 
 over all node poses except node 0, which is held fixed to remove the global
-gauge freedom.  ``rho`` is the identity for odometry edges and a Huber kernel
-for loop edges.  State updates are left-multiplicative, matching the rest of
-the package: ``T <- exp_rt(delta) T``.
+gauge freedom.  ``Lambda_e = diag(1/sigma^2)`` is diagonal, as in GTSAM's
+``noiseModel::Diagonal``: one rotation and one translation sigma per edge
+kind, the four fields of ``PoseGraphConfig``.  ``rho`` is the identity for
+odometry edges and a Huber kernel for loop edges.  State updates are
+left-multiplicative, matching the rest of the package:
+``T <- exp_rt(delta) T``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -31,7 +35,6 @@ __all__ = [
     "OptimizationReport",
     "add_odometry_node",
     "add_loop_edge",
-    "information_from_sigmas",
     "optimize",
 ]
 
@@ -41,54 +44,37 @@ _LAMBDA_MAX = 1e12
 _LAMBDA_MIN = 1e-12
 
 
-# Default edge standard deviations: rad for rotation, m for translation.
-ODOMETRY_ROTATION_SIGMA = 0.01
-ODOMETRY_TRANSLATION_SIGMA = 0.05
-LOOP_ROTATION_SIGMA = 0.05
-LOOP_TRANSLATION_SIGMA = 0.2
-
-
-def information_from_sigmas(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
-    """Diagonal information matrix 1/sigma^2 for the [w, v] twist layout."""
-    return np.diag([1.0 / rotation_sigma**2] * 3 + [1.0 / translation_sigma**2] * 3)
-
-
-def default_odometry_information() -> np.ndarray:
-    return information_from_sigmas(ODOMETRY_ROTATION_SIGMA, ODOMETRY_TRANSLATION_SIGMA)
-
-
-def default_loop_information() -> np.ndarray:
-    return information_from_sigmas(LOOP_ROTATION_SIGMA, LOOP_TRANSLATION_SIGMA)
-
-
-def _validated_information(information: np.ndarray) -> np.ndarray:
-    info = np.asarray(information, dtype=float)
-    if info.shape != (6, 6):
-        raise ValueError(f"information matrix must be 6x6, got {info.shape}")
-    if not np.all(np.isfinite(info)):
-        raise ValueError("information matrix must be finite")
-    scale = np.abs(info).max()
-    if not np.allclose(info, info.T, atol=1e-9 * max(scale, 1.0)):
-        raise ValueError("information matrix must be symmetric")
-    info = 0.5 * (info + info.T)
-    if np.linalg.eigvalsh(info)[0] <= 0.0:
-        raise ValueError("information matrix must be positive definite")
-    return info
+def _whitener(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
+    """Whitening factors sqrt(1/sigma^2) for the [w, v] twist layout: the
+    Cholesky factor of diag(1/sigma^2), entry for entry."""
+    return np.sqrt([1.0 / rotation_sigma**2] * 3 + [1.0 / translation_sigma**2] * 3)
 
 
 @dataclass
 class PoseGraphConfig:
-    """Edge weights, robust kernel, and LM stopping thresholds."""
+    """Edge standard deviations (rad for rotation, m for translation), robust
+    kernel, and LM stopping thresholds."""
 
-    odometry_information: np.ndarray = field(default_factory=default_odometry_information)
-    loop_information: np.ndarray = field(default_factory=default_loop_information)
+    odometry_rotation_sigma: float = 0.01
+    odometry_translation_sigma: float = 0.05
+    loop_rotation_sigma: float = 0.05
+    loop_translation_sigma: float = 0.2
     huber_scale: float = 1.0
     cost_rel_tolerance: float = 1e-6
     gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
-        self.odometry_information = _validated_information(self.odometry_information)
-        self.loop_information = _validated_information(self.loop_information)
+        for name in ("odometry_rotation_sigma", "odometry_translation_sigma",
+                     "loop_rotation_sigma", "loop_translation_sigma"):
+            sigma = getattr(self, name)
+            try:
+                inverse_variance = 1.0 / sigma**2
+            except (ZeroDivisionError, OverflowError):
+                inverse_variance = 0.0
+            if not (sigma > 0.0 and 0.0 < inverse_variance < math.inf):
+                raise ValueError(
+                    f"{name} must be > 0 with 1/sigma^2 finite and positive, got {sigma!r}"
+                )
         if not self.huber_scale > 0.0:
             raise ValueError("huber_scale must be positive")
         if not (self.cost_rel_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
@@ -100,7 +86,6 @@ class PoseGraphEdge:
     from_node: int
     to_node: int
     measurement: Pose  # to-node pose expressed in the from-node frame
-    information: np.ndarray
     robust: bool  # loop edges get the Huber kernel, odometry edges none
 
 
@@ -128,12 +113,7 @@ class OptimizationReport:
     converged: bool
 
 
-def add_odometry_node(
-    graph: PoseGraph,
-    k: int,
-    pose_k: Pose,
-    information: Optional[np.ndarray] = None,
-) -> None:
+def add_odometry_node(graph: PoseGraph, k: int, pose_k: Pose) -> None:
     """Append node k; for k > 0 also add the odometry edge (k-1, k).
 
     The edge measurement is the relative pose implied by the estimates at
@@ -141,24 +121,13 @@ def add_odometry_node(
     """
     if k != len(graph.nodes):
         raise ValueError(f"expected node index {len(graph.nodes)}, got {k}")
-    info = (
-        _validated_information(information)
-        if information is not None
-        else graph.config.odometry_information
-    )
     graph.nodes.append(pose_k.copy())
     if k > 0:
         measurement = graph.nodes[k - 1].inverse().compose(graph.nodes[k])
-        graph.edges.append(
-            PoseGraphEdge(k - 1, k, measurement, info, robust=False)
-        )
+        graph.edges.append(PoseGraphEdge(k - 1, k, measurement, robust=False))
 
 
-def add_loop_edge(
-    graph: PoseGraph,
-    constraint: LoopConstraint,
-    information: Optional[np.ndarray] = None,
-) -> None:
+def add_loop_edge(graph: PoseGraph, constraint: LoopConstraint) -> None:
     """Append an accepted loop constraint as a robust edge.
 
     ``constraint.relative_pose`` expresses the current keyframe in the loop
@@ -173,17 +142,11 @@ def add_loop_edge(
             f"loop edge ({constraint.to_keyframe}, {constraint.from_keyframe}) "
             f"references a missing node (graph has {n})"
         )
-    info = (
-        _validated_information(information)
-        if information is not None
-        else graph.config.loop_information
-    )
     graph.edges.append(
         PoseGraphEdge(
             constraint.to_keyframe,
             constraint.from_keyframe,
             constraint.relative_pose.copy(),
-            info,
             robust=True,
         )
     )
@@ -191,15 +154,11 @@ def add_loop_edge(
 
 class _EdgeArrays:
     """The edge set of one solve as stacked arrays, with the COO pattern of
-    its normal equations; both are fixed while the edge set is fixed.
+    its normal equations; both are fixed while the edge set is fixed."""
 
-    The whitening factors are taken here, at solve time, so an information
-    matrix edited after insertion is honoured.
-    """
-
-    def __init__(self, edges: List[PoseGraphEdge], num_nodes: int, huber: float):
+    def __init__(self, edges: List[PoseGraphEdge], num_nodes: int, config: PoseGraphConfig):
         self.num_nodes = num_nodes
-        self.huber = huber
+        self.huber = config.huber_scale
         self.from_node = np.array([e.from_node for e in edges])
         self.to_node = np.array([e.to_node for e in edges])
         self.robust = np.array([e.robust for e in edges])
@@ -207,9 +166,12 @@ class _EdgeArrays:
         m_trans = np.stack([e.measurement.translation for e in edges])
         self.inv_rot = m_rot.transpose(0, 2, 1)
         self.inv_trans = -(self.inv_rot @ m_trans[:, :, None])[:, :, 0]
-        # info = L L^T  =>  ||r||^2_info = ||L^T r||^2
-        info = np.stack([e.information for e in edges])
-        self.whitener = np.linalg.cholesky(info).transpose(0, 2, 1)
+        # ||r||^2 weighted by diag(1/sigma^2) = ||w * r||^2, one w per edge kind
+        self.whitener = np.where(
+            self.robust[:, None],
+            _whitener(config.loop_rotation_sigma, config.loop_translation_sigma),
+            _whitener(config.odometry_rotation_sigma, config.odometry_translation_sigma),
+        )
 
         # Each edge adds one block B as +B at (from, from) and (to, to) and
         # -B at (from, to) and (to, from).  Node i owns parameter block i-1;
@@ -232,8 +194,8 @@ class _Evaluation:
     prefix_rot: np.ndarray  # P = M^-1 T_from^-1, (E, 3, 3) and (E, 3)
     prefix_trans: np.ndarray
     residual: np.ndarray  # r = log(P T_to), (E, 6)
-    whitened: np.ndarray  # W r, (E, 6)
-    weight: np.ndarray  # IRLS weight rho'(||W r||^2), (E,)
+    whitened: np.ndarray  # w * r, (E, 6)
+    weight: np.ndarray  # IRLS weight rho'(||w * r||^2), (E,)
     cost: float
 
 
@@ -241,7 +203,7 @@ def _evaluate(
     edges: _EdgeArrays, rotation: np.ndarray, translation: np.ndarray
 ) -> _Evaluation:
     """Twist errors log(M^-1 T_from^-1 T_to) of every edge, zero for a
-    consistent edge, and the robust cost sum_e rho(||W_e r_e||^2)."""
+    consistent edge, and the robust cost sum_e rho(||w_e * r_e||^2)."""
     prefix_rot = edges.inv_rot @ rotation[edges.from_node].transpose(0, 2, 1)
     prefix_trans = edges.inv_trans - (
         prefix_rot @ translation[edges.from_node][:, :, None]
@@ -250,7 +212,7 @@ def _evaluate(
         prefix_rot @ rotation[edges.to_node],
         (prefix_rot @ translation[edges.to_node][:, :, None])[:, :, 0] + prefix_trans,
     )
-    rw = (edges.whitener @ r[:, :, None])[:, :, 0]
+    rw = edges.whitener * r
     s = (rw * rw).sum(axis=1)
     # Huber on the squared norm: rho(s) = s inside the scale, else
     # 2 delta sqrt(s) - delta^2 with weight rho'(s) = delta / sqrt(s)
@@ -277,7 +239,7 @@ def _normal_equations(
     edges: _EdgeArrays, ev: _Evaluation
 ) -> Tuple[sparse.csr_matrix, np.ndarray]:
     """Gauss-Newton system over all nodes except node 0 (gauge fixed)."""
-    wj = edges.whitener @ _jacobians(ev)
+    wj = edges.whitener[:, :, None] * _jacobians(ev)
     kwj = ev.weight[:, None, None] * wj
     block = kwj.transpose(0, 2, 1) @ wj  # kappa (WJ)^T (WJ)
     grad = (kwj.transpose(0, 2, 1) @ ev.whitened[:, :, None])[:, :, 0]
@@ -308,7 +270,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
     n = len(graph.nodes)
     rotation = np.stack([p.rotation.matrix() for p in graph.nodes])
     translation = np.stack([p.translation for p in graph.nodes])
-    edges = _EdgeArrays(graph.edges, n, cfg.huber_scale)
+    edges = _EdgeArrays(graph.edges, n, cfg)
     current = _evaluate(edges, rotation, translation)
     initial_cost = current.cost
     if n == 1:

@@ -28,10 +28,15 @@ class ScanContextConfig:
     exclude_recent: int = 50
 
     def __post_init__(self):
-        if self.num_rings <= 0 or self.num_sectors <= 0:
-            raise ValueError("descriptor dimensions must be positive")
-        if self.max_radius <= 0:
-            raise ValueError("max_radius must be positive")
+        for name in ("num_rings", "num_sectors", "num_candidates"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # descriptor distances are >= 0, so a threshold <= 0 accepts no match
+        for name in ("max_radius", "similarity_threshold"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.exclude_recent >= 0:
+            raise ValueError(f"exclude_recent must be >= 0, got {self.exclude_recent}")
 
 
 @dataclass

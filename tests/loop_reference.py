@@ -20,6 +20,8 @@ against every ray.  Tests compare the two on seeded inputs; nothing in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
@@ -628,6 +630,30 @@ def edge_jacobians(nodes, edge):
     return r, -j_to, j_to
 
 
+@dataclass
+class InformationEdge:
+    """A pose-graph edge carrying its own information matrix."""
+
+    from_node: int
+    to_node: int
+    measurement: Pose
+    robust: bool
+    information: np.ndarray
+
+
+def information_edges(edges, config) -> list:
+    """The graph's edges, each weighted by diag(1/sigma^2) of its kind's
+    sigmas in config, for the oracle below."""
+    out = []
+    for e in edges:
+        kind = "loop" if e.robust else "odometry"
+        rotation_sigma = getattr(config, f"{kind}_rotation_sigma")
+        translation_sigma = getattr(config, f"{kind}_translation_sigma")
+        information = np.diag([1.0 / rotation_sigma**2] * 3 + [1.0 / translation_sigma**2] * 3)
+        out.append(InformationEdge(e.from_node, e.to_node, e.measurement, e.robust, information))
+    return out
+
+
 def whitener(information: np.ndarray) -> np.ndarray:
     # info = L L^T  =>  ||r||^2_info = ||L^T r||^2
     return np.linalg.cholesky(information).T
@@ -706,7 +732,8 @@ def apply_step(nodes, delta):
 
 def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
     """Levenberg-Marquardt on Pose lists, with a separate cost pass per trial
-    step and a normal-equation pass per accepted state."""
+    step and a normal-equation pass per accepted state.  The graph's edges
+    carry their information matrices (``information_edges``)."""
     if not graph.nodes:
         raise ValueError("cannot optimize an empty graph")
     cfg = graph.config

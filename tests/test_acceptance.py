@@ -32,9 +32,9 @@ from featslam.odometry import OdometryConfig, Submap, register
 from featslam.pipeline import PipelineConfig, run_slam
 from featslam.pose_graph import (
     PoseGraph,
+    PoseGraphConfig,
     add_loop_edge,
     add_odometry_node,
-    default_odometry_information,
     optimize,
 )
 from featslam.scan_context import build_descriptor, descriptor_distance, shift_to_yaw
@@ -147,15 +147,14 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     drift = np.linalg.norm(est[-1].translation - true[-1].translation)
     assert drift > 1.0
 
-    g = PoseGraph()
+    # the exact loop edge is weighted like odometry
+    odometry = PoseGraphConfig()
+    g = PoseGraph(PoseGraphConfig(loop_rotation_sigma=odometry.odometry_rotation_sigma,
+                                  loop_translation_sigma=odometry.odometry_translation_sigma))
     for k, p in enumerate(est):
         add_odometry_node(g, k, p)
     loop_rel = true[0].inverse().compose(true[-1])
-    add_loop_edge(
-        g,
-        LoopConstraint(99, 0, loop_rel, 0.0, True),
-        information=default_odometry_information(),
-    )
+    add_loop_edge(g, LoopConstraint(99, 0, loop_rel, 0.0, True))
     report = optimize(g, max_iterations=100)
     err = np.linalg.norm(g.nodes[-1].translation - true[-1].translation)
     assert report.converged
@@ -165,26 +164,22 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     # huge rotation weights pin the rotations so the problems coincide
     rng = np.random.default_rng(7)
     t1, t2 = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, 3)
-    weights = {(0, 1): 2.0, (1, 2): 0.5, (0, 2): 1.0}
+    weights = {(0, 1): 2.0, (1, 2): 2.0, (0, 2): 0.5}  # two odometry edges, one loop
     m = {
         (0, 1): t1 + rng.normal(0.0, 0.01, 3),
         (1, 2): (t2 - t1) + rng.normal(0.0, 0.01, 3),
         (0, 2): t2 + rng.normal(0.0, 0.01, 3),
     }
 
-    def info(key):
-        return np.diag([1e8] * 3 + [weights[key]] * 3)
-
-    small = PoseGraph()
+    small = PoseGraph(PoseGraphConfig(
+        odometry_rotation_sigma=1e-4, odometry_translation_sigma=weights[(0, 1)] ** -0.5,
+        loop_rotation_sigma=1e-4, loop_translation_sigma=weights[(0, 2)] ** -0.5))
     add_odometry_node(small, 0, translate(0, 0, 0))
-    add_odometry_node(small, 1, Pose(Rotation.identity(), m[(0, 1)].copy()),
-                      information=info((0, 1)))
+    add_odometry_node(small, 1, Pose(Rotation.identity(), m[(0, 1)].copy()))
     add_odometry_node(small, 2,
-                      Pose(Rotation.identity(), (m[(0, 1)] + m[(1, 2)]).copy()),
-                      information=info((1, 2)))
+                      Pose(Rotation.identity(), (m[(0, 1)] + m[(1, 2)]).copy()))
     rel = Pose(Rotation.identity(), m[(0, 2)].copy())
-    add_loop_edge(small, LoopConstraint(2, 0, rel, 0.0, True),
-                  information=info((0, 2)))
+    add_loop_edge(small, LoopConstraint(2, 0, rel, 0.0, True))
     report = optimize(small, max_iterations=200)
     assert report.converged
 

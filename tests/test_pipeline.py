@@ -19,11 +19,7 @@ from featslam.pipeline import (
     parse_overrides,
     run_slam,
 )
-from featslam.pose_graph import (
-    PoseGraphConfig,
-    default_loop_information,
-    default_odometry_information,
-)
+from featslam.pose_graph import PoseGraphConfig
 from featslam.scan_context import ScanContextConfig
 from featslam.simulate import (
     SQUARE_CORNER_RADIUS,
@@ -82,10 +78,7 @@ class TestModuleConfigs:
         assert cfg.odometry_config() == OdometryConfig()
         assert cfg.scan_context_config() == ScanContextConfig()
         assert cfg.loop_config() == LoopClosureConfig()
-        graph = cfg.graph_config()
-        assert np.array_equal(graph.odometry_information, default_odometry_information())
-        assert np.array_equal(graph.loop_information, default_loop_information())
-        assert graph.huber_scale == PoseGraphConfig().huber_scale
+        assert cfg.graph_config() == PoseGraphConfig()
         world = {key: cfg[f"synthetic.{key}"] for key in WORLD_DEFAULTS}
         assert world == {**WORLD_DEFAULTS, "shape": "square"}
 
@@ -112,8 +105,8 @@ class TestModuleConfigs:
             {**SQUARE, "graph.loop_rotation_sigma": "0.1",
              "graph.loop_translation_sigma": "0.5"}
         )
-        info = cfg.graph_config().loop_information
-        np.testing.assert_allclose(np.diag(info), [100.0] * 3 + [4.0] * 3)
+        assert cfg.graph_config() == PoseGraphConfig(loop_rotation_sigma=0.1,
+                                                     loop_translation_sigma=0.5)
 
 
 class TestIterationBudget:
@@ -145,9 +138,24 @@ class TestIterationBudget:
         ({"synthetic.density": "-2"}, "synthetic: density must be >= 0, got -2.0"),
         ({"synthetic.size": "1"}, "synthetic: size must be >= 6.0 for the square "
                                   "course (twice its corner radius), got 1.0"),
+        # graph sigmas that divided by zero (0, and 1e-200, whose square
+        # underflows), overflowed (1e200) or ran as their absolute value
+        *[({f"graph.{name}": value},
+           f"graph: {name} must be > 0 with 1/sigma^2 finite and positive, got ")
+          for name in ("odometry_rotation_sigma", "odometry_translation_sigma",
+                       "loop_rotation_sigma", "loop_translation_sigma")
+          for value in ("0", "-0.2", "1e-200", "1e200")],
+        # values that ran to exit 0 with a broken result
+        ({"odometry.crop_radius": "-1"}, "odometry: crop_radius must be > 0, got -1.0"),
+        ({"odometry.edge_voxel_size": "0"}, "odometry: edge_voxel_size must be > 0, got 0.0"),
+        ({"scan_context.num_candidates": "0"}, "scan_context: num_candidates must be >= 1, got 0"),
+        ({"scan_context.num_candidates": "-1"},
+         "scan_context: num_candidates must be >= 1, got -1"),
+        ({"loop.submap_half_width": "-3"}, "loop: submap_half_width must be >= 0, got -3"),
+        ({"dataset.num_lasers": "0"}, "dataset: num_lasers must be >= 1, got 0"),
     ])
     def test_rejected_before_any_frame(self, tmp_path, capsys, items, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             PipelineConfig.from_items({**SQUARE, **items})
         out = tmp_path / "out"
         sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value}")]
@@ -160,6 +168,31 @@ class TestIterationBudget:
         cfg = PipelineConfig.from_items({**SQUARE, "loop.max_iterations": "0"})
         assert cfg.loop_config().registration.max_iterations == 0
         assert cfg.loop_config().registration.refine_iterations == 40
+
+
+# Numeric keys for which -1 is a valid value, with the reason.
+NEGATIVE_ALLOWED = {
+    "run.fixed_threshold": "<= 0 selects the adaptive gate",
+    "dataset.max_frames": "<= 0 means all frames",
+}
+NUMERIC_KEYS = [key for key, value in pipeline._KEYS.items() if type(value) in (int, float)]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_minus_one_rejected_naming_the_key(self, key):
+        # a key added without a range check fails here
+        items = {**SQUARE, key: "-1"}
+        if key in NEGATIVE_ALLOWED:
+            assert PipelineConfig.from_items(items)[key] == -1
+            return
+        section, name = key.split(".", 1)
+        with pytest.raises(ValueError, match=f"^{section}: ") as e:
+            PipelineConfig.from_items(items)
+        assert name in str(e.value)
+
+    def test_allow_list_names_numeric_keys(self):
+        assert set(NEGATIVE_ALLOWED) <= set(NUMERIC_KEYS)
 
 
 class TestConfigFile:

@@ -23,10 +23,12 @@ from featslam.pose_graph import (
     PoseGraphEdge,
     add_loop_edge,
     add_odometry_node,
-    default_loop_information,
-    default_odometry_information,
     optimize,
 )
+
+
+SIGMAS = ("odometry_rotation_sigma", "odometry_translation_sigma",
+          "loop_rotation_sigma", "loop_translation_sigma")
 
 
 def tpose(x, y=0.0, z=0.0):
@@ -53,7 +55,7 @@ def stacked(nodes):
 def evaluate(graph):
     """The edge arrays of graph and the batched evaluation optimize runs at
     its nodes."""
-    edges = pg._EdgeArrays(graph.edges, len(graph.nodes), graph.config.huber_scale)
+    edges = pg._EdgeArrays(graph.edges, len(graph.nodes), graph.config)
     return edges, pg._evaluate(edges, *stacked(graph.nodes))
 
 
@@ -121,8 +123,8 @@ class TestGraphConstruction:
         g = PoseGraph()
         add_odometry_node(g, 0, tpose(0.0))
         add_odometry_node(g, 1, tpose(1.0))
-        info = g.edges[0].information
-        np.testing.assert_allclose(np.diag(info), [1e4] * 3 + [400.0] * 3)
+        edges, _ = evaluate(g)
+        np.testing.assert_allclose(edges.whitener[0] ** 2, [1e4] * 3 + [400.0] * 3)
 
     def test_poses_returns_copies(self):
         g = PoseGraph()
@@ -147,7 +149,8 @@ class TestLoopEdges:
         e = g.edges[-1]
         assert e.robust
         assert (e.from_node, e.to_node) == (0, 2)
-        np.testing.assert_allclose(np.diag(e.information), [400.0] * 3 + [25.0] * 3)
+        edges, _ = evaluate(g)
+        np.testing.assert_allclose(edges.whitener[-1] ** 2, [400.0] * 3 + [25.0] * 3)
 
     def test_unaccepted_constraint_rejected(self):
         g = self._three_node_graph()
@@ -163,29 +166,41 @@ class TestLoopEdges:
             add_loop_edge(g, c)
         assert len(g.edges) == 2
 
-    def test_non_psd_information_rejected_at_insertion(self):
-        g = self._three_node_graph()
-        c = LoopConstraint(2, 0, tpose(1.8), 0.05, True)
-        negative = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
-        with pytest.raises(ValueError):
-            add_loop_edge(g, c, information=negative)
-        asym = np.eye(6)
-        asym[0, 5] = 3.0
-        with pytest.raises(ValueError):
-            add_loop_edge(g, c, information=asym)
-        with pytest.raises(ValueError):
-            add_loop_edge(g, c, information=np.eye(5))
-        assert len(g.edges) == 2
-
     def test_config_validates_information(self):
-        with pytest.raises(ValueError):
-            PoseGraphConfig(odometry_information=np.zeros((6, 6)))
+        # each sigma's information 1/sigma^2 must be a finite, positive
+        # float: 1e-200 squares to 0 and 1e200 overflows
+        for name in SIGMAS:
+            for sigma in (0.0, -0.2, 1e-200, 1e200, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"^{name} must be > 0"):
+                    PoseGraphConfig(**{name: sigma})
+            assert getattr(PoseGraphConfig(**{name: 1e-150}), name) == 1e-150
         with pytest.raises(ValueError):
             PoseGraphConfig(huber_scale=0.0)
         with pytest.raises(ValueError):
             PoseGraphConfig(huber_scale=float("nan"))
         with pytest.raises(ValueError):
             PoseGraphConfig(gradient_tolerance=float("nan"))
+
+
+class TestEdgeWeights:
+    @pytest.mark.parametrize("sigmas", [
+        (0.01, 0.05, 0.05, 0.2),  # the defaults
+        (1.0, 1.0, 1e-4, 2.0 ** -0.5),
+        (0.07, 0.013, 0.3, 1.7),
+        (3e-7, 123.4, 1e-150, 1e150),
+    ])
+    def test_whitener_is_cholesky_factor_of_diagonal_information(self, sigmas):
+        # entry for entry the factor the batched Cholesky of diag(1/sigma^2)
+        # gave, so solves are bit-identical to the information-matrix form
+        cfg = PoseGraphConfig(**dict(zip(SIGMAS, sigmas)))
+        g = PoseGraph(cfg)
+        for k in range(3):
+            add_odometry_node(g, k, tpose(float(k)))
+        add_loop_edge(g, LoopConstraint(2, 0, tpose(1.8), 0.0, True))
+        edges, _ = evaluate(g)
+        for w, e in zip(edges.whitener, ref.information_edges(g.edges, cfg)):
+            assert np.array_equal(w, np.diag(np.linalg.cholesky(e.information)))
+        assert [e.robust for e in g.edges] == [False, False, True]
 
 
 class TestOptimizeExamples:
@@ -202,12 +217,11 @@ class TestOptimizeExamples:
             np.testing.assert_allclose(n.matrix(), b, atol=1e-10)
 
     def test_three_node_chain_matches_grid_oracle(self):
-        g = PoseGraph()
-        info = np.eye(6)
-        add_odometry_node(g, 0, tpose(0.0), information=info)
-        add_odometry_node(g, 1, tpose(1.0), information=info)
-        add_odometry_node(g, 2, tpose(2.0), information=info)
-        add_loop_edge(g, LoopConstraint(2, 0, tpose(1.8), 0.0, True), information=info)
+        g = PoseGraph(PoseGraphConfig(**dict.fromkeys(SIGMAS, 1.0)))
+        add_odometry_node(g, 0, tpose(0.0))
+        add_odometry_node(g, 1, tpose(1.0))
+        add_odometry_node(g, 2, tpose(2.0))
+        add_loop_edge(g, LoopConstraint(2, 0, tpose(1.8), 0.0, True))
         report = optimize(g)
         assert report.converged
         x1 = g.nodes[1].translation[0]
@@ -246,16 +260,14 @@ class TestOptimizeExamples:
         drift = np.linalg.norm(est[-1].translation - true[-1].translation)
         assert drift > 1.0  # the chain must actually drift for the test to mean anything
 
-        g = PoseGraph()
+        # The synthetic loop measurement is exact, so weight it like odometry.
+        odometry = PoseGraphConfig()
+        g = PoseGraph(PoseGraphConfig(loop_rotation_sigma=odometry.odometry_rotation_sigma,
+                                      loop_translation_sigma=odometry.odometry_translation_sigma))
         for k, p in enumerate(est):
             add_odometry_node(g, k, p)
         loop_rel = true[0].inverse().compose(true[-1])
-        # The synthetic loop measurement is exact, so weight it like odometry.
-        add_loop_edge(
-            g,
-            LoopConstraint(99, 0, loop_rel, 0.0, True),
-            information=default_odometry_information(),
-        )
+        add_loop_edge(g, LoopConstraint(99, 0, loop_rel, 0.0, True))
         report = optimize(g, max_iterations=100)
         err = np.linalg.norm(g.nodes[-1].translation - true[-1].translation)
         assert report.converged
@@ -294,8 +306,7 @@ class TestInvariants:
         g_b = PoseGraph(PoseGraphConfig(**tight))
         g_b.nodes = [shift.compose(p) for p in g_a.nodes]
         g_b.edges = [
-            PoseGraphEdge(e.from_node, e.to_node, e.measurement.copy(),
-                          e.information.copy(), e.robust)
+            PoseGraphEdge(e.from_node, e.to_node, e.measurement.copy(), e.robust)
             for e in g_a.edges
         ]
         optimize(g_a, max_iterations=300)
@@ -319,8 +330,7 @@ class TestInvariants:
         eps = 1e-6
         g = PoseGraph()
         g.nodes = [random_pose(rng) for _ in range(60)]
-        g.edges = [PoseGraphEdge(3 * i, 3 * i + 2, random_pose(rng),
-                                 default_loop_information(), True) for i in range(20)]
+        g.edges = [PoseGraphEdge(3 * i, 3 * i + 2, random_pose(rng), True) for i in range(20)]
         edges, ev = evaluate(g)
         j_to = pg._jacobians(ev)
         rotation, translation = stacked(g.nodes)
@@ -343,33 +353,28 @@ class TestInvariants:
         # full SE(3) optimum within 1e-6 of the pure-translation GLS answer.
         rng = np.random.default_rng(31)
         true_t = [np.zeros(3)] + [rng.uniform(-3.0, 3.0, 3) for _ in range(3)]
-        edges_spec = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+        odometry_spec = [(0, 1), (1, 2), (2, 3)]
+        loop_spec = [(0, 3), (1, 3)]
+        edges_spec = odometry_spec + loop_spec
         measurements = {}
-        weights = {}
         for i, j in edges_spec:
             measurements[(i, j)] = (true_t[j] - true_t[i]) + rng.normal(0.0, 0.01, 3)
-            weights[(i, j)] = rng.uniform(0.5, 2.0)
+        # one translation sigma per edge kind, weight 1/sigma^2 in [0.5, 2]
+        odometry_sigma, loop_sigma = rng.uniform(0.71, 1.41, 2)
+        weights = {key: 1.0 / odometry_sigma**2 for key in odometry_spec}
+        weights.update({key: 1.0 / loop_sigma**2 for key in loop_spec})
 
-        def info_for(key):
-            w = weights[key]
-            return np.diag([1e8] * 3 + [w] * 3)
-
-        g = PoseGraph()
+        g = PoseGraph(PoseGraphConfig(
+            odometry_rotation_sigma=1e-4, odometry_translation_sigma=odometry_sigma,
+            loop_rotation_sigma=1e-4, loop_translation_sigma=loop_sigma))
         est = np.zeros(3)
-        add_odometry_node(g, 0, tpose(0.0), information=info_for((0, 1)))
+        add_odometry_node(g, 0, tpose(0.0))
         for k in range(1, 4):
             est = est + measurements[(k - 1, k)]
-            info = info_for((k, k + 1)) if k < 3 else None
-            add_odometry_node(g, k, Pose(Rotation.identity(), est.copy()),
-                              information=info)
-        # add_odometry_node weights edge (k-1, k) with the information passed
-        # when node k was added; rebuild the per-edge weights directly.
-        for e in g.edges:
-            e.information = info_for((e.from_node, e.to_node))
-        for i, j in [(0, 3), (1, 3)]:
+            add_odometry_node(g, k, Pose(Rotation.identity(), est.copy()))
+        for i, j in loop_spec:
             rel = Pose(Rotation.identity(), measurements[(i, j)].copy())
-            add_loop_edge(g, LoopConstraint(j, i, rel, 0.0, True),
-                          information=info_for((i, j)))
+            add_loop_edge(g, LoopConstraint(j, i, rel, 0.0, True))
 
         report = optimize(g, max_iterations=200)
         assert report.converged
@@ -398,9 +403,8 @@ class TestInvariants:
 
 def seeded_graph(seed, n=12):
     """Random nodes joined by an odometry chain and six robust loop edges:
-    two from node 0, a parallel pair between nodes 3 and 9, errors inside
-    and far beyond the Huber scale, and one information matrix replaced by
-    a full one after insertion."""
+    two from node 0, a parallel pair between nodes 3 and 9, and errors
+    inside and far beyond the Huber scale."""
     rng = np.random.default_rng(seed)
     g = PoseGraph()
     g.nodes = [random_pose(rng, rot_scale=0.5, trans_scale=5.0) for _ in range(n)]
@@ -411,15 +415,11 @@ def seeded_graph(seed, n=12):
         return g.nodes[i].inverse().compose(g.nodes[j]).compose(noise)
 
     for k in range(1, n):
-        g.edges.append(PoseGraphEdge(k - 1, k, measured(k - 1, k, 0.01, 0.05),
-                                     default_odometry_information(), False))
+        g.edges.append(PoseGraphEdge(k - 1, k, measured(k - 1, k, 0.01, 0.05), False))
     for i, j, rot_noise, trans_noise in [(0, 7, 0.002, 0.01), (0, 11, 0.3, 2.0),
                                          (3, 9, 0.002, 0.01), (3, 9, 0.2, 1.5),
                                          (2, 10, 0.1, 1.0), (6, 1, 0.002, 0.01)]:
-        g.edges.append(PoseGraphEdge(i, j, measured(i, j, rot_noise, trans_noise),
-                                     default_loop_information(), True))
-    a = rng.normal(size=(6, 6))
-    g.edges[-2].information = a @ a.T + 6.0 * np.eye(6)
+        g.edges.append(PoseGraphEdge(i, j, measured(i, j, rot_noise, trans_noise), True))
     return g
 
 
@@ -433,8 +433,9 @@ class TestEvaluationMatchesReference:
         huber = g.config.huber_scale
         edges, ev = evaluate(g)
         h, grad = pg._normal_equations(edges, ev)
-        ref_cost = ref.graph_cost(g.nodes, g.edges, huber)
-        ref_h, ref_grad = ref.build_normal_equations(g.nodes, g.edges, huber)
+        ref_edges = ref.information_edges(g.edges, g.config)
+        ref_cost = ref.graph_cost(g.nodes, ref_edges, huber)
+        ref_h, ref_grad = ref.build_normal_equations(g.nodes, ref_edges, huber)
 
         # Error scale, fixed from float64 eps before measuring.  Both sides
         # compose the same three transforms and take a log, in a different
@@ -449,14 +450,14 @@ class TestEvaluationMatchesReference:
         #   g:     c sum_e kappa_e |W_e J_e|^T (|W_e r_e| + u_e)
         # with c = 256 eps T.
         t_max = max(np.abs(p.translation).max() for p in g.nodes)
-        t_max = max([t_max] + [np.abs(e.measurement.translation).max() for e in g.edges])
+        t_max = max([t_max] + [np.abs(e.measurement.translation).max() for e in ref_edges])
         c = 256 * np.finfo(float).eps * (1.0 + t_max)
         n = len(g.nodes)
         cost_scale = 0.0
         h_scale = np.zeros((n, n, 6, 6))
         g_scale = np.zeros((n, 6))
         inside = beyond = 0
-        for e in g.edges:
+        for e in ref_edges:
             r, _, j_to = ref.edge_jacobians(g.nodes, e)
             w = ref.whitener(e.information)
             rw, wj = w @ r, np.abs(w @ j_to)
@@ -525,6 +526,7 @@ class TestScale:
         assert len(g) == 1000 and len(loops) >= 20
 
         oracle = copy.deepcopy(g)
+        oracle.edges = ref.information_edges(g.edges, g.config)
         report = optimize(g)
         ref_report = ref.optimize(oracle)
         assert report.iterations == ref_report.iterations
