@@ -117,9 +117,6 @@ class Rotation:
         """Rotation angle in [0, pi]."""
         return float(_axis_angle(self._matrix)[2])
 
-    def angle_to(self, other: "Rotation") -> float:
-        return self.inverse().compose(other).angle()
-
     def __repr__(self) -> str:
         return f"Rotation({np.round(self._matrix, 6).tolist()})"
 

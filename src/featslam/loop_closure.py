@@ -1,54 +1,47 @@
-"""Loop candidate gating and loop relative-pose estimation.
+"""Keyframe promotion, the adaptive loop gate and loop registration.
 
-A descriptor match is only trusted when the two poses are already within an
-adaptive distance gate that widens as the trajectory (and hence accumulated
-drift) grows. Accepted candidates are refined by registering the current
-feature cloud against a submap assembled around the loop keyframe.
+A Scan Context match (Kim & Kim, IROS 2018) is only trusted when the two
+poses are already within an adaptive distance gate that widens as the
+trajectory (and hence accumulated drift) grows. Accepted candidates are
+refined by registering the current feature cloud against a submap assembled
+around the loop keyframe, with the run's odometry settings and the loop's
+own iteration cap (``registration_config``).
 """
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+import dataclasses
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .features import FeatureCloud
 from .geometry import Pose
 from .odometry import OdometryConfig, Submap, register
-from .scan_context import ScanContextConfig
-
-
-@dataclass
-class AdaptiveGateConfig:
-    base_threshold: float = 20.0  # meters
-    n: float = 100.0  # trajectory-length divisor: gate widens by 1 m per n keyframes
-
-    def __post_init__(self):
-        if not self.base_threshold > 0:
-            raise ValueError("base_threshold must be positive")
-        if not self.n > 0:
-            raise ValueError("n must be positive")
-
-
-def _loop_odometry_config() -> OdometryConfig:
-    return OdometryConfig(max_iterations=50)
 
 
 @dataclass
 class LoopClosureConfig:
-    gate: AdaptiveGateConfig = field(default_factory=AdaptiveGateConfig)
-    scan_context: ScanContextConfig = field(default_factory=ScanContextConfig)
-    registration: OdometryConfig = field(default_factory=_loop_odometry_config)
+    base_threshold: float = 20.0  # m, the distance gate at keyframe 0
+    n: float = 100.0  # trajectory-length divisor: gate widens by 1 m per n keyframes
     submap_half_width: int = 10  # keyframes on each side of the loop frame
     cost_threshold: float = 0.3  # mean |residual| (m) to accept a loop
     keyframe_translation: float = 1.0  # m
     keyframe_rotation_deg: float = 10.0
+    max_iterations: int = 50  # loop registration's cap in place of odometry's
 
     def __post_init__(self):
-        for name in ("submap_half_width", "keyframe_translation", "keyframe_rotation_deg"):
+        for name in ("base_threshold", "n", "cost_threshold"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("submap_half_width", "keyframe_translation", "keyframe_rotation_deg",
+                     "max_iterations"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.cost_threshold > 0:
-            raise ValueError(f"cost_threshold must be > 0, got {self.cost_threshold}")
+
+
+def registration_config(config: LoopClosureConfig, odometry: OdometryConfig) -> OdometryConfig:
+    """Loop registration runs the odometry settings with the loop's iteration cap."""
+    return dataclasses.replace(odometry, max_iterations=config.max_iterations)
 
 
 @dataclass
@@ -66,24 +59,9 @@ class LoopConstraint:
 
 @dataclass
 class Keyframe:
-    index: int  # keyframe index (descriptor/graph node id)
     frame_index: int  # raw scan index
     features: FeatureCloud  # sensor frame
     odometry_pose: Pose
-
-
-@dataclass
-class KeyframeStore:
-    keyframes: List[Keyframe] = field(default_factory=list)
-
-    def append(self, kf: Keyframe):
-        self.keyframes.append(kf)
-
-    def __len__(self):
-        return len(self.keyframes)
-
-    def __getitem__(self, i) -> Keyframe:
-        return self.keyframes[i]
 
 
 def is_new_keyframe(
@@ -102,18 +80,19 @@ def gate_distance(t_k: Pose, t_loop: Pose) -> float:
     return float(np.linalg.norm(rel.translation))
 
 
-def adaptive_threshold(k: int, cfg: Optional[AdaptiveGateConfig] = None) -> float:
-    cfg = cfg or AdaptiveGateConfig()
+def adaptive_threshold(k: int, config: Optional[LoopClosureConfig] = None) -> float:
+    cfg = config or LoopClosureConfig()
     return cfg.base_threshold + k / cfg.n
 
 
 def estimate_loop_pose(
     current_features: FeatureCloud,
     current_index: int,
-    store: KeyframeStore,
+    keyframes: Sequence[Keyframe],
     loop_index: int,
     latest_poses: Sequence[Pose],
     config: Optional[LoopClosureConfig] = None,
+    odometry: Optional[OdometryConfig] = None,
     yaw_hint: float = 0.0,
 ) -> LoopConstraint:
     """Register the current cloud against a submap around the loop keyframe.
@@ -125,16 +104,17 @@ def estimate_loop_pose(
     odometry chain, and it is independent of how far odometry has wandered.
     """
     cfg = config or LoopClosureConfig()
-    submap = Submap(cfg.registration)
+    reg_cfg = registration_config(cfg, odometry or OdometryConfig())
+    submap = Submap(reg_cfg)
     lo = max(0, loop_index - cfg.submap_half_width)
-    hi = min(loop_index + cfg.submap_half_width, current_index - 1, len(store) - 1)
+    hi = min(loop_index + cfg.submap_half_width, current_index - 1, len(keyframes) - 1)
     for i in range(lo, hi + 1):
-        submap.insert(store[i].features, latest_poses[i])
+        submap.insert(keyframes[i].features, latest_poses[i])
 
     initial = latest_poses[loop_index].compose(
         Pose.from_rt(np.array([0.0, 0.0, yaw_hint]), np.zeros(3))
     )
-    result = register(current_features, submap, initial, cfg.registration)
+    result = register(current_features, submap, initial, reg_cfg)
 
     relative = latest_poses[loop_index].inverse().compose(result.pose)
     accepted = (
@@ -163,4 +143,3 @@ class LoopEvent:
     accepted: bool
     cost: float
     millis: float
-

@@ -334,10 +334,14 @@ class RegistrationResult:
     final_cost: float  # mean |residual| at the returned pose
     iterations: int
     converged: bool = False
-    degenerate: bool = False
+    # twist directions left unestimated: 6 when registration was skipped
     degenerate_directions: int = 0
     num_edge_matches: int = 0
     num_plane_matches: int = 0
+
+    @property
+    def degenerate(self) -> bool:
+        return self.degenerate_directions > 0
 
 
 MIN_TOTAL_MATCHES = 10
@@ -357,7 +361,7 @@ def register(
         submap.num_planars < cfg.min_submap_planars
     ):
         return RegistrationResult(Pose(Rotation.from_matrix(rotation), translation),
-                                  float("inf"), 0, degenerate=True)
+                                  float("inf"), 0, degenerate_directions=6)
 
     converged = False
     null_directions = 0
@@ -371,7 +375,7 @@ def register(
             corr = associate(features, submap, rotation, translation, cfg)
             if len(corr) < MIN_TOTAL_MATCHES:
                 return RegistrationResult(Pose(Rotation.from_matrix(rotation), translation),
-                                          float("inf"), iterations, degenerate=True)
+                                          float("inf"), iterations, degenerate_directions=6)
             evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
         # frozen iterations reuse the evaluation of the accepted step
@@ -431,7 +435,6 @@ def register(
         final_cost=float(np.abs(evaluation[0]).mean()),
         iterations=iterations,
         converged=converged,
-        degenerate=null_directions > 0,
         degenerate_directions=null_directions,
         num_edge_matches=len(corr.edge_points),
         num_plane_matches=len(corr.plane_points),

@@ -39,9 +39,7 @@ from .evaluation import kitti_relative_errors
 from .features import FeatureConfig
 from .geometry import Pose
 from .loop_closure import (
-    AdaptiveGateConfig,
     Keyframe,
-    KeyframeStore,
     LoopClosureConfig,
     LoopConstraint,
     LoopEvent,
@@ -49,6 +47,7 @@ from .loop_closure import (
     estimate_loop_pose,
     gate_distance,
     is_new_keyframe,
+    registration_config,
 )
 from .odometry import (
     OdometryConfig,
@@ -122,9 +121,7 @@ _KEYS: Dict[str, object] = {
     **_field_defaults("features", FeatureConfig),
     **_field_defaults("odometry", OdometryConfig),
     **_field_defaults("scan_context", ScanContextConfig),
-    **_field_defaults("loop", AdaptiveGateConfig),
     **_field_defaults("loop", LoopClosureConfig),
-    "loop.max_iterations": LoopClosureConfig().registration.max_iterations,
     # the LM tolerances stay out of the table
     **{f"graph.{name}": getattr(PoseGraphConfig, name)
        for name in ("huber_scale", "odometry_rotation_sigma", "odometry_translation_sigma",
@@ -185,7 +182,8 @@ class PipelineConfig:
             ("features", self.feature_config),
             ("odometry", self.odometry_config),
             ("scan_context", self.scan_context_config),
-            ("loop", self.loop_config),
+            ("loop", lambda: registration_config(self.loop_config(),
+                                                 self.odometry_config())),
             ("graph", self.graph_config),
         ]
         if self["synthetic.shape"]:
@@ -218,19 +216,7 @@ class PipelineConfig:
         return ScanContextConfig(**self._section("scan_context"))
 
     def loop_config(self) -> LoopClosureConfig:
-        section = self._section("loop")
-        registration = dataclasses.replace(
-            self.odometry_config(), max_iterations=section.pop("max_iterations")
-        )
-        gate = AdaptiveGateConfig(
-            **{f.name: section.pop(f.name) for f in dataclasses.fields(AdaptiveGateConfig)}
-        )
-        return LoopClosureConfig(
-            gate=gate,
-            scan_context=self.scan_context_config(),
-            registration=registration,
-            **section,
-        )
+        return LoopClosureConfig(**self._section("loop"))
 
     def graph_config(self) -> PoseGraphConfig:
         return PoseGraphConfig(**self._section("graph"))
@@ -300,30 +286,34 @@ def _verify_loop(
     k: int,
     match: CandidateMatch,
     poses: Sequence[Pose],
-    store: KeyframeStore,
+    keyframes: Sequence[Keyframe],
     cfg: LoopClosureConfig,
+    odo_cfg: OdometryConfig,
+    num_sectors: int,
     fixed_threshold: Optional[float],
     events: List[LoopEvent],
 ) -> Optional[LoopConstraint]:
     """Gate a descriptor match for keyframe k, then refine it by registration.
 
-    ``poses`` holds the best-known pose of keyframes 0..k.  Logs the attempt
-    in ``events`` and returns the constraint if it is accepted.
+    ``poses`` holds the best-known pose of keyframes 0..k; ``num_sectors``
+    is the descriptor's, which turns the match's column shift into a yaw.
+    Logs the attempt in ``events`` and returns the constraint if it is
+    accepted.
     """
     loop_idx = match.candidate_keyframe_index
     d = gate_distance(poses[k], poses[loop_idx])
     threshold = (
         fixed_threshold if fixed_threshold is not None
-        else adaptive_threshold(k, cfg.gate)
+        else adaptive_threshold(k, cfg)
     )
     if not d <= threshold:  # the boundary counts as inside; NaN does not
         events.append(LoopEvent(k, loop_idx, d, threshold, match.descriptor_distance,
                                 False, float("inf"), 0.0))
         return None
-    yaw = shift_to_yaw(match.best_column_shift, cfg.scan_context.num_sectors)
+    yaw = shift_to_yaw(match.best_column_shift, num_sectors)
     t0 = time.perf_counter()
     candidate = estimate_loop_pose(
-        store[k].features, k, store, loop_idx, poses, cfg, yaw_hint=yaw
+        keyframes[k].features, k, keyframes, loop_idx, poses, cfg, odo_cfg, yaw_hint=yaw
     )
     millis = (time.perf_counter() - t0) * 1e3
     events.append(LoopEvent(k, loop_idx, d, threshold, match.descriptor_distance,
@@ -335,11 +325,12 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     """Process scans end to end; returns trajectories, keyframes, and events."""
     odo_cfg = config.odometry_config()
     loop_cfg = config.loop_config()
+    sc_cfg = config.scan_context_config()
     fixed_threshold = config.fixed_threshold()
     graph = PoseGraph(config.graph_config())
     state = OdometryState()
     submap = Submap(odo_cfg)
-    store = KeyframeStore()
+    keyframes: List[Keyframe] = []
     db: List[ScanContextDescriptor] = []
     events: List[LoopEvent] = []
     correction = Pose.identity()  # re-bases odometry into the optimized frame
@@ -353,20 +344,17 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
         frame_poses.append(pose)
         registrations.append(registration)
         dropped_points.append(scan.dropped)
-        if not store.keyframes or is_new_keyframe(store[-1].odometry_pose, pose, loop_cfg):
-            k = len(store)
-            store.append(Keyframe(index=k, frame_index=i, features=features,
-                                  odometry_pose=pose))
+        if not keyframes or is_new_keyframe(keyframes[-1].odometry_pose, pose, loop_cfg):
+            k = len(keyframes)
+            keyframes.append(Keyframe(frame_index=i, features=features, odometry_pose=pose))
             add_odometry_node(graph, k, correction.compose(pose))
-            descriptor = build_descriptor(
-                features, keyframe_index=k, config=loop_cfg.scan_context
-            )
-            match = (None if config["run.no_loop"]
-                     else query(db, descriptor, loop_cfg.scan_context))
+            descriptor = build_descriptor(features, keyframe_index=k, config=sc_cfg)
+            match = None if config["run.no_loop"] else query(db, descriptor, sc_cfg)
             db.append(descriptor)
             if match is not None:
-                constraint = _verify_loop(k, match, graph.nodes, store, loop_cfg,
-                                          fixed_threshold, events)
+                constraint = _verify_loop(k, match, graph.nodes, keyframes, loop_cfg,
+                                          odo_cfg, sc_cfg.num_sectors, fixed_threshold,
+                                          events)
                 if constraint is not None:
                     add_loop_edge(graph, constraint)
                     t0 = time.perf_counter()
@@ -375,19 +363,19 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
                     solves.append(GraphSolve(k, len(graph.nodes), len(graph.edges),
                                              report, millis))
                     correction = graph.nodes[k].compose(pose.inverse())
-        kf_of_frame.append(len(store) - 1)
+        kf_of_frame.append(len(keyframes) - 1)
 
     final = graph.poses()
     trajectory = [
-        final[k].compose(store[k].odometry_pose.inverse()).compose(pose)
+        final[k].compose(keyframes[k].odometry_pose.inverse()).compose(pose)
         for pose, k in zip(frame_poses, kf_of_frame)
     ]
     return SlamResult(
         trajectory=trajectory,
         odometry=frame_poses,
-        keyframe_frames=[kf.frame_index for kf in store.keyframes],
+        keyframe_frames=[kf.frame_index for kf in keyframes],
         keyframe_poses=final,
-        keyframe_features=[kf.features for kf in store.keyframes],
+        keyframe_features=[kf.features for kf in keyframes],
         events=events,
         registrations=registrations,
         dropped_points=dropped_points,

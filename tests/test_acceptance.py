@@ -24,9 +24,9 @@ from featslam.features import FeatureCloud
 from featslam.geometry import Pose, Rotation
 from featslam.loop_closure import (
     Keyframe,
-    KeyframeStore,
     LoopConstraint,
     estimate_loop_pose,
+    registration_config,
 )
 from featslam.odometry import OdometryConfig, Submap, register
 from featslam.pipeline import PipelineConfig, run_slam
@@ -120,7 +120,7 @@ def test_registration_recovers_displaced_corner_world():
     expected = move.inverse()
     assert res.converged and not res.degenerate
     assert np.linalg.norm(res.pose.translation - expected.translation) < 5e-3
-    assert np.degrees(res.pose.rotation.angle_to(expected.rotation)) < 0.05
+    assert np.degrees(res.pose.rotation.inverse().compose(expected.rotation).angle()) < 0.05
 
 
 # --------------------------------------------------------------------------
@@ -315,14 +315,14 @@ def test_feature_loop_estimation_twice_as_fast_as_dense_icp(loop_world_runs):
     result = r.with_loop
     accepted = [e for e in result.events if e.accepted]
     assert accepted
-    store = KeyframeStore()
-    for i, (frame, feats) in enumerate(
-        zip(result.keyframe_frames, result.keyframe_features)
-    ):
-        store.append(Keyframe(index=i, frame_index=frame, features=feats,
-                              odometry_pose=result.odometry[frame]))
+    store = [
+        Keyframe(frame_index=frame, features=feats, odometry_pose=result.odometry[frame])
+        for frame, feats in zip(result.keyframe_frames, result.keyframe_features)
+    ]
     latest = result.keyframe_poses
     cfg = _loop_pipeline_config().loop_config()
+    odo_cfg = _loop_pipeline_config().odometry_config()
+    reg_cfg = registration_config(cfg, odo_cfg)
     sc_cfg = _loop_pipeline_config().scan_context_config()
 
     feature_seconds = 0.0
@@ -337,7 +337,7 @@ def test_feature_loop_estimation_twice_as_fast_as_dense_icp(loop_world_runs):
 
         start = time.perf_counter()
         constraint = estimate_loop_pose(
-            store[k].features, k, store, loop, latest, cfg, yaw_hint=yaw
+            store[k].features, k, store, loop, latest, cfg, odo_cfg, yaw_hint=yaw
         )
         feature_seconds += time.perf_counter() - start
         assert constraint.accepted
@@ -357,8 +357,8 @@ def test_feature_loop_estimation_twice_as_fast_as_dense_icp(loop_world_runs):
         )
         icp_point_to_point(
             source, target, init,
-            max_iterations=cfg.registration.max_iterations,
-            max_correspondence_distance=cfg.registration.max_correspondence_distance,
+            max_iterations=reg_cfg.max_iterations,
+            max_correspondence_distance=reg_cfg.max_correspondence_distance,
         )
         icp_seconds += time.perf_counter() - start
 

@@ -308,7 +308,7 @@ class TestIcpOracle:
         result = icp_point_to_point(source, target, Pose.identity())
         t_err = np.linalg.norm(result.pose.translation - true_pose.translation)
         assert t_err < 1e-4
-        assert np.degrees(result.pose.rotation.angle_to(true_pose.rotation)) < 0.01
+        assert np.degrees(result.pose.rotation.inverse().compose(true_pose.rotation).angle()) < 0.01
         assert result.rms < 1e-4
 
     def test_far_clutter_ignored(self):

@@ -18,7 +18,7 @@ def translate(x, y, z):
 def pose_close(a, b, tol=1e-9):
     return (
         np.linalg.norm(a.translation - b.translation) < tol
-        and a.rotation.angle_to(b.rotation) < tol
+        and a.rotation.inverse().compose(b.rotation).angle() < tol
     )
 
 

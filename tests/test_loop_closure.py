@@ -6,9 +6,7 @@ import pytest
 from featslam.features import FeatureCloud
 from featslam.geometry import Pose, Rotation
 from featslam.loop_closure import (
-    AdaptiveGateConfig,
     Keyframe,
-    KeyframeStore,
     LoopClosureConfig,
     LoopConstraint,
     LoopEvent,
@@ -25,6 +23,10 @@ def translate(x, y, z):
 
 def rotz(deg):
     return Pose(Rotation.from_rotvec([0, 0, np.radians(deg)]), np.zeros(3))
+
+
+def angle_between(a, b):
+    return a.inverse().compose(b).angle()
 
 
 def grid(xs, ys, zs):
@@ -74,25 +76,25 @@ class TestAdaptiveThreshold:
         assert adaptive_threshold(0) == pytest.approx(20.0)
 
     def test_five_hundred_over_fifty(self):
-        assert adaptive_threshold(500, AdaptiveGateConfig(n=50)) == pytest.approx(30.0)
+        assert adaptive_threshold(500, LoopClosureConfig(n=50)) == pytest.approx(30.0)
 
     def test_hundred_over_hundred(self):
-        assert adaptive_threshold(100, AdaptiveGateConfig(n=100)) == pytest.approx(21.0)
+        assert adaptive_threshold(100, LoopClosureConfig(n=100)) == pytest.approx(21.0)
 
     def test_monotone_in_k(self):
-        cfg = AdaptiveGateConfig(n=37.0)
+        cfg = LoopClosureConfig(n=37.0)
         values = [adaptive_threshold(k, cfg) for k in range(0, 1000, 13)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
-            AdaptiveGateConfig(base_threshold=-1)
+            LoopClosureConfig(base_threshold=-1)
         with pytest.raises(ValueError):
-            AdaptiveGateConfig(n=0)
+            LoopClosureConfig(n=0)
         with pytest.raises(ValueError):
-            AdaptiveGateConfig(base_threshold=float("nan"))
+            LoopClosureConfig(base_threshold=float("nan"))
         with pytest.raises(ValueError):
-            AdaptiveGateConfig(n=float("nan"))
+            LoopClosureConfig(n=float("nan"))
 
 
 class TestVerifyCandidate:
@@ -132,19 +134,17 @@ class TestLoopConstraint:
             LoopConstraint(3, 7, Pose.identity(), 0.0, True)
 
 
-def make_store(poses, clouds):
-    store = KeyframeStore()
-    for i, (p, c) in enumerate(zip(poses, clouds)):
-        store.append(Keyframe(index=i, frame_index=i * 3, features=c, odometry_pose=p))
-    return store
+def make_keyframes(poses, clouds):
+    return [Keyframe(frame_index=i * 3, features=c, odometry_pose=p)
+            for i, (p, c) in enumerate(zip(poses, clouds))]
 
 
 class TestEstimateLoopPose:
     def test_self_match_identity(self):
         cloud = corner_cloud()
         poses = [Pose.identity(), Pose.identity(), Pose.identity()]
-        store = make_store(poses, [cloud, cloud, cloud])
-        constraint = estimate_loop_pose(cloud, 2, store, 0, poses)
+        keyframes = make_keyframes(poses, [cloud, cloud, cloud])
+        constraint = estimate_loop_pose(cloud, 2, keyframes, 0, poses)
         assert constraint.accepted
         assert constraint.from_keyframe == 2 and constraint.to_keyframe == 0
         assert np.linalg.norm(constraint.relative_pose.translation) < 1e-4
@@ -159,30 +159,30 @@ class TestEstimateLoopPose:
         )
         drift = translate(0.3, 0.4, 0.0)  # |drift| = 0.5 m
         odom_poses = [Pose.identity(), Pose.identity(), drift.compose(true_current)]
-        store = make_store(odom_poses, [world, world, current_feats])
-        constraint = estimate_loop_pose(current_feats, 2, store, 0, odom_poses)
+        keyframes = make_keyframes(odom_poses, [world, world, current_feats])
+        constraint = estimate_loop_pose(current_feats, 2, keyframes, 0, odom_poses)
         assert constraint.accepted
         expected = true_current  # loop frame is at identity
         t_err = np.linalg.norm(constraint.relative_pose.translation - expected.translation)
-        r_err = np.degrees(constraint.relative_pose.rotation.angle_to(expected.rotation))
+        r_err = np.degrees(angle_between(constraint.relative_pose.rotation, expected.rotation))
         assert t_err < 0.05
         assert r_err < 0.5
 
     def test_tiny_submap_rejected(self):
         tiny = FeatureCloud(edges=np.zeros((3, 3)), planars=np.zeros((8, 3)))
         poses = [Pose.identity(), Pose.identity()]
-        store = make_store(poses, [tiny, tiny])
-        constraint = estimate_loop_pose(tiny, 1, store, 0, poses)
+        keyframes = make_keyframes(poses, [tiny, tiny])
+        constraint = estimate_loop_pose(tiny, 1, keyframes, 0, poses)
         assert not constraint.accepted
 
     def test_store_not_mutated(self):
         cloud = corner_cloud()
         poses = [Pose.identity(), translate(0.2, 0, 0), translate(0.4, 0, 0)]
-        store = make_store(poses, [cloud, cloud, cloud])
-        edges_before = [kf.features.edges.copy() for kf in store.keyframes]
-        pose_before = [kf.odometry_pose.matrix().copy() for kf in store.keyframes]
-        estimate_loop_pose(cloud, 2, store, 0, poses)
-        for kf, e, m in zip(store.keyframes, edges_before, pose_before):
+        keyframes = make_keyframes(poses, [cloud, cloud, cloud])
+        edges_before = [kf.features.edges.copy() for kf in keyframes]
+        pose_before = [kf.odometry_pose.matrix().copy() for kf in keyframes]
+        estimate_loop_pose(cloud, 2, keyframes, 0, poses)
+        for kf, e, m in zip(keyframes, edges_before, pose_before):
             assert np.array_equal(kf.features.edges, e)
             assert np.array_equal(kf.odometry_pose.matrix(), m)
 
@@ -196,9 +196,9 @@ class TestEstimateLoopPose:
         current_feats = FeatureCloud(
             edges=world.edges.copy(), planars=world.planars.copy()
         )
-        store = make_store(odom, [world, world, current_feats])
+        keyframes = make_keyframes(odom, [world, world, current_feats])
         latest[2] = correction.compose(odom[2])
-        constraint = estimate_loop_pose(current_feats, 2, store, 0, latest)
+        constraint = estimate_loop_pose(current_feats, 2, keyframes, 0, latest)
         assert constraint.accepted
         # current truly sits at the loop frame: relative pose ~ identity
         assert np.linalg.norm(constraint.relative_pose.translation) < 1e-3
@@ -214,16 +214,16 @@ class TestEstimateLoopPose:
             planars=true_current.inverse().apply(world.planars),
         )
         odom = [Pose.identity(), Pose.identity(), translate(60, 0, 0)]
-        store = make_store(odom, [world, world, current_feats])
+        keyframes = make_keyframes(odom, [world, world, current_feats])
         constraint = estimate_loop_pose(
-            current_feats, 2, store, 0, odom, yaw_hint=np.pi / 2
+            current_feats, 2, keyframes, 0, odom, yaw_hint=np.pi / 2
         )
         assert constraint.accepted
         t_err = np.linalg.norm(
             constraint.relative_pose.translation - true_current.translation
         )
         r_err = np.degrees(
-            constraint.relative_pose.rotation.angle_to(true_current.rotation)
+            angle_between(constraint.relative_pose.rotation, true_current.rotation)
         )
         assert t_err < 0.05
         assert r_err < 0.5

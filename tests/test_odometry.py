@@ -306,7 +306,7 @@ class TestRegister:
         res = register(feats, submap, Pose.identity())
         expected = move.inverse()
         t_err = np.linalg.norm(res.pose.translation - expected.translation)
-        r_err = np.degrees(res.pose.rotation.angle_to(expected.rotation))
+        r_err = np.degrees(res.pose.rotation.inverse().compose(expected.rotation).angle())
         assert t_err < 5e-3
         assert r_err < 0.05
 

@@ -6,13 +6,19 @@ import re
 import numpy as np
 import pytest
 
-from featslam import pipeline
+from featslam import loop_closure, pipeline
 from featslam.cli import _collect_items, _synthetic_items, build_parser, main
 from featslam.dataset_io import RawScan, load_ground_truth
 from featslam.evaluation import kitti_relative_errors
+from featslam.features import FeatureCloud, FeatureConfig
 from featslam.geometry import Pose, Rotation
-from featslam.loop_closure import LoopClosureConfig
-from featslam.odometry import OdometryConfig
+from featslam.loop_closure import (
+    Keyframe,
+    LoopClosureConfig,
+    estimate_loop_pose,
+    registration_config,
+)
+from featslam.odometry import OdometryConfig, RegistrationResult
 from featslam.pipeline import (
     PipelineConfig,
     parse_config_file,
@@ -32,6 +38,9 @@ from featslam.simulate import (
 )
 
 SQUARE = {"synthetic.shape": "square"}
+# the loop_square benchmark's weakened odometry and larger loop budget
+LOOP_SQUARE = {**SQUARE, "odometry.max_iterations": "2", "odometry.refine_iterations": "2",
+               "loop.max_iterations": "80"}
 
 
 class TestConfigValues:
@@ -90,15 +99,54 @@ class TestModuleConfigs:
         assert odo.features.min_range == 3.5
         assert odo.huber_scale == 0.7
 
-    def test_loop_registration_gets_own_iteration_cap(self):
-        cfg = PipelineConfig.from_items(
-            {**SQUARE, "odometry.max_iterations": "4", "loop.max_iterations": "77"}
-        )
-        loop = cfg.loop_config()
-        assert cfg.odometry_config().max_iterations == 4
-        assert loop.registration.max_iterations == 77
-        assert loop.gate.base_threshold == 20.0
-        assert loop.gate.n == 100.0
+    @staticmethod
+    def registered_with(monkeypatch, *configs):
+        """The OdometryConfig that estimate_loop_pose hands to register."""
+        seen = []
+
+        def fake_register(features, submap, initial, cfg):
+            seen.append(cfg)
+            return RegistrationResult(initial, float("inf"), 0, degenerate_directions=6)
+
+        monkeypatch.setattr(loop_closure, "register", fake_register)
+        cloud = FeatureCloud(edges=np.zeros((3, 3)), planars=np.zeros((8, 3)))
+        keyframes = [Keyframe(i, cloud, Pose.identity()) for i in range(2)]
+        estimate_loop_pose(cloud, 1, keyframes, 0, [Pose.identity()] * 2, *configs)
+        assert len(seen) == 1
+        return seen[0]
+
+    def test_loop_registration_gets_own_iteration_cap(self, monkeypatch):
+        # the run's odometry settings, refine budget included, with the loop cap
+        cfg = PipelineConfig.from_items(LOOP_SQUARE)
+        odometry = cfg.odometry_config()
+        got = self.registered_with(monkeypatch, cfg.loop_config(), odometry)
+        assert got == dataclasses.replace(odometry, max_iterations=80)
+        assert got.refine_iterations == 2
+
+    def test_loop_registration_defaults(self, monkeypatch):
+        cfg = PipelineConfig.from_items(SQUARE)
+        expected = OdometryConfig(max_iterations=50)
+        assert self.registered_with(monkeypatch) == expected
+        assert self.registered_with(monkeypatch, cfg.loop_config(),
+                                    cfg.odometry_config()) == expected
+
+    # section -> config class whose scalar fields are the section's keys
+    SECTIONS = {"features": FeatureConfig, "odometry": OdometryConfig,
+                "scan_context": ScanContextConfig, "loop": LoopClosureConfig,
+                "graph": PoseGraphConfig}
+    # PoseGraphConfig's LM tolerances stay out of the key table by design
+    UNLISTED = {"graph": {"cost_rel_tolerance", "gradient_tolerance"}}
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_key_table_is_the_config_fields(self, section):
+        fields = {
+            f.name: f.default for f in dataclasses.fields(self.SECTIONS[section])
+            if isinstance(f.default, (bool, int, float, str))
+            and f.name not in self.UNLISTED.get(section, ())
+        }
+        keys = {key.split(".", 1)[1]: value for key, value in pipeline._KEYS.items()
+                if key.startswith(section + ".")}
+        assert keys == fields
 
     def test_graph_information_from_sigmas(self):
         cfg = PipelineConfig.from_items(
@@ -166,8 +214,9 @@ class TestIterationBudget:
 
     def test_loop_refinement_only_budget_is_valid(self):
         cfg = PipelineConfig.from_items({**SQUARE, "loop.max_iterations": "0"})
-        assert cfg.loop_config().registration.max_iterations == 0
-        assert cfg.loop_config().registration.refine_iterations == 40
+        registration = registration_config(cfg.loop_config(), cfg.odometry_config())
+        assert registration.max_iterations == 0
+        assert registration.refine_iterations == 40
 
 
 # Numeric keys for which -1 is a valid value, with the reason.
@@ -470,6 +519,20 @@ class TestFrameLog:
             assert int(row["plane_matches"]) == reg.num_plane_matches
             assert float(row["final_cost"]) == reg.final_cost
         assert [int(row["dropped_points"]) for row in rows] == result.dropped_points
+
+    @pytest.mark.parametrize("setting", ["features.max_edges_per_sector=0",
+                                         "odometry.max_correspondence_distance=1e-6"])
+    def test_skipped_registration_reports_six_directions(self, tmp_path, setting):
+        # a submap with no edges, or no match within reach, ends registration
+        # early: no direction was estimated, and the row must say so
+        out = tmp_path / "out"
+        rc = main(["run", "--synthetic", "square,frames=20,seed=0", "--set", setting,
+                   "--out", str(out)])
+        assert rc == 0
+        rows = self.rows(out / "frames.csv")[1:]
+        assert len(rows) == 19
+        assert all(row["degenerate_directions"] == "6" for row in rows)
+        assert all(row["converged"] == "0" for row in rows)
 
     def test_in_memory_nonfinite_points_reported(self, tmp_path):
         scans, _ = generate_world({"shape": "square", "frames": 4, "seed": 0})
