@@ -15,7 +15,8 @@ import numpy as np
 
 from featslam.geometry import Pose
 
-# HDL-64E vertical field of view used for ring reconstruction.
+# HDL-64E lasers and vertical field of view, used for ring reconstruction.
+NUM_LASERS = 64
 ELEVATION_MIN_DEG = -24.8
 ELEVATION_MAX_DEG = 2.0
 
@@ -83,8 +84,9 @@ def ring_from_elevation(xyz: np.ndarray, num_lasers: int) -> np.ndarray:
     return np.clip(np.nan_to_num(ring), 0, num_lasers - 1).astype(int)
 
 
-def load_scan(path: str | os.PathLike, num_lasers: int = 64) -> RawScan:
-    """Decode a KITTI velodyne .bin file.
+def load_scan(path: str | os.PathLike) -> RawScan:
+    """Decode a KITTI velodyne .bin file; rings are the NUM_LASERS bins of
+    the HDL-64E elevation span.
 
     Points with a non-finite coordinate are dropped by RawScan (KITTI
     contains stray returns); the number removed is reported on the scan.
@@ -97,7 +99,7 @@ def load_scan(path: str | os.PathLike, num_lasers: int = 64) -> RawScan:
     return RawScan(
         xyz=xyz,
         intensity=pts[:, 3].copy(),
-        ring=ring_from_elevation(xyz, num_lasers),
+        ring=ring_from_elevation(xyz, NUM_LASERS),
     )
 
 

@@ -14,6 +14,10 @@ a rotation matrix and a translation, and each tried step is composed with
 3x3 products; every result is projected onto SO(3) by
 ``Rotation.from_matrix``, so the constant-velocity prediction does not
 compound rounding.
+
+``OdometryConfig`` holds the iteration budgets, the robust scale, the
+correspondence gate and the submap geometry; the solver's tolerances and
+the submap size below which registration is skipped are module constants.
 """
 
 from __future__ import annotations
@@ -34,27 +38,15 @@ class IllConditionedError(RuntimeError):
 @dataclass
 class OdometryConfig:
     max_iterations: int = 20
-    convergence_tolerance: float = 1e-4  # |twist step|, combined rad/m
-    # re-association is frozen once the step or the cost improvement falls
-    # below these, so the final iterate is the exact minimizer of one
-    # fixed robust objective instead of an association limit cycle
-    freeze_step: float = 1e-3
-    freeze_cost_rel: float = 1e-3
     refine_iterations: int = 40
     huber_scale: float = 0.3  # m
     max_correspondence_distance: float = 5.0  # m, gate on the 5th neighbor
     edge_voxel_size: float = 0.4  # m
     planar_voxel_size: float = 0.8  # m
     crop_radius: float = 100.0  # m
-    min_submap_edges: int = 10
-    min_submap_planars: int = 50
-    eigenvalue_floor: float = 1e-8  # relative truncation cutoff
-    features: FeatureConfig = field(default_factory=FeatureConfig)
 
     def __post_init__(self):
-        for name in ("max_iterations", "refine_iterations", "convergence_tolerance",
-                     "freeze_step", "freeze_cost_rel", "min_submap_edges",
-                     "min_submap_planars", "eigenvalue_floor"):
+        for name in ("max_iterations", "refine_iterations"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("huber_scale", "max_correspondence_distance", "edge_voxel_size",
@@ -69,6 +61,15 @@ class OdometryConfig:
 
 
 KNN = 5  # neighbors per correspondence
+CONVERGENCE_TOLERANCE = 1e-4  # |twist step|, combined rad/m
+# re-association is frozen once the step or the cost improvement falls
+# below these, so the final iterate is the exact minimizer of one
+# fixed robust objective instead of an association limit cycle
+FREEZE_STEP = 1e-3
+FREEZE_COST_REL = 1e-3
+EIGENVALUE_FLOOR = 1e-8  # relative truncation cutoff
+MIN_SUBMAP_EDGES = 10
+MIN_SUBMAP_PLANARS = 50
 LINE_EIGEN_RATIO = 3.0  # largest eigenvalue must exceed ratio x second
 PLANE_FIT_TOLERANCE = 0.2  # m, every neighbor must sit on the fitted plane
 
@@ -357,9 +358,7 @@ def register(
     """Estimate the pose aligning features to the submap, from initial."""
     cfg = cfg or OdometryConfig()
     rotation, translation = initial.rotation.matrix(), initial.translation
-    if submap.num_edges < cfg.min_submap_edges or (
-        submap.num_planars < cfg.min_submap_planars
-    ):
+    if submap.num_edges < MIN_SUBMAP_EDGES or submap.num_planars < MIN_SUBMAP_PLANARS:
         return RegistrationResult(Pose(Rotation.from_matrix(rotation), translation),
                                   float("inf"), 0, degenerate_directions=6)
 
@@ -388,7 +387,7 @@ def register(
         if top <= 0.0:
             null_directions = 6
             break
-        keep = vals > cfg.eigenvalue_floor * top
+        keep = vals > EIGENVALUE_FLOOR * top
         null_directions = int((~keep).sum())
         inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
         delta = -vecs @ (inv * (vecs.T @ grad))
@@ -416,15 +415,15 @@ def register(
             continue
         rotation, translation, evaluation, cost = accepted
         step_norm = np.linalg.norm(alpha * delta)
-        if step_norm < cfg.convergence_tolerance:
+        if step_norm < CONVERGENCE_TOLERANCE:
             converged = True
             break
         if not frozen:
             stagnant = (
                 prev_cost is not None
-                and cost > prev_cost * (1.0 - cfg.freeze_cost_rel)
+                and cost > prev_cost * (1.0 - FREEZE_COST_REL)
             )
-            if stagnant or step_norm < cfg.freeze_step:
+            if stagnant or step_norm < FREEZE_STEP:
                 frozen = True
             if iterations >= cfg.max_iterations:
                 frozen = True
@@ -463,6 +462,7 @@ def process_frame(
     scan,
     submap: Submap,
     cfg: OdometryConfig | None = None,
+    feature_cfg: FeatureConfig | None = None,
 ):
     """Extract features, register against the submap, fold them in.
 
@@ -470,7 +470,7 @@ def process_frame(
     bootstraps the submap at the identity without registering.
     """
     cfg = cfg or OdometryConfig()
-    features = extract_features(scan, cfg.features)
+    features = extract_features(scan, feature_cfg)
     if submap.num_edges == 0 and submap.num_planars == 0:
         pose = Pose.identity()
         result = None

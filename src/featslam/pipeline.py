@@ -7,11 +7,11 @@ loop edge and re-optimizes the graph, so the next keyframe's loop search
 reads the poses of the latest solve.
 
 Configuration is a flat ``key = value`` file with dotted keys plus
-``--set key=value`` overrides.  The table of known keys is built from the
-module config dataclasses (``PoseGraphConfig``'s edge sigmas and Huber
-scale, not its LM tolerances) and the simulator's world defaults; unknown
-keys are rejected.  Every value is range-checked by the config it builds
-before a run starts.
+``--set key=value`` overrides.  The table of known keys is the simulator's
+world defaults plus one key per field of each module config dataclass
+(``_SECTIONS``); unknown keys are rejected.  ``PipelineConfig.from_items``
+builds each module config once, so every value is range-checked by the
+config it builds before a run starts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import dataclasses
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -97,35 +97,29 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _field_defaults(prefix: str, cls) -> Dict[str, object]:
-    """``prefix.name -> default`` for each scalar field of a config dataclass."""
-    return {
-        f"{prefix}.{f.name}": f.default
-        for f in dataclasses.fields(cls)
-        if f.default is not dataclasses.MISSING
-    }
-
+# section -> the module config its keys build, one key per field
+_SECTIONS = {
+    "features": FeatureConfig,
+    "odometry": OdometryConfig,
+    "scan_context": ScanContextConfig,
+    "loop": LoopClosureConfig,
+    "graph": PoseGraphConfig,
+}
 
 # key -> default; a value is parsed as the type of its key's default.
 _KEYS: Dict[str, object] = {
     "dataset.scans": "",
     "dataset.poses": "",
     "dataset.calib": "",
-    "dataset.num_lasers": 64,
     "dataset.max_frames": 0,  # 0 = all
     **{f"synthetic.{key}": value for key, value in WORLD_DEFAULTS.items()},
     "synthetic.shape": "",  # empty = dataset mode
     "output.dir": "featslam_out",
     "run.no_loop": False,
     "run.fixed_threshold": 0.0,  # <= 0 selects the adaptive gate
-    **_field_defaults("features", FeatureConfig),
-    **_field_defaults("odometry", OdometryConfig),
-    **_field_defaults("scan_context", ScanContextConfig),
-    **_field_defaults("loop", LoopClosureConfig),
-    # the LM tolerances stay out of the table
-    **{f"graph.{name}": getattr(PoseGraphConfig, name)
-       for name in ("huber_scale", "odometry_rotation_sigma", "odometry_translation_sigma",
-                    "loop_rotation_sigma", "loop_translation_sigma")},
+    **{f"{section}.{f.name}": f.default
+       for section, config_class in _SECTIONS.items()
+       for f in dataclasses.fields(config_class)},
 }
 
 _PARSERS = {str: str, int: int, float: float, bool: _parse_bool}
@@ -153,73 +147,59 @@ def _coerce(key: str, value) -> object:
     raise ValueError(f"bad value for {key}: {value!r}")
 
 
+def _section(values: Dict[str, object], prefix: str) -> Dict[str, object]:
+    """``name -> value`` for the ``prefix.name`` keys of values."""
+    return {
+        key.split(".", 1)[1]: value
+        for key, value in values.items()
+        if key.startswith(prefix + ".")
+    }
+
+
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ValueError prefixed by the section."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise ValueError(f"{section}: {e}") from e
+
+
 @dataclass
 class PipelineConfig:
-    """Validated flat configuration; builds every module config."""
+    """Validated flat configuration and the module configs built from it."""
 
-    values: Dict[str, object] = field(default_factory=dict)
+    values: Dict[str, object]
+    features: FeatureConfig
+    odometry: OdometryConfig
+    scan_context: ScanContextConfig
+    loop: LoopClosureConfig
+    graph: PoseGraphConfig
 
     @classmethod
     def from_items(cls, items: Dict[str, object]) -> "PipelineConfig":
+        """Coerce items over the defaults and build every module config, so
+        that a bad value fails before a run."""
         values = dict(_KEYS)
         for key, value in items.items():
             values[key] = _coerce(key, value)
-        cfg = cls(values)
-        cfg._validate()
-        return cfg
-
-    def _validate(self):
-        if not self["dataset.scans"] and not self["synthetic.shape"]:
+        synthetic = values["synthetic.shape"]
+        if not values["dataset.scans"] and not synthetic:
             raise ValueError(
                 "no input: set dataset.scans or synthetic.shape (or --synthetic)"
             )
-        if self["dataset.num_lasers"] < 1:
-            raise ValueError(
-                f"dataset: num_lasers must be >= 1, got {self['dataset.num_lasers']}"
-            )
-        # build every module config, so that a bad value fails before a run
-        checks = [
-            ("features", self.feature_config),
-            ("odometry", self.odometry_config),
-            ("scan_context", self.scan_context_config),
-            ("loop", lambda: registration_config(self.loop_config(),
-                                                 self.odometry_config())),
-            ("graph", self.graph_config),
-        ]
-        if self["synthetic.shape"]:
-            checks.append(("synthetic", lambda: check_world_spec(self._section("synthetic"))))
-        elif self["dataset.poses"] and not self["dataset.calib"]:
+        if not synthetic and values["dataset.poses"] and not values["dataset.calib"]:
             raise ValueError("dataset: dataset.poses requires dataset.calib")
-        for section, build in checks:
-            try:
-                build()
-            except ValueError as e:
-                raise ValueError(f"{section}: {e}") from e
+        configs = {
+            section: _checked(section, config_class, **_section(values, section))
+            for section, config_class in _SECTIONS.items()
+        }
+        _checked("loop", registration_config, configs["loop"], configs["odometry"])
+        if synthetic:
+            _checked("synthetic", check_world_spec, _section(values, "synthetic"))
+        return cls(values, **configs)
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def _section(self, prefix: str) -> Dict[str, object]:
-        return {
-            key.split(".", 1)[1]: value
-            for key, value in self.values.items()
-            if key.startswith(prefix + ".")
-        }
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(**self._section("features"))
-
-    def odometry_config(self) -> OdometryConfig:
-        return OdometryConfig(features=self.feature_config(), **self._section("odometry"))
-
-    def scan_context_config(self) -> ScanContextConfig:
-        return ScanContextConfig(**self._section("scan_context"))
-
-    def loop_config(self) -> LoopClosureConfig:
-        return LoopClosureConfig(**self._section("loop"))
-
-    def graph_config(self) -> PoseGraphConfig:
-        return PoseGraphConfig(**self._section("graph"))
 
     def fixed_threshold(self) -> Optional[float]:
         value = self["run.fixed_threshold"]
@@ -323,13 +303,11 @@ def _verify_loop(
 
 def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     """Process scans end to end; returns trajectories, keyframes, and events."""
-    odo_cfg = config.odometry_config()
-    loop_cfg = config.loop_config()
-    sc_cfg = config.scan_context_config()
+    sc_cfg = config.scan_context
     fixed_threshold = config.fixed_threshold()
-    graph = PoseGraph(config.graph_config())
+    graph = PoseGraph(config.graph)
     state = OdometryState()
-    submap = Submap(odo_cfg)
+    submap = Submap(config.odometry)
     keyframes: List[Keyframe] = []
     db: List[ScanContextDescriptor] = []
     events: List[LoopEvent] = []
@@ -340,11 +318,12 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     dropped_points: List[int] = []
     solves: List[GraphSolve] = []
     for i, scan in enumerate(scans):
-        features, pose, registration = process_frame(state, scan, submap, odo_cfg)
+        features, pose, registration = process_frame(state, scan, submap, config.odometry,
+                                                     config.features)
         frame_poses.append(pose)
         registrations.append(registration)
         dropped_points.append(scan.dropped)
-        if not keyframes or is_new_keyframe(keyframes[-1].odometry_pose, pose, loop_cfg):
+        if not keyframes or is_new_keyframe(keyframes[-1].odometry_pose, pose, config.loop):
             k = len(keyframes)
             keyframes.append(Keyframe(frame_index=i, features=features, odometry_pose=pose))
             add_odometry_node(graph, k, correction.compose(pose))
@@ -352,9 +331,9 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
             match = None if config["run.no_loop"] else query(db, descriptor, sc_cfg)
             db.append(descriptor)
             if match is not None:
-                constraint = _verify_loop(k, match, graph.nodes, keyframes, loop_cfg,
-                                          odo_cfg, sc_cfg.num_sectors, fixed_threshold,
-                                          events)
+                constraint = _verify_loop(k, match, graph.nodes, keyframes, config.loop,
+                                          config.odometry, sc_cfg.num_sectors,
+                                          fixed_threshold, events)
                 if constraint is not None:
                     add_loop_edge(graph, constraint)
                     t0 = time.perf_counter()
@@ -392,7 +371,7 @@ def _load_input(config: PipelineConfig):
     a synthetic world's truth is in the LiDAR frame, so its calibration is
     the identity."""
     if config["synthetic.shape"]:
-        scans, poses = generate_world(config._section("synthetic"))
+        scans, poses = generate_world(_section(config.values, "synthetic"))
         return scans, GroundTruthTrajectory(poses, Pose.identity())
 
     scan_dir = Path(config["dataset.scans"])
@@ -401,7 +380,7 @@ def _load_input(config: PipelineConfig):
     limit = config["dataset.max_frames"]
     end = limit if limit > 0 else None
     paths = sorted(scan_dir.glob("*.bin"))[:end]
-    scans = [load_scan(p, config["dataset.num_lasers"]) for p in paths]
+    scans = [load_scan(p) for p in paths]
     if not config["dataset.poses"]:
         return scans, None
     truth = load_ground_truth(config["dataset.poses"], config["dataset.calib"])

@@ -9,10 +9,11 @@ Optimization minimizes
 over all node poses except node 0, which is held fixed to remove the global
 gauge freedom.  ``Lambda_e = diag(1/sigma^2)`` is diagonal, as in GTSAM's
 ``noiseModel::Diagonal``: one rotation and one translation sigma per edge
-kind, the four fields of ``PoseGraphConfig``.  ``rho`` is the identity for
-odometry edges and a Huber kernel for loop edges.  State updates are
-left-multiplicative, matching the rest of the package:
-``T <- exp_rt(delta) T``.
+kind, four of the five fields of ``PoseGraphConfig``.  ``rho`` is the
+identity for odometry edges and a Huber kernel for loop edges, whose scale
+is the fifth field.  State updates are left-multiplicative, matching the
+rest of the package: ``T <- exp_rt(delta) T``.  The LM damping schedule
+and stopping thresholds are module constants.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ __all__ = [
 _LAMBDA_INIT = 1e-4
 _LAMBDA_MAX = 1e12
 _LAMBDA_MIN = 1e-12
+# LM stops when the relative cost decrease or the gradient norm falls below these.
+_COST_REL_TOLERANCE = 1e-6
+_GRADIENT_TOLERANCE = 1e-8
 
 
 def _whitener(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
@@ -52,16 +56,14 @@ def _whitener(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
 
 @dataclass
 class PoseGraphConfig:
-    """Edge standard deviations (rad for rotation, m for translation), robust
-    kernel, and LM stopping thresholds."""
+    """Edge standard deviations (rad for rotation, m for translation) and the
+    loop edges' robust kernel."""
 
     odometry_rotation_sigma: float = 0.01
     odometry_translation_sigma: float = 0.05
     loop_rotation_sigma: float = 0.05
     loop_translation_sigma: float = 0.2
     huber_scale: float = 1.0
-    cost_rel_tolerance: float = 1e-6
-    gradient_tolerance: float = 1e-8
 
     def __post_init__(self):
         for name in ("odometry_rotation_sigma", "odometry_translation_sigma",
@@ -77,8 +79,6 @@ class PoseGraphConfig:
                 )
         if not self.huber_scale > 0.0:
             raise ValueError("huber_scale must be positive")
-        if not (self.cost_rel_tolerance >= 0.0 and self.gradient_tolerance >= 0.0):
-            raise ValueError("tolerances must be non-negative")
 
 
 @dataclass
@@ -256,8 +256,8 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
     """Levenberg-Marquardt over the node poses; updates the graph in place.
 
     Stops when the relative cost decrease falls below
-    ``config.cost_rel_tolerance``, the gradient norm falls below
-    ``config.gradient_tolerance``, or no damping value yields a decrease
+    ``_COST_REL_TOLERANCE``, the gradient norm falls below
+    ``_GRADIENT_TOLERANCE``, or no damping value yields a decrease
     (reported as ``converged=False`` with the best iterate kept).  Each node
     state is evaluated once: a trial step's evaluation gives its cost and,
     when the step is accepted, the next normal equations.
@@ -266,11 +266,10 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
         raise ValueError("cannot optimize an empty graph")
     if not graph.edges:
         return OptimizationReport(0.0, 0.0, 0, True)
-    cfg = graph.config
     n = len(graph.nodes)
     rotation = np.stack([p.rotation.matrix() for p in graph.nodes])
     translation = np.stack([p.translation for p in graph.nodes])
-    edges = _EdgeArrays(graph.edges, n, cfg)
+    edges = _EdgeArrays(graph.edges, n, graph.config)
     current = _evaluate(edges, rotation, translation)
     initial_cost = current.cost
     if n == 1:
@@ -281,7 +280,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
     lam = _LAMBDA_INIT
     for _ in range(max_iterations):
         h, g = _normal_equations(edges, current)
-        if np.linalg.norm(g) < cfg.gradient_tolerance:
+        if np.linalg.norm(g) < _GRADIENT_TOLERANCE:
             converged = True
             break
         diag = h.diagonal()
@@ -302,7 +301,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
                     lam = max(lam / 3.0, _LAMBDA_MIN)
                     iterations += 1
                     stepped = True
-                    if rel_decrease < cfg.cost_rel_tolerance:
+                    if rel_decrease < _COST_REL_TOLERANCE:
                         converged = True
                     break
             lam *= 10.0

@@ -431,7 +431,7 @@ def two_room_world(separation: float = 60.0, room_half: float = 6.0, seed: int =
     return w
 
 
-def two_room_path(separation: float = 60.0, step: float = 0.35):
+def two_room_path(separation: float, step: float):
     """Circle room A (3 laps), transit the corridor, circle room B."""
     radius = 3.0
     lap = 2 * np.pi * radius

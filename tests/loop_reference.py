@@ -38,6 +38,7 @@ from featslam.odometry import (
     _huber_weight,
     _voxel_keys,
 )
+from featslam import pose_graph
 from featslam.pose_graph import _LAMBDA_INIT as LAMBDA_INIT
 from featslam.pose_graph import _LAMBDA_MAX as LAMBDA_MAX
 from featslam.pose_graph import _LAMBDA_MIN as LAMBDA_MIN
@@ -733,7 +734,8 @@ def apply_step(nodes, delta):
 def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
     """Levenberg-Marquardt on Pose lists, with a separate cost pass per trial
     step and a normal-equation pass per accepted state.  The graph's edges
-    carry their information matrices (``information_edges``)."""
+    carry their information matrices (``information_edges``); the stopping
+    thresholds are read from ``pose_graph`` at each call."""
     if not graph.nodes:
         raise ValueError("cannot optimize an empty graph")
     cfg = graph.config
@@ -749,7 +751,7 @@ def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
     lam = LAMBDA_INIT
     for _ in range(max_iterations):
         h, g = build_normal_equations(nodes, graph.edges, cfg.huber_scale)
-        if np.linalg.norm(g) < cfg.gradient_tolerance:
+        if np.linalg.norm(g) < pose_graph._GRADIENT_TOLERANCE:
             converged = True
             break
         diag = h.diagonal()
@@ -767,7 +769,7 @@ def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
                     lam = max(lam / 3.0, LAMBDA_MIN)
                     iterations += 1
                     stepped = True
-                    if rel_decrease < cfg.cost_rel_tolerance:
+                    if rel_decrease < pose_graph._COST_REL_TOLERANCE:
                         converged = True
                     break
             lam *= 10.0

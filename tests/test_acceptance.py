@@ -320,10 +320,10 @@ def test_feature_loop_estimation_twice_as_fast_as_dense_icp(loop_world_runs):
         for frame, feats in zip(result.keyframe_frames, result.keyframe_features)
     ]
     latest = result.keyframe_poses
-    cfg = _loop_pipeline_config().loop_config()
-    odo_cfg = _loop_pipeline_config().odometry_config()
+    cfg = _loop_pipeline_config().loop
+    odo_cfg = _loop_pipeline_config().odometry
     reg_cfg = registration_config(cfg, odo_cfg)
-    sc_cfg = _loop_pipeline_config().scan_context_config()
+    sc_cfg = _loop_pipeline_config().scan_context
 
     feature_seconds = 0.0
     icp_seconds = 0.0

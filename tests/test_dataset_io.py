@@ -65,7 +65,7 @@ class TestLoadScan:
         # elevation 0 deg, 64 lasers: floor((0+24.8)/26.8*64) = floor(59.22) = 59
         f = tmp_path / "flat.bin"
         write_bin(f, [[10.0, 0.0, 0.0, 0.0]])
-        scan = load_scan(f, num_lasers=64)
+        scan = load_scan(f)
         assert scan.ring[0] == 59
 
     def test_ring_bounds_clipped(self):

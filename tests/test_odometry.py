@@ -236,7 +236,7 @@ class TestAssociateMatchesReference:
         state, submap = OdometryState(), Submap(cfg)
         for scan in scans[:5]:
             process_frame(state, scan, submap, cfg)
-        features = extract_features(scans[5], cfg.features)
+        features = extract_features(scans[5])
         rng = np.random.default_rng(seed)
         start = predict_pose(state)
         poses = [start] + [random_pose(rng).compose(start) for _ in range(4)]

@@ -57,19 +57,19 @@ class TestConfigValues:
     def test_string_values_coerced(self):
         cfg = PipelineConfig.from_items(
             {**SQUARE, "synthetic.noise": "0.05", "run.no_loop": "Yes",
-             "dataset.num_lasers": "16"}
+             "dataset.max_frames": "16"}
         )
         assert cfg["synthetic.noise"] == 0.05
         assert cfg["run.no_loop"] is True
-        assert cfg["dataset.num_lasers"] == 16
+        assert cfg["dataset.max_frames"] == 16
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="run.no_loop"):
             PipelineConfig.from_items({**SQUARE, "run.no_loop": "maybe"})
 
     def test_bad_int_rejected(self):
-        with pytest.raises(ValueError, match="dataset.num_lasers"):
-            PipelineConfig.from_items({**SQUARE, "dataset.num_lasers": "sixty"})
+        with pytest.raises(ValueError, match="dataset.max_frames"):
+            PipelineConfig.from_items({**SQUARE, "dataset.max_frames": "sixty"})
 
     def test_no_input_rejected(self):
         with pytest.raises(ValueError, match="no input"):
@@ -84,10 +84,11 @@ class TestConfigValues:
 class TestModuleConfigs:
     def test_defaults_equal_module_defaults(self):
         cfg = PipelineConfig.from_items(SQUARE)
-        assert cfg.odometry_config() == OdometryConfig()
-        assert cfg.scan_context_config() == ScanContextConfig()
-        assert cfg.loop_config() == LoopClosureConfig()
-        assert cfg.graph_config() == PoseGraphConfig()
+        assert cfg.features == FeatureConfig()
+        assert cfg.odometry == OdometryConfig()
+        assert cfg.scan_context == ScanContextConfig()
+        assert cfg.loop == LoopClosureConfig()
+        assert cfg.graph == PoseGraphConfig()
         world = {key: cfg[f"synthetic.{key}"] for key in WORLD_DEFAULTS}
         assert world == {**WORLD_DEFAULTS, "shape": "square"}
 
@@ -95,9 +96,8 @@ class TestModuleConfigs:
         cfg = PipelineConfig.from_items(
             {**SQUARE, "features.min_range": "3.5", "odometry.huber_scale": "0.7"}
         )
-        odo = cfg.odometry_config()
-        assert odo.features.min_range == 3.5
-        assert odo.huber_scale == 0.7
+        assert cfg.features.min_range == 3.5
+        assert cfg.odometry.huber_scale == 0.7
 
     @staticmethod
     def registered_with(monkeypatch, *configs):
@@ -118,43 +118,56 @@ class TestModuleConfigs:
     def test_loop_registration_gets_own_iteration_cap(self, monkeypatch):
         # the run's odometry settings, refine budget included, with the loop cap
         cfg = PipelineConfig.from_items(LOOP_SQUARE)
-        odometry = cfg.odometry_config()
-        got = self.registered_with(monkeypatch, cfg.loop_config(), odometry)
-        assert got == dataclasses.replace(odometry, max_iterations=80)
+        got = self.registered_with(monkeypatch, cfg.loop, cfg.odometry)
+        assert got == dataclasses.replace(cfg.odometry, max_iterations=80)
         assert got.refine_iterations == 2
 
     def test_loop_registration_defaults(self, monkeypatch):
         cfg = PipelineConfig.from_items(SQUARE)
         expected = OdometryConfig(max_iterations=50)
         assert self.registered_with(monkeypatch) == expected
-        assert self.registered_with(monkeypatch, cfg.loop_config(),
-                                    cfg.odometry_config()) == expected
+        assert self.registered_with(monkeypatch, cfg.loop, cfg.odometry) == expected
 
-    # section -> config class whose scalar fields are the section's keys
+    # section -> config class whose fields are the section's keys
     SECTIONS = {"features": FeatureConfig, "odometry": OdometryConfig,
                 "scan_context": ScanContextConfig, "loop": LoopClosureConfig,
                 "graph": PoseGraphConfig}
-    # PoseGraphConfig's LM tolerances stay out of the key table by design
-    UNLISTED = {"graph": {"cost_rel_tolerance", "gradient_tolerance"}}
 
     @pytest.mark.parametrize("section", SECTIONS)
     def test_key_table_is_the_config_fields(self, section):
-        fields = {
-            f.name: f.default for f in dataclasses.fields(self.SECTIONS[section])
-            if isinstance(f.default, (bool, int, float, str))
-            and f.name not in self.UNLISTED.get(section, ())
-        }
+        fields = {f.name: f.default for f in dataclasses.fields(self.SECTIONS[section])}
         keys = {key.split(".", 1)[1]: value for key, value in pipeline._KEYS.items()
                 if key.startswith(section + ".")}
         assert keys == fields
+
+    def test_key_table_holds_only_scalars(self):
+        # a nested config field would be a second route to another section
+        nonscalar = {key: value for key, value in pipeline._KEYS.items()
+                     if type(value) not in (str, int, float, bool)}
+        assert nonscalar == {}
+
+    def test_run_uses_the_configs_it_was_given(self, monkeypatch):
+        cfg = PipelineConfig.from_items({**SQUARE, "features.min_range": "3.5"})
+        real = pipeline.process_frame
+        seen = []
+
+        def spy(state, scan, submap, odometry, features):
+            seen.append((odometry, features))
+            return real(state, scan, submap, odometry, features)
+
+        monkeypatch.setattr(pipeline, "process_frame", spy)
+        scans, _ = generate_world({"shape": "square", "frames": 3, "seed": 0})
+        run_slam(scans, cfg)
+        assert len(seen) == 3
+        assert all(odo is cfg.odometry and feat is cfg.features for odo, feat in seen)
 
     def test_graph_information_from_sigmas(self):
         cfg = PipelineConfig.from_items(
             {**SQUARE, "graph.loop_rotation_sigma": "0.1",
              "graph.loop_translation_sigma": "0.5"}
         )
-        assert cfg.graph_config() == PoseGraphConfig(loop_rotation_sigma=0.1,
-                                                     loop_translation_sigma=0.5)
+        assert cfg.graph == PoseGraphConfig(loop_rotation_sigma=0.1,
+                                            loop_translation_sigma=0.5)
 
 
 class TestIterationBudget:
@@ -200,7 +213,6 @@ class TestIterationBudget:
         ({"scan_context.num_candidates": "-1"},
          "scan_context: num_candidates must be >= 1, got -1"),
         ({"loop.submap_half_width": "-3"}, "loop: submap_half_width must be >= 0, got -3"),
-        ({"dataset.num_lasers": "0"}, "dataset: num_lasers must be >= 1, got 0"),
     ])
     def test_rejected_before_any_frame(self, tmp_path, capsys, items, message):
         with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -214,7 +226,7 @@ class TestIterationBudget:
 
     def test_loop_refinement_only_budget_is_valid(self):
         cfg = PipelineConfig.from_items({**SQUARE, "loop.max_iterations": "0"})
-        registration = registration_config(cfg.loop_config(), cfg.odometry_config())
+        registration = registration_config(cfg.loop, cfg.odometry)
         assert registration.max_iterations == 0
         assert registration.refine_iterations == 40
 
@@ -498,7 +510,7 @@ class TestFrameLog:
         config = PipelineConfig.from_items(
             _synthetic_items("square,frames=12,size=24,seed=3")
         )
-        scans, _ = generate_world(config._section("synthetic"))
+        scans, _ = generate_world(pipeline._section(config.values, "synthetic"))
         result = run_slam(scans, config)
 
         rows = self.rows(out / "frames.csv")
