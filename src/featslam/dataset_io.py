@@ -74,14 +74,14 @@ class GroundTruthTrajectory:
         return [tr_inv.compose(p).compose(self.calibration) for p in self.camera_poses]
 
 
-def ring_from_elevation(xyz: np.ndarray, num_lasers: int) -> np.ndarray:
-    """Quantize vertical angles onto num_lasers uniform bins over the HDL-64E
+def ring_from_elevation(xyz: np.ndarray) -> np.ndarray:
+    """Quantize vertical angles onto NUM_LASERS uniform bins over the HDL-64E
     elevation span; out-of-span angles clip to the boundary rings."""
     elev = np.degrees(np.arctan2(xyz[:, 2], np.hypot(xyz[:, 0], xyz[:, 1])))
     span = ELEVATION_MAX_DEG - ELEVATION_MIN_DEG
-    ring = np.floor((elev - ELEVATION_MIN_DEG) / span * num_lasers)
+    ring = np.floor((elev - ELEVATION_MIN_DEG) / span * NUM_LASERS)
     # a NaN elevation (a point RawScan drops) becomes ring 0, not a bad cast
-    return np.clip(np.nan_to_num(ring), 0, num_lasers - 1).astype(int)
+    return np.clip(np.nan_to_num(ring), 0, NUM_LASERS - 1).astype(int)
 
 
 def load_scan(path: str | os.PathLike) -> RawScan:
@@ -99,7 +99,7 @@ def load_scan(path: str | os.PathLike) -> RawScan:
     return RawScan(
         xyz=xyz,
         intensity=pts[:, 3].copy(),
-        ring=ring_from_elevation(xyz, NUM_LASERS),
+        ring=ring_from_elevation(xyz),
     )
 
 
@@ -179,7 +179,7 @@ def export_trajectory(
             if format == "kitti":
                 f.write(_fmt(pose.matrix()[:3, :].reshape(-1)) + "\n")
             else:
-                w, x, y, z = _quaternion(pose.rotation.matrix())
+                w, x, y, z = _quaternion(pose.rotation)
                 t = pose.translation
                 f.write(f"{i} " + _fmt([t[0], t[1], t[2], x, y, z, w]) + "\n")
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Pose, Rotation
+from .geometry import Pose, project_rotation
 
 __all__ = [
     "SEGMENT_LENGTHS",
@@ -98,7 +98,7 @@ def kitti_relative_errors(
             rel_est = estimate[s].inverse().compose(estimate[e])
             err = rel_truth.inverse().compose(rel_est)
             t_errs.append(np.linalg.norm(err.translation) / length)
-            r_errs.append(err.rotation.angle() / length)
+            r_errs.append(err.angle() / length)
         if t_errs:
             per_length[length] = LengthErrors(
                 ate_percent=float(np.mean(t_errs)) * 100.0,
@@ -164,9 +164,9 @@ def icp_point_to_point(
         sign = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
         r = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
         t = q_centroid - r @ p_centroid
-        delta = Pose(Rotation.from_matrix(r), t)
+        delta = Pose(project_rotation(r), t)
         pose = delta.compose(pose)
-        if np.linalg.norm(t) + delta.rotation.angle() < tolerance:
+        if np.linalg.norm(t) + delta.angle() < tolerance:
             break
     return IcpResult(pose=pose, rms=rms, iterations=iterations)
 

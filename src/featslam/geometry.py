@@ -1,13 +1,14 @@
-"""SE(3)/SO(3) value types shared by every stage of the pipeline.
+"""The SE(3) pose type and the SE(3)/SO(3) maps shared by every stage of
+the pipeline.
 
 Conventions used throughout the package:
 
-* A rotation is one read-only 3x3 matrix: ``compose`` is a product and
-  ``inverse`` the transpose, and neither renormalizes.  Odometry's
-  constant-velocity prediction ``cur (prev^-1 cur)`` multiplies a product's
-  drift off SO(3) by about 2.4 per frame, so every matrix an optimizer
-  hands back (registration, the pose-graph solve, ICP) or a file holds goes
-  through ``Rotation.from_matrix``, the one projection onto SO(3).
+* A pose's rotation is one read-only 3x3 matrix: ``compose`` multiplies
+  the matrices and ``inverse`` transposes, and neither renormalizes.
+  Odometry's constant-velocity prediction ``cur (prev^-1 cur)`` multiplies
+  a product's drift off SO(3) by about 2.4 per frame, so every matrix an
+  optimizer hands back (registration, the pose-graph solve, ICP) or a file
+  holds goes through ``project_rotation``, the one projection onto SO(3).
 * Quaternions appear only in the TUM writer of :mod:`featslam.dataset_io`.
 * Twists are plain 6-vectors ``[wx, wy, wz, vx, vy, vz]`` -- rotational part
   first (rad), translational part second (m).
@@ -22,12 +23,12 @@ import numpy as np
 
 __all__ = [
     "DegenerateRotationError",
-    "Rotation",
     "Pose",
     "adjoint_rt",
     "exp_rt",
     "left_jacobian_inverse",
     "log_rt",
+    "project_rotation",
     "skew",
 ]
 
@@ -46,130 +47,95 @@ def skew(v: np.ndarray) -> np.ndarray:
     return k
 
 
-# |M^T M - I| from_matrix accepts (~100x that of KITTI's 7 digits), and
+# |M^T M - I| project_rotation accepts (~100x that of KITTI's 7 digits), and
 # the one its polar steps reach; each step about squares it, so two reach
 # it from 1e-4 and at most four are taken
 _ORTHONORMAL_TOLERANCE = 1e-4
 _POLAR_TOLERANCE = 4.0 * np.finfo(float).eps
 
 
-class Rotation:
-    """Rotation stored as one read-only (3, 3) matrix.
+def project_rotation(matrix: np.ndarray) -> np.ndarray:
+    """The rotation matrix nearest a matrix within 1e-4 of orthonormal.
 
-    The constructor keeps the matrix as given; ``from_matrix`` checks and
-    projects a matrix an optimizer or a file hands back."""
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.array(matrix, dtype=float).reshape(3, 3)
-        m.flags.writeable = False
-        self._matrix = m
-
-    @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
-
-    @classmethod
-    def from_rotvec(cls, rotvec: np.ndarray) -> "Rotation":
-        """Exponential map: axis-angle vector (rad), the rotation part of exp_rt."""
-        return cls(exp_rt(np.append(np.asarray(rotvec, dtype=float), np.zeros(3)))[0])
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "Rotation":
-        """The rotation nearest a matrix within 1e-4 of orthonormal.
-
-        Raises ValueError for a matrix that is not finite, has det <= 0 or
-        has |M^T M - I|max > 1e-4.  Then takes polar (Newton-Schulz) steps
-        R <- 1.5 R - 0.5 R R^T R until |R^T R - I|max <= 4 eps; a matrix
-        already that close is kept as it is."""
-        m = np.array(matrix, dtype=float).reshape(3, 3)
-        if not np.isfinite(m).all():
-            raise ValueError("rotation matrix is not finite")
-        det, gram = np.linalg.det(m), m.T @ m
+    Raises ValueError for a matrix that is not finite, has det <= 0 or
+    has |M^T M - I|max > 1e-4.  Then takes polar (Newton-Schulz) steps
+    R <- 1.5 R - 0.5 R R^T R until |R^T R - I|max <= 4 eps; a matrix
+    already that close is kept as it is."""
+    m = np.array(matrix, dtype=float).reshape(3, 3)
+    if not np.isfinite(m).all():
+        raise ValueError("rotation matrix is not finite")
+    det, gram = np.linalg.det(m), m.T @ m
+    error = np.abs(gram - np.eye(3)).max()
+    if not (det > 0.0 and error <= _ORTHONORMAL_TOLERANCE):
+        raise ValueError(f"not a rotation matrix: det {det:.3g}, |M^T M - I| {error:.3g}")
+    for _ in range(4):
+        if error <= _POLAR_TOLERANCE:
+            break
+        m = 1.5 * m - 0.5 * (m @ gram)
+        gram = m.T @ m
         error = np.abs(gram - np.eye(3)).max()
-        if not (det > 0.0 and error <= _ORTHONORMAL_TOLERANCE):
-            raise ValueError(f"not a rotation matrix: det {det:.3g}, |M^T M - I| {error:.3g}")
-        for _ in range(4):
-            if error <= _POLAR_TOLERANCE:
-                break
-            m = 1.5 * m - 0.5 * (m @ gram)
-            gram = m.T @ m
-            error = np.abs(gram - np.eye(3)).max()
-        return cls(m)
-
-    def matrix(self) -> np.ndarray:
-        """The stored (3, 3) array, read-only."""
-        return self._matrix
-
-    def compose(self, other: "Rotation") -> "Rotation":
-        """self * other."""
-        return Rotation(self._matrix @ other._matrix)
-
-    def inverse(self) -> "Rotation":
-        return Rotation(self._matrix.T)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Rotate one 3-vector or an (N, 3) array of points."""
-        return np.asarray(points, dtype=float) @ self._matrix.T
-
-    def angle(self) -> float:
-        """Rotation angle in [0, pi]."""
-        return float(_axis_angle(self._matrix)[2])
-
-    def __repr__(self) -> str:
-        return f"Rotation({np.round(self._matrix, 6).tolist()})"
+    return m
 
 
 class Pose:
-    """Rigid transform in SE(3): rotation plus translation (m)."""
+    """Rigid transform in SE(3): a read-only (3, 3) rotation matrix and a
+    read-only translation 3-vector (m).
+
+    The constructor keeps a read-only copy of each array, in the memory
+    order it was given; ``project_rotation`` checks a matrix an optimizer
+    or a file hands back."""
 
     __slots__ = ("rotation", "translation")
 
-    def __init__(self, rotation: Rotation, translation: np.ndarray):
-        self.rotation = rotation
-        self.translation = np.asarray(translation, dtype=float).reshape(3).copy()
+    def __init__(self, rotation: np.ndarray, translation: np.ndarray):
+        r = np.array(rotation, dtype=float).reshape(3, 3)
+        t = np.array(translation, dtype=float).reshape(3)
+        r.flags.writeable = t.flags.writeable = False
+        self.rotation = r
+        self.translation = t
 
     @classmethod
     def identity(cls) -> "Pose":
-        return cls(Rotation.identity(), np.zeros(3))
+        return cls(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_rt(cls, rotvec: np.ndarray, translation: np.ndarray) -> "Pose":
-        return cls(Rotation.from_rotvec(rotvec), translation)
+        """Axis-angle vector (rad) through the exponential map, and translation."""
+        return cls(exp_rt(np.append(np.asarray(rotvec, dtype=float), np.zeros(3)))[0], translation)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Pose":
         m = np.asarray(m, dtype=float)
-        return cls(Rotation.from_matrix(m[:3, :3]), m[:3, 3])
+        return cls(project_rotation(m[:3, :3]), m[:3, 3])
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
-        m[:3, :3] = self.rotation.matrix()
+        m[:3, :3] = self.rotation
         m[:3, 3] = self.translation
         return m
 
     def compose(self, other: "Pose") -> "Pose":
         """self * other: apply(compose(a, b), p) == apply(a, apply(b, p))."""
         return Pose(
-            self.rotation.compose(other.rotation),
-            self.rotation.apply(other.translation) + self.translation,
+            self.rotation @ other.rotation,
+            other.translation @ self.rotation.T + self.translation,
         )
 
     def inverse(self) -> "Pose":
-        rinv = self.rotation.inverse()
-        return Pose(rinv, -rinv.apply(self.translation))
+        return Pose(self.rotation.T, -(self.translation @ self.rotation))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform one 3-vector or an (N, 3) array: R p + t."""
-        return self.rotation.apply(points) + self.translation
+        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
-    def copy(self) -> "Pose":
-        return Pose(self.rotation, self.translation)
+    def angle(self) -> float:
+        """Angle of the rotation, in [0, pi]."""
+        return float(_axis_angle(self.rotation)[2])
 
     def __repr__(self) -> str:
         t = self.translation
-        return f"Pose(t=[{t[0]:.4f}, {t[1]:.4f}, {t[2]:.4f}], {self.rotation!r})"
+        return (f"Pose(t=[{t[0]:.4f}, {t[1]:.4f}, {t[2]:.4f}], "
+                f"R={np.round(self.rotation, 6).tolist()})")
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,13 @@ class Keyframe:
 def is_new_keyframe(
     last: Pose, current: Pose, config: Optional[LoopClosureConfig] = None
 ) -> bool:
-    """Promote when motion since the last keyframe exceeds 1 m or 10 deg."""
+    """Promote when motion since the last keyframe exceeds
+    ``keyframe_translation`` (m) or ``keyframe_rotation_deg``."""
     cfg = config or LoopClosureConfig()
     rel = last.inverse().compose(current)
     if np.linalg.norm(rel.translation) > cfg.keyframe_translation:
         return True
-    return np.degrees(rel.rotation.angle()) > cfg.keyframe_rotation_deg
+    return np.degrees(rel.angle()) > cfg.keyframe_rotation_deg
 
 
 def gate_distance(t_k: Pose, t_loop: Pose) -> float:
@@ -81,6 +82,7 @@ def gate_distance(t_k: Pose, t_loop: Pose) -> float:
 
 
 def adaptive_threshold(k: int, config: Optional[LoopClosureConfig] = None) -> float:
+    """The loop gate for keyframe k: ``base_threshold + k / n``."""
     cfg = config or LoopClosureConfig()
     return cfg.base_threshold + k / cfg.n
 

@@ -12,7 +12,7 @@ Pose updates are left-multiplicative: pose <- exp(delta) . pose, with the
 twist laid out [wx, wy, wz, vx, vy, vz].  Inside registration the pose is
 a rotation matrix and a translation, and each tried step is composed with
 3x3 products; every result is projected onto SO(3) by
-``Rotation.from_matrix``, so the constant-velocity prediction does not
+``project_rotation``, so the constant-velocity prediction does not
 compound rounding.
 
 ``OdometryConfig`` holds the iteration budgets, the robust scale, the
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from featslam.features import FeatureCloud, FeatureConfig, extract_features
-from featslam.geometry import Pose, Rotation, exp_rt
+from featslam.geometry import Pose, exp_rt, project_rotation
 
 
 class IllConditionedError(RuntimeError):
@@ -357,9 +357,9 @@ def register(
 ) -> RegistrationResult:
     """Estimate the pose aligning features to the submap, from initial."""
     cfg = cfg or OdometryConfig()
-    rotation, translation = initial.rotation.matrix(), initial.translation
+    rotation, translation = initial.rotation, initial.translation
     if submap.num_edges < MIN_SUBMAP_EDGES or submap.num_planars < MIN_SUBMAP_PLANARS:
-        return RegistrationResult(Pose(Rotation.from_matrix(rotation), translation),
+        return RegistrationResult(Pose(project_rotation(rotation), translation),
                                   float("inf"), 0, degenerate_directions=6)
 
     converged = False
@@ -373,7 +373,7 @@ def register(
         if not frozen:
             corr = associate(features, submap, rotation, translation, cfg)
             if len(corr) < MIN_TOTAL_MATCHES:
-                return RegistrationResult(Pose(Rotation.from_matrix(rotation), translation),
+                return RegistrationResult(Pose(project_rotation(rotation), translation),
                                           float("inf"), iterations, degenerate_directions=6)
             evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
@@ -430,7 +430,7 @@ def register(
             prev_cost = cost
 
     return RegistrationResult(
-        pose=Pose(Rotation.from_matrix(rotation), translation),
+        pose=Pose(project_rotation(rotation), translation),
         final_cost=float(np.abs(evaluation[0]).mean()),
         iterations=iterations,
         converged=converged,

@@ -26,7 +26,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .geometry import Pose, Rotation, adjoint_rt, exp_rt, left_jacobian_inverse, log_rt
+from .geometry import (
+    Pose, adjoint_rt, exp_rt, left_jacobian_inverse, log_rt, project_rotation,
+)
 from .loop_closure import LoopConstraint
 
 __all__ = [
@@ -90,7 +92,7 @@ class PoseGraphEdge:
 
 
 class PoseGraph:
-    """Mutable node/edge store; ``poses`` hands out copies."""
+    """Mutable node/edge store of read-only poses."""
 
     def __init__(self, config: Optional[PoseGraphConfig] = None):
         self.config = config if config is not None else PoseGraphConfig()
@@ -101,8 +103,8 @@ class PoseGraph:
         return len(self.nodes)
 
     def poses(self) -> List[Pose]:
-        """Copies of the current estimates."""
-        return [p.copy() for p in self.nodes]
+        """The current estimates, as a new list."""
+        return list(self.nodes)
 
 
 @dataclass
@@ -121,7 +123,7 @@ def add_odometry_node(graph: PoseGraph, k: int, pose_k: Pose) -> None:
     """
     if k != len(graph.nodes):
         raise ValueError(f"expected node index {len(graph.nodes)}, got {k}")
-    graph.nodes.append(pose_k.copy())
+    graph.nodes.append(pose_k)
     if k > 0:
         measurement = graph.nodes[k - 1].inverse().compose(graph.nodes[k])
         graph.edges.append(PoseGraphEdge(k - 1, k, measurement, robust=False))
@@ -146,7 +148,7 @@ def add_loop_edge(graph: PoseGraph, constraint: LoopConstraint) -> None:
         PoseGraphEdge(
             constraint.to_keyframe,
             constraint.from_keyframe,
-            constraint.relative_pose.copy(),
+            constraint.relative_pose,
             robust=True,
         )
     )
@@ -162,7 +164,7 @@ class _EdgeArrays:
         self.from_node = np.array([e.from_node for e in edges])
         self.to_node = np.array([e.to_node for e in edges])
         self.robust = np.array([e.robust for e in edges])
-        m_rot = np.stack([e.measurement.rotation.matrix() for e in edges])
+        m_rot = np.stack([e.measurement.rotation for e in edges])
         m_trans = np.stack([e.measurement.translation for e in edges])
         self.inv_rot = m_rot.transpose(0, 2, 1)
         self.inv_trans = -(self.inv_rot @ m_trans[:, :, None])[:, :, 0]
@@ -267,7 +269,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
     if not graph.edges:
         return OptimizationReport(0.0, 0.0, 0, True)
     n = len(graph.nodes)
-    rotation = np.stack([p.rotation.matrix() for p in graph.nodes])
+    rotation = np.stack([p.rotation for p in graph.nodes])
     translation = np.stack([p.translation for p in graph.nodes])
     edges = _EdgeArrays(graph.edges, n, graph.config)
     current = _evaluate(edges, rotation, translation)
@@ -313,6 +315,6 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
 
     if iterations:
         graph.nodes[1:] = [
-            Pose(Rotation.from_matrix(r), t) for r, t in zip(rotation[1:], translation[1:])
+            Pose(project_rotation(r), t) for r, t in zip(rotation[1:], translation[1:])
         ]
     return OptimizationReport(initial_cost, current.cost, iterations, converged)

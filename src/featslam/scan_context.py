@@ -1,4 +1,4 @@
-"""Rotation-invariant polar descriptors for place recognition.
+"""Yaw-invariant polar descriptors for place recognition.
 
 A feature cloud is summarized as a ring x sector matrix of maximum point
 heights. Matching a pair of descriptors scans all cyclic column shifts, so

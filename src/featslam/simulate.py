@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from featslam.dataset_io import RawScan
-from featslam.geometry import Pose, Rotation
+from featslam.geometry import Pose
 
 
 @dataclass
@@ -220,7 +220,7 @@ def simulate_scan(
 ) -> RawScan:
     """Cast one scan from the given sensor pose; points in the sensor frame."""
     d_sensor, ring = model.ray_directions()
-    d_world = d_sensor @ pose.rotation.matrix().T
+    d_world = d_sensor @ pose.rotation.T
     origin = pose.translation
 
     t = _nearest_hits(world, origin, d_world)
@@ -241,7 +241,7 @@ def simulate_scan(
 
 
 def _yaw_pose(x, y, yaw):
-    return Pose(Rotation.from_rotvec([0.0, 0.0, yaw]), [x, y, 0.0])
+    return Pose.from_rt([0.0, 0.0, yaw], [x, y, 0.0])
 
 
 def straight_path(frames: int, step: float, y: float = 0.0):

@@ -8,8 +8,8 @@ extraction; per column shift for the descriptor distance; a dict per voxel
 grid; separate residual, objective and normal-equation evaluations for
 registration; a batched einsum, determinant and solve for the plane
 fits of the correspondence search; the unit-quaternion rotation
-(``QuaternionRotation``) that ``geometry.Rotation`` stored before it held a
-matrix, and SE(3) exp, log, left Jacobians and adjoint on one pose or twist
+(``QuaternionRotation``) that a ``geometry.Pose`` stored before its rotation
+became a matrix, and SE(3) exp, log, left Jacobians and adjoint on one pose or twist
 at a time, with exp and log through quaternions, and the pose-graph
 Levenberg-Marquardt solve built on them, one edge at a time and with a
 cost pass separate from each normal-equation pass; and the simulator's ray
@@ -28,7 +28,7 @@ from scipy.sparse.linalg import spsolve
 
 from featslam.dataset_io import RawScan
 from featslam.features import FeatureCloud, FeatureConfig
-from featslam.geometry import DegenerateRotationError, Pose, Rotation, skew
+from featslam.geometry import DegenerateRotationError, Pose, skew
 from featslam.odometry import (
     KNN,
     LINE_EIGEN_RATIO,
@@ -405,8 +405,8 @@ def associate(features, submap, pose, cfg):
 
 class QuaternionRotation:
     """Unit quaternion rotation, canonicalized to w >= 0 and renormalized
-    after every compose: the rotation type the matrix-backed
-    ``geometry.Rotation`` replaced."""
+    after every compose: the rotation type a ``geometry.Pose`` held before
+    its rotation became a read-only 3x3 matrix."""
 
     __slots__ = ("q",)
 
@@ -494,12 +494,12 @@ class QuaternionRotation:
         return 2.0 * np.arctan2(np.linalg.norm(self.q[1:]), self.q[0])
 
 
-def rotvec(rotation: Rotation) -> np.ndarray:
+def rotvec(rotation: np.ndarray) -> np.ndarray:
     """Logarithm map: rotation to axis-angle vector (rad), through its
     quaternion.
 
     Raises DegenerateRotationError for angles within 1e-6 of pi."""
-    q = QuaternionRotation.from_matrix(rotation.matrix()).q
+    q = QuaternionRotation.from_matrix(rotation).q
     w = q[0]
     v = q[1:]
     s = np.linalg.norm(v)
@@ -541,7 +541,7 @@ def exp(twist: np.ndarray) -> Pose:
     """SE(3) exponential of a twist [w, v]."""
     twist = np.asarray(twist, dtype=float).reshape(6)
     w, v = twist[:3], twist[3:]
-    return Pose(Rotation(QuaternionRotation.from_rotvec(w).matrix()), so3_left_jacobian(w) @ v)
+    return Pose(QuaternionRotation.from_rotvec(w).matrix(), so3_left_jacobian(w) @ v)
 
 
 def log(pose: Pose) -> np.ndarray:
@@ -553,7 +553,7 @@ def log(pose: Pose) -> np.ndarray:
 
 def se3_adjoint(pose: Pose) -> np.ndarray:
     """Adj(T) [w, v] = [R w, t x (R w) + R v]."""
-    r = pose.rotation.matrix()
+    r = pose.rotation
     adj = np.zeros((6, 6))
     adj[:3, :3] = r
     adj[3:, :3] = skew(pose.translation) @ r
@@ -725,7 +725,7 @@ def build_normal_equations(nodes, edges, huber: float):
 
 
 def apply_step(nodes, delta):
-    out = [nodes[0].copy()]
+    out = [nodes[0]]
     for i in range(1, len(nodes)):
         out.append(exp(delta[6 * (i - 1) : 6 * i]).compose(nodes[i]))
     return out
@@ -739,7 +739,7 @@ def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
     if not graph.nodes:
         raise ValueError("cannot optimize an empty graph")
     cfg = graph.config
-    nodes = [p.copy() for p in graph.nodes]
+    nodes = list(graph.nodes)
     cost = graph_cost(nodes, graph.edges, cfg.huber_scale)
     initial_cost = cost
     iterations = 0

@@ -21,7 +21,7 @@ import pytest
 from featslam.cli import main
 from featslam.evaluation import icp_point_to_point
 from featslam.features import FeatureCloud
-from featslam.geometry import Pose, Rotation
+from featslam.geometry import Pose
 from featslam.loop_closure import (
     Keyframe,
     LoopConstraint,
@@ -44,11 +44,11 @@ HERE = Path(__file__).resolve().parent
 
 
 def translate(x, y, z):
-    return Pose(Rotation.identity(), [x, y, z])
+    return Pose(np.eye(3), [x, y, z])
 
 
 def rotz(deg):
-    return Pose(Rotation.from_rotvec([0, 0, np.radians(deg)]), np.zeros(3))
+    return Pose.from_rt([0, 0, np.radians(deg)], np.zeros(3))
 
 
 def grid(xs, ys, zs):
@@ -120,7 +120,7 @@ def test_registration_recovers_displaced_corner_world():
     expected = move.inverse()
     assert res.converged and not res.degenerate
     assert np.linalg.norm(res.pose.translation - expected.translation) < 5e-3
-    assert np.degrees(res.pose.rotation.inverse().compose(expected.rotation).angle()) < 0.05
+    assert np.degrees(res.pose.inverse().compose(expected).angle()) < 0.05
 
 
 # --------------------------------------------------------------------------
@@ -137,12 +137,12 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     for k in range(n):
         yaw = k * (2 * np.pi / n)
         pos = radius * np.array([np.sin(yaw), 1.0 - np.cos(yaw), 0.0])
-        true.append(Pose(Rotation.from_rotvec([0, 0, yaw]), pos))
+        true.append(Pose.from_rt([0, 0, yaw], pos))
     bias = rotz(0.25)
-    est = [true[0].copy()]
+    est = [true[0]]
     for k in range(1, n):
         rel = true[k - 1].inverse().compose(true[k])
-        jitter = Pose(Rotation.identity(), rng.normal(0.0, 0.01, 3))
+        jitter = Pose(np.eye(3), rng.normal(0.0, 0.01, 3))
         est.append(est[-1].compose(bias.compose(rel).compose(jitter)))
     drift = np.linalg.norm(est[-1].translation - true[-1].translation)
     assert drift > 1.0
@@ -175,10 +175,9 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
         odometry_rotation_sigma=1e-4, odometry_translation_sigma=weights[(0, 1)] ** -0.5,
         loop_rotation_sigma=1e-4, loop_translation_sigma=weights[(0, 2)] ** -0.5))
     add_odometry_node(small, 0, translate(0, 0, 0))
-    add_odometry_node(small, 1, Pose(Rotation.identity(), m[(0, 1)].copy()))
-    add_odometry_node(small, 2,
-                      Pose(Rotation.identity(), (m[(0, 1)] + m[(1, 2)]).copy()))
-    rel = Pose(Rotation.identity(), m[(0, 2)].copy())
+    add_odometry_node(small, 1, Pose(np.eye(3), m[(0, 1)]))
+    add_odometry_node(small, 2, Pose(np.eye(3), m[(0, 1)] + m[(1, 2)]))
+    rel = Pose(np.eye(3), m[(0, 2)])
     add_loop_edge(small, LoopConstraint(2, 0, rel, 0.0, True))
     report = optimize(small, max_iterations=200)
     assert report.converged
@@ -201,8 +200,8 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     solution = np.linalg.solve(a.T @ aw, aw.T @ b)
     np.testing.assert_allclose(small.nodes[1].translation, solution[0:3], atol=1e-6)
     np.testing.assert_allclose(small.nodes[2].translation, solution[3:6], atol=1e-6)
-    assert small.nodes[1].rotation.angle() < 1e-6
-    assert small.nodes[2].rotation.angle() < 1e-6
+    assert small.nodes[1].angle() < 1e-6
+    assert small.nodes[2].angle() < 1e-6
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from featslam.dataset_io import (
     load_scan,
     ring_from_elevation,
 )
-from featslam.geometry import Pose, Rotation
+from featslam.geometry import Pose
 
 
 def write_bin(path, rows):
@@ -75,7 +75,7 @@ class TestLoadScan:
                 [1.0, 0.0, -10.0],  # way below min elevation
             ]
         )
-        ring = ring_from_elevation(xyz, 64)
+        ring = ring_from_elevation(xyz)
         assert ring[0] == 63
         assert ring[1] == 0
 
@@ -161,11 +161,11 @@ class TestGroundTruth:
     def test_seven_digit_rotation_accepted(self, tmp_path):
         # a rotation written to 7 significant digits, as KITTI's files are,
         # loads as the nearest rotation
-        r = Rotation.from_rotvec([0.3, -1.2, 0.7]).matrix()
+        r = Pose.from_rt([0.3, -1.2, 0.7], np.zeros(3)).rotation
         rows = np.hstack([r, [[1.0], [2.0], [3.0]]])
         p = tmp_path / "poses.txt"
         p.write_text(" ".join(f"{v:.6e}" for v in rows.ravel()) + "\n")
-        m = load_poses(p)[0].rotation.matrix()
+        m = load_poses(p)[0].rotation
         assert np.abs(m.T @ m - np.eye(3)).max() <= 4 * np.finfo(float).eps
         assert np.abs(m - r).max() < 1e-6
 
@@ -196,8 +196,8 @@ class TestGroundTruth:
             load_ground_truth(p, c)
 
     def test_lidar_pose_conjugation(self):
-        tr = Pose(Rotation.from_rotvec([0, 0, np.pi / 2]), [1.0, 0.0, 0.0])
-        cam = Pose(Rotation.identity(), [2.0, 0.0, 0.0])
+        tr = Pose.from_rt([0, 0, np.pi / 2], [1.0, 0.0, 0.0])
+        cam = Pose(np.eye(3), [2.0, 0.0, 0.0])
         gt = GroundTruthTrajectory(camera_poses=[cam], calibration=tr)
         lidar = gt.lidar_poses()[0]
         expected = tr.inverse().compose(cam).compose(tr)
@@ -212,7 +212,7 @@ class TestExportTrajectory:
 
     def test_tum_identity_line(self, tmp_path):
         out = tmp_path / "traj.txt"
-        t = Pose(Rotation.identity(), [1.0, 2.0, 3.0])
+        t = Pose(np.eye(3), [1.0, 2.0, 3.0])
         export_trajectory([t], out, format="tum")
         assert out.read_text().strip() == "0 1 2 3 0 0 0 1"
 
@@ -224,8 +224,7 @@ class TestExportTrajectory:
         rng = np.random.default_rng(11)
         poses = []
         for _ in range(1000):
-            r = Rotation.from_rotvec(rng.uniform(-2, 2, 3))
-            poses.append(Pose(r, rng.uniform(-100, 100, 3)))
+            poses.append(Pose.from_rt(rng.uniform(-2, 2, 3), rng.uniform(-100, 100, 3)))
         out = tmp_path / "traj.txt"
         export_trajectory(poses, out, format="kitti")
         loaded = load_poses(out)
@@ -249,7 +248,7 @@ class TestExportMap:
 
     def test_single_point_transformed(self, tmp_path):
         cloud = self._Cloud([[0.0, 0.0, 0.0]], np.zeros((0, 3)))
-        pose = Pose(Rotation.identity(), [1.0, 0.0, 0.0])
+        pose = Pose(np.eye(3), [1.0, 0.0, 0.0])
         out = tmp_path / "map.ply"
         export_map([(cloud, pose)], out)
         text = out.read_text()

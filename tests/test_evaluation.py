@@ -19,7 +19,7 @@ from featslam.evaluation import (
     icp_point_to_point,
     kitti_relative_errors,
 )
-from featslam.geometry import Pose, Rotation
+from featslam.geometry import Pose
 from featslam.loop_closure import LoopEvent
 
 LOOP_KEYS = ["mean_loop_ms", "median_loop_ms", "loops_accepted", "loops_rejected"]
@@ -28,18 +28,18 @@ LOOP_KEYS = ["mean_loop_ms", "median_loop_ms", "loops_accepted", "loops_rejected
 def straight_trajectory(total_m, step_m=1.0, scale=1.0):
     n = int(round(total_m / step_m)) + 1
     return [
-        Pose(Rotation.identity(), np.array([scale * step_m * i, 0.0, 0.0]))
+        Pose(np.eye(3), np.array([scale * step_m * i, 0.0, 0.0]))
         for i in range(n)
     ]
 
 
 def random_trajectory(rng, frames, step_low=1.0, step_high=4.0):
     """Wiggly forward path; returns (list[Pose], (N,4,4) matrices)."""
-    poses = [Pose(Rotation.identity(), np.zeros(3))]
+    poses = [Pose(np.eye(3), np.zeros(3))]
     for _ in range(frames - 1):
-        turn = Rotation.from_rotvec(rng.normal(0.0, 0.05, 3))
+        turn = rng.normal(0.0, 0.05, 3)
         step = np.array([rng.uniform(step_low, step_high), 0.0, 0.0])
-        delta = Pose(turn, step)
+        delta = Pose.from_rt(turn, step)
         poses.append(poses[-1].compose(delta))
     mats = np.stack([p.matrix() for p in poses])
     return poses, mats
@@ -47,11 +47,10 @@ def random_trajectory(rng, frames, step_low=1.0, step_high=4.0):
 
 def perturbed(poses, rng, rot_sigma=0.01, trans_sigma=0.2):
     out = []
-    drift = Pose(Rotation.identity(), np.zeros(3))
+    drift = Pose(np.eye(3), np.zeros(3))
     for p in poses:
-        wobble = Pose(
-            Rotation.from_rotvec(rng.normal(0.0, rot_sigma, 3)),
-            rng.normal(0.0, trans_sigma, 3),
+        wobble = Pose.from_rt(
+            rng.normal(0.0, rot_sigma, 3), rng.normal(0.0, trans_sigma, 3)
         )
         drift = drift.compose(wobble) if rng.uniform() < 0.1 else drift
         out.append(drift.compose(p).compose(wobble))
@@ -135,7 +134,7 @@ class TestKittiMetrics:
         truth, _ = random_trajectory(rng, 150)
         estimate = perturbed(truth, rng)
         base = kitti_relative_errors(estimate, truth)
-        g = Pose(Rotation.from_rotvec([0.4, -1.1, 0.7]), np.array([300.0, -40.0, 12.0]))
+        g = Pose.from_rt([0.4, -1.1, 0.7], np.array([300.0, -40.0, 12.0]))
         moved = kitti_relative_errors(
             [g.compose(p) for p in estimate], [g.compose(p) for p in truth]
         )
@@ -231,7 +230,7 @@ class TestPlotData:
         assert float(row[3]) == pytest.approx(2.0)
 
     def test_identity_trajectories_give_zeros(self, write_run):
-        poses = [Pose(Rotation.identity(), np.zeros(3))] * 3
+        poses = [Pose(np.eye(3), np.zeros(3))] * 3
         out = write_run(poses, truth=lidar_truth(poses))
         for line in (out / "plot.csv").read_text().strip().splitlines()[1:]:
             assert [float(v) for v in line.split(",")[1:]] == [0.0] * 4
@@ -271,7 +270,7 @@ class TestEvalJson:
         rng = np.random.default_rng(11)
         lidar, _ = random_trajectory(rng, 150)
         estimate = perturbed(lidar, rng)
-        tr = Pose(Rotation.from_rotvec([1.2, -1.2, 1.2]), np.array([0.3, -0.8, -1.5]))
+        tr = Pose.from_rt([1.2, -1.2, 1.2], np.array([0.3, -0.8, -1.5]))
         camera = [tr.compose(p).compose(tr.inverse()) for p in lidar]
         truth = GroundTruthTrajectory(camera_poses=camera, calibration=tr)
         out = write_run(estimate, [], truth)
@@ -301,21 +300,19 @@ class TestIcpOracle:
     def test_recovers_known_displacement(self):
         rng = np.random.default_rng(3)
         target = rng.uniform(-6.0, 6.0, size=(600, 3))
-        true_pose = Pose(
-            Rotation.from_rotvec([0.0, 0.0, 0.06]), np.array([0.4, -0.25, 0.1])
-        )
+        true_pose = Pose.from_rt([0.0, 0.0, 0.06], np.array([0.4, -0.25, 0.1]))
         source = true_pose.inverse().apply(target)
         result = icp_point_to_point(source, target, Pose.identity())
         t_err = np.linalg.norm(result.pose.translation - true_pose.translation)
         assert t_err < 1e-4
-        assert np.degrees(result.pose.rotation.inverse().compose(true_pose.rotation).angle()) < 0.01
+        assert np.degrees(result.pose.inverse().compose(true_pose).angle()) < 0.01
         assert result.rms < 1e-4
 
     def test_far_clutter_ignored(self):
         rng = np.random.default_rng(8)
         target = rng.uniform(-6.0, 6.0, size=(500, 3))
         clutter = rng.uniform(200.0, 220.0, size=(200, 3))
-        move = Pose(Rotation.identity(), np.array([0.3, 0.0, 0.0]))
+        move = Pose(np.eye(3), np.array([0.3, 0.0, 0.0]))
         source = move.inverse().apply(target)
         result = icp_point_to_point(
             source, np.vstack([target, clutter]), Pose.identity()

@@ -6,7 +6,7 @@ import pytest
 import loop_reference as ref
 from featslam.dataset_io import RawScan
 from featslam.features import FeatureCloud, FeatureConfig, extract_features
-from featslam.geometry import Rotation
+from featslam.geometry import Pose
 from featslam.simulate import generate_world
 
 
@@ -104,15 +104,15 @@ class TestExtractFeatures:
         theta = np.arctan2(xyz[:, 1], xyz[:, 0])
         rho = np.hypot(xyz[:, 0], xyz[:, 1]) + 0.15 * np.sin(6 * theta + 0.7)
         xyz = np.stack([rho * np.cos(theta), rho * np.sin(theta), xyz[:, 2]], axis=1)
-        rot = Rotation.from_rotvec([0, 0, 2 * np.pi / cfg.num_sectors])
+        rot = Pose.from_rt([0, 0, 2 * np.pi / cfg.num_sectors], np.zeros(3)).rotation
         fc0 = extract_features(make_scan(xyz), cfg)
-        fc1 = extract_features(make_scan(rot.apply(xyz)), cfg)
+        fc1 = extract_features(make_scan(xyz @ rot.T), cfg)
 
         def canon(pts):
             return sorted(tuple(np.round(p, 9)) for p in pts)
 
-        assert canon(rot.apply(fc0.edges)) == canon(fc1.edges)
-        assert canon(rot.apply(fc0.planars)) == canon(fc1.planars)
+        assert canon(fc0.edges @ rot.T) == canon(fc1.edges)
+        assert canon(fc0.planars @ rot.T) == canon(fc1.planars)
 
     def test_range_gating(self):
         # all points closer than min_range: nothing selected

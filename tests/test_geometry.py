@@ -4,21 +4,21 @@ import pytest
 import loop_reference as ref
 from featslam import dataset_io, geometry
 from featslam.dataset_io import export_trajectory
-from featslam.geometry import DegenerateRotationError, Pose, Rotation
+from featslam.geometry import DegenerateRotationError, Pose, project_rotation
 
 
 def rotz(deg):
-    return Pose(Rotation.from_rotvec([0, 0, np.deg2rad(deg)]), np.zeros(3))
+    return Pose.from_rt([0, 0, np.deg2rad(deg)], np.zeros(3))
 
 
 def translate(x, y, z):
-    return Pose(Rotation.identity(), np.array([x, y, z], dtype=float))
+    return Pose(np.eye(3), np.array([x, y, z], dtype=float))
 
 
 def pose_close(a, b, tol=1e-9):
     return (
         np.linalg.norm(a.translation - b.translation) < tol
-        and a.rotation.inverse().compose(b.rotation).angle() < tol
+        and a.inverse().compose(b).angle() < tol
     )
 
 
@@ -27,16 +27,16 @@ def random_pose(rng, max_angle=3.0, max_trans=10.0):
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0, max_angle)
     t = rng.uniform(-max_trans, max_trans, 3)
-    return Pose(Rotation.from_rotvec(axis * angle), t)
+    return Pose.from_rt(axis * angle, t)
 
 
 class TestCompose:
     def test_identity_left(self):
-        p = Pose(Rotation.from_rotvec([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 3.0]))
+        p = Pose.from_rt([0.1, 0.2, 0.3], np.array([1.0, 2.0, 3.0]))
         assert pose_close(Pose.identity().compose(p), p)
 
     def test_inverse_gives_identity(self):
-        p = Pose(Rotation.from_rotvec([0.4, -0.2, 0.9]), np.array([3.0, -1.0, 2.0]))
+        p = Pose.from_rt([0.4, -0.2, 0.9], np.array([3.0, -1.0, 2.0]))
         assert pose_close(p.compose(p.inverse()), Pose.identity())
 
     def test_pure_translations_sum(self):
@@ -106,7 +106,7 @@ class TestApply:
 
 def matrices(poses):
     """(N, 3, 3) rotations and (N, 3) translations of a Pose list."""
-    return (np.stack([p.rotation.matrix() for p in poses]),
+    return (np.stack([p.rotation for p in poses]),
             np.stack([p.translation for p in poses]))
 
 
@@ -194,8 +194,8 @@ class TestExpLog:
 
     def test_log_near_pi_raises(self):
         r, t = matrices([
-            Pose(Rotation.from_rotvec([0, 0, 0.5]), np.zeros(3)),
-            Pose(Rotation.from_rotvec([0, 0, np.pi - 1e-9]), np.zeros(3)),
+            Pose.from_rt([0, 0, 0.5], np.zeros(3)),
+            Pose.from_rt([0, 0, np.pi - 1e-9], np.zeros(3)),
         ])
         geometry.log_rt(r[:1], t[:1])
         with pytest.raises(DegenerateRotationError):
@@ -203,9 +203,10 @@ class TestExpLog:
 
 
 class TestMatrixRotation:
-    """The matrix-backed Rotation against the quaternion rotation it
-    replaced (tests/loop_reference.py), its one projection onto SO(3), and
-    the TUM writer, the one place a quaternion is made."""
+    """A Pose's read-only rotation matrix against the quaternion rotation
+    it replaced (tests/loop_reference.py), project_rotation, the one
+    projection onto SO(3), and the TUM writer, the one place a quaternion
+    is made."""
 
     def test_matches_quaternion_oracle(self):
         # Seeded random poses, with angles at and near 0 and near pi.  Both
@@ -214,7 +215,7 @@ class TestMatrixRotation:
         # they agree within 16 eps; a rotated or translated coordinate
         # within 16 eps times the 1-norm of what is rotated or added, and
         # the angles (an arctan2 of quantities within a few eps) within
-        # 8 eps.  Measured maxima: 7.0 eps (from_rotvec), 6.5 eps
+        # 8 eps.  Measured maxima: 7.0 eps (from_rt), 6.5 eps
         # (compose), 3.0 eps (inverse), 0 and 2.4 eps (compose and inverse
         # translations), 1.7 eps (apply) and 4.0 eps (angle).
         eps = np.finfo(float).eps
@@ -232,19 +233,19 @@ class TestMatrixRotation:
                 w1, w2 = rotvec(angle), rotvec(rng.choice(angles))
                 t1, t2 = rng.uniform(-10, 10, (2, 3))
                 q1, q2 = quat.from_rotvec(w1), quat.from_rotvec(w2)
-                assert np.abs(Rotation.from_rotvec(w1).matrix() - q1.matrix()).max() <= 16 * eps
-                a = Pose(Rotation(q1.matrix()), t1)
-                b = Pose(Rotation(q2.matrix()), t2)
+                assert np.abs(Pose.from_rt(w1, t1).rotation - q1.matrix()).max() <= 16 * eps
+                a = Pose(q1.matrix(), t1)
+                b = Pose(q2.matrix(), t2)
 
                 ab = a.compose(b)
                 q12 = q1.compose(q2)
-                assert np.abs(ab.rotation.matrix() - q12.matrix()).max() <= 16 * eps
+                assert np.abs(ab.rotation - q12.matrix()).max() <= 16 * eps
                 bound = 16 * eps * (np.abs(t2).sum() + np.abs(t1))
                 assert (np.abs(ab.translation - (q1.apply(t2) + t1)) <= bound).all()
 
                 inv = a.inverse()
                 q1_inv = q1.inverse()
-                assert np.abs(inv.rotation.matrix() - q1_inv.matrix()).max() <= 16 * eps
+                assert np.abs(inv.rotation - q1_inv.matrix()).max() <= 16 * eps
                 assert (np.abs(inv.translation + q1_inv.apply(t1)) <= bound).all()
 
                 points = rng.uniform(-10, 10, (5, 3))
@@ -253,8 +254,8 @@ class TestMatrixRotation:
                 bound = 16 * eps * (np.abs(points).sum(axis=1) + np.abs(ab.translation).sum())
                 assert (np.abs(moved - expected).max(axis=1) <= bound).all()
 
-                assert abs(a.rotation.angle() - q1.angle()) <= 8 * eps, angle
-                assert abs(ab.rotation.angle() - q12.angle()) <= 8 * eps
+                assert abs(a.angle() - q1.angle()) <= 8 * eps, angle
+                assert abs(ab.angle() - q12.angle()) <= 8 * eps
 
     def test_projected_constant_velocity_chain_stays_orthonormal(self):
         # Odometry's prediction cur (prev^-1 cur) multiplies a rotation's
@@ -268,7 +269,7 @@ class TestMatrixRotation:
         for _ in range(3000):
             predicted = cur.compose(prev.inverse().compose(cur))
             prev, cur = cur, Pose.from_matrix(predicted.matrix())
-            r = cur.rotation.matrix()
+            r = cur.rotation
             worst = max(worst, np.abs(r.T @ r - np.eye(3)).max())
         assert worst <= 1e-13
 
@@ -278,13 +279,13 @@ class TestMatrixRotation:
         eps = np.finfo(float).eps
         rng = np.random.default_rng(13)
         for scale in (1e-15, 1e-10, 1e-6, 3e-5):
-            r = random_pose(rng).rotation.matrix()
+            r = random_pose(rng).rotation
             m = r + rng.uniform(-scale, scale, (3, 3))
-            p = Rotation.from_matrix(m).matrix()
+            p = project_rotation(m)
             assert np.abs(p.T @ p - np.eye(3)).max() <= 4 * eps
             assert np.abs(p - m).max() <= 4 * scale + 4 * eps
-        r = Rotation.from_rotvec([0.3, -0.2, 0.1]).matrix()
-        np.testing.assert_array_equal(Rotation.from_matrix(r).matrix(), r)
+        r = Pose.from_rt([0.3, -0.2, 0.1], np.zeros(3)).rotation
+        np.testing.assert_array_equal(project_rotation(r), r)
 
     @pytest.mark.parametrize("m", [
         np.zeros((3, 3)),
@@ -298,12 +299,25 @@ class TestMatrixRotation:
             "nan", "inf"])
     def test_from_matrix_rejects_non_rotations(self, m):
         with pytest.raises(ValueError, match="rotation matrix"):
-            Rotation.from_matrix(m)
+            project_rotation(m)
 
     def test_read_only(self):
-        r = Rotation.from_rotvec([0.0, 0.0, 0.5])
+        # a Pose keeps its own read-only copy of each array it is given,
+        # so neither a write through the pose nor one into the caller's
+        # arrays changes it
+        r = Pose.from_rt([0.0, 0.0, 0.5], np.zeros(3)).rotation.copy()
+        t = np.array([1.0, 2.0, 3.0])
+        pose = Pose(r, t)
+        before = pose.matrix()
         with pytest.raises(ValueError):
-            r.matrix()[0, 0] = 2.0
+            pose.rotation[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            pose.translation[0] = 2.0
+        r[0, 0], t[0] = 2.0, 99.0
+        np.testing.assert_array_equal(pose.matrix(), before)
+        for derived in (pose.inverse(), pose.compose(pose), Pose.from_matrix(before)):
+            assert not derived.rotation.flags.writeable
+            assert not derived.translation.flags.writeable
 
     def test_tum_quaternion_round_trip(self, tmp_path):
         # Random rotations, 141 of them with trace <= 0 (Shepperd's second
@@ -315,20 +329,20 @@ class TestMatrixRotation:
         rotations = []
         for _ in range(400):
             axis = rng.standard_normal(3)
-            rotations.append(Rotation.from_rotvec(axis / np.linalg.norm(axis)
-                                                  * rng.uniform(0.0, np.pi)))
-        rotations += [Rotation(np.diag(d)) for d in
+            rotvec = axis / np.linalg.norm(axis) * rng.uniform(0.0, np.pi)
+            rotations.append(Pose.from_rt(rotvec, np.zeros(3)).rotation)
+        rotations += [np.diag(d) for d in
                       ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])]
-        assert sum(np.trace(r.matrix()) <= 0.0 for r in rotations) > 100
+        assert sum(np.trace(r) <= 0.0 for r in rotations) > 100
         path = tmp_path / "tum.txt"
         export_trajectory([Pose(r, np.zeros(3)) for r in rotations], path, format="tum")
         written = np.loadtxt(path)[:, [7, 4, 5, 6]]  # w, x, y, z
         for r, line in zip(rotations, written):
-            q = dataset_io._quaternion(r.matrix())
+            q = dataset_io._quaternion(r)
             assert q[0] >= 0.0 and line[0] >= 0.0
             np.testing.assert_allclose(line, q, rtol=1e-11, atol=1e-12)
             rebuilt = ref.QuaternionRotation(*q).matrix()
-            assert np.abs(rebuilt - r.matrix()).max() <= 8 * eps
+            assert np.abs(rebuilt - r).max() <= 8 * eps
 
 
 class TestJacobianBlocks:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from featslam.features import FeatureCloud
-from featslam.geometry import Pose, Rotation
+from featslam.geometry import Pose
 from featslam.loop_closure import (
     Keyframe,
     LoopClosureConfig,
@@ -18,11 +18,11 @@ from featslam.loop_closure import (
 
 
 def translate(x, y, z):
-    return Pose(Rotation.identity(), [x, y, z])
+    return Pose(np.eye(3), [x, y, z])
 
 
 def rotz(deg):
-    return Pose(Rotation.from_rotvec([0, 0, np.radians(deg)]), np.zeros(3))
+    return Pose.from_rt([0, 0, np.radians(deg)], np.zeros(3))
 
 
 def angle_between(a, b):
@@ -66,8 +66,8 @@ class TestGateDistance:
     def test_symmetry_random_pairs(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            a = Pose(Rotation.from_rotvec(rng.uniform(-2, 2, 3)), rng.uniform(-30, 30, 3))
-            b = Pose(Rotation.from_rotvec(rng.uniform(-2, 2, 3)), rng.uniform(-30, 30, 3))
+            a = Pose.from_rt(rng.uniform(-2, 2, 3), rng.uniform(-30, 30, 3))
+            b = Pose.from_rt(rng.uniform(-2, 2, 3), rng.uniform(-30, 30, 3))
             assert abs(gate_distance(a, b) - gate_distance(b, a)) < 1e-9
 
 
@@ -148,7 +148,7 @@ class TestEstimateLoopPose:
         assert constraint.accepted
         assert constraint.from_keyframe == 2 and constraint.to_keyframe == 0
         assert np.linalg.norm(constraint.relative_pose.translation) < 1e-4
-        assert constraint.relative_pose.rotation.angle() < 1e-4
+        assert constraint.relative_pose.angle() < 1e-4
 
     def test_synthetic_revisit_recovers_relative_pose(self):
         world = corner_cloud()
@@ -164,7 +164,7 @@ class TestEstimateLoopPose:
         assert constraint.accepted
         expected = true_current  # loop frame is at identity
         t_err = np.linalg.norm(constraint.relative_pose.translation - expected.translation)
-        r_err = np.degrees(angle_between(constraint.relative_pose.rotation, expected.rotation))
+        r_err = np.degrees(angle_between(constraint.relative_pose, expected))
         assert t_err < 0.05
         assert r_err < 0.5
 
@@ -223,7 +223,7 @@ class TestEstimateLoopPose:
             constraint.relative_pose.translation - true_current.translation
         )
         r_err = np.degrees(
-            angle_between(constraint.relative_pose.rotation, true_current.rotation)
+            angle_between(constraint.relative_pose, true_current)
         )
         assert t_err < 0.05
         assert r_err < 0.5

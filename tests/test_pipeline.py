@@ -11,7 +11,7 @@ from featslam.cli import _collect_items, _synthetic_items, build_parser, main
 from featslam.dataset_io import RawScan, load_ground_truth
 from featslam.evaluation import kitti_relative_errors
 from featslam.features import FeatureCloud, FeatureConfig
-from featslam.geometry import Pose, Rotation
+from featslam.geometry import Pose, project_rotation
 from featslam.loop_closure import (
     Keyframe,
     LoopClosureConfig,
@@ -587,8 +587,8 @@ def write_kitti_sequence(root, calibration, frames=3):
 
 class TestDatasetRun:
     # KITTI's LiDAR -> camera: x forward becomes z forward, plus an offset
-    TR = Pose(Rotation.from_matrix(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
-                                             [1.0, 0.0, 0.0]])),
+    TR = Pose(project_rotation(np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0],
+                                         [1.0, 0.0, 0.0]])),
               np.array([-0.004, -0.076, -0.27]))
 
     def test_evaluated_in_the_camera_frame(self, tmp_path):

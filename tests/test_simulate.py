@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from featslam import simulate
-from featslam.geometry import Pose, Rotation
+from featslam.geometry import Pose
 from featslam.simulate import (
     SHAPES,
     LidarModel,
@@ -78,7 +78,7 @@ class TestSimulateScan:
     def test_points_are_sensor_frame(self):
         world = corridor_world()
         model = LidarModel(noise_std=0.0)
-        pose = Pose(Rotation.from_rotvec([0, 0, 0.3]), [4.0, 0.5, 0.0])
+        pose = Pose.from_rt([0, 0, 0.3], [4.0, 0.5, 0.0])
         scan = simulate_scan(world, pose, model, np.random.default_rng(0))
         ranges = np.linalg.norm(scan.xyz, axis=1)
         assert (ranges >= model.min_range - 1e-6).all()
@@ -173,7 +173,7 @@ def random_world(rng, walls=12, poles=10, ground=True):
 def world_rays(pose, model=LidarModel(num_rings=32, elevation_min_deg=-30,
                                       elevation_max_deg=30)):
     dirs, _ = model.ray_directions()
-    return pose.translation, dirs @ pose.rotation.matrix().T
+    return pose.translation, dirs @ pose.rotation.T
 
 
 class TestCasterMatchesReference:
@@ -185,11 +185,11 @@ class TestCasterMatchesReference:
         rng = np.random.default_rng(seed)
         world = random_world(rng, walls, poles, ground)
         # one rolled and pitched pose, then three random tilts and headings
-        poses = [Pose(Rotation.from_rotvec([0.3, -0.25, 1.1]), [1.0, -2.0, 0.2])]
+        poses = [Pose.from_rt([0.3, -0.25, 1.1], [1.0, -2.0, 0.2])]
         for _ in range(3):
             tilt = rng.uniform(-0.4, 0.4, 3) + [0.0, 0.0, rng.uniform(-np.pi, np.pi)]
             position = np.append(rng.uniform(-5, 5, 2), rng.uniform(-0.5, 0.5))
-            poses.append(Pose(Rotation.from_rotvec(tilt), position))
+            poses.append(Pose.from_rt(tilt, position))
         for pose in poses:
             check_caster(world, *world_rays(pose))
 
@@ -312,7 +312,7 @@ class TestAzimuthWindows:
         world = random_world(np.random.default_rng(4), 12, 10, False)
         for prim in world.walls + world.poles:
             prim.z1 = 400.0
-        pose = Pose(Rotation.from_rotvec([0.2, -np.radians(88.0), 0.0]), [0.5, -1.0, 0.0])
+        pose = Pose.from_rt([0.2, -np.radians(88.0), 0.0], [0.5, -1.0, 0.0])
         origin, dirs = world_rays(pose)
         t = self.cast(world, origin, dirs)
         steep = np.hypot(dirs[:, 0], dirs[:, 1]) < 0.05
@@ -336,7 +336,7 @@ class TestPaths:
         assert np.linalg.norm(path[0].translation - path[-1].translation) < 1e-9
         headings = []
         for p in path:
-            fwd = p.rotation.apply(np.array([[1.0, 0.0, 0.0]]))[0]
+            fwd = p.rotation[:, 0]
             headings.append(np.arctan2(fwd[1], fwd[0]))
         steps = np.abs(np.diff(np.unwrap(headings)))
         assert steps.max() < 0.2

@@ -1,5 +1,6 @@
 """Checks on the package source: every module-level import in
-``src/featslam`` is read by its module or listed in its ``__all__``."""
+``src/featslam`` is read by its module or listed in its ``__all__``, and
+every name in an ``__all__`` is bound by its module."""
 
 import ast
 from pathlib import Path
@@ -11,22 +12,44 @@ import featslam
 SOURCES = sorted(Path(featslam.__file__).parent.glob("*.py"))
 
 
+def exports(tree: ast.Module) -> set:
+    """The names listed in a module's ``__all__``, empty without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def unused_imports(source: str) -> list:
     """Names bound by the module-level imports of source that it never
     reads and does not list in ``__all__``."""
     tree = ast.parse(source)
-    bound, exported = set(), set()
+    bound = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             bound |= {a.asname or a.name.split(".")[0] for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound |= {a.asname or a.name for a in node.names if a.name != "*"}
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(bound - read - exported)
+    return sorted(bound - read - exports(tree))
+
+
+def unbound_exports(source: str) -> list:
+    """Names listed in the ``__all__`` of source that no module-level
+    import, def, class or assignment binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(exports(tree) - bound)
 
 
 def test_checker_finds_unused_names():
@@ -47,3 +70,21 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_checker_finds_stale_exports():
+    source = (
+        "from .geometry import Pose\n"
+        "import numpy as np\n"
+        "X: int = 1\n"
+        "A, B = 2, 3\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "__all__ = ['Pose', 'Rotation', 'np', 'X', 'A', 'B', 'f', 'C', 'g']\n"
+    )
+    assert unbound_exports(source) == ["Rotation", "g"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exports_are_bound(path):
+    assert unbound_exports(path.read_text()) == []
