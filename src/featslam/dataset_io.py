@@ -1,9 +1,10 @@
 """KITTI odometry dataset loading and trajectory/map export.
 
 Scans are the KITTI velodyne ``.bin`` layout: consecutive groups of four
-little-endian float32 values (x, y, z, intensity).  KITTI does not store the
-laser ring index, so it is reconstructed from the vertical angle, which the
-feature extractor needs for per-ring neighborhoods.
+little-endian float32 values (x, y, z, intensity); no stage reads the
+intensity, so it is not kept.  KITTI does not store the laser ring index,
+so it is reconstructed from the vertical angle, which the feature extractor
+needs for per-ring neighborhoods.
 """
 
 from __future__ import annotations
@@ -30,28 +31,21 @@ class RawScan:
     """One LiDAR sweep in the sensor frame."""
 
     xyz: np.ndarray  # (N, 3) float64, meters
-    intensity: np.ndarray  # (N,) float32 pass-through
     ring: np.ndarray  # (N,) int laser index in [0, num_lasers)
     dropped: int = 0  # non-finite points removed so far
 
     def __post_init__(self):
         """Check the shapes, then drop the rows whose xyz is not finite,
-        with their ring and intensity, and count them in dropped."""
+        with their ring, and count them in dropped."""
         shape, ring = np.shape(self.xyz), np.shape(self.ring)
         if len(shape) != 2 or shape[1] != 3:
             raise ValueError(f"scan xyz must have shape (N, 3), got {shape}")
         if ring != shape[:1]:
             raise ValueError(f"scan ring must have shape ({shape[0]},), got {ring}")
-        intensity = np.shape(self.intensity)
-        if intensity != shape[:1]:
-            raise ValueError(
-                f"scan intensity must have shape ({shape[0]},), got {intensity}"
-            )
         if not np.isfinite(self.xyz).all():
             finite = np.isfinite(self.xyz).all(axis=1)
             self.xyz = self.xyz[finite]
             self.ring = self.ring[finite]
-            self.intensity = self.intensity[finite]
             self.dropped += int(len(finite) - finite.sum())
 
     def __len__(self) -> int:
@@ -96,11 +90,7 @@ def load_scan(path: str | os.PathLike) -> RawScan:
         raise FormatError(f"{path}: size {nbytes} bytes is not a multiple of 16")
     pts = np.fromfile(path, dtype="<f4").reshape(-1, 4)
     xyz = pts[:, :3].astype(np.float64)
-    return RawScan(
-        xyz=xyz,
-        intensity=pts[:, 3].copy(),
-        ring=ring_from_elevation(xyz),
-    )
+    return RawScan(xyz=xyz, ring=ring_from_elevation(xyz))
 
 
 def _parse_pose_line(tokens: list[str], lineno: int, path: str) -> Pose:

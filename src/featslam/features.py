@@ -114,7 +114,7 @@ def _ring_segments(ring: np.ndarray, azimuth: np.ndarray, gap_factor: float):
     return by_ring[order], start, stop - start, rotate[ring_of[order[start]]] == 0
 
 
-def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> FeatureCloud:
+def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     """Classify scan points into edge and planar features.
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
@@ -125,7 +125,6 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
 
     Features come out in (ring, segment, sector, pick) order.
     """
-    cfg = cfg or FeatureConfig()
     xyz, ring = scan.xyz, scan.ring
     if len(xyz) == 0:
         return FeatureCloud()

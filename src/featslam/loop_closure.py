@@ -10,7 +10,7 @@ own iteration cap (``registration_config``).
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,12 +64,9 @@ class Keyframe:
     odometry_pose: Pose
 
 
-def is_new_keyframe(
-    last: Pose, current: Pose, config: Optional[LoopClosureConfig] = None
-) -> bool:
+def is_new_keyframe(last: Pose, current: Pose, cfg: LoopClosureConfig) -> bool:
     """Promote when motion since the last keyframe exceeds
     ``keyframe_translation`` (m) or ``keyframe_rotation_deg``."""
-    cfg = config or LoopClosureConfig()
     rel = last.inverse().compose(current)
     if np.linalg.norm(rel.translation) > cfg.keyframe_translation:
         return True
@@ -81,23 +78,22 @@ def gate_distance(t_k: Pose, t_loop: Pose) -> float:
     return float(np.linalg.norm(rel.translation))
 
 
-def adaptive_threshold(k: int, config: Optional[LoopClosureConfig] = None) -> float:
+def adaptive_threshold(k: int, cfg: LoopClosureConfig) -> float:
     """The loop gate for keyframe k: ``base_threshold + k / n``."""
-    cfg = config or LoopClosureConfig()
     return cfg.base_threshold + k / cfg.n
 
 
 def estimate_loop_pose(
-    current_features: FeatureCloud,
     current_index: int,
     keyframes: Sequence[Keyframe],
     loop_index: int,
     latest_poses: Sequence[Pose],
-    config: Optional[LoopClosureConfig] = None,
-    odometry: Optional[OdometryConfig] = None,
+    cfg: LoopClosureConfig,
+    odometry: OdometryConfig,
     yaw_hint: float = 0.0,
 ) -> LoopConstraint:
-    """Register the current cloud against a submap around the loop keyframe.
+    """Register keyframe current_index's cloud against a submap around the
+    loop keyframe, built from the keyframes before current_index.
 
     latest_poses holds the best-known global pose per keyframe (optimized
     where available, odometry otherwise). The current frame starts at the
@@ -105,18 +101,17 @@ def estimate_loop_pose(
     a recognized place is a better initial guess than the drift-bearing
     odometry chain, and it is independent of how far odometry has wandered.
     """
-    cfg = config or LoopClosureConfig()
-    reg_cfg = registration_config(cfg, odometry or OdometryConfig())
+    reg_cfg = registration_config(cfg, odometry)
     submap = Submap(reg_cfg)
     lo = max(0, loop_index - cfg.submap_half_width)
-    hi = min(loop_index + cfg.submap_half_width, current_index - 1, len(keyframes) - 1)
+    hi = min(loop_index + cfg.submap_half_width, current_index - 1)
     for i in range(lo, hi + 1):
         submap.insert(keyframes[i].features, latest_poses[i])
 
     initial = latest_poses[loop_index].compose(
         Pose.from_rt(np.array([0.0, 0.0, yaw_hint]), np.zeros(3))
     )
-    result = register(current_features, submap, initial, reg_cfg)
+    result = register(keyframes[current_index].features, submap, initial, reg_cfg)
 
     relative = latest_poses[loop_index].inverse().compose(result.pose)
     accepted = (

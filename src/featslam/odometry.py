@@ -134,8 +134,7 @@ def _tree(points: np.ndarray):
 class Submap:
     """Global-frame edge/planar feature map with nearest-neighbor indexes."""
 
-    def __init__(self, cfg: OdometryConfig | None = None):
-        cfg = cfg or OdometryConfig()
+    def __init__(self, cfg: OdometryConfig):
         self._edges = _VoxelSet(cfg.edge_voxel_size)
         self._planars = _VoxelSet(cfg.planar_voxel_size)
         self.crop_radius = cfg.crop_radius
@@ -353,10 +352,9 @@ def register(
     features: FeatureCloud,
     submap: Submap,
     initial: Pose,
-    cfg: OdometryConfig | None = None,
+    cfg: OdometryConfig,
 ) -> RegistrationResult:
     """Estimate the pose aligning features to the submap, from initial."""
-    cfg = cfg or OdometryConfig()
     rotation, translation = initial.rotation, initial.translation
     if submap.num_edges < MIN_SUBMAP_EDGES or submap.num_planars < MIN_SUBMAP_PLANARS:
         return RegistrationResult(Pose(project_rotation(rotation), translation),
@@ -461,15 +459,14 @@ def process_frame(
     state: OdometryState,
     scan,
     submap: Submap,
-    cfg: OdometryConfig | None = None,
-    feature_cfg: FeatureConfig | None = None,
+    cfg: OdometryConfig,
+    feature_cfg: FeatureConfig,
 ):
     """Extract features, register against the submap, fold them in.
 
     Returns (features, pose, RegistrationResult or None).  The first frame
     bootstraps the submap at the identity without registering.
     """
-    cfg = cfg or OdometryConfig()
     features = extract_features(scan, feature_cfg)
     if submap.num_edges == 0 and submap.num_planars == 0:
         pose = Pose.identity()

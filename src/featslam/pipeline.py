@@ -4,7 +4,9 @@ A run processes scans through odometry in order and promotes keyframes.
 Each keyframe becomes a pose-graph node and queries the descriptor
 database; a match that passes the distance gate and loop refinement adds a
 loop edge and re-optimizes the graph, so the next keyframe's loop search
-reads the poses of the latest solve.
+reads the poses of the latest solve.  The keyframe list, the graph's nodes
+and the descriptor database grow together, so keyframe k is entry k of
+each.  Every stage is called with the module config the run built.
 
 Configuration is a flat ``key = value`` file with dotted keys plus
 ``--set key=value`` overrides.  The table of known keys is the simulator's
@@ -292,9 +294,7 @@ def _verify_loop(
         return None
     yaw = shift_to_yaw(match.best_column_shift, num_sectors)
     t0 = time.perf_counter()
-    candidate = estimate_loop_pose(
-        keyframes[k].features, k, keyframes, loop_idx, poses, cfg, odo_cfg, yaw_hint=yaw
-    )
+    candidate = estimate_loop_pose(k, keyframes, loop_idx, poses, cfg, odo_cfg, yaw_hint=yaw)
     millis = (time.perf_counter() - t0) * 1e3
     events.append(LoopEvent(k, loop_idx, d, threshold, match.descriptor_distance,
                             candidate.accepted, candidate.registration_cost, millis))
@@ -326,8 +326,8 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
         if not keyframes or is_new_keyframe(keyframes[-1].odometry_pose, pose, config.loop):
             k = len(keyframes)
             keyframes.append(Keyframe(frame_index=i, features=features, odometry_pose=pose))
-            add_odometry_node(graph, k, correction.compose(pose))
-            descriptor = build_descriptor(features, keyframe_index=k, config=sc_cfg)
+            add_odometry_node(graph, correction.compose(pose))
+            descriptor = build_descriptor(features, sc_cfg)
             match = None if config["run.no_loop"] else query(db, descriptor, sc_cfg)
             db.append(descriptor)
             if match is not None:
@@ -344,7 +344,7 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
                     correction = graph.nodes[k].compose(pose.inverse())
         kf_of_frame.append(len(keyframes) - 1)
 
-    final = graph.poses()
+    final = list(graph.nodes)
     trajectory = [
         final[k].compose(keyframes[k].odometry_pose.inverse()).compose(pose)
         for pose, k in zip(frame_poses, kf_of_frame)
@@ -380,6 +380,8 @@ def _load_input(config: PipelineConfig):
     limit = config["dataset.max_frames"]
     end = limit if limit > 0 else None
     paths = sorted(scan_dir.glob("*.bin"))[:end]
+    if not paths:
+        raise OSError(f"no .bin scans in dataset directory: {scan_dir}")
     scans = [load_scan(p) for p in paths]
     if not config["dataset.poses"]:
         return scans, None

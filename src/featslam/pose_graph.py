@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -94,17 +94,13 @@ class PoseGraphEdge:
 class PoseGraph:
     """Mutable node/edge store of read-only poses."""
 
-    def __init__(self, config: Optional[PoseGraphConfig] = None):
-        self.config = config if config is not None else PoseGraphConfig()
+    def __init__(self, config: PoseGraphConfig):
+        self.config = config
         self.nodes: List[Pose] = []
         self.edges: List[PoseGraphEdge] = []
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def poses(self) -> List[Pose]:
-        """The current estimates, as a new list."""
-        return list(self.nodes)
 
 
 @dataclass
@@ -115,15 +111,15 @@ class OptimizationReport:
     converged: bool
 
 
-def add_odometry_node(graph: PoseGraph, k: int, pose_k: Pose) -> None:
-    """Append node k; for k > 0 also add the odometry edge (k-1, k).
+def add_odometry_node(graph: PoseGraph, pose: Pose) -> None:
+    """Append node k = len(graph); for k > 0 also add the odometry edge
+    (k-1, k).
 
     The edge measurement is the relative pose implied by the estimates at
     insertion time, ``inverse(pose_{k-1}) * pose_k``.
     """
-    if k != len(graph.nodes):
-        raise ValueError(f"expected node index {len(graph.nodes)}, got {k}")
-    graph.nodes.append(pose_k)
+    k = len(graph.nodes)
+    graph.nodes.append(pose)
     if k > 0:
         measurement = graph.nodes[k - 1].inverse().compose(graph.nodes[k])
         graph.edges.append(PoseGraphEdge(k - 1, k, measurement, robust=False))

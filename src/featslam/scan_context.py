@@ -5,6 +5,9 @@ heights. Matching a pair of descriptors scans all cyclic column shifts, so
 the distance is invariant to the yaw at which a place is revisited. The
 shifts are scored together: the dot products of every column pair are
 formed once, and each shift gathers the pairs it lines up.
+
+The database is a list in keyframe order, as in Kim & Kim (IROS 2018): a
+descriptor's position in it is its keyframe index.
 """
 
 from dataclasses import dataclass
@@ -43,7 +46,6 @@ class ScanContextConfig:
 class ScanContextDescriptor:
     matrix: np.ndarray  # (num_rings, num_sectors), EMPTY_BIN where no points
     ring_key: np.ndarray  # (num_rings,) occupancy ratio in [0, 1]
-    keyframe_index: int = 0
 
 
 @dataclass
@@ -53,13 +55,8 @@ class CandidateMatch:
     best_column_shift: int
 
 
-def build_descriptor(
-    features: FeatureCloud,
-    keyframe_index: int = 0,
-    config: Optional[ScanContextConfig] = None,
-) -> ScanContextDescriptor:
+def build_descriptor(features: FeatureCloud, cfg: ScanContextConfig) -> ScanContextDescriptor:
     """Bin edge and planar points together by (planar range, azimuth)."""
-    cfg = config or ScanContextConfig()
     pts = np.vstack([features.edges, features.planars])
     matrix = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
     if len(pts):
@@ -74,7 +71,7 @@ def build_descriptor(
         ).astype(int) % cfg.num_sectors
         np.maximum.at(matrix, (ring, sector), pts[:, 2])
     ring_key = (matrix > _OCCUPIED_FLOOR).mean(axis=1)
-    return ScanContextDescriptor(matrix, ring_key, keyframe_index)
+    return ScanContextDescriptor(matrix, ring_key)
 
 
 def shift_to_yaw(shift: int, num_sectors: int) -> float:
@@ -131,12 +128,14 @@ def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
 def query(
     database: Sequence[ScanContextDescriptor],
     probe: ScanContextDescriptor,
-    config: Optional[ScanContextConfig] = None,
+    cfg: ScanContextConfig,
 ) -> Optional[CandidateMatch]:
-    """Two-stage retrieval: ring-key nearest neighbors, then full distance."""
-    cfg = config or ScanContextConfig()
-    horizon = probe.keyframe_index - cfg.exclude_recent
-    eligible = [d for d in database if d.keyframe_index < horizon]
+    """Two-stage retrieval: ring-key nearest neighbors, then full distance.
+
+    ``database[i]`` is keyframe i's descriptor and the probe is keyframe
+    ``len(database)``; the last ``exclude_recent`` keyframes are not searched.
+    """
+    eligible = database[: max(0, len(database) - cfg.exclude_recent)]
     if not eligible:
         return None
     keys = np.stack([d.ring_key for d in eligible])
@@ -148,7 +147,7 @@ def query(
         cand = eligible[idx]
         dist, shift = descriptor_distance(probe, cand)
         if best is None or dist < best.descriptor_distance:
-            best = CandidateMatch(cand.keyframe_index, dist, shift)
+            best = CandidateMatch(int(idx), dist, shift)
     if best is not None and best.descriptor_distance < cfg.similarity_threshold:
         return best
     return None

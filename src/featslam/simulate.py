@@ -228,11 +228,7 @@ def simulate_scan(
     if model.noise_std > 0:
         t = t + rng.normal(0.0, model.noise_std, size=len(t))
     keep = np.isfinite(t) & (t >= model.min_range) & (t <= model.max_range)
-    return RawScan(
-        xyz=d_sensor[keep] * t[keep, None],
-        intensity=np.zeros(keep.sum(), dtype=np.float32),
-        ring=ring[keep],
-    )
+    return RawScan(xyz=d_sensor[keep] * t[keep, None], ring=ring[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +321,10 @@ def _square_walls(half: float, z0=-1.5, z1=1.0):
 
 
 def corridor_world(
-    length: float = 45.0,
+    length: float,
+    density: float,
     half_width: float = 3.0,
     pole_spacing: float = 5.0,
-    density: float = 1.0,
 ) -> World:
     w = World()
     x0, x1 = -5.0, length
@@ -349,10 +345,10 @@ def corridor_world(
 
 
 def square_loop_world(
-    side: float = 30.0,
+    side: float,
+    density: float,
+    seed: int,
     corridor_half_width: float = 3.0,
-    density: float = 1.0,
-    seed: int = 0,
 ) -> World:
     """Square-annulus corridor around the rounded-square trajectory.
 
@@ -394,7 +390,7 @@ def _room_walls(cx: float, cy: float, half: float, door_y=(-4.0, -2.0)):
     return walls
 
 
-def two_room_world(separation: float = 60.0, room_half: float = 6.0, seed: int = 0) -> World:
+def two_room_world(separation: float, seed: int, room_half: float = 6.0) -> World:
     """Two geometrically identical rooms joined by a long corridor.
 
     Room B is room A translated by +separation in x, pole layout included,
@@ -532,7 +528,7 @@ def generate_world(spec: dict):
         poses = two_room_path(s["separation"], step=s["step"])
         poses = poses[: s["frames"]] if s["frames"] < len(poses) else poses
     else:  # static
-        world = corridor_world(length=20.0)
+        world = corridor_world(length=20.0, density=s["density"])
         poses = [Pose.identity() for _ in range(s["frames"])]
 
     model = LidarModel(noise_std=s["noise"])

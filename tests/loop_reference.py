@@ -141,7 +141,7 @@ def ring_segments(azimuth: np.ndarray, gap_factor: float):
     return segments
 
 
-def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> FeatureCloud:
+def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     """The per-ring loop that features.extract_features replaces.
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
@@ -150,7 +150,6 @@ def extract_features(scan: RawScan, cfg: FeatureConfig | None = None) -> Feature
     within half_width of a selected edge are suppressed from further
     selection.
     """
-    cfg = cfg or FeatureConfig()
     if len(scan) == 0:
         return FeatureCloud()
 

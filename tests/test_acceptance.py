@@ -116,7 +116,7 @@ def test_registration_recovers_displaced_corner_world():
     displaced = FeatureCloud(
         edges=move.apply(cloud.edges), planars=move.apply(cloud.planars)
     )
-    res = register(displaced, submap, Pose.identity())
+    res = register(displaced, submap, Pose.identity(), OdometryConfig())
     expected = move.inverse()
     assert res.converged and not res.degenerate
     assert np.linalg.norm(res.pose.translation - expected.translation) < 5e-3
@@ -151,8 +151,8 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     odometry = PoseGraphConfig()
     g = PoseGraph(PoseGraphConfig(loop_rotation_sigma=odometry.odometry_rotation_sigma,
                                   loop_translation_sigma=odometry.odometry_translation_sigma))
-    for k, p in enumerate(est):
-        add_odometry_node(g, k, p)
+    for p in est:
+        add_odometry_node(g, p)
     loop_rel = true[0].inverse().compose(true[-1])
     add_loop_edge(g, LoopConstraint(99, 0, loop_rel, 0.0, True))
     report = optimize(g, max_iterations=100)
@@ -174,9 +174,9 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     small = PoseGraph(PoseGraphConfig(
         odometry_rotation_sigma=1e-4, odometry_translation_sigma=weights[(0, 1)] ** -0.5,
         loop_rotation_sigma=1e-4, loop_translation_sigma=weights[(0, 2)] ** -0.5))
-    add_odometry_node(small, 0, translate(0, 0, 0))
-    add_odometry_node(small, 1, Pose(np.eye(3), m[(0, 1)]))
-    add_odometry_node(small, 2, Pose(np.eye(3), m[(0, 1)] + m[(1, 2)]))
+    add_odometry_node(small, translate(0, 0, 0))
+    add_odometry_node(small, Pose(np.eye(3), m[(0, 1)]))
+    add_odometry_node(small, Pose(np.eye(3), m[(0, 1)] + m[(1, 2)]))
     rel = Pose(np.eye(3), m[(0, 2)])
     add_loop_edge(small, LoopConstraint(2, 0, rel, 0.0, True))
     report = optimize(small, max_iterations=200)
@@ -328,16 +328,13 @@ def test_feature_loop_estimation_twice_as_fast_as_dense_icp(loop_world_runs):
     icp_seconds = 0.0
     for event in accepted:
         k, loop = event.from_keyframe, event.to_keyframe
-        probe = build_descriptor(store[k].features, keyframe_index=k, config=sc_cfg)
-        cand = build_descriptor(store[loop].features, keyframe_index=loop,
-                                config=sc_cfg)
+        probe = build_descriptor(store[k].features, sc_cfg)
+        cand = build_descriptor(store[loop].features, sc_cfg)
         _, shift = descriptor_distance(probe, cand)
         yaw = shift_to_yaw(shift, sc_cfg.num_sectors)
 
         start = time.perf_counter()
-        constraint = estimate_loop_pose(
-            store[k].features, k, store, loop, latest, cfg, odo_cfg, yaw_hint=yaw
-        )
+        constraint = estimate_loop_pose(k, store, loop, latest, cfg, odo_cfg, yaw_hint=yaw)
         feature_seconds += time.perf_counter() - start
         assert constraint.accepted
 

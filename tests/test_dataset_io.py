@@ -30,7 +30,6 @@ class TestLoadScan:
         scan = load_scan(f)
         assert len(scan) == 2
         np.testing.assert_allclose(scan.xyz, [[1, 2, 3], [4, 5, 6]])
-        np.testing.assert_allclose(scan.intensity, [0.5, 0.25])
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.bin"
@@ -94,8 +93,7 @@ class TestLoadScan:
 class TestRawScanShapes:
     @staticmethod
     def scan(xyz, ring):
-        return RawScan(xyz=np.asarray(xyz, float), intensity=np.zeros(len(xyz)),
-                       ring=np.asarray(ring, int))
+        return RawScan(xyz=np.asarray(xyz, float), ring=np.asarray(ring, int))
 
     def test_ring_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"ring must have shape \(5,\), got \(4,\)"):
@@ -103,18 +101,13 @@ class TestRawScanShapes:
         with pytest.raises(ValueError, match=r"ring must have shape \(5,\), got \(5, 1\)"):
             self.scan(np.ones((5, 3)), np.zeros((5, 1)))
 
-    def test_intensity_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match=r"intensity must have shape \(5,\), got \(4,\)"):
-            RawScan(xyz=np.ones((5, 3)), intensity=np.zeros(4), ring=np.zeros(5, int))
-
     def test_in_memory_nonfinite_rows_dropped_and_counted(self):
         xyz = np.array([[1.0, 0, 0], [np.nan, 0, 0], [2.0, 0, 0], [0, np.inf, 0],
                         [0, 0, -np.inf], [3.0, 0, 0]])
-        scan = RawScan(xyz=xyz, intensity=np.arange(6.0), ring=np.arange(6), dropped=1)
+        scan = RawScan(xyz=xyz, ring=np.arange(6), dropped=1)
         assert scan.dropped == 1 + 3
         np.testing.assert_array_equal(scan.xyz[:, 0], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(scan.ring, [0, 2, 5])
-        np.testing.assert_array_equal(scan.intensity, [0.0, 2.0, 5.0])
         # a copy of a clean scan keeps the count and drops nothing more
         again = dataclasses.replace(scan)
         assert again.dropped == 4 and len(again) == 3

@@ -9,16 +9,14 @@ from featslam.features import FeatureCloud, FeatureConfig, extract_features
 from featslam.geometry import Pose
 from featslam.simulate import generate_world
 
+CFG = FeatureConfig()
+
 
 def make_scan(xyz, ring=None):
     xyz = np.asarray(xyz, dtype=float)
     if ring is None:
         ring = np.zeros(len(xyz), dtype=int)
-    return RawScan(
-        xyz=xyz,
-        intensity=np.zeros(len(xyz), dtype=np.float32),
-        ring=np.asarray(ring, dtype=int),
-    )
+    return RawScan(xyz=xyz, ring=np.asarray(ring, dtype=int))
 
 
 def gear_ring(n=360, r_low=10.0, r_high=14.0, teeth=6, z=0.0, phase=1e-3):
@@ -61,27 +59,27 @@ class TestComputeSmoothness:
 
 class TestExtractFeatures:
     def test_empty_scan(self):
-        fc = extract_features(make_scan(np.zeros((0, 3))))
+        fc = extract_features(make_scan(np.zeros((0, 3))), CFG)
         assert len(fc) == 0
         assert fc.edges.shape == (0, 3)
         assert fc.planars.shape == (0, 3)
 
     def test_gear_ring_budgets_saturate(self):
-        fc = extract_features(make_scan(gear_ring()))
+        fc = extract_features(make_scan(gear_ring()), CFG)
         # 6 sectors x (2 edges, 4 planars), one ring
         assert len(fc.edges) == 12
         assert len(fc.planars) == 24
 
     def test_features_are_scan_members(self):
         scan = make_scan(gear_ring())
-        fc = extract_features(scan)
+        fc = extract_features(scan, CFG)
         rows = {tuple(p) for p in scan.xyz}
         for p in np.vstack([fc.edges, fc.planars]):
             assert tuple(p) in rows
 
     def test_edges_sit_near_radius_steps(self):
         xyz = gear_ring()
-        fc = extract_features(make_scan(xyz))
+        fc = extract_features(make_scan(xyz), CFG)
         radius = np.hypot(fc.edges[:, 0], fc.edges[:, 1])
         theta = np.arctan2(fc.edges[:, 1], fc.edges[:, 0])
         # each edge within 2 samples (2 deg) of a 30-deg step boundary
@@ -90,7 +88,7 @@ class TestExtractFeatures:
         assert (dist < np.radians(2.5)).all()
 
     def test_planars_avoid_radius_steps(self):
-        fc = extract_features(make_scan(gear_ring()))
+        fc = extract_features(make_scan(gear_ring()), CFG)
         theta = np.arctan2(fc.planars[:, 1], fc.planars[:, 0])
         frac = (theta + np.pi) % (np.pi / 6)
         dist = np.minimum(frac, np.pi / 6 - frac)
@@ -116,24 +114,24 @@ class TestExtractFeatures:
 
     def test_range_gating(self):
         # all points closer than min_range: nothing selected
-        fc = extract_features(make_scan(gear_ring(r_low=0.5, r_high=0.7)))
+        fc = extract_features(make_scan(gear_ring(r_low=0.5, r_high=0.7)), CFG)
         assert len(fc) == 0
         # all points beyond max_range: nothing selected
-        fc = extract_features(make_scan(gear_ring(r_low=95.0, r_high=133.0)))
+        fc = extract_features(make_scan(gear_ring(r_low=95.0, r_high=133.0)), CFG)
         assert len(fc) == 0
 
     def test_tiny_ring_skipped(self):
         # fewer points than one window: no features, no crash
-        fc = extract_features(make_scan(gear_ring(n=9)))
+        fc = extract_features(make_scan(gear_ring(n=9)), CFG)
         assert len(fc) == 0
 
     def test_edge_neighbor_suppression(self):
         xyz = gear_ring(n=720)
         scan = make_scan(xyz)
-        fc = extract_features(scan)
+        fc = extract_features(scan, CFG)
         index_of = {tuple(p): i for i, p in enumerate(xyz)}
         idx = sorted(index_of[tuple(p)] for p in fc.edges)
-        hw = FeatureConfig().neighborhood_half_width
+        hw = CFG.neighborhood_half_width
         n = len(xyz)
         for a, b in zip(idx, idx[1:] + [idx[0] + n]):
             assert (b - a) > hw
@@ -143,7 +141,7 @@ class TestExtractFeatures:
         upper = gear_ring(z=3.0)
         xyz = np.vstack([lower, upper])
         ring = np.r_[np.zeros(len(lower), int), np.ones(len(upper), int)]
-        fc = extract_features(make_scan(xyz, ring))
+        fc = extract_features(make_scan(xyz, ring), CFG)
         assert len(fc.edges) == 24
         assert len(fc.planars) == 48
 
@@ -153,7 +151,7 @@ class TestExtractFeatures:
         xyz = gear_ring(n=720)
         theta = np.arctan2(xyz[:, 1], xyz[:, 0])
         keep = ~((theta > 0.3) & (theta < 0.3 + np.pi / 2))
-        fc = extract_features(make_scan(xyz[keep]))
+        fc = extract_features(make_scan(xyz[keep]), CFG)
         assert len(fc.edges) > 0
         # no feature may sit hard against the hole boundary
         th = np.arctan2(fc.planars[:, 1], fc.planars[:, 0])
@@ -194,18 +192,18 @@ class TestExtractFeatures:
         keep[bad] = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = extract_features(dirty)
-        want = extract_features(make_scan(clean.xyz[keep], clean.ring[keep]))
+            got = extract_features(dirty, CFG)
+        want = extract_features(make_scan(clean.xyz[keep], clean.ring[keep]), CFG)
         assert np.array_equal(got.edges, want.edges)
         assert np.array_equal(got.planars, want.planars)
         assert np.isfinite(got.edges).all() and np.isfinite(got.planars).all()
 
     def test_all_nonfinite_scan(self):
-        fc = extract_features(make_scan(np.full((40, 3), np.nan)))
+        fc = extract_features(make_scan(np.full((40, 3), np.nan)), CFG)
         assert fc.edges.shape == (0, 3) and fc.planars.shape == (0, 3)
 
 
-def assert_matches_loop(scan, cfg=None):
+def assert_matches_loop(scan, cfg=CFG):
     got = extract_features(scan, cfg)
     want = ref.extract_features(scan, cfg)
     assert np.array_equal(got.edges, want.edges)

@@ -15,6 +15,10 @@ from featslam.loop_closure import (
     gate_distance,
     is_new_keyframe,
 )
+from featslam.odometry import OdometryConfig
+
+CFG = LoopClosureConfig()
+ODOMETRY = OdometryConfig()
 
 
 def translate(x, y, z):
@@ -73,7 +77,7 @@ class TestGateDistance:
 
 class TestAdaptiveThreshold:
     def test_zero_keyframes(self):
-        assert adaptive_threshold(0) == pytest.approx(20.0)
+        assert adaptive_threshold(0, CFG) == pytest.approx(20.0)
 
     def test_five_hundred_over_fifty(self):
         assert adaptive_threshold(500, LoopClosureConfig(n=50)) == pytest.approx(30.0)
@@ -102,30 +106,30 @@ class TestVerifyCandidate:
     candidate is kept when gate_distance <= adaptive_threshold."""
 
     def test_inside_gate(self):
-        assert gate_distance(translate(5, 0, 0), Pose.identity()) <= adaptive_threshold(0)
+        assert gate_distance(translate(5, 0, 0), Pose.identity()) <= adaptive_threshold(0, CFG)
 
     def test_outside_gate(self):
-        assert gate_distance(translate(25, 0, 0), Pose.identity()) > adaptive_threshold(0)
+        assert gate_distance(translate(25, 0, 0), Pose.identity()) > adaptive_threshold(0, CFG)
 
     def test_boundary_inclusive(self):
         d = gate_distance(translate(20, 0, 0), Pose.identity())
-        assert d == adaptive_threshold(0) == 20.0
+        assert d == adaptive_threshold(0, CFG) == 20.0
 
     def test_gate_widens_with_keyframes(self):
         d = gate_distance(translate(25, 0, 0), Pose.identity())
-        assert d > adaptive_threshold(0)
-        assert d <= adaptive_threshold(600)
+        assert d > adaptive_threshold(0, CFG)
+        assert d <= adaptive_threshold(600, CFG)
 
 
 class TestKeyframePromotion:
     def test_translation_promotes(self):
-        assert is_new_keyframe(Pose.identity(), translate(1.1, 0, 0))
+        assert is_new_keyframe(Pose.identity(), translate(1.1, 0, 0), CFG)
 
     def test_rotation_promotes(self):
-        assert is_new_keyframe(Pose.identity(), rotz(11.0))
+        assert is_new_keyframe(Pose.identity(), rotz(11.0), CFG)
 
     def test_small_motion_does_not(self):
-        assert not is_new_keyframe(Pose.identity(), translate(0.5, 0, 0).compose(rotz(5)))
+        assert not is_new_keyframe(Pose.identity(), translate(0.5, 0, 0).compose(rotz(5)), CFG)
 
 
 class TestLoopConstraint:
@@ -144,7 +148,7 @@ class TestEstimateLoopPose:
         cloud = corner_cloud()
         poses = [Pose.identity(), Pose.identity(), Pose.identity()]
         keyframes = make_keyframes(poses, [cloud, cloud, cloud])
-        constraint = estimate_loop_pose(cloud, 2, keyframes, 0, poses)
+        constraint = estimate_loop_pose(2, keyframes, 0, poses, CFG, ODOMETRY)
         assert constraint.accepted
         assert constraint.from_keyframe == 2 and constraint.to_keyframe == 0
         assert np.linalg.norm(constraint.relative_pose.translation) < 1e-4
@@ -160,7 +164,7 @@ class TestEstimateLoopPose:
         drift = translate(0.3, 0.4, 0.0)  # |drift| = 0.5 m
         odom_poses = [Pose.identity(), Pose.identity(), drift.compose(true_current)]
         keyframes = make_keyframes(odom_poses, [world, world, current_feats])
-        constraint = estimate_loop_pose(current_feats, 2, keyframes, 0, odom_poses)
+        constraint = estimate_loop_pose(2, keyframes, 0, odom_poses, CFG, ODOMETRY)
         assert constraint.accepted
         expected = true_current  # loop frame is at identity
         t_err = np.linalg.norm(constraint.relative_pose.translation - expected.translation)
@@ -172,7 +176,7 @@ class TestEstimateLoopPose:
         tiny = FeatureCloud(edges=np.zeros((3, 3)), planars=np.zeros((8, 3)))
         poses = [Pose.identity(), Pose.identity()]
         keyframes = make_keyframes(poses, [tiny, tiny])
-        constraint = estimate_loop_pose(tiny, 1, keyframes, 0, poses)
+        constraint = estimate_loop_pose(1, keyframes, 0, poses, CFG, ODOMETRY)
         assert not constraint.accepted
 
     def test_store_not_mutated(self):
@@ -181,7 +185,7 @@ class TestEstimateLoopPose:
         keyframes = make_keyframes(poses, [cloud, cloud, cloud])
         edges_before = [kf.features.edges.copy() for kf in keyframes]
         pose_before = [kf.odometry_pose.matrix().copy() for kf in keyframes]
-        estimate_loop_pose(cloud, 2, keyframes, 0, poses)
+        estimate_loop_pose(2, keyframes, 0, poses, CFG, ODOMETRY)
         for kf, e, m in zip(keyframes, edges_before, pose_before):
             assert np.array_equal(kf.features.edges, e)
             assert np.array_equal(kf.odometry_pose.matrix(), m)
@@ -198,7 +202,7 @@ class TestEstimateLoopPose:
         )
         keyframes = make_keyframes(odom, [world, world, current_feats])
         latest[2] = correction.compose(odom[2])
-        constraint = estimate_loop_pose(current_feats, 2, keyframes, 0, latest)
+        constraint = estimate_loop_pose(2, keyframes, 0, latest, CFG, ODOMETRY)
         assert constraint.accepted
         # current truly sits at the loop frame: relative pose ~ identity
         assert np.linalg.norm(constraint.relative_pose.translation) < 1e-3
@@ -216,7 +220,7 @@ class TestEstimateLoopPose:
         odom = [Pose.identity(), Pose.identity(), translate(60, 0, 0)]
         keyframes = make_keyframes(odom, [world, world, current_feats])
         constraint = estimate_loop_pose(
-            current_feats, 2, keyframes, 0, odom, yaw_hint=np.pi / 2
+            2, keyframes, 0, odom, CFG, ODOMETRY, yaw_hint=np.pi / 2
         )
         assert constraint.accepted
         t_err = np.linalg.norm(

@@ -3,7 +3,7 @@ import pytest
 
 import featslam.odometry as odo
 import loop_reference as ref
-from featslam.features import FeatureCloud, extract_features
+from featslam.features import FeatureCloud, FeatureConfig, extract_features
 from featslam.geometry import Pose, exp_rt
 from featslam.odometry import (
     Correspondences,
@@ -16,6 +16,9 @@ from featslam.odometry import (
     register,
 )
 from featslam.simulate import generate_world
+
+CFG = OdometryConfig()
+FEATURES = FeatureConfig()
 
 
 def translate(x, y, z):
@@ -54,8 +57,8 @@ def corner_cloud():
     return FeatureCloud(edges=edges, planars=planars)
 
 
-def corner_submap(cfg=None):
-    submap = Submap(cfg or OdometryConfig())
+def corner_submap(cfg=CFG):
+    submap = Submap(cfg)
     submap.insert(corner_cloud(), Pose.identity())
     return submap
 
@@ -85,13 +88,13 @@ class TestSubmap:
             edges=np.zeros((0, 3)),
             planars=np.random.default_rng(0).uniform(0, 2, size=(500, 3)),
         )
-        submap = Submap()
+        submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
         assert 0 < submap.num_planars <= 500
 
     def test_insert_twice_idempotent(self):
         cloud = corner_cloud()
-        submap = Submap()
+        submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
         n_e, n_p = submap.num_edges, submap.num_planars
         submap.insert(cloud, Pose.identity())
@@ -101,7 +104,7 @@ class TestSubmap:
         cloud = FeatureCloud(
             edges=np.zeros((0, 3)), planars=np.array([[200.0, 0.0, 0.0], [1.0, 0, 0]])
         )
-        submap = Submap()
+        submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
         assert submap.num_planars == 1
         np.testing.assert_allclose(submap.planar_points[0], [1, 0, 0])
@@ -123,7 +126,7 @@ class TestSubmap:
 
     def test_same_voxels_keep_the_trees(self):
         cloud = corner_cloud()
-        submap = Submap()
+        submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
         trees = submap.edge_tree, submap.planar_tree
         submap.insert(cloud, Pose.identity())
@@ -151,7 +154,7 @@ class TestSubmap:
         scans, _ = TestProcessFrame.corridor_scans(8, 0.5)
         state, submap = OdometryState(), Submap(OdometryConfig(crop_radius=12.0))
         for scan in scans:
-            process_frame(state, scan, submap)
+            process_frame(state, scan, submap, CFG, FEATURES)
             assert np.array_equal(submap.edge_tree.data, submap.edge_points)
             assert np.array_equal(submap.planar_tree.data, submap.planar_points)
 
@@ -235,8 +238,8 @@ class TestAssociateMatchesReference:
         cfg = OdometryConfig()
         state, submap = OdometryState(), Submap(cfg)
         for scan in scans[:5]:
-            process_frame(state, scan, submap, cfg)
-        features = extract_features(scans[5])
+            process_frame(state, scan, submap, cfg, FEATURES)
+        features = extract_features(scans[5], FEATURES)
         rng = np.random.default_rng(seed)
         start = predict_pose(state)
         poses = [start] + [random_pose(rng).compose(start) for _ in range(4)]
@@ -289,7 +292,7 @@ class TestRegister:
         submap = corner_submap()
         cloud = corner_cloud()
         feats = FeatureCloud(edges=cloud.edges[::2], planars=cloud.planars[::3])
-        res = register(feats, submap, Pose.identity())
+        res = register(feats, submap, Pose.identity(), CFG)
         assert res.converged
         assert not res.degenerate
         assert np.linalg.norm(res.pose.translation) < 1e-6
@@ -303,7 +306,7 @@ class TestRegister:
         feats = FeatureCloud(
             edges=move.apply(cloud.edges), planars=move.apply(cloud.planars)
         )
-        res = register(feats, submap, Pose.identity())
+        res = register(feats, submap, Pose.identity(), CFG)
         expected = move.inverse()
         t_err = np.linalg.norm(res.pose.translation - expected.translation)
         r_err = np.degrees(res.pose.inverse().compose(expected).angle())
@@ -320,13 +323,13 @@ class TestRegister:
         )
         planars = grid(np.arange(-6, 6, 0.5), np.arange(-6, 6, 0.5), [-1.8])
         cloud = FeatureCloud(edges=lines, planars=planars)
-        submap = Submap()
+        submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
         lift = translate(0.0, 0.0, 0.15)
         feats = FeatureCloud(
             edges=lift.apply(cloud.edges), planars=lift.apply(cloud.planars)
         )
-        res = register(feats, submap, Pose.identity())
+        res = register(feats, submap, Pose.identity(), CFG)
         assert np.isfinite(res.pose.matrix()).all()
         assert res.degenerate
         assert res.degenerate_directions >= 1
@@ -335,13 +338,13 @@ class TestRegister:
         assert np.abs(res.pose.translation[:2]).max() < 1e-9
 
     def test_small_submap_returns_initial(self):
-        submap = Submap()
+        submap = Submap(CFG)
         submap.insert(
             FeatureCloud(edges=np.zeros((2, 3)), planars=np.zeros((5, 3))),
             Pose.identity(),
         )
         init = translate(1, 2, 3)
-        res = register(corner_cloud(), submap, init)
+        res = register(corner_cloud(), submap, init, CFG)
         assert res.degenerate
         assert res.iterations == 0
         np.testing.assert_allclose(res.pose.matrix(), init.matrix())
@@ -362,7 +365,7 @@ class TestRegister:
         feats = FeatureCloud(
             edges=move.apply(cloud.edges), planars=move.apply(cloud.planars)
         )
-        res = register(feats, submap, Pose.identity())
+        res = register(feats, submap, Pose.identity(), CFG)
         assert len(trace) == res.iterations > 1
         assert (np.diff(trace) <= 1e-12).all()
 
@@ -373,8 +376,8 @@ class TestRegister:
         feats = FeatureCloud(
             edges=move.apply(cloud.edges), planars=move.apply(cloud.planars)
         )
-        a = register(feats, submap, Pose.identity())
-        b = register(feats, submap, Pose.identity())
+        a = register(feats, submap, Pose.identity(), CFG)
+        b = register(feats, submap, Pose.identity(), CFG)
         assert (a.pose.matrix() == b.pose.matrix()).all()
 
     def test_empty_iteration_budget_rejected(self):
@@ -408,7 +411,7 @@ class TestRegister:
         )
         monkeypatch.setattr(odo, "associate", lambda *a, **k: bad)
         with pytest.raises(IllConditionedError):
-            register(corner_cloud(), corner_submap(), Pose.identity())
+            register(corner_cloud(), corner_submap(), Pose.identity(), CFG)
 
 
 def random_correspondences(rng, n_edges=8, n_planes=12):
@@ -534,10 +537,10 @@ class TestEvaluationMatchesReference:
         monkeypatch.setattr(odo, "exp_rt", counting_step)
         monkeypatch.setattr(odo, "_residuals", counting_residuals)
         scans, _ = TestProcessFrame.corridor_scans(3, 0.5)
-        state, submap = OdometryState(), Submap()
+        state, submap = OdometryState(), Submap(CFG)
         iterations = 0
         for scan in scans:
-            _, _, res = process_frame(state, scan, submap)
+            _, _, res = process_frame(state, scan, submap, CFG, FEATURES)
             iterations += res.iterations if res else 0
         assert counts["associate"] < iterations  # some iterations froze
         assert len(evaluated) == counts["associate"] + counts["steps"]
@@ -554,7 +557,7 @@ class TestProcessFrame:
             straight_path,
         )
 
-        world = corridor_world(length=max(frames * step + 10.0, 30.0))
+        world = corridor_world(length=max(frames * step + 10.0, 30.0), density=1.0)
         model = LidarModel(noise_std=noise)
         rng = np.random.default_rng(seed)
         path = straight_path(frames, step)
@@ -562,8 +565,8 @@ class TestProcessFrame:
 
     def test_single_frame_identity(self):
         scans, _ = self.corridor_scans(1, 0.5)
-        state, submap = OdometryState(), Submap()
-        _, pose, res = process_frame(state, scans[0], submap)
+        state, submap = OdometryState(), Submap(CFG)
+        _, pose, res = process_frame(state, scans[0], submap, CFG, FEATURES)
         assert res is None
         assert np.allclose(pose.matrix(), np.eye(4))
 
@@ -591,18 +594,18 @@ class TestProcessFrame:
         scan = simulate_scan(
             world, Pose.identity(), LidarModel(noise_std=0.0), np.random.default_rng(0)
         )
-        state, submap = OdometryState(), Submap()
+        state, submap = OdometryState(), Submap(CFG)
         cfg = OdometryConfig()
         for _ in range(5):
-            _, pose, _ = process_frame(state, scan, submap, cfg)
+            _, pose, _ = process_frame(state, scan, submap, cfg, FEATURES)
         assert np.linalg.norm(pose.translation) < 1e-3
 
     def test_corridor_tracks_constant_motion(self):
         scans, path = self.corridor_scans(50, 0.5)
-        state, submap = OdometryState(), Submap()
+        state, submap = OdometryState(), Submap(CFG)
         cfg = OdometryConfig()
         for scan in scans:
-            _, pose, _ = process_frame(state, scan, submap, cfg)
+            _, pose, _ = process_frame(state, scan, submap, cfg, FEATURES)
         travelled = np.linalg.norm(pose.translation)
         assert abs(travelled - 24.5) <= 0.02 * 24.5
         err = np.linalg.norm(pose.translation - path[-1].translation)

@@ -111,7 +111,7 @@ class TestModuleConfigs:
         monkeypatch.setattr(loop_closure, "register", fake_register)
         cloud = FeatureCloud(edges=np.zeros((3, 3)), planars=np.zeros((8, 3)))
         keyframes = [Keyframe(i, cloud, Pose.identity()) for i in range(2)]
-        estimate_loop_pose(cloud, 1, keyframes, 0, [Pose.identity()] * 2, *configs)
+        estimate_loop_pose(1, keyframes, 0, [Pose.identity()] * 2, *configs)
         assert len(seen) == 1
         return seen[0]
 
@@ -125,7 +125,6 @@ class TestModuleConfigs:
     def test_loop_registration_defaults(self, monkeypatch):
         cfg = PipelineConfig.from_items(SQUARE)
         expected = OdometryConfig(max_iterations=50)
-        assert self.registered_with(monkeypatch) == expected
         assert self.registered_with(monkeypatch, cfg.loop, cfg.odometry) == expected
 
     # section -> config class whose fields are the section's keys
@@ -354,13 +353,15 @@ class TestDegenerateInputs:
         assert result.events == []
 
     def test_empty_dataset_directory(self, tmp_path, capsys):
+        # a directory without .bin scans is an error, not an empty run
         scans = tmp_path / "scans"
         scans.mkdir()
+        (scans / "notes.txt").write_text("not a scan\n")
         out = tmp_path / "out"
         rc = main(["run", "--set", f"dataset.scans={scans}", "--out", str(out)])
-        assert rc == 0
-        assert (out / "trajectory_kitti.txt").read_text() == ""
-        assert (out / "loops.csv").read_text().startswith("from,to,")
+        assert rc == 1
+        assert f"no .bin scans in dataset directory: {scans}" in capsys.readouterr().err
+        assert not out.exists()
 
     @staticmethod
     def run_two_scans(tmp_path, num_poses):
@@ -552,7 +553,7 @@ class TestFrameLog:
         xyz = clean.xyz.copy()
         xyz[:5, 1] = np.nan
         xyz[5:7, 2] = np.inf
-        scans[2] = RawScan(xyz=xyz, intensity=clean.intensity, ring=clean.ring)
+        scans[2] = RawScan(xyz=xyz, ring=clean.ring)
         assert scans[2].dropped == 7
         result = run_slam(scans, PipelineConfig.from_items(SQUARE))
         assert result.dropped_points == [0, 0, 7, 0]
@@ -570,13 +571,13 @@ def write_kitti_sequence(root, calibration, frames=3):
     velodyne .bin scans, their poses in the camera frame of ``calibration``
     (Tr, LiDAR -> camera) and a calib.txt holding Tr.  Returns the
     dataset.* configuration items."""
-    world = square_loop_world(24.0, seed=0)
+    world = square_loop_world(24.0, density=1.0, seed=0)
     lidar = rounded_square_path(24.0, SQUARE_CORNER_RADIUS, 60)[:frames]
     rng = np.random.default_rng(0)
     (root / "scans").mkdir()
     for i, pose in enumerate(lidar):
         scan = simulate_scan(world, pose, LidarModel(), rng)
-        points = np.column_stack([scan.xyz, scan.intensity]).astype("<f4")
+        points = np.column_stack([scan.xyz, np.zeros(len(scan))]).astype("<f4")
         points.tofile(root / "scans" / f"{i:06d}.bin")
     camera = [calibration.compose(p).compose(calibration.inverse()) for p in lidar]
     (root / "poses.txt").write_text("".join(_kitti_line(p) for p in camera))

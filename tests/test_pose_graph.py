@@ -29,6 +29,7 @@ from featslam.pose_graph import (
 
 SIGMAS = ("odometry_rotation_sigma", "odometry_translation_sigma",
           "loop_rotation_sigma", "loop_translation_sigma")
+CFG = PoseGraphConfig()
 
 
 def tpose(x, y=0.0, z=0.0):
@@ -67,9 +68,9 @@ def noisy_chain_graph(rng, n_nodes, loop_pairs, rot_sigma=0.005, trans_sigma=0.0
         rel = true[k - 1].inverse().compose(true[k])
         noise = Pose.from_rt(rng.normal(0.0, rot_sigma, 3), rng.normal(0.0, trans_sigma, 3))
         est.append(est[-1].compose(rel.compose(noise)))
-    graph = PoseGraph()
-    for k, p in enumerate(est):
-        add_odometry_node(graph, k, p)
+    graph = PoseGraph(CFG)
+    for p in est:
+        add_odometry_node(graph, p)
     for newer, older in loop_pairs:
         rel = true[older].inverse().compose(true[newer])
         add_loop_edge(graph, LoopConstraint(newer, older, rel, 0.0, True))
@@ -78,63 +79,51 @@ def noisy_chain_graph(rng, n_nodes, loop_pairs, rot_sigma=0.005, trans_sigma=0.0
 
 class TestGraphConstruction:
     def test_first_node_no_edges(self):
-        g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
+        g = PoseGraph(CFG)
+        add_odometry_node(g, tpose(0.0))
         assert len(g) == 1
         assert g.edges == []
 
     def test_second_node_adds_one_odometry_edge(self):
-        g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
-        add_odometry_node(g, 1, tpose(1.0))
+        g = PoseGraph(CFG)
+        add_odometry_node(g, tpose(0.0))
+        add_odometry_node(g, tpose(1.0))
         assert len(g) == 2
         assert len(g.edges) == 1
         assert not g.edges[0].robust
         assert (g.edges[0].from_node, g.edges[0].to_node) == (0, 1)
 
     def test_edge_measurement_is_relative_pose(self):
-        g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
-        add_odometry_node(g, 1, tpose(1.0))
+        g = PoseGraph(CFG)
+        add_odometry_node(g, tpose(0.0))
+        add_odometry_node(g, tpose(1.0))
         m = g.edges[0].measurement
         np.testing.assert_allclose(m.translation, [1.0, 0.0, 0.0], atol=1e-12)
         assert m.angle() < 1e-12
 
-    def test_non_sequential_index_rejected(self):
-        g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
-        with pytest.raises(ValueError):
-            add_odometry_node(g, 2, tpose(2.0))
-        with pytest.raises(ValueError):
-            add_odometry_node(g, 0, tpose(0.0))
-        assert len(g) == 1
-
     def test_default_odometry_information(self):
-        g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
-        add_odometry_node(g, 1, tpose(1.0))
+        g = PoseGraph(CFG)
+        add_odometry_node(g, tpose(0.0))
+        add_odometry_node(g, tpose(1.0))
         edges, _ = evaluate(g)
         np.testing.assert_allclose(edges.whitener[0] ** 2, [1e4] * 3 + [400.0] * 3)
 
     def test_poses_are_read_only(self):
-        # the snapshot is a new list of poses that cannot be changed in place
-        g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
-        snap = g.poses()
-        snap.append(tpose(1.0))
-        assert len(g.nodes) == 1
+        # a node's pose cannot be changed in place
+        g = PoseGraph(CFG)
+        add_odometry_node(g, tpose(0.0))
         with pytest.raises(ValueError):
-            snap[0].translation[0] = 99.0
+            g.nodes[0].translation[0] = 99.0
         with pytest.raises(ValueError):
-            snap[0].rotation[0, 0] = 2.0
+            g.nodes[0].rotation[0, 0] = 2.0
         assert g.nodes[0].translation[0] == 0.0
 
 
 class TestLoopEdges:
     def _three_node_graph(self):
-        g = PoseGraph()
+        g = PoseGraph(CFG)
         for k in range(3):
-            add_odometry_node(g, k, tpose(float(k)))
+            add_odometry_node(g, tpose(float(k)))
         return g
 
     def test_accepted_constraint_appends_robust_edge(self):
@@ -189,7 +178,7 @@ class TestEdgeWeights:
         cfg = PoseGraphConfig(**dict(zip(SIGMAS, sigmas)))
         g = PoseGraph(cfg)
         for k in range(3):
-            add_odometry_node(g, k, tpose(float(k)))
+            add_odometry_node(g, tpose(float(k)))
         add_loop_edge(g, LoopConstraint(2, 0, tpose(1.8), 0.0, True))
         edges, _ = evaluate(g)
         for w, e in zip(edges.whitener, ref.information_edges(g.edges, cfg)):
@@ -199,10 +188,10 @@ class TestEdgeWeights:
 
 class TestOptimizeExamples:
     def test_consistent_chain_zero_cost_poses_unchanged(self):
-        g = PoseGraph()
+        g = PoseGraph(CFG)
         poses = [tpose(0.0), tpose(1.0).compose(rotz(10)), tpose(2.0, 0.5)]
-        for k, p in enumerate(poses):
-            add_odometry_node(g, k, p)
+        for p in poses:
+            add_odometry_node(g, p)
         before = [p.matrix() for p in g.nodes]
         report = optimize(g)
         assert report.converged
@@ -212,9 +201,9 @@ class TestOptimizeExamples:
 
     def test_three_node_chain_matches_grid_oracle(self):
         g = PoseGraph(PoseGraphConfig(**dict.fromkeys(SIGMAS, 1.0)))
-        add_odometry_node(g, 0, tpose(0.0))
-        add_odometry_node(g, 1, tpose(1.0))
-        add_odometry_node(g, 2, tpose(2.0))
+        add_odometry_node(g, tpose(0.0))
+        add_odometry_node(g, tpose(1.0))
+        add_odometry_node(g, tpose(2.0))
         add_loop_edge(g, LoopConstraint(2, 0, tpose(1.8), 0.0, True))
         report = optimize(g)
         assert report.converged
@@ -258,8 +247,8 @@ class TestOptimizeExamples:
         odometry = PoseGraphConfig()
         g = PoseGraph(PoseGraphConfig(loop_rotation_sigma=odometry.odometry_rotation_sigma,
                                       loop_translation_sigma=odometry.odometry_translation_sigma))
-        for k, p in enumerate(est):
-            add_odometry_node(g, k, p)
+        for p in est:
+            add_odometry_node(g, p)
         loop_rel = true[0].inverse().compose(true[-1])
         add_loop_edge(g, LoopConstraint(99, 0, loop_rel, 0.0, True))
         report = optimize(g, max_iterations=100)
@@ -270,11 +259,11 @@ class TestOptimizeExamples:
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            optimize(PoseGraph())
+            optimize(PoseGraph(CFG))
 
     def test_single_node_graph_trivially_converged(self):
-        g = PoseGraph()
-        add_odometry_node(g, 0, tpose(0.0))
+        g = PoseGraph(CFG)
+        add_odometry_node(g, tpose(0.0))
         report = optimize(g)
         assert report.converged
         assert report.final_cost == 0.0
@@ -297,7 +286,7 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         g_a, _ = noisy_chain_graph(rng, 8, [(7, 0), (5, 1)])
         shift = Pose.from_rt([0.3, -0.2, 0.9], np.array([5.0, -2.0, 1.0]))
-        g_b = PoseGraph()
+        g_b = PoseGraph(CFG)
         g_b.nodes = [shift.compose(p) for p in g_a.nodes]
         g_b.edges = [
             PoseGraphEdge(e.from_node, e.to_node, e.measurement, e.robust)
@@ -322,7 +311,7 @@ class TestInvariants:
         # from-node (or to-node) at once moves each edge by its own only.
         rng = np.random.default_rng(23)
         eps = 1e-6
-        g = PoseGraph()
+        g = PoseGraph(CFG)
         g.nodes = [random_pose(rng) for _ in range(60)]
         g.edges = [PoseGraphEdge(3 * i, 3 * i + 2, random_pose(rng), True) for i in range(20)]
         edges, ev = evaluate(g)
@@ -362,10 +351,10 @@ class TestInvariants:
             odometry_rotation_sigma=1e-4, odometry_translation_sigma=odometry_sigma,
             loop_rotation_sigma=1e-4, loop_translation_sigma=loop_sigma))
         est = np.zeros(3)
-        add_odometry_node(g, 0, tpose(0.0))
+        add_odometry_node(g, tpose(0.0))
         for k in range(1, 4):
             est = est + measurements[(k - 1, k)]
-            add_odometry_node(g, k, Pose(np.eye(3), est))
+            add_odometry_node(g, Pose(np.eye(3), est))
         for i, j in loop_spec:
             rel = Pose(np.eye(3), measurements[(i, j)])
             add_loop_edge(g, LoopConstraint(j, i, rel, 0.0, True))
@@ -400,7 +389,7 @@ def seeded_graph(seed, n=12):
     two from node 0, a parallel pair between nodes 3 and 9, and errors
     inside and far beyond the Huber scale."""
     rng = np.random.default_rng(seed)
-    g = PoseGraph()
+    g = PoseGraph(CFG)
     g.nodes = [random_pose(rng, rot_scale=0.5, trans_scale=5.0) for _ in range(n)]
 
     def measured(i, j, rot_noise, trans_noise):
@@ -504,15 +493,15 @@ class TestScale:
             pos = radius * np.array([np.sin(yaw), 1.0 - np.cos(yaw), 0.01 * k / per_lap])
             true.append(Pose.from_rt([0, 0, yaw], pos))
         bias = rotz(0.04)
-        g = PoseGraph()
-        add_odometry_node(g, 0, true[0])
+        g = PoseGraph(CFG)
+        add_odometry_node(g, true[0])
         est = true[0]
         for k in range(1, len(true)):
             rel = true[k - 1].inverse().compose(true[k])
             jitter = Pose.from_rt(rng.normal(0.0, 1e-3, 3),
                           rng.normal(0.0, 0.01, 3))
             est = est.compose(bias.compose(rel).compose(jitter))
-            add_odometry_node(g, k, est)
+            add_odometry_node(g, est)
         loops = range(per_lap, len(true), 30)
         for k in loops:
             rel = true[k - per_lap].inverse().compose(true[k])

@@ -13,6 +13,8 @@ from featslam.scan_context import (
     shift_to_yaw,
 )
 
+CFG = ScanContextConfig()
+
 
 def cloud(points, edges=0):
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -37,50 +39,50 @@ def random_cloud(rng, n=300, safe_bins=True):
 
 class TestBuildDescriptor:
     def test_empty_cloud(self):
-        d = build_descriptor(cloud(np.zeros((0, 3))))
+        d = build_descriptor(cloud(np.zeros((0, 3))), CFG)
         assert (d.matrix == EMPTY_BIN).all()
         assert (d.ring_key == 0).all()
 
     def test_single_point_binning(self):
-        d = build_descriptor(cloud([[10.0, 0.0, 1.0]]))
+        d = build_descriptor(cloud([[10.0, 0.0, 1.0]]), CFG)
         assert d.matrix[2, 30] == 1.0
         occupied = d.matrix > EMPTY_BIN
         assert occupied.sum() == 1
 
     def test_max_rule(self):
-        d = build_descriptor(cloud([[10.0, 0.0, 1.0], [10.0, 0.0, 3.0]]))
+        d = build_descriptor(cloud([[10.0, 0.0, 1.0], [10.0, 0.0, 3.0]]), CFG)
         assert d.matrix[2, 30] == 3.0
 
     def test_negative_heights_kept(self):
-        d = build_descriptor(cloud([[10.0, 0.0, -1.5]]))
+        d = build_descriptor(cloud([[10.0, 0.0, -1.5]]), CFG)
         assert d.matrix[2, 30] == -1.5
 
     def test_beyond_max_radius_discarded(self):
-        d = build_descriptor(cloud([[85.0, 0.0, 1.0]]))
+        d = build_descriptor(cloud([[85.0, 0.0, 1.0]]), CFG)
         assert (d.matrix == EMPTY_BIN).all()
 
     def test_ring_key_occupancy(self):
-        d = build_descriptor(cloud([[10.0, 0.0, 1.0]]))
+        d = build_descriptor(cloud([[10.0, 0.0, 1.0]]), CFG)
         assert d.ring_key[2] == pytest.approx(1.0 / 60.0)
         assert d.ring_key.sum() == pytest.approx(1.0 / 60.0)
 
     def test_pools_edges_and_planars(self):
         pts = [[10.0, 0.0, 1.0], [0.0, 10.0, 2.0]]
-        d = build_descriptor(cloud(pts, edges=1))
+        d = build_descriptor(cloud(pts, edges=1), CFG)
         assert (d.matrix > EMPTY_BIN).sum() == 2
 
 
 class TestDescriptorDistance:
     def test_self_distance_zero(self):
-        d = build_descriptor(random_cloud(np.random.default_rng(0)))
+        d = build_descriptor(random_cloud(np.random.default_rng(0)), CFG)
         dist, shift = descriptor_distance(d, d)
         assert dist == 0.0
         assert shift == 0
 
     def test_recovers_cyclic_shift(self):
-        d = build_descriptor(random_cloud(np.random.default_rng(1)))
+        d = build_descriptor(random_cloud(np.random.default_rng(1)), CFG)
         shifted = ScanContextDescriptor(
-            np.roll(d.matrix, 7, axis=1), d.ring_key.copy(), 1
+            np.roll(d.matrix, 7, axis=1), d.ring_key.copy()
         )
         dist, shift = descriptor_distance(d, shifted)
         assert dist == 0.0
@@ -92,8 +94,8 @@ class TestDescriptorDistance:
         b = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
         a[:, 0] = 1.0
         b[:, 1] = 1.0
-        da = ScanContextDescriptor(a, (a > EMPTY_BIN).mean(1), 0)
-        db = ScanContextDescriptor(b, (b > EMPTY_BIN).mean(1), 1)
+        da = ScanContextDescriptor(a, (a > EMPTY_BIN).mean(1))
+        db = ScanContextDescriptor(b, (b > EMPTY_BIN).mean(1))
         # at any shift, each occupied column faces an empty one... except
         # the shift aligning them; distance at that shift is 0
         dist, shift = descriptor_distance(da, db)
@@ -106,32 +108,32 @@ class TestDescriptorDistance:
         b = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
         a[0, :] = 1.0  # ring 0 occupied everywhere
         b[10, :] = 1.0  # ring 10 occupied everywhere: orthogonal columns
-        da = ScanContextDescriptor(a, (a > EMPTY_BIN).mean(1), 0)
-        db = ScanContextDescriptor(b, (b > EMPTY_BIN).mean(1), 1)
+        da = ScanContextDescriptor(a, (a > EMPTY_BIN).mean(1))
+        db = ScanContextDescriptor(b, (b > EMPTY_BIN).mean(1))
         dist, _ = descriptor_distance(da, db)
         assert dist == 1.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            a = build_descriptor(random_cloud(rng))
-            b = build_descriptor(random_cloud(rng))
+            a = build_descriptor(random_cloud(rng), CFG)
+            b = build_descriptor(random_cloud(rng), CFG)
             dab, _ = descriptor_distance(a, b)
             dba, _ = descriptor_distance(b, a)
             assert abs(dab - dba) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        a = build_descriptor(cloud([[10.0, 0.0, 1.0]]))
+        a = build_descriptor(cloud([[10.0, 0.0, 1.0]]), CFG)
         small = ScanContextConfig(num_rings=10)
-        b = build_descriptor(cloud([[10.0, 0.0, 1.0]]), config=small)
+        b = build_descriptor(cloud([[10.0, 0.0, 1.0]]), small)
         with pytest.raises(ValueError):
             descriptor_distance(a, b)
 
     def test_distance_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            a = build_descriptor(random_cloud(rng, safe_bins=False))
-            b = build_descriptor(random_cloud(rng, safe_bins=False))
+            a = build_descriptor(random_cloud(rng, safe_bins=False), CFG)
+            b = build_descriptor(random_cloud(rng, safe_bins=False), CFG)
             dist, shift = descriptor_distance(a, b)
             assert 0.0 <= dist <= 1.0
             assert 0 <= shift < 60
@@ -143,14 +145,14 @@ class TestYawEquivariance:
         cfg = ScanContextConfig()
         for k in (1, 7, 33, 59):
             fc = random_cloud(rng)
-            base = build_descriptor(fc)
+            base = build_descriptor(fc, CFG)
             ang = k * 2 * np.pi / cfg.num_sectors
             c, s = np.cos(ang), np.sin(ang)
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             turned = FeatureCloud(
                 edges=fc.edges @ rot.T, planars=fc.planars @ rot.T
             )
-            rotated = build_descriptor(turned, keyframe_index=1)
+            rotated = build_descriptor(turned, CFG)
             assert np.array_equal(rotated.matrix, np.roll(base.matrix, k, axis=1))
             dist, shift = descriptor_distance(base, rotated)
             assert dist == 0.0
@@ -158,43 +160,44 @@ class TestYawEquivariance:
 
 
 class TestQuery:
+    """``database[i]`` is keyframe i and the probe is keyframe
+    ``len(database)``; keyframes within ``exclude_recent`` of it are skipped."""
+
     def test_empty_store(self):
-        probe = build_descriptor(random_cloud(np.random.default_rng(0)), 100)
-        assert query([], probe) is None
+        probe = build_descriptor(random_cloud(np.random.default_rng(0)), CFG)
+        assert query([], probe, CFG) is None
 
     def test_exact_copy_found(self):
         rng = np.random.default_rng(5)
-        store = []
         fc = random_cloud(rng)
-        store.append(build_descriptor(fc, keyframe_index=5))
-        for i in range(6, 20):
-            store.append(build_descriptor(random_cloud(rng), keyframe_index=i))
-        probe = build_descriptor(fc, keyframe_index=100)
-        match = query(store, probe)
+        store = [build_descriptor(random_cloud(rng), CFG) for _ in range(100)]
+        store[5] = build_descriptor(fc, CFG)
+        probe = build_descriptor(fc, CFG)
+        match = query(store, probe, CFG)
         assert match is not None
         assert match.candidate_keyframe_index == 5
+        assert type(match.candidate_keyframe_index) is int
         assert match.descriptor_distance == 0.0
 
     def test_recent_keyframes_excluded(self):
         rng = np.random.default_rng(6)
-        store = []
         fc = random_cloud(rng)
-        store.append(build_descriptor(fc, keyframe_index=59))
-        probe = build_descriptor(fc, keyframe_index=100)
-        assert query(store, probe) is None  # 59 is not older than 100-50
-        store.append(build_descriptor(fc, keyframe_index=49))
-        match = query(store, probe)
+        empty = build_descriptor(cloud(np.zeros((0, 3))), CFG)
+        store = [empty] * 100  # the probe is keyframe 100
+        store[50] = build_descriptor(fc, CFG)
+        probe = build_descriptor(fc, CFG)
+        assert query(store, probe, CFG) is None  # 50 is not older than 100-50
+        store[49] = store[50]
+        match = query(store, probe, CFG)
         assert match is not None
         assert match.candidate_keyframe_index == 49
 
     def test_never_returns_recent(self):
         rng = np.random.default_rng(7)
-        store = []
-        for i in range(120):
-            store.append(build_descriptor(random_cloud(rng, n=80), keyframe_index=i))
+        store = [build_descriptor(random_cloud(rng, n=80), CFG) for _ in range(120)]
         for probe_idx in (60, 90, 119):
-            probe = build_descriptor(random_cloud(rng, n=80), probe_idx)
-            match = query(store, probe)
+            probe = build_descriptor(random_cloud(rng, n=80), CFG)
+            match = query(store[:probe_idx], probe, CFG)
             if match is not None:
                 assert match.candidate_keyframe_index < probe_idx - 50
 
@@ -202,16 +205,14 @@ class TestQuery:
         rng = np.random.default_rng(8)
         cfg = ScanContextConfig()
         clouds = [random_cloud(rng, n=250, safe_bins=False) for _ in range(100)]
-        store = []
-        for i, fc in enumerate(clouds):
-            store.append(build_descriptor(fc, keyframe_index=i))
+        store = [build_descriptor(fc, cfg) for fc in clouds]
         target = clouds[17]
         noisy = FeatureCloud(
             edges=target.edges + [0, 0, 1] * rng.normal(0, 0.05, (len(target.edges), 1)),
             planars=target.planars
             + [0, 0, 1] * rng.normal(0, 0.05, (len(target.planars), 1)),
         )
-        probe = build_descriptor(noisy, keyframe_index=100)
+        probe = build_descriptor(noisy, cfg)
         match = query(store, probe, cfg)
         assert match is not None
         assert match.candidate_keyframe_index == 17
@@ -237,21 +238,21 @@ class TestShiftToYaw:
         cfg = ScanContextConfig()
         step = 2 * np.pi / cfg.num_sectors
         fc = random_cloud(rng)
-        base = build_descriptor(fc)
+        base = build_descriptor(fc, CFG)
         for k in (3, 28, 45):
             yaw = k * step
             c, s = np.cos(-yaw), np.sin(-yaw)
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
             seen = FeatureCloud(edges=fc.edges @ rot.T, planars=fc.planars @ rot.T)
-            probe = build_descriptor(seen, keyframe_index=1)
+            probe = build_descriptor(seen, CFG)
             _, shift = descriptor_distance(probe, base)
             expected = (yaw + np.pi) % (2 * np.pi) - np.pi
             assert shift_to_yaw(shift, cfg.num_sectors) == pytest.approx(expected)
 
 
 
-def descriptor(matrix, keyframe_index=0):
-    return ScanContextDescriptor(matrix, (matrix > EMPTY_BIN).mean(1), keyframe_index)
+def descriptor(matrix):
+    return ScanContextDescriptor(matrix, (matrix > EMPTY_BIN).mean(1))
 
 
 class TestMatchesLoopReference:
@@ -269,7 +270,7 @@ class TestMatchesLoopReference:
         for _ in range(120):
             a, b = (
                 build_descriptor(
-                    random_cloud(rng, n=int(rng.integers(1, 400)), safe_bins=False)
+                    random_cloud(rng, n=int(rng.integers(1, 400)), safe_bins=False), CFG
                 )
                 for _ in range(2)
             )
@@ -287,8 +288,8 @@ class TestMatchesLoopReference:
     def test_shifted_twins(self):
         rng = np.random.default_rng(14)
         for k in (0, 1, 29, 30, 59):
-            d = build_descriptor(random_cloud(rng, safe_bins=False))
-            twin = ScanContextDescriptor(np.roll(d.matrix, k, axis=1), d.ring_key, 1)
+            d = build_descriptor(random_cloud(rng, safe_bins=False), CFG)
+            twin = ScanContextDescriptor(np.roll(d.matrix, k, axis=1), d.ring_key)
             assert self.assert_matches(d, twin) == (0.0, k)
 
     def test_first_minimal_shift_wins(self):
@@ -297,13 +298,13 @@ class TestMatchesLoopReference:
         cfg = ScanContextConfig()
         tile = np.where(rng.random((cfg.num_rings, 20)) < 0.3, 1.5, EMPTY_BIN)
         d = descriptor(np.tile(tile, (1, cfg.num_sectors // 20)))
-        twin = descriptor(np.roll(d.matrix, 27, axis=1), 1)
+        twin = descriptor(np.roll(d.matrix, 27, axis=1))
         assert self.assert_matches(d, twin) == (0.0, 7)
 
     def test_empty_descriptors(self):
         cfg = ScanContextConfig()
         empty = descriptor(np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN))
-        full = build_descriptor(random_cloud(np.random.default_rng(15)))
+        full = build_descriptor(random_cloud(np.random.default_rng(15)), CFG)
         assert self.assert_matches(empty, empty) == (1.0, 0)
         assert self.assert_matches(full, empty) == (1.0, 0)
         assert self.assert_matches(empty, full) == (1.0, 0)

@@ -41,7 +41,7 @@ class TestLidarModel:
 
 class TestSimulateScan:
     def test_zero_noise_repeatable(self):
-        world = corridor_world()
+        world = corridor_world(length=45.0, density=1.0)
         model = LidarModel(noise_std=0.0)
         rng = np.random.default_rng(0)
         a = simulate_scan(world, Pose.identity(), model, rng)
@@ -76,7 +76,7 @@ class TestSimulateScan:
         assert 0.0 < spread < 0.2
 
     def test_points_are_sensor_frame(self):
-        world = corridor_world()
+        world = corridor_world(length=45.0, density=1.0)
         model = LidarModel(noise_std=0.0)
         pose = Pose.from_rt([0, 0, 0.3], [4.0, 0.5, 0.0])
         scan = simulate_scan(world, pose, model, np.random.default_rng(0))
@@ -344,12 +344,12 @@ class TestPaths:
 
 class TestWorlds:
     def test_two_room_world_has_separated_rooms(self):
-        world = two_room_world(separation=60.0)
+        world = two_room_world(separation=60.0, seed=0)
         xs = [w.p0[0] for w in world.walls] + [w.p1[0] for w in world.walls]
         assert min(xs) < 10.0 and max(xs) > 50.0
 
     def test_square_loop_world_pole_lane_clear(self):
-        world = square_loop_world(side=30.0)
+        world = square_loop_world(side=30.0, density=1.0, seed=0)
         # poles must not block the driving centerline
         half = 15.0
         for pole in world.poles:

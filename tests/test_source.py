@@ -1,6 +1,7 @@
 """Checks on the package source: every module-level import in
-``src/featslam`` is read by its module or listed in its ``__all__``, and
-every name in an ``__all__`` is bound by its module."""
+``src/featslam`` is read by its module or listed in its ``__all__``, every
+name in an ``__all__`` is bound by its module, and no function gives a
+module config a default, so a stage runs only with the config it is handed."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,57 @@ def unbound_exports(source: str) -> list:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
     return sorted(exports(tree) - bound)
+
+
+def _annotation_names(node) -> set:
+    """Every name an annotation mentions, string annotations included."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names |= _annotation_names(ast.parse(n.value, mode="eval"))
+    return names
+
+
+def config_defaults(source: str) -> list:
+    """``function.parameter`` for every parameter of source that has a
+    default and an annotation naming a ``*Config`` class; ``X | None`` and
+    ``Optional[X]`` count."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):]
+        defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        for arg in defaulted:
+            if arg.annotation is not None and any(
+                name.endswith("Config") for name in _annotation_names(arg.annotation)
+            ):
+                found.append(f"{fn.name}.{arg.arg}")
+    return sorted(found)
+
+
+def test_checker_finds_config_defaults():
+    source = (
+        "from typing import Optional\n"
+        "def f(scan, cfg: FooConfig | None = None): pass\n"
+        "def g(a: int = 0, config: Optional[mod.BarConfig] = None, b: float = 1.0): pass\n"
+        "def h(x, *, c: 'FooConfig' = FooConfig()): pass\n"
+        "class S:\n"
+        "    def __init__(self, cfg: FooConfig, n: int = 3): pass\n"
+        "def k(cfg: FooConfig, other: Configurable = None): pass\n"
+    )
+    assert config_defaults(source) == ["f.cfg", "g.config", "h.c"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_config_defaults(path):
+    assert config_defaults(path.read_text()) == []
 
 
 def test_checker_finds_unused_names():
