@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runp.add_argument(
         "--fixed-threshold", type=float, metavar="M",
-        help="accept loops within a fixed M meters instead of the adaptive gate",
+        help="accept loops within a fixed M > 0 meters instead of the adaptive gate",
     )
     runp.add_argument(
         "--synthetic", metavar="SPEC",
@@ -78,6 +78,8 @@ def _collect_items(args) -> Dict[str, str]:
     if args.no_loop:
         items["run.no_loop"] = "true"
     if args.fixed_threshold is not None:
+        if not args.fixed_threshold > 0.0:
+            raise ValueError(f"--fixed-threshold must be > 0, got {args.fixed_threshold}")
         items["run.fixed_threshold"] = str(args.fixed_threshold)
     if args.eval_path is not None:
         items["dataset.poses"] = args.eval_path

@@ -5,12 +5,14 @@ poses are already within an adaptive distance gate that widens as the
 trajectory (and hence accumulated drift) grows. Accepted candidates are
 refined by registering the current feature cloud against a submap assembled
 around the loop keyframe, with the run's odometry settings and the loop's
-own iteration cap (``registration_config``).
+own iteration cap (``registration_config``). An accepted registration gives
+the relative pose that the pose graph takes as a loop edge; each attempt,
+accepted or not, is recorded once, as a ``LoopEvent``.
 """
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,19 +44,6 @@ class LoopClosureConfig:
 def registration_config(config: LoopClosureConfig, odometry: OdometryConfig) -> OdometryConfig:
     """Loop registration runs the odometry settings with the loop's iteration cap."""
     return dataclasses.replace(odometry, max_iterations=config.max_iterations)
-
-
-@dataclass
-class LoopConstraint:
-    from_keyframe: int
-    to_keyframe: int
-    relative_pose: Pose  # current expressed in the loop frame
-    registration_cost: float
-    accepted: bool
-
-    def __post_init__(self):
-        if self.from_keyframe <= self.to_keyframe:
-            raise ValueError("loop constraint must point backward in time")
 
 
 @dataclass
@@ -90,8 +79,8 @@ def estimate_loop_pose(
     latest_poses: Sequence[Pose],
     cfg: LoopClosureConfig,
     odometry: OdometryConfig,
-    yaw_hint: float = 0.0,
-) -> LoopConstraint:
+    yaw_hint: float,
+) -> Tuple[Optional[Pose], float]:
     """Register keyframe current_index's cloud against a submap around the
     loop keyframe, built from the keyframes before current_index.
 
@@ -100,6 +89,10 @@ def estimate_loop_pose(
     loop frame's pose rotated by yaw_hint (the descriptor column shift):
     a recognized place is a better initial guess than the drift-bearing
     odometry chain, and it is independent of how far odometry has wandered.
+
+    Returns the registration's cost and, when the registration converged,
+    is not degenerate and costs less than ``cost_threshold``, the current
+    keyframe's pose in the loop keyframe's frame (None otherwise).
     """
     reg_cfg = registration_config(cfg, odometry)
     submap = Submap(reg_cfg)
@@ -113,19 +106,10 @@ def estimate_loop_pose(
     )
     result = register(keyframes[current_index].features, submap, initial, reg_cfg)
 
-    relative = latest_poses[loop_index].inverse().compose(result.pose)
-    accepted = (
-        result.final_cost < cfg.cost_threshold
-        and result.converged
-        and not result.degenerate
-    )
-    return LoopConstraint(
-        from_keyframe=current_index,
-        to_keyframe=loop_index,
-        relative_pose=relative,
-        registration_cost=result.final_cost,
-        accepted=accepted,
-    )
+    if not (result.final_cost < cfg.cost_threshold and result.converged
+            and not result.degenerate):
+        return None, result.final_cost
+    return latest_poses[loop_index].inverse().compose(result.pose), result.final_cost
 
 
 @dataclass

@@ -191,8 +191,8 @@ class Correspondences:
         return len(self.edge_points) + len(self.plane_points)
 
 
-def _empty(n=0):
-    return np.zeros((n, 3))
+def _empty():
+    return np.zeros((0, 3))
 
 
 def _fit_planes(a: np.ndarray):

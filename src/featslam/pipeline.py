@@ -2,11 +2,13 @@
 
 A run processes scans through odometry in order and promotes keyframes.
 Each keyframe becomes a pose-graph node and queries the descriptor
-database; a match that passes the distance gate and loop refinement adds a
-loop edge and re-optimizes the graph, so the next keyframe's loop search
-reads the poses of the latest solve.  The keyframe list, the graph's nodes
-and the descriptor database grow together, so keyframe k is entry k of
-each.  Every stage is called with the module config the run built.
+database; a match that passes the distance gate and loop refinement adds
+the loop edge ``(loop node, node, relative pose)`` and re-optimizes the
+graph, so the next keyframe's loop search reads the poses of the latest
+solve.  Each loop attempt is logged once, as a ``LoopEvent``.  The
+keyframe list, the graph's nodes and the descriptor database grow
+together, so keyframe k is entry k of each.  Every stage is called with
+the module config the run built.
 
 Configuration is a flat ``key = value`` file with dotted keys plus
 ``--set key=value`` overrides.  The table of known keys is the simulator's
@@ -43,7 +45,6 @@ from .geometry import Pose
 from .loop_closure import (
     Keyframe,
     LoopClosureConfig,
-    LoopConstraint,
     LoopEvent,
     adaptive_threshold,
     estimate_loop_pose,
@@ -269,42 +270,33 @@ def _verify_loop(
     match: CandidateMatch,
     poses: Sequence[Pose],
     keyframes: Sequence[Keyframe],
-    cfg: LoopClosureConfig,
-    odo_cfg: OdometryConfig,
-    num_sectors: int,
-    fixed_threshold: Optional[float],
+    config: PipelineConfig,
     events: List[LoopEvent],
-) -> Optional[LoopConstraint]:
+) -> Optional[Pose]:
     """Gate a descriptor match for keyframe k, then refine it by registration.
 
-    ``poses`` holds the best-known pose of keyframes 0..k; ``num_sectors``
-    is the descriptor's, which turns the match's column shift into a yaw.
-    Logs the attempt in ``events`` and returns the constraint if it is
-    accepted.
+    ``poses`` holds the best-known pose of keyframes 0..k.  Logs the attempt
+    in ``events`` (a gate rejection with cost inf and 0 ms) and returns
+    keyframe k's pose in the loop keyframe's frame if the loop is accepted.
     """
     loop_idx = match.candidate_keyframe_index
     d = gate_distance(poses[k], poses[loop_idx])
-    threshold = (
-        fixed_threshold if fixed_threshold is not None
-        else adaptive_threshold(k, cfg)
-    )
-    if not d <= threshold:  # the boundary counts as inside; NaN does not
-        events.append(LoopEvent(k, loop_idx, d, threshold, match.descriptor_distance,
-                                False, float("inf"), 0.0))
-        return None
-    yaw = shift_to_yaw(match.best_column_shift, num_sectors)
-    t0 = time.perf_counter()
-    candidate = estimate_loop_pose(k, keyframes, loop_idx, poses, cfg, odo_cfg, yaw_hint=yaw)
-    millis = (time.perf_counter() - t0) * 1e3
+    threshold = config.fixed_threshold() or adaptive_threshold(k, config.loop)
+    relative, cost, millis = None, float("inf"), 0.0
+    if d <= threshold:  # the boundary counts as inside; NaN does not
+        yaw = shift_to_yaw(match.best_column_shift, config.scan_context.num_sectors)
+        t0 = time.perf_counter()
+        relative, cost = estimate_loop_pose(k, keyframes, loop_idx, poses, config.loop,
+                                            config.odometry, yaw)
+        millis = (time.perf_counter() - t0) * 1e3
     events.append(LoopEvent(k, loop_idx, d, threshold, match.descriptor_distance,
-                            candidate.accepted, candidate.registration_cost, millis))
-    return candidate if candidate.accepted else None
+                            relative is not None, cost, millis))
+    return relative
 
 
 def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     """Process scans end to end; returns trajectories, keyframes, and events."""
     sc_cfg = config.scan_context
-    fixed_threshold = config.fixed_threshold()
     graph = PoseGraph(config.graph)
     state = OdometryState()
     submap = Submap(config.odometry)
@@ -331,11 +323,9 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
             match = None if config["run.no_loop"] else query(db, descriptor, sc_cfg)
             db.append(descriptor)
             if match is not None:
-                constraint = _verify_loop(k, match, graph.nodes, keyframes, config.loop,
-                                          config.odometry, sc_cfg.num_sectors,
-                                          fixed_threshold, events)
-                if constraint is not None:
-                    add_loop_edge(graph, constraint)
+                relative = _verify_loop(k, match, graph.nodes, keyframes, config, events)
+                if relative is not None:
+                    add_loop_edge(graph, match.candidate_keyframe_index, k, relative)
                     t0 = time.perf_counter()
                     report = optimize(graph)
                     millis = (time.perf_counter() - t0) * 1e3

@@ -1,7 +1,9 @@
 """Keyframe pose graph with batch SE(3) Levenberg-Marquardt optimization.
 
 The graph stores one node per keyframe and two edge kinds: odometry edges
-between consecutive keyframes and loop edges from accepted loop constraints.
+between consecutive keyframes and loop edges ``(loop node, node, relative
+pose)``, as GTSAM's ``BetweenFactor<Pose3>``: two node indices and a
+measured relative pose, with no record of how the loop was found.
 Optimization minimizes
 
     sum_e rho(||log(M_e^-1 (T_from^-1 T_to))||^2_Lambda_e)
@@ -12,8 +14,8 @@ gauge freedom.  ``Lambda_e = diag(1/sigma^2)`` is diagonal, as in GTSAM's
 kind, four of the five fields of ``PoseGraphConfig``.  ``rho`` is the
 identity for odometry edges and a Huber kernel for loop edges, whose scale
 is the fifth field.  State updates are left-multiplicative, matching the
-rest of the package: ``T <- exp_rt(delta) T``.  The LM damping schedule
-and stopping thresholds are module constants.
+rest of the package: ``T <- exp_rt(delta) T``.  The LM damping schedule,
+stopping thresholds and iteration cap are module constants.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from scipy.sparse.linalg import spsolve
 from .geometry import (
     Pose, adjoint_rt, exp_rt, left_jacobian_inverse, log_rt, project_rotation,
 )
-from .loop_closure import LoopConstraint
 
 __all__ = [
     "PoseGraphConfig",
@@ -48,6 +49,7 @@ _LAMBDA_MIN = 1e-12
 # LM stops when the relative cost decrease or the gradient norm falls below these.
 _COST_REL_TOLERANCE = 1e-6
 _GRADIENT_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 50  # LM steps per solve
 
 
 def _whitener(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
@@ -125,29 +127,20 @@ def add_odometry_node(graph: PoseGraph, pose: Pose) -> None:
         graph.edges.append(PoseGraphEdge(k - 1, k, measurement, robust=False))
 
 
-def add_loop_edge(graph: PoseGraph, constraint: LoopConstraint) -> None:
-    """Append an accepted loop constraint as a robust edge.
+def add_loop_edge(graph: PoseGraph, loop_node: int, node: int, relative_pose: Pose) -> None:
+    """Append the robust edge (loop_node, node) measuring relative_pose, the
+    node's pose expressed in the earlier loop node's frame.
 
-    ``constraint.relative_pose`` expresses the current keyframe in the loop
-    keyframe's frame, so the edge runs from ``to_keyframe`` (the old loop
-    node) to ``from_keyframe`` (the current node).
+    A loop edge points back in time to an existing node:
+    ``0 <= loop_node < node < len(graph.nodes)``.
     """
-    if not constraint.accepted:
-        raise ValueError("cannot add an unaccepted loop constraint")
     n = len(graph.nodes)
-    if not (0 <= constraint.to_keyframe < n and 0 <= constraint.from_keyframe < n):
+    if not 0 <= loop_node < node < n:
         raise ValueError(
-            f"loop edge ({constraint.to_keyframe}, {constraint.from_keyframe}) "
-            f"references a missing node (graph has {n})"
+            f"loop edge ({loop_node}, {node}) must join an earlier node to a "
+            f"later one of the graph's {n}"
         )
-    graph.edges.append(
-        PoseGraphEdge(
-            constraint.to_keyframe,
-            constraint.from_keyframe,
-            constraint.relative_pose,
-            robust=True,
-        )
-    )
+    graph.edges.append(PoseGraphEdge(loop_node, node, relative_pose, robust=True))
 
 
 class _EdgeArrays:
@@ -250,15 +243,16 @@ def _normal_equations(
     return h, g[1:].ravel()
 
 
-def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
+def optimize(graph: PoseGraph) -> OptimizationReport:
     """Levenberg-Marquardt over the node poses; updates the graph in place.
 
     Stops when the relative cost decrease falls below
     ``_COST_REL_TOLERANCE``, the gradient norm falls below
-    ``_GRADIENT_TOLERANCE``, or no damping value yields a decrease
-    (reported as ``converged=False`` with the best iterate kept).  Each node
-    state is evaluated once: a trial step's evaluation gives its cost and,
-    when the step is accepted, the next normal equations.
+    ``_GRADIENT_TOLERANCE``, no damping value yields a decrease, or
+    ``_MAX_ITERATIONS`` steps are taken; the last two are reported as
+    ``converged=False`` with the best iterate kept.  Each node state is
+    evaluated once: a trial step's evaluation gives its cost and, when the
+    step is accepted, the next normal equations.
     """
     if not graph.nodes:
         raise ValueError("cannot optimize an empty graph")
@@ -276,7 +270,7 @@ def optimize(graph: PoseGraph, max_iterations: int = 50) -> OptimizationReport:
     converged = False
 
     lam = _LAMBDA_INIT
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         h, g = _normal_equations(edges, current)
         if np.linalg.norm(g) < _GRADIENT_TOLERANCE:
             converged = True

@@ -240,8 +240,8 @@ def _yaw_pose(x, y, yaw):
     return Pose.from_rt([0.0, 0.0, yaw], [x, y, 0.0])
 
 
-def straight_path(frames: int, step: float, y: float = 0.0):
-    return [_yaw_pose(k * step, y, 0.0) for k in range(frames)]
+def straight_path(frames: int, step: float):
+    return [_yaw_pose(k * step, 0.0, 0.0) for k in range(frames)]
 
 
 def circle_path(frames: int, radius: float, center=(0.0, 0.0), laps: float = 1.0):
@@ -376,8 +376,8 @@ def square_loop_world(
     return w
 
 
-def _room_walls(cx: float, cy: float, half: float, door_y=(-4.0, -2.0)):
-    """Square room with door gaps in both the east and west walls."""
+def _room_walls(cx: float, cy: float, half: float, door_y):
+    """Square room with door gaps over cy + door_y in the east and west walls."""
     lo, hi = door_y
     walls = [
         Wall((cx - half, cy - half), (cx + half, cy - half)),  # south

@@ -730,11 +730,12 @@ def apply_step(nodes, delta):
     return out
 
 
-def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
+def optimize(graph) -> OptimizationReport:
     """Levenberg-Marquardt on Pose lists, with a separate cost pass per trial
     step and a normal-equation pass per accepted state.  The graph's edges
     carry their information matrices (``information_edges``); the stopping
-    thresholds are read from ``pose_graph`` at each call."""
+    thresholds and the iteration cap are read from ``pose_graph`` at each
+    call."""
     if not graph.nodes:
         raise ValueError("cannot optimize an empty graph")
     cfg = graph.config
@@ -748,7 +749,7 @@ def optimize(graph, max_iterations: int = 50) -> OptimizationReport:
         return OptimizationReport(float(initial_cost), float(cost), 0, True)
 
     lam = LAMBDA_INIT
-    for _ in range(max_iterations):
+    for _ in range(pose_graph._MAX_ITERATIONS):
         h, g = build_normal_equations(nodes, graph.edges, cfg.huber_scale)
         if np.linalg.norm(g) < pose_graph._GRADIENT_TOLERANCE:
             converged = True

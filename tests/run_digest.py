@@ -1,0 +1,73 @@
+"""Digest of the bench worlds' runs, for checking that a change keeps
+trajectories, loop decisions and graph solves bit for bit.
+
+    PYTHONPATH=src python3 tests/run_digest.py > change.json
+    PYTHONPATH=<other checkout>/src python3 tests/run_digest.py > parent.json
+    cmp parent.json change.json
+
+``featslam`` is imported from ``PYTHONPATH``, so the same script digests any
+checkout; the worlds and configs are read from this checkout's
+``bench/workloads.py``.  Each of loop_square, aliased_rooms and
+odometry_square runs at seeds 0, 1 and 2.  The output is sorted JSON: per
+run, the sha256 of the stacked trajectory, odometry and keyframe-pose
+matrices and of the keyframe frame indices, ``(from, to, accepted,
+cost.hex())`` per loop attempt and ``(iterations, final_cost.hex())`` per
+solve.  BLAS runs on one thread.
+"""
+
+import os
+
+# before numpy is imported anywhere in this process
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from featslam.pipeline import PipelineConfig, run_slam
+from featslam.simulate import generate_world
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import WORKLOADS  # noqa: E402
+
+NAMES = ("loop_square", "aliased_rooms", "odometry_square")
+SEEDS = (0, 1, 2)
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _poses(poses) -> str:
+    return _sha256(np.stack([p.matrix() for p in poses]))
+
+
+def digest(name: str, seed: int) -> dict:
+    w = WORKLOADS[name]
+    scans = generate_world({**w.world, "seed": seed})[0]
+    config = PipelineConfig.from_items({**w.config, "synthetic.seed": str(seed)})
+    result = run_slam(scans, config)
+    return {
+        "trajectory": _poses(result.trajectory),
+        "odometry": _poses(result.odometry),
+        "keyframe_poses": _poses(result.keyframe_poses),
+        "keyframe_frames": _sha256(np.array(result.keyframe_frames, dtype=np.int64)),
+        "attempts": [[e.from_keyframe, e.to_keyframe, bool(e.accepted), float(e.cost).hex()]
+                     for e in result.events],
+        "solves": [[s.report.iterations, float(s.report.final_cost).hex()]
+                   for s in result.solves],
+    }
+
+
+def main() -> None:
+    out = {f"{name}/{seed}": digest(name, seed) for name in NAMES for seed in SEEDS}
+    json.dump(out, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -24,7 +24,6 @@ from featslam.features import FeatureCloud
 from featslam.geometry import Pose
 from featslam.loop_closure import (
     Keyframe,
-    LoopConstraint,
     estimate_loop_pose,
     registration_config,
 )
@@ -154,8 +153,8 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     for p in est:
         add_odometry_node(g, p)
     loop_rel = true[0].inverse().compose(true[-1])
-    add_loop_edge(g, LoopConstraint(99, 0, loop_rel, 0.0, True))
-    report = optimize(g, max_iterations=100)
+    add_loop_edge(g, 0, 99, loop_rel)
+    report = optimize(g)
     err = np.linalg.norm(g.nodes[-1].translation - true[-1].translation)
     assert report.converged
     assert err < 0.1 * drift
@@ -178,8 +177,8 @@ def test_pose_graph_repairs_circle_and_matches_closed_form():
     add_odometry_node(small, Pose(np.eye(3), m[(0, 1)]))
     add_odometry_node(small, Pose(np.eye(3), m[(0, 1)] + m[(1, 2)]))
     rel = Pose(np.eye(3), m[(0, 2)])
-    add_loop_edge(small, LoopConstraint(2, 0, rel, 0.0, True))
-    report = optimize(small, max_iterations=200)
+    add_loop_edge(small, 0, 2, rel)
+    report = optimize(small)
     assert report.converged
 
     # rows of t_j - t_i = m_ij for unknowns (t1, t2), node 0 pinned at zero
@@ -334,9 +333,9 @@ def test_feature_loop_estimation_twice_as_fast_as_dense_icp(loop_world_runs):
         yaw = shift_to_yaw(shift, sc_cfg.num_sectors)
 
         start = time.perf_counter()
-        constraint = estimate_loop_pose(k, store, loop, latest, cfg, odo_cfg, yaw_hint=yaw)
+        relative, _ = estimate_loop_pose(k, store, loop, latest, cfg, odo_cfg, yaw)
         feature_seconds += time.perf_counter() - start
-        assert constraint.accepted
+        assert relative is not None
 
         # the dense reference solves the same pair from the same start: raw
         # scan against the raw points of the same submap window

@@ -8,7 +8,6 @@ from featslam.geometry import Pose
 from featslam.loop_closure import (
     Keyframe,
     LoopClosureConfig,
-    LoopConstraint,
     LoopEvent,
     adaptive_threshold,
     estimate_loop_pose,
@@ -132,12 +131,6 @@ class TestKeyframePromotion:
         assert not is_new_keyframe(Pose.identity(), translate(0.5, 0, 0).compose(rotz(5)), CFG)
 
 
-class TestLoopConstraint:
-    def test_must_point_backward(self):
-        with pytest.raises(ValueError):
-            LoopConstraint(3, 7, Pose.identity(), 0.0, True)
-
-
 def make_keyframes(poses, clouds):
     return [Keyframe(frame_index=i * 3, features=c, odometry_pose=p)
             for i, (p, c) in enumerate(zip(poses, clouds))]
@@ -148,11 +141,11 @@ class TestEstimateLoopPose:
         cloud = corner_cloud()
         poses = [Pose.identity(), Pose.identity(), Pose.identity()]
         keyframes = make_keyframes(poses, [cloud, cloud, cloud])
-        constraint = estimate_loop_pose(2, keyframes, 0, poses, CFG, ODOMETRY)
-        assert constraint.accepted
-        assert constraint.from_keyframe == 2 and constraint.to_keyframe == 0
-        assert np.linalg.norm(constraint.relative_pose.translation) < 1e-4
-        assert constraint.relative_pose.angle() < 1e-4
+        relative, cost = estimate_loop_pose(2, keyframes, 0, poses, CFG, ODOMETRY, 0.0)
+        assert relative is not None
+        assert cost < CFG.cost_threshold
+        assert np.linalg.norm(relative.translation) < 1e-4
+        assert relative.angle() < 1e-4
 
     def test_synthetic_revisit_recovers_relative_pose(self):
         world = corner_cloud()
@@ -164,11 +157,11 @@ class TestEstimateLoopPose:
         drift = translate(0.3, 0.4, 0.0)  # |drift| = 0.5 m
         odom_poses = [Pose.identity(), Pose.identity(), drift.compose(true_current)]
         keyframes = make_keyframes(odom_poses, [world, world, current_feats])
-        constraint = estimate_loop_pose(2, keyframes, 0, odom_poses, CFG, ODOMETRY)
-        assert constraint.accepted
+        relative, _ = estimate_loop_pose(2, keyframes, 0, odom_poses, CFG, ODOMETRY, 0.0)
+        assert relative is not None
         expected = true_current  # loop frame is at identity
-        t_err = np.linalg.norm(constraint.relative_pose.translation - expected.translation)
-        r_err = np.degrees(angle_between(constraint.relative_pose, expected))
+        t_err = np.linalg.norm(relative.translation - expected.translation)
+        r_err = np.degrees(angle_between(relative, expected))
         assert t_err < 0.05
         assert r_err < 0.5
 
@@ -176,8 +169,9 @@ class TestEstimateLoopPose:
         tiny = FeatureCloud(edges=np.zeros((3, 3)), planars=np.zeros((8, 3)))
         poses = [Pose.identity(), Pose.identity()]
         keyframes = make_keyframes(poses, [tiny, tiny])
-        constraint = estimate_loop_pose(1, keyframes, 0, poses, CFG, ODOMETRY)
-        assert not constraint.accepted
+        relative, cost = estimate_loop_pose(1, keyframes, 0, poses, CFG, ODOMETRY, 0.0)
+        assert relative is None
+        assert not cost < CFG.cost_threshold
 
     def test_store_not_mutated(self):
         cloud = corner_cloud()
@@ -185,7 +179,7 @@ class TestEstimateLoopPose:
         keyframes = make_keyframes(poses, [cloud, cloud, cloud])
         edges_before = [kf.features.edges.copy() for kf in keyframes]
         pose_before = [kf.odometry_pose.matrix().copy() for kf in keyframes]
-        estimate_loop_pose(2, keyframes, 0, poses, CFG, ODOMETRY)
+        estimate_loop_pose(2, keyframes, 0, poses, CFG, ODOMETRY, 0.0)
         for kf, e, m in zip(keyframes, edges_before, pose_before):
             assert np.array_equal(kf.features.edges, e)
             assert np.array_equal(kf.odometry_pose.matrix(), m)
@@ -202,10 +196,10 @@ class TestEstimateLoopPose:
         )
         keyframes = make_keyframes(odom, [world, world, current_feats])
         latest[2] = correction.compose(odom[2])
-        constraint = estimate_loop_pose(2, keyframes, 0, latest, CFG, ODOMETRY)
-        assert constraint.accepted
+        relative, _ = estimate_loop_pose(2, keyframes, 0, latest, CFG, ODOMETRY, 0.0)
+        assert relative is not None
         # current truly sits at the loop frame: relative pose ~ identity
-        assert np.linalg.norm(constraint.relative_pose.translation) < 1e-3
+        assert np.linalg.norm(relative.translation) < 1e-3
 
     def test_far_drift_recovered_with_yaw_hint(self):
         # odometry is hopeless (60 m off) but the place was recognized: the
@@ -219,16 +213,10 @@ class TestEstimateLoopPose:
         )
         odom = [Pose.identity(), Pose.identity(), translate(60, 0, 0)]
         keyframes = make_keyframes(odom, [world, world, current_feats])
-        constraint = estimate_loop_pose(
-            2, keyframes, 0, odom, CFG, ODOMETRY, yaw_hint=np.pi / 2
-        )
-        assert constraint.accepted
-        t_err = np.linalg.norm(
-            constraint.relative_pose.translation - true_current.translation
-        )
-        r_err = np.degrees(
-            angle_between(constraint.relative_pose, true_current)
-        )
+        relative, _ = estimate_loop_pose(2, keyframes, 0, odom, CFG, ODOMETRY, np.pi / 2)
+        assert relative is not None
+        t_err = np.linalg.norm(relative.translation - true_current.translation)
+        r_err = np.degrees(angle_between(relative, true_current))
         assert t_err < 0.05
         assert r_err < 0.5
 

@@ -111,7 +111,7 @@ class TestModuleConfigs:
         monkeypatch.setattr(loop_closure, "register", fake_register)
         cloud = FeatureCloud(edges=np.zeros((3, 3)), planars=np.zeros((8, 3)))
         keyframes = [Keyframe(i, cloud, Pose.identity()) for i in range(2)]
-        estimate_loop_pose(1, keyframes, 0, [Pose.identity()] * 2, *configs)
+        estimate_loop_pose(1, keyframes, 0, [Pose.identity()] * 2, *configs, 0.0)
         assert len(seen) == 1
         return seen[0]
 
@@ -335,6 +335,17 @@ class TestCliArgs:
                    "--eval", str(tmp_path / "poses.txt"), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("meters", ["0", "-5"])
+    def test_nonpositive_fixed_threshold_rejected(self, tmp_path, capsys, meters):
+        # the flag asks for a fixed gate, so it does not fall back to the
+        # adaptive one as run.fixed_threshold <= 0 does
+        rc = main(["run", "--synthetic", "square,frames=3", "--fixed-threshold", meters,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--fixed-threshold must be > 0, got {float(meters)}" in err
         assert not (tmp_path / "out").exists()
 
     def test_eval_path_noted_as_ignored_for_synthetic(self, tmp_path, capsys):

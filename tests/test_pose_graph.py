@@ -15,7 +15,6 @@ import pytest
 import featslam.pose_graph as pg
 import loop_reference as ref
 from featslam.geometry import Pose, exp_rt
-from featslam.loop_closure import LoopConstraint
 from featslam.pose_graph import (
     OptimizationReport,
     PoseGraph,
@@ -73,7 +72,7 @@ def noisy_chain_graph(rng, n_nodes, loop_pairs, rot_sigma=0.005, trans_sigma=0.0
         add_odometry_node(graph, p)
     for newer, older in loop_pairs:
         rel = true[older].inverse().compose(true[newer])
-        add_loop_edge(graph, LoopConstraint(newer, older, rel, 0.0, True))
+        add_loop_edge(graph, older, newer, rel)
     return graph, true
 
 
@@ -128,28 +127,33 @@ class TestLoopEdges:
 
     def test_accepted_constraint_appends_robust_edge(self):
         g = self._three_node_graph()
-        c = LoopConstraint(2, 0, tpose(1.8), 0.05, True)
-        add_loop_edge(g, c)
+        add_loop_edge(g, 0, 2, tpose(1.8))
         assert len(g.edges) == 3
         e = g.edges[-1]
         assert e.robust
         assert (e.from_node, e.to_node) == (0, 2)
+        assert e.measurement.translation[0] == 1.8
         edges, _ = evaluate(g)
         np.testing.assert_allclose(edges.whitener[-1] ** 2, [400.0] * 3 + [25.0] * 3)
 
-    def test_unaccepted_constraint_rejected(self):
+    def _assert_rejected(self, loop_node, node):
+        # a loop edge joins an earlier node to a later one of the graph
         g = self._three_node_graph()
-        c = LoopConstraint(2, 0, tpose(1.8), 9.0, False)
-        with pytest.raises(ValueError):
-            add_loop_edge(g, c)
-        assert len(g.edges) == 2
+        edges = list(g.edges)
+        with pytest.raises(ValueError, match=rf"^loop edge \({loop_node}, {node}\)"):
+            add_loop_edge(g, loop_node, node, tpose(1.8))
+        assert g.edges == edges
+
+    def test_forward_edge_rejected(self):
+        self._assert_rejected(2, 0)
+
+    def test_self_edge_rejected(self):
+        self._assert_rejected(1, 1)
 
     def test_missing_node_rejected(self):
-        g = self._three_node_graph()
-        c = LoopConstraint(7, 0, tpose(1.8), 0.05, True)
-        with pytest.raises(ValueError):
-            add_loop_edge(g, c)
-        assert len(g.edges) == 2
+        self._assert_rejected(0, 3)  # the graph has nodes 0-2
+        self._assert_rejected(0, 7)
+        self._assert_rejected(-1, 2)
 
     def test_config_validates_information(self):
         # each sigma's information 1/sigma^2 must be a finite, positive
@@ -179,7 +183,7 @@ class TestEdgeWeights:
         g = PoseGraph(cfg)
         for k in range(3):
             add_odometry_node(g, tpose(float(k)))
-        add_loop_edge(g, LoopConstraint(2, 0, tpose(1.8), 0.0, True))
+        add_loop_edge(g, 0, 2, tpose(1.8))
         edges, _ = evaluate(g)
         for w, e in zip(edges.whitener, ref.information_edges(g.edges, cfg)):
             assert np.array_equal(w, np.diag(np.linalg.cholesky(e.information)))
@@ -204,7 +208,7 @@ class TestOptimizeExamples:
         add_odometry_node(g, tpose(0.0))
         add_odometry_node(g, tpose(1.0))
         add_odometry_node(g, tpose(2.0))
-        add_loop_edge(g, LoopConstraint(2, 0, tpose(1.8), 0.0, True))
+        add_loop_edge(g, 0, 2, tpose(1.8))
         report = optimize(g)
         assert report.converged
         x1 = g.nodes[1].translation[0]
@@ -250,8 +254,8 @@ class TestOptimizeExamples:
         for p in est:
             add_odometry_node(g, p)
         loop_rel = true[0].inverse().compose(true[-1])
-        add_loop_edge(g, LoopConstraint(99, 0, loop_rel, 0.0, True))
-        report = optimize(g, max_iterations=100)
+        add_loop_edge(g, 0, 99, loop_rel)
+        report = optimize(g)
         err = np.linalg.norm(g.nodes[-1].translation - true[-1].translation)
         assert report.converged
         assert report.final_cost <= report.initial_cost
@@ -274,7 +278,7 @@ class TestOptimizeExamples:
         for _ in range(2):
             rng = np.random.default_rng(11)
             g, _ = noisy_chain_graph(rng, 12, [(11, 0), (8, 2)])
-            optimize(g, max_iterations=100)
+            optimize(g)
             results.append(np.array([p.translation for p in g.nodes]))
         np.testing.assert_array_equal(results[0], results[1])
 
@@ -292,8 +296,8 @@ class TestInvariants:
             PoseGraphEdge(e.from_node, e.to_node, e.measurement, e.robust)
             for e in g_a.edges
         ]
-        optimize(g_a, max_iterations=300)
-        optimize(g_b, max_iterations=300)
+        optimize(g_a)
+        optimize(g_b)
         _, ev_a = evaluate(g_a)
         _, ev_b = evaluate(g_b)
         np.testing.assert_allclose(ev_a.residual, ev_b.residual, atol=1e-8)
@@ -303,7 +307,7 @@ class TestInvariants:
         for trial in range(5):
             pairs = [(9, 0)] if trial % 2 == 0 else [(9, 0), (6, 2)]
             g, _ = noisy_chain_graph(rng, 10, pairs)
-            report = optimize(g, max_iterations=30)
+            report = optimize(g)
             assert report.final_cost <= report.initial_cost
 
     def test_edge_jacobians_match_finite_differences(self):
@@ -357,9 +361,9 @@ class TestInvariants:
             add_odometry_node(g, Pose(np.eye(3), est))
         for i, j in loop_spec:
             rel = Pose(np.eye(3), measurements[(i, j)])
-            add_loop_edge(g, LoopConstraint(j, i, rel, 0.0, True))
+            add_loop_edge(g, i, j, rel)
 
-        report = optimize(g, max_iterations=200)
+        report = optimize(g)
         assert report.converged
 
         # Independent GLS: unknowns t1..t3 stacked, rows t_j - t_i = m_ij.
@@ -474,7 +478,7 @@ class TestEvaluationMatchesReference:
         monkeypatch.setattr(pg, "_evaluate", counting)
         rng = np.random.default_rng(11)
         g, _ = noisy_chain_graph(rng, 30, [(29, 0), (20, 3), (25, 12)])
-        report = optimize(g, max_iterations=100)
+        report = optimize(g)
         assert report.iterations >= 3
         assert len(states) >= 1 + report.iterations
         assert len(set(states)) == len(states)
@@ -505,7 +509,7 @@ class TestScale:
         loops = range(per_lap, len(true), 30)
         for k in loops:
             rel = true[k - per_lap].inverse().compose(true[k])
-            add_loop_edge(g, LoopConstraint(k, k - per_lap, rel, 0.0, True))
+            add_loop_edge(g, k - per_lap, k, rel)
         assert len(g) == 1000 and len(loops) >= 20
 
         oracle = copy.deepcopy(g)
