@@ -36,9 +36,6 @@ class FeatureCloud:
     edges: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     planars: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
-    def __len__(self) -> int:
-        return len(self.edges) + len(self.planars)
-
 
 @dataclass
 class FeatureConfig:

@@ -55,26 +55,37 @@ _POLAR_TOLERANCE = 4.0 * np.finfo(float).eps
 
 
 def project_rotation(matrix: np.ndarray) -> np.ndarray:
-    """The rotation matrix nearest a matrix within 1e-4 of orthonormal.
+    """The rotation matrix nearest a matrix within 1e-4 of orthonormal, or
+    the nearest rotation to each matrix of an (N, 3, 3) stack.
 
     Raises ValueError for a matrix that is not finite, has det <= 0 or
     has |M^T M - I|max > 1e-4.  Then takes polar (Newton-Schulz) steps
     R <- 1.5 R - 0.5 R R^T R until |R^T R - I|max <= 4 eps; a matrix
     already that close is kept as it is."""
-    m = np.array(matrix, dtype=float).reshape(3, 3)
+    m = np.array(matrix, dtype=float)
+    single = m.ndim < 3
+    m = m.reshape(-1, 3, 3)
     if not np.isfinite(m).all():
         raise ValueError("rotation matrix is not finite")
-    det, gram = np.linalg.det(m), m.T @ m
-    error = np.abs(gram - np.eye(3)).max()
-    if not (det > 0.0 and error <= _ORTHONORMAL_TOLERANCE):
-        raise ValueError(f"not a rotation matrix: det {det:.3g}, |M^T M - I| {error:.3g}")
+    det, gram = np.linalg.det(m), m.transpose(0, 2, 1) @ m
+    error = np.abs(gram - np.eye(3)).max(axis=(1, 2))
+    bad = ~((det > 0.0) & (error <= _ORTHONORMAL_TOLERANCE))
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = "" if single else f" at index {i}"
+        raise ValueError(
+            f"not a rotation matrix{where}: det {det[i]:.3g}, |M^T M - I| {error[i]:.3g}"
+        )
     for _ in range(4):
-        if error <= _POLAR_TOLERANCE:
+        todo = np.flatnonzero(error > _POLAR_TOLERANCE)
+        if not len(todo):
             break
-        m = 1.5 * m - 0.5 * (m @ gram)
-        gram = m.T @ m
-        error = np.abs(gram - np.eye(3)).max()
-    return m
+        r = m[todo]
+        r = 1.5 * r - 0.5 * (r @ gram[todo])
+        g = r.transpose(0, 2, 1) @ r
+        m[todo], gram[todo] = r, g
+        error[todo] = np.abs(g - np.eye(3)).max(axis=(1, 2))
+    return m[0] if single else m
 
 
 class Pose:

@@ -15,6 +15,11 @@ a rotation matrix and a translation, and each tried step is composed with
 ``project_rotation``, so the constant-velocity prediction does not
 compound rounding.
 
+The submap is two keep-first voxel sets, edges and planars, cropped
+around the latest pose.  Each set builds its KD-tree when the tree is
+first read after a change, so a loop submap assembled from many
+keyframes builds only the two trees its registration queries.
+
 ``OdometryConfig`` holds the iteration budgets, the robust scale, the
 correspondence gate and the submap geometry; the solver's tolerances and
 the submap size below which registration is skipped are module constants.
@@ -96,79 +101,59 @@ def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 class _VoxelSet:
     """Keep-first voxel grid over 3-d points: parallel key and point arrays
-    in insertion order, and a sorted copy of the keys for membership tests.
-    insert and crop report whether they changed the set."""
+    in insertion order, a sorted copy of the keys for membership tests, and
+    a search tree over the points, built when first read after a change."""
 
     def __init__(self, voxel: float):
         self.voxel = voxel
         self.keys = np.zeros(0, dtype=np.int64)
         self.points = np.zeros((0, 3))
         self._sorted = self.keys
+        self._tree = None
 
-    def insert(self, points: np.ndarray) -> bool:
+    @property
+    def tree(self):
+        """cKDTree over the points, or None while the set is empty."""
+        if self._tree is None and len(self.points):
+            self._tree = cKDTree(self.points)
+        return self._tree
+
+    def insert(self, points: np.ndarray) -> None:
         keys = _voxel_keys(points, self.voxel)
         unique, first = np.unique(keys, return_index=True)
         new = ~_member(self._sorted, unique)
         if not new.any():
-            return False
+            return
         first = np.sort(first[new])  # first point per new voxel, in batch order
         self.keys = np.concatenate([self.keys, keys[first]])
         self.points = np.concatenate([self.points, points[first]])
         self._sorted = np.sort(np.concatenate([self._sorted, unique[new]]))
-        return True
+        self._tree = None
 
-    def crop(self, center: np.ndarray, radius: float) -> bool:
+    def crop(self, center: np.ndarray, radius: float) -> None:
         keep = np.linalg.norm(self.points - center, axis=1) <= radius
         if keep.all():
-            return False
+            return
         self.keys = self.keys[keep]
         self.points = self.points[keep]
         self._sorted = np.sort(self.keys)
-        return True
-
-
-def _tree(points: np.ndarray):
-    return cKDTree(points) if len(points) else None
+        self._tree = None
 
 
 class Submap:
-    """Global-frame edge/planar feature map with nearest-neighbor indexes."""
+    """Global-frame edge and planar voxel sets, cropped around the latest
+    pose."""
 
     def __init__(self, cfg: OdometryConfig):
-        self._edges = _VoxelSet(cfg.edge_voxel_size)
-        self._planars = _VoxelSet(cfg.planar_voxel_size)
+        self.edges = _VoxelSet(cfg.edge_voxel_size)
+        self.planars = _VoxelSet(cfg.planar_voxel_size)
         self.crop_radius = cfg.crop_radius
-        self.edge_tree = None
-        self.planar_tree = None
-
-    @property
-    def edge_points(self) -> np.ndarray:
-        return self._edges.points
-
-    @property
-    def planar_points(self) -> np.ndarray:
-        return self._planars.points
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_points)
-
-    @property
-    def num_planars(self) -> int:
-        return len(self.planar_points)
 
     def insert(self, features: FeatureCloud, pose: Pose) -> None:
-        """Add features transformed by pose, then crop around the pose.  A
-        search tree is rebuilt only when its voxel set changed."""
-        center = pose.translation
-        edges = self._edges.insert(pose.apply(features.edges))
-        planars = self._planars.insert(pose.apply(features.planars))
-        edges |= self._edges.crop(center, self.crop_radius)
-        planars |= self._planars.crop(center, self.crop_radius)
-        if edges:
-            self.edge_tree = _tree(self.edge_points)
-        if planars:
-            self.planar_tree = _tree(self.planar_points)
+        """Add features transformed by pose, then crop around the pose."""
+        for voxels, points in ((self.edges, features.edges), (self.planars, features.planars)):
+            voxels.insert(pose.apply(points))
+            voxels.crop(pose.translation, self.crop_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +223,11 @@ def associate(
     """Match features, at the pose (rotation matrix, translation), to
     submap lines and planes."""
     e_pts, e_cent, e_dir = _empty(), _empty(), _empty()
-    if len(features.edges) and submap.edge_tree is not None:
+    if len(features.edges) and submap.edges.tree is not None:
         g = features.edges @ rotation.T + translation
-        dist, idx = submap.edge_tree.query(g, k=KNN)
+        dist, idx = submap.edges.tree.query(g, k=KNN)
         near = dist[:, -1] <= cfg.max_correspondence_distance
-        group = submap.edge_points[idx]  # (N, 5, 3)
+        group = submap.edges.points[idx]  # (N, 5, 3)
         cent = group.mean(axis=1)
         q = group - cent[:, None, :]
         cov = np.einsum("nki,nkj->nij", q, q) / KNN
@@ -254,11 +239,11 @@ def associate(
         e_dir = vecs[keep][:, :, 2]
 
     p_pts, p_n, p_d = _empty(), _empty(), np.zeros(0)
-    if len(features.planars) and submap.planar_tree is not None:
+    if len(features.planars) and submap.planars.tree is not None:
         g = features.planars @ rotation.T + translation
-        dist, idx = submap.planar_tree.query(g, k=KNN)
+        dist, idx = submap.planars.tree.query(g, k=KNN)
         near = dist[:, -1] <= cfg.max_correspondence_distance
-        a = submap.planar_points[idx]  # (N, 5, 3)
+        a = submap.planars.points[idx]  # (N, 5, 3)
         unit, offset, ok = _fit_planes(a)
         # every neighbor must lie on the fitted plane
         d_fit = np.abs(np.einsum("nki,ni->nk", a, unit) + offset[:, None])
@@ -356,7 +341,8 @@ def register(
 ) -> RegistrationResult:
     """Estimate the pose aligning features to the submap, from initial."""
     rotation, translation = initial.rotation, initial.translation
-    if submap.num_edges < MIN_SUBMAP_EDGES or submap.num_planars < MIN_SUBMAP_PLANARS:
+    if (len(submap.edges.points) < MIN_SUBMAP_EDGES
+            or len(submap.planars.points) < MIN_SUBMAP_PLANARS):
         return RegistrationResult(Pose(project_rotation(rotation), translation),
                                   float("inf"), 0, degenerate_directions=6)
 
@@ -468,7 +454,7 @@ def process_frame(
     bootstraps the submap at the identity without registering.
     """
     features = extract_features(scan, feature_cfg)
-    if submap.num_edges == 0 and submap.num_planars == 0:
+    if len(submap.edges.points) == 0 and len(submap.planars.points) == 0:
         pose = Pose.identity()
         result = None
     else:

@@ -101,9 +101,6 @@ class PoseGraph:
         self.nodes: List[Pose] = []
         self.edges: List[PoseGraphEdge] = []
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 @dataclass
 class OptimizationReport:
@@ -114,7 +111,7 @@ class OptimizationReport:
 
 
 def add_odometry_node(graph: PoseGraph, pose: Pose) -> None:
-    """Append node k = len(graph); for k > 0 also add the odometry edge
+    """Append node k = len(graph.nodes); for k > 0 also add the odometry edge
     (k-1, k).
 
     The edge measurement is the relative pose implied by the estimates at
@@ -304,7 +301,5 @@ def optimize(graph: PoseGraph) -> OptimizationReport:
             break
 
     if iterations:
-        graph.nodes[1:] = [
-            Pose(project_rotation(r), t) for r, t in zip(rotation[1:], translation[1:])
-        ]
+        graph.nodes[1:] = map(Pose, project_rotation(rotation[1:]), translation[1:])
     return OptimizationReport(initial_cost, current.cost, iterations, converged)

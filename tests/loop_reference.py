@@ -349,11 +349,11 @@ def associate(features, submap, pose, cfg):
     normal equations (a^T a) n = -sum(a) formed by einsum, their
     determinant by np.linalg.det and their solution by np.linalg.solve."""
     e_pts, e_cent, e_dir = np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3))
-    if len(features.edges) and submap.edge_tree is not None:
+    if len(features.edges) and submap.edges.tree is not None:
         g = pose.apply(features.edges)
-        dist, idx = submap.edge_tree.query(g, k=KNN)
+        dist, idx = submap.edges.tree.query(g, k=KNN)
         near = dist[:, -1] <= cfg.max_correspondence_distance
-        group = submap.edge_points[idx]  # (N, 5, 3)
+        group = submap.edges.points[idx]  # (N, 5, 3)
         cent = group.mean(axis=1)
         q = group - cent[:, None, :]
         cov = np.einsum("nki,nkj->nij", q, q) / KNN
@@ -365,11 +365,11 @@ def associate(features, submap, pose, cfg):
         e_dir = vecs[keep][:, :, 2]
 
     p_pts, p_n, p_d = np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)
-    if len(features.planars) and submap.planar_tree is not None:
+    if len(features.planars) and submap.planars.tree is not None:
         g = pose.apply(features.planars)
-        dist, idx = submap.planar_tree.query(g, k=KNN)
+        dist, idx = submap.planars.tree.query(g, k=KNN)
         near = dist[:, -1] <= cfg.max_correspondence_distance
-        a = submap.planar_points[idx]  # (N, 5, 3)
+        a = submap.planars.points[idx]  # (N, 5, 3)
         m = np.einsum("nki,nkj->nij", a, a)
         b = -a.sum(axis=1)
         det = np.abs(np.linalg.det(m))

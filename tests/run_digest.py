@@ -10,9 +10,10 @@ checkout; the worlds and configs are read from this checkout's
 ``bench/workloads.py``.  Each of loop_square, aliased_rooms and
 odometry_square runs at seeds 0, 1 and 2.  The output is sorted JSON: per
 run, the sha256 of the stacked trajectory, odometry and keyframe-pose
-matrices and of the keyframe frame indices, ``(from, to, accepted,
-cost.hex())`` per loop attempt and ``(iterations, final_cost.hex())`` per
-solve.  BLAS runs on one thread.
+matrices, of the keyframe frame indices and of the per-frame registration
+diagnostics (the ``frames.csv`` fields, a NaN row for the unregistered first
+frame), ``(from, to, accepted, cost.hex())`` per loop attempt and
+``(iterations, final_cost.hex())`` per solve.  BLAS runs on one thread.
 """
 
 import os
@@ -46,6 +47,15 @@ def _poses(poses) -> str:
     return _sha256(np.stack([p.matrix() for p in poses]))
 
 
+def _registrations(registrations) -> str:
+    rows = np.full((len(registrations), 6), np.nan)
+    for row, reg in zip(rows, registrations):
+        if reg is not None:
+            row[:] = (reg.iterations, reg.converged, reg.degenerate_directions,
+                      reg.num_edge_matches, reg.num_plane_matches, reg.final_cost)
+    return _sha256(rows)
+
+
 def digest(name: str, seed: int) -> dict:
     w = WORKLOADS[name]
     scans = generate_world({**w.world, "seed": seed})[0]
@@ -56,6 +66,7 @@ def digest(name: str, seed: int) -> dict:
         "odometry": _poses(result.odometry),
         "keyframe_poses": _poses(result.keyframe_poses),
         "keyframe_frames": _sha256(np.array(result.keyframe_frames, dtype=np.int64)),
+        "registrations": _registrations(result.registrations),
         "attempts": [[e.from_keyframe, e.to_keyframe, bool(e.accepted), float(e.cost).hex()]
                      for e in result.events],
         "solves": [[s.report.iterations, float(s.report.final_cost).hex()]

@@ -301,6 +301,42 @@ class TestMatrixRotation:
         with pytest.raises(ValueError, match="rotation matrix"):
             project_rotation(m)
 
+    @staticmethod
+    def polar_steps(m):
+        """How many polar steps project_rotation takes for one matrix."""
+        steps = 0
+        while np.abs(m.T @ m - np.eye(3)).max() > 4 * np.finfo(float).eps and steps < 4:
+            m = 1.5 * m - 0.5 * (m @ (m.T @ m))
+            steps += 1
+        return steps
+
+    def test_stack_matches_each_matrix(self):
+        # a seeded stack of rotations, as given and perturbed so that they
+        # need 0, 1 and 2 or more polar steps, projected in one call
+        rng = np.random.default_rng(17)
+        stack = []
+        for scale in (0.0, 1e-15, 1e-10, 1e-6, 1e-5, 3e-5):
+            for _ in range(40):
+                r = random_pose(rng).rotation
+                stack.append(r + rng.uniform(-scale, scale, (3, 3)))
+        stack = np.array(stack)
+        steps = {min(self.polar_steps(m), 2) for m in stack}
+        assert steps == {0, 1, 2}
+        got = project_rotation(stack)
+        assert got.shape == stack.shape
+        for m, p in zip(stack, got):
+            assert np.array_equal(p, project_rotation(m))
+        assert project_rotation(stack[:0]).shape == (0, 3, 3)
+
+    def test_stack_with_one_bad_matrix_raises(self):
+        stack = np.repeat(np.eye(3)[None], 5, axis=0)
+        stack[3] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="not a rotation matrix at index 3"):
+            project_rotation(stack)
+        stack[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="rotation matrix is not finite"):
+            project_rotation(stack)
+
     def test_read_only(self):
         # a Pose keeps its own read-only copy of each array it is given,
         # so neither a write through the pose nor one into the caller's

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import featslam.odometry as odo
 import loop_reference as ref
@@ -90,15 +91,15 @@ class TestSubmap:
         )
         submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
-        assert 0 < submap.num_planars <= 500
+        assert 0 < len(submap.planars.points) <= 500
 
     def test_insert_twice_idempotent(self):
         cloud = corner_cloud()
         submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
-        n_e, n_p = submap.num_edges, submap.num_planars
+        n_e, n_p = len(submap.edges.points), len(submap.planars.points)
         submap.insert(cloud, Pose.identity())
-        assert (submap.num_edges, submap.num_planars) == (n_e, n_p)
+        assert (len(submap.edges.points), len(submap.planars.points)) == (n_e, n_p)
 
     def test_crop_removes_far_points(self):
         cloud = FeatureCloud(
@@ -106,8 +107,8 @@ class TestSubmap:
         )
         submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
-        assert submap.num_planars == 1
-        np.testing.assert_allclose(submap.planar_points[0], [1, 0, 0])
+        assert len(submap.planars.points) == 1
+        np.testing.assert_allclose(submap.planars.points[0], [1, 0, 0])
 
     def test_count_bounded_by_crop_and_voxel_volume(self):
         cfg = OdometryConfig()
@@ -121,42 +122,62 @@ class TestSubmap:
             submap.insert(cloud, Pose.identity())
         bound_e = (2 * cfg.crop_radius / cfg.edge_voxel_size) ** 3
         bound_p = (2 * cfg.crop_radius / cfg.planar_voxel_size) ** 3
-        assert submap.num_edges <= bound_e
-        assert submap.num_planars <= bound_p
+        assert len(submap.edges.points) <= bound_e
+        assert len(submap.planars.points) <= bound_p
 
     def test_same_voxels_keep_the_trees(self):
         cloud = corner_cloud()
         submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
-        trees = submap.edge_tree, submap.planar_tree
+        trees = submap.edges.tree, submap.planars.tree
         submap.insert(cloud, Pose.identity())
-        assert submap.edge_tree is trees[0] and submap.planar_tree is trees[1]
+        assert submap.edges.tree is trees[0] and submap.planars.tree is trees[1]
 
     def test_new_voxel_rebuilds_only_its_own_tree(self):
         submap = corner_submap()
-        edge_tree, planar_tree = submap.edge_tree, submap.planar_tree
+        edge_tree, planar_tree = submap.edges.tree, submap.planars.tree
         submap.insert(FeatureCloud(edges=np.array([[5.0, 5.0, 0.5]])), Pose.identity())
-        assert submap.edge_tree is not edge_tree and submap.planar_tree is planar_tree
-        edge_tree = submap.edge_tree
+        assert submap.edges.tree is not edge_tree and submap.planars.tree is planar_tree
+        edge_tree = submap.edges.tree
         submap.insert(FeatureCloud(planars=np.array([[2.0, 2.0, 2.0]])), Pose.identity())
-        assert submap.edge_tree is edge_tree and submap.planar_tree is not planar_tree
-        for tree, points in ((submap.edge_tree, submap.edge_points),
-                             (submap.planar_tree, submap.planar_points)):
-            assert np.array_equal(tree.data, points)
+        assert submap.edges.tree is edge_tree and submap.planars.tree is not planar_tree
+        for voxels in (submap.edges, submap.planars):
+            assert np.array_equal(voxels.tree.data, voxels.points)
 
     def test_crop_rebuilds_the_trees(self):
         submap = corner_submap()
+        assert submap.edges.tree is not None and submap.planars.tree is not None
         submap.insert(FeatureCloud(), translate(150.0, 0.0, 0.0))
-        assert (submap.num_edges, submap.num_planars) == (0, 0)
-        assert submap.edge_tree is None and submap.planar_tree is None
+        assert (len(submap.edges.points), len(submap.planars.points)) == (0, 0)
+        assert submap.edges.tree is None and submap.planars.tree is None
 
     def test_trees_index_the_current_points(self):
         scans, _ = TestProcessFrame.corridor_scans(8, 0.5)
         state, submap = OdometryState(), Submap(OdometryConfig(crop_radius=12.0))
         for scan in scans:
             process_frame(state, scan, submap, CFG, FEATURES)
-            assert np.array_equal(submap.edge_tree.data, submap.edge_points)
-            assert np.array_equal(submap.planar_tree.data, submap.planar_points)
+            for voxels in (submap.edges, submap.planars):
+                assert np.array_equal(voxels.tree.data, voxels.points)
+
+    def test_inserts_build_no_tree_until_queried(self, monkeypatch):
+        built = []
+
+        def counting_tree(points):
+            built.append(len(points))
+            return cKDTree(points)
+
+        monkeypatch.setattr(odo, "cKDTree", counting_tree)
+        cloud = corner_cloud()
+        submap = Submap(CFG)
+        for i in range(21):
+            submap.insert(cloud, translate(0.5 * i, 0.0, 0.0))
+        assert len(submap.edges.points) and len(submap.planars.points)
+        assert built == []
+        pose = Pose.identity()
+        odo.associate(cloud, submap, pose.rotation, pose.translation, CFG)
+        assert built == [len(submap.edges.points), len(submap.planars.points)]
+        odo.associate(cloud, submap, pose.rotation, pose.translation, CFG)
+        assert len(built) == 2
 
 
 class TestVoxelSetMatchesReference:
@@ -265,8 +286,8 @@ class TestAssociateMatchesReference:
             assert len(got.plane_points) > 0
 
             keep = (planars[:, None] == got.plane_points[None]).all(axis=2).any(axis=1)
-            _, idx = submap.planar_tree.query(pose.apply(planars[keep]), k=odo.KNN)
-            a = submap.planar_points[idx]
+            _, idx = submap.planars.tree.query(pose.apply(planars[keep]), k=odo.KNN)
+            a = submap.planars.points[idx]
             s = np.linalg.svd(np.einsum("nki,nkj->nij", a, a), compute_uv=False)
             # chi = |m|^3 / |det m| = s1^2 / (s2 s3) >= the condition number
             # s1 / s3.  Forming m from five-term sums perturbs it by <= 15 eps

@@ -80,14 +80,14 @@ class TestGraphConstruction:
     def test_first_node_no_edges(self):
         g = PoseGraph(CFG)
         add_odometry_node(g, tpose(0.0))
-        assert len(g) == 1
+        assert len(g.nodes) == 1
         assert g.edges == []
 
     def test_second_node_adds_one_odometry_edge(self):
         g = PoseGraph(CFG)
         add_odometry_node(g, tpose(0.0))
         add_odometry_node(g, tpose(1.0))
-        assert len(g) == 2
+        assert len(g.nodes) == 2
         assert len(g.edges) == 1
         assert not g.edges[0].robust
         assert (g.edges[0].from_node, g.edges[0].to_node) == (0, 1)
@@ -510,7 +510,7 @@ class TestScale:
         for k in loops:
             rel = true[k - per_lap].inverse().compose(true[k])
             add_loop_edge(g, k - per_lap, k, rel)
-        assert len(g) == 1000 and len(loops) >= 20
+        assert len(g.nodes) == 1000 and len(loops) >= 20
 
         oracle = copy.deepcopy(g)
         oracle.edges = ref.information_edges(g.edges, g.config)
