@@ -14,7 +14,6 @@ import argparse
 import sys
 from typing import Dict, Optional, Sequence
 
-from .dataset_io import FormatError
 from .pipeline import PipelineConfig, parse_config_file, parse_overrides, run
 
 __all__ = ["main", "build_parser"]
@@ -102,7 +101,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
         return run(config)
-    except (ValueError, OSError, FormatError) as e:
+    except (ValueError, OSError) as e:
         print(f"featslam: {e}", file=sys.stderr)
         return 1
 

@@ -15,10 +15,15 @@ a rotation matrix and a translation, and each tried step is composed with
 ``project_rotation``, so the constant-velocity prediction does not
 compound rounding.
 
-The submap is two keep-first voxel sets, edges and planars, cropped
-around the latest pose.  Each set builds its KD-tree when the tree is
-first read after a change, so a loop submap assembled from many
-keyframes builds only the two trees its registration queries.
+The stage's only state is its submap: two keep-first voxel sets, edges
+and planars, cropped around the latest pose.  The prediction is read from
+the frame poses the caller already holds.  Each set builds its KD-tree
+when the tree is first read after a change, so a loop submap assembled
+from many keyframes builds only the two trees its registration queries.
+
+A registration that cannot estimate a pose (a submap too small, too few
+matches, a non-finite system or step) returns one result: the pose it
+had reached, infinite cost and all 6 directions unestimated.
 
 ``OdometryConfig`` holds the iteration budgets, the robust scale, the
 correspondence gate and the submap geometry; the solver's tolerances and
@@ -27,17 +32,14 @@ the submap size below which registration is skipped are module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from featslam.features import FeatureCloud, FeatureConfig, extract_features
 from featslam.geometry import Pose, exp_rt, project_rotation
-
-
-class IllConditionedError(RuntimeError):
-    """Normal-equation solve produced non-finite values."""
 
 
 @dataclass
@@ -100,15 +102,14 @@ def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class _VoxelSet:
-    """Keep-first voxel grid over 3-d points: parallel key and point arrays
-    in insertion order, a sorted copy of the keys for membership tests, and
-    a search tree over the points, built when first read after a change."""
+    """Keep-first voxel grid over 3-d points: the points in insertion order,
+    the sorted keys of their voxels for membership tests, and a search tree
+    over the points, built when first read after a change."""
 
     def __init__(self, voxel: float):
         self.voxel = voxel
-        self.keys = np.zeros(0, dtype=np.int64)
         self.points = np.zeros((0, 3))
-        self._sorted = self.keys
+        self.keys = np.zeros(0, dtype=np.int64)
         self._tree = None
 
     @property
@@ -121,22 +122,21 @@ class _VoxelSet:
     def insert(self, points: np.ndarray) -> None:
         keys = _voxel_keys(points, self.voxel)
         unique, first = np.unique(keys, return_index=True)
-        new = ~_member(self._sorted, unique)
+        new = ~_member(self.keys, unique)
         if not new.any():
             return
         first = np.sort(first[new])  # first point per new voxel, in batch order
-        self.keys = np.concatenate([self.keys, keys[first]])
         self.points = np.concatenate([self.points, points[first]])
-        self._sorted = np.sort(np.concatenate([self._sorted, unique[new]]))
+        self.keys = np.sort(np.concatenate([self.keys, unique[new]]))
         self._tree = None
 
     def crop(self, center: np.ndarray, radius: float) -> None:
         keep = np.linalg.norm(self.points - center, axis=1) <= radius
         if keep.all():
             return
-        self.keys = self.keys[keep]
         self.points = self.points[keep]
-        self._sorted = np.sort(self.keys)
+        # a stored point's key is the key it was inserted under
+        self.keys = np.sort(_voxel_keys(self.points, self.voxel))
         self._tree = None
 
 
@@ -333,6 +333,13 @@ MIN_TOTAL_MATCHES = 10
 MAX_STEP_HALVINGS = 8
 
 
+def _unregistered(rotation: np.ndarray, translation: np.ndarray,
+                  iterations: int) -> RegistrationResult:
+    """The result of a registration that could not estimate a pose."""
+    return RegistrationResult(Pose(project_rotation(rotation), translation),
+                              float("inf"), iterations, degenerate_directions=6)
+
+
 def register(
     features: FeatureCloud,
     submap: Submap,
@@ -343,8 +350,7 @@ def register(
     rotation, translation = initial.rotation, initial.translation
     if (len(submap.edges.points) < MIN_SUBMAP_EDGES
             or len(submap.planars.points) < MIN_SUBMAP_PLANARS):
-        return RegistrationResult(Pose(project_rotation(rotation), translation),
-                                  float("inf"), 0, degenerate_directions=6)
+        return _unregistered(rotation, translation, 0)
 
     converged = False
     null_directions = 0
@@ -357,14 +363,13 @@ def register(
         if not frozen:
             corr = associate(features, submap, rotation, translation, cfg)
             if len(corr) < MIN_TOTAL_MATCHES:
-                return RegistrationResult(Pose(project_rotation(rotation), translation),
-                                          float("inf"), iterations, degenerate_directions=6)
+                return _unregistered(rotation, translation, iterations)
             evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
         # frozen iterations reuse the evaluation of the accepted step
         h, grad = _normal_equations(*evaluation, cfg.huber_scale)
         if not (np.isfinite(h).all() and np.isfinite(grad).all()):
-            raise IllConditionedError("non-finite normal equations")
+            return _unregistered(rotation, translation, iterations)
 
         vals, vecs = np.linalg.eigh(h)
         top = vals[-1]
@@ -376,7 +381,7 @@ def register(
         inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
         delta = -vecs @ (inv * (vecs.T @ grad))
         if not np.isfinite(delta).all():
-            raise IllConditionedError("non-finite normal-equation solution")
+            return _unregistered(rotation, translation, iterations)
 
         # step halving against the frozen correspondences; a step must buy
         # a real decrease or the iteration is treated as stalled
@@ -429,38 +434,29 @@ def register(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OdometryState:
-    current_pose: Pose = field(default_factory=Pose.identity)
-    previous_pose: Pose = field(default_factory=Pose.identity)
+def predict_pose(poses: Sequence[Pose]) -> Pose:
+    """Constant-velocity extrapolation T_{k-1} (T_{k-2}^-1 T_{k-1}) from the
+    poses so far; one pose predicts zero velocity, none the identity."""
+    if not poses:
+        return Pose.identity()
+    previous, current = poses[-min(len(poses), 2)], poses[-1]
+    return current.compose(previous.inverse().compose(current))
 
 
-def predict_pose(state: OdometryState) -> Pose:
-    """Constant-velocity extrapolation T_{k-1} (T_{k-2}^-1 T_{k-1})."""
-    step = state.previous_pose.inverse().compose(state.current_pose)
-    return state.current_pose.compose(step)
-
-
-def process_frame(
-    state: OdometryState,
-    scan,
-    submap: Submap,
-    cfg: OdometryConfig,
-    feature_cfg: FeatureConfig,
-):
+def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConfig,
+                  feature_cfg: FeatureConfig):
     """Extract features, register against the submap, fold them in.
 
-    Returns (features, pose, RegistrationResult or None).  The first frame
-    bootstraps the submap at the identity without registering.
+    poses are the poses of the frames before this one; only the submap
+    changes.  Returns (features, pose, RegistrationResult or None).  The
+    first frame bootstraps the submap at the identity without registering.
     """
     features = extract_features(scan, feature_cfg)
     if len(submap.edges.points) == 0 and len(submap.planars.points) == 0:
         pose = Pose.identity()
         result = None
     else:
-        result = register(features, submap, predict_pose(state), cfg)
+        result = register(features, submap, predict_pose(poses), cfg)
         pose = result.pose
     submap.insert(features, pose)
-    state.previous_pose = state.current_pose
-    state.current_pose = pose
     return features, pose, result

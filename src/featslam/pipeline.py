@@ -54,7 +54,6 @@ from .loop_closure import (
 )
 from .odometry import (
     OdometryConfig,
-    OdometryState,
     RegistrationResult,
     Submap,
     process_frame,
@@ -298,7 +297,6 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     """Process scans end to end; returns trajectories, keyframes, and events."""
     sc_cfg = config.scan_context
     graph = PoseGraph(config.graph)
-    state = OdometryState()
     submap = Submap(config.odometry)
     keyframes: List[Keyframe] = []
     db: List[ScanContextDescriptor] = []
@@ -310,8 +308,8 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
     dropped_points: List[int] = []
     solves: List[GraphSolve] = []
     for i, scan in enumerate(scans):
-        features, pose, registration = process_frame(state, scan, submap, config.odometry,
-                                                     config.features)
+        features, pose, registration = process_frame(frame_poses, scan, submap,
+                                                     config.odometry, config.features)
         frame_poses.append(pose)
         registrations.append(registration)
         dropped_points.append(scan.dropped)

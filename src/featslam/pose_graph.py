@@ -261,8 +261,6 @@ def optimize(graph: PoseGraph) -> OptimizationReport:
     edges = _EdgeArrays(graph.edges, n, graph.config)
     current = _evaluate(edges, rotation, translation)
     initial_cost = current.cost
-    if n == 1:
-        return OptimizationReport(initial_cost, initial_cost, 0, True)
     iterations = 0
     converged = False
 

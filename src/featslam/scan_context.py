@@ -65,6 +65,7 @@ def build_descriptor(features: FeatureCloud, cfg: ScanContextConfig) -> ScanCont
         pts, rho = pts[keep], rho[keep]
     if len(pts):
         ring = np.floor(rho / (cfg.max_radius / cfg.num_rings)).astype(int)
+        ring = np.minimum(ring, cfg.num_rings - 1)  # rho just below max_radius can round up
         azimuth = np.arctan2(pts[:, 1], pts[:, 0])
         sector = np.floor(
             (azimuth + np.pi) / (2.0 * np.pi) * cfg.num_sectors

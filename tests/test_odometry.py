@@ -8,9 +8,7 @@ from featslam.features import FeatureCloud, FeatureConfig, extract_features
 from featslam.geometry import Pose, exp_rt
 from featslam.odometry import (
     Correspondences,
-    IllConditionedError,
     OdometryConfig,
-    OdometryState,
     Submap,
     predict_pose,
     process_frame,
@@ -64,23 +62,40 @@ def corner_submap(cfg=CFG):
     return submap
 
 
+def track(scans, submap, cfg=CFG):
+    """Run process_frame over scans, keeping the frame poses as run_slam
+    does; returns the poses and the registrations."""
+    poses, results = [], []
+    for scan in scans:
+        _, pose, res = process_frame(poses, scan, submap, cfg, FEATURES)
+        poses.append(pose)
+        results.append(res)
+    return poses, results
+
+
 class TestPredictPose:
     def test_first_frame_identity(self):
-        state = OdometryState()
-        assert np.allclose(predict_pose(state).matrix(), np.eye(4))
+        assert np.array_equal(predict_pose([]).matrix(), np.eye(4))
 
     def test_constant_velocity(self):
-        state = OdometryState(
-            current_pose=translate(1, 0, 0), previous_pose=Pose.identity()
-        )
         np.testing.assert_allclose(
-            predict_pose(state).translation, [2, 0, 0], atol=1e-12
+            predict_pose([Pose.identity(), translate(1, 0, 0)]).translation,
+            [2, 0, 0], atol=1e-12,
         )
+        a, b = translate(1, 2, 0).compose(rotz(10)), translate(1.5, 2.2, 0).compose(rotz(13))
+        want = b.compose(a.inverse().compose(b))
+        np.testing.assert_allclose(predict_pose([a, b]).matrix(), want.matrix(), atol=1e-12)
 
     def test_zero_velocity(self):
-        p = translate(3, 1, 2)
-        state = OdometryState(current_pose=p, previous_pose=p)
-        np.testing.assert_allclose(predict_pose(state).matrix(), p.matrix(), atol=1e-12)
+        p = translate(3, 1, 2).compose(rotz(30))
+        np.testing.assert_allclose(predict_pose([p]).matrix(), p.matrix(), atol=1e-12)
+        np.testing.assert_allclose(predict_pose([p, p]).matrix(), p.matrix(), atol=1e-12)
+
+    def test_uses_only_the_last_two_poses(self):
+        a, b = translate(1, 0, 0), translate(1, 1, 0).compose(rotz(5))
+        head = [translate(-9, 4, 1), rotz(80), Pose.identity()]
+        got = predict_pose(head + [a, b]).matrix()
+        assert np.array_equal(got, predict_pose([a, b]).matrix())
 
 
 class TestSubmap:
@@ -153,9 +168,9 @@ class TestSubmap:
 
     def test_trees_index_the_current_points(self):
         scans, _ = TestProcessFrame.corridor_scans(8, 0.5)
-        state, submap = OdometryState(), Submap(OdometryConfig(crop_radius=12.0))
+        poses, submap = [], Submap(OdometryConfig(crop_radius=12.0))
         for scan in scans:
-            process_frame(state, scan, submap, CFG, FEATURES)
+            poses.append(process_frame(poses, scan, submap, CFG, FEATURES)[1])
             for voxels in (submap.edges, submap.planars):
                 assert np.array_equal(voxels.tree.data, voxels.points)
 
@@ -187,7 +202,7 @@ class TestVoxelSetMatchesReference:
     @staticmethod
     def assert_same(grid, ref_grid):
         assert np.array_equal(grid.points, ref_grid.points())
-        assert np.array_equal(grid.keys, odo._voxel_keys(grid.points, grid.voxel))
+        assert np.array_equal(grid.keys, np.sort(odo._voxel_keys(grid.points, grid.voxel)))
 
     def test_seeded_insert_crop_sequences(self):
         rng = np.random.default_rng(3)
@@ -257,12 +272,11 @@ class TestAssociateMatchesReference:
     def cases(shape, seed):
         scans, _ = generate_world({"shape": shape, "frames": 6, "seed": seed})
         cfg = OdometryConfig()
-        state, submap = OdometryState(), Submap(cfg)
-        for scan in scans[:5]:
-            process_frame(state, scan, submap, cfg, FEATURES)
+        submap = Submap(cfg)
+        frame_poses, _ = track(scans[:5], submap, cfg)
         features = extract_features(scans[5], FEATURES)
         rng = np.random.default_rng(seed)
-        start = predict_pose(state)
+        start = predict_pose(frame_poses)
         poses = [start] + [random_pose(rng).compose(start) for _ in range(4)]
         return features, submap, poses, cfg
 
@@ -419,9 +433,7 @@ class TestRegister:
         assert np.linalg.norm(res.pose.translation - move.inverse().translation) < 5e-3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_ill_conditioned_raises(self, monkeypatch):
-        import featslam.odometry as odo
-
+    def test_non_finite_system_returns_unregistered(self, monkeypatch):
         bad = Correspondences(
             edge_points=np.zeros((0, 3)),
             line_centroids=np.zeros((0, 3)),
@@ -431,8 +443,13 @@ class TestRegister:
             plane_offsets=np.zeros(12),
         )
         monkeypatch.setattr(odo, "associate", lambda *a, **k: bad)
-        with pytest.raises(IllConditionedError):
-            register(corner_cloud(), corner_submap(), Pose.identity(), CFG)
+        init = translate(0.5, -0.2, 0.1).compose(rotz(3.0))
+        res = register(corner_cloud(), corner_submap(), init, CFG)
+        assert res.degenerate_directions == 6
+        assert res.final_cost == float("inf")
+        assert not res.converged
+        assert res.iterations == 1
+        np.testing.assert_allclose(res.pose.matrix(), init.matrix(), atol=1e-12)
 
 
 def random_correspondences(rng, n_edges=8, n_planes=12):
@@ -558,11 +575,8 @@ class TestEvaluationMatchesReference:
         monkeypatch.setattr(odo, "exp_rt", counting_step)
         monkeypatch.setattr(odo, "_residuals", counting_residuals)
         scans, _ = TestProcessFrame.corridor_scans(3, 0.5)
-        state, submap = OdometryState(), Submap(CFG)
-        iterations = 0
-        for scan in scans:
-            _, _, res = process_frame(state, scan, submap, CFG, FEATURES)
-            iterations += res.iterations if res else 0
+        _, results = track(scans, Submap(CFG))
+        iterations = sum(res.iterations for res in results if res)
         assert counts["associate"] < iterations  # some iterations froze
         assert len(evaluated) == counts["associate"] + counts["steps"]
         assert len(set(evaluated)) == len(evaluated)
@@ -586,8 +600,7 @@ class TestProcessFrame:
 
     def test_single_frame_identity(self):
         scans, _ = self.corridor_scans(1, 0.5)
-        state, submap = OdometryState(), Submap(CFG)
-        _, pose, res = process_frame(state, scans[0], submap, CFG, FEATURES)
+        _, pose, res = process_frame([], scans[0], Submap(CFG), CFG, FEATURES)
         assert res is None
         assert np.allclose(pose.matrix(), np.eye(4))
 
@@ -615,18 +628,13 @@ class TestProcessFrame:
         scan = simulate_scan(
             world, Pose.identity(), LidarModel(noise_std=0.0), np.random.default_rng(0)
         )
-        state, submap = OdometryState(), Submap(CFG)
-        cfg = OdometryConfig()
-        for _ in range(5):
-            _, pose, _ = process_frame(state, scan, submap, cfg, FEATURES)
-        assert np.linalg.norm(pose.translation) < 1e-3
+        poses, _ = track([scan] * 5, Submap(CFG), OdometryConfig())
+        assert np.linalg.norm(poses[-1].translation) < 1e-3
 
     def test_corridor_tracks_constant_motion(self):
         scans, path = self.corridor_scans(50, 0.5)
-        state, submap = OdometryState(), Submap(CFG)
-        cfg = OdometryConfig()
-        for scan in scans:
-            _, pose, _ = process_frame(state, scan, submap, cfg, FEATURES)
+        poses, _ = track(scans, Submap(CFG), OdometryConfig())
+        pose = poses[-1]
         travelled = np.linalg.norm(pose.translation)
         assert abs(travelled - 24.5) <= 0.02 * 24.5
         err = np.linalg.norm(pose.translation - path[-1].translation)

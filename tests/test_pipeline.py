@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from featslam import loop_closure, pipeline
+from featslam import loop_closure, odometry, pipeline
 from featslam.cli import _collect_items, _synthetic_items, build_parser, main
 from featslam.dataset_io import RawScan, load_ground_truth
 from featslam.evaluation import kitti_relative_errors
@@ -18,7 +18,7 @@ from featslam.loop_closure import (
     estimate_loop_pose,
     registration_config,
 )
-from featslam.odometry import OdometryConfig, RegistrationResult
+from featslam.odometry import OdometryConfig, RegistrationResult, predict_pose
 from featslam.pipeline import (
     PipelineConfig,
     parse_config_file,
@@ -150,15 +150,17 @@ class TestModuleConfigs:
         real = pipeline.process_frame
         seen = []
 
-        def spy(state, scan, submap, odometry, features):
-            seen.append((odometry, features))
-            return real(state, scan, submap, odometry, features)
+        def spy(poses, scan, submap, odometry, features):
+            seen.append((list(poses), odometry, features))
+            return real(poses, scan, submap, odometry, features)
 
         monkeypatch.setattr(pipeline, "process_frame", spy)
         scans, _ = generate_world({"shape": "square", "frames": 3, "seed": 0})
-        run_slam(scans, cfg)
+        result = run_slam(scans, cfg)
         assert len(seen) == 3
-        assert all(odo is cfg.odometry and feat is cfg.features for odo, feat in seen)
+        assert all(odo is cfg.odometry and feat is cfg.features for _, odo, feat in seen)
+        # call i predicts from the poses of the i frames before it
+        assert [poses for poses, _, _ in seen] == [result.odometry[:i] for i in range(3)]
 
     def test_graph_information_from_sigmas(self):
         cfg = PipelineConfig.from_items(
@@ -557,6 +559,57 @@ class TestFrameLog:
         assert len(rows) == 19
         assert all(row["degenerate_directions"] == "6" for row in rows)
         assert all(row["converged"] == "0" for row in rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_system_is_an_unregistered_frame(self, monkeypatch, tmp_path):
+        # a frame whose normal equations are non-finite gets the one failure
+        # result, its frames.csv row says so, and the run goes on
+        bad_frame = 30
+        scans, truth = generate_world({"shape": "square", "frames": 80, "size": 24,
+                                       "laps": 0.5, "seed": 0})
+        config = PipelineConfig.from_items({**SQUARE, "run.no_loop": "true"})
+        clean = run_slam(scans, config)
+
+        real_process_frame, real_associate = pipeline.process_frame, odometry.associate
+        frame = []
+
+        def process_frame(poses, *args):
+            frame[:] = [len(poses)]
+            return real_process_frame(poses, *args)
+
+        def associate(*args):
+            corr = real_associate(*args)
+            if frame == [bad_frame]:
+                corr.plane_normals = np.full_like(corr.plane_normals, np.inf)
+            return corr
+
+        monkeypatch.setattr(pipeline, "process_frame", process_frame)
+        monkeypatch.setattr(odometry, "associate", associate)
+        result = run_slam(scans, config)
+
+        reg = result.registrations[bad_frame]
+        assert (reg.degenerate_directions, reg.final_cost) == (6, float("inf"))
+        assert (reg.converged, reg.iterations) == (False, 1)
+        predicted = predict_pose(clean.odometry[:bad_frame])
+        np.testing.assert_allclose(reg.pose.matrix(), predicted.matrix(), atol=1e-12)
+
+        # earlier frames are bit-identical to the clean run
+        def fields(reg):
+            return reg and dataclasses.replace(reg, pose=None)
+
+        assert [fields(reg) for reg in result.registrations[:bad_frame]] == \
+            [fields(reg) for reg in clean.registrations[:bad_frame]]
+        for got, want in zip(result.odometry[:bad_frame], clean.odometry):
+            assert np.array_equal(got.matrix(), want.matrix())
+        align = truth[0].compose(result.trajectory[0].inverse())
+        errors = [np.linalg.norm(align.compose(p).translation - t.translation)
+                  for p, t in zip(result.trajectory, truth)]
+        assert max(errors) < 0.5
+
+        pipeline._write_outputs(result, None, tmp_path)
+        row = self.rows(tmp_path / "frames.csv")[bad_frame]
+        assert (row["degenerate_directions"], row["converged"]) == ("6", "0")
+        assert float(row["final_cost"]) == float("inf")
 
     def test_in_memory_nonfinite_points_reported(self, tmp_path):
         scans, _ = generate_world({"shape": "square", "frames": 4, "seed": 0})

@@ -61,6 +61,16 @@ class TestBuildDescriptor:
         d = build_descriptor(cloud([[85.0, 0.0, 1.0]]), CFG)
         assert (d.matrix == EMPTY_BIN).all()
 
+    @pytest.mark.parametrize("num_rings, max_radius", [(19, 90.0), (17, 70.0), (39, 80.0)])
+    def test_range_just_inside_max_radius_lands_in_the_last_ring(self, num_rings, max_radius):
+        # rho / (max_radius / num_rings) rounds up to num_rings for these
+        cfg = ScanContextConfig(num_rings=num_rings, max_radius=max_radius)
+        rho = np.nextafter(max_radius, 0.0)
+        assert np.floor(rho / (max_radius / num_rings)) == num_rings
+        d = build_descriptor(cloud([[rho, 0.0, 1.5]]), cfg)
+        assert d.matrix[num_rings - 1, cfg.num_sectors // 2] == 1.5
+        assert (d.matrix > EMPTY_BIN).sum() == 1
+
     def test_ring_key_occupancy(self):
         d = build_descriptor(cloud([[10.0, 0.0, 1.0]]), CFG)
         assert d.ring_key[2] == pytest.approx(1.0 / 60.0)

@@ -1,9 +1,13 @@
 """Checks on the package source: every module-level import in
 ``src/featslam`` is read by its module or listed in its ``__all__``, every
-name in an ``__all__`` is bound by its module, and no function gives a
-module config a default, so a stage runs only with the config it is handed."""
+name in an ``__all__`` is bound by its module, no function gives a
+module config a default, so a stage runs only with the config it is handed,
+and every exception class the package defines is one ``featslam run``
+reports."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -140,3 +144,14 @@ def test_checker_finds_stale_exports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_exports_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exceptions_are_reported_by_the_cli(path):
+    # cli.main turns ValueError and OSError into a message and exit code 1
+    name = "featslam" if path.stem == "__init__" else f"featslam.{path.stem}"
+    module = importlib.import_module(name)
+    defined = [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__ and issubclass(cls, BaseException)]
+    assert [cls.__name__ for cls in defined
+            if not issubclass(cls, (ValueError, OSError))] == []
