@@ -4,9 +4,18 @@ registration on point-to-line and point-to-plane residuals, voxel submap.
 Registration transforms each feature into the global frame, finds its 5
 nearest submap neighbors, and fits a line (edges, covariance
 eigen-decomposition) or a plane (planars, least squares on n.p = -1).
-Residuals are robustified with a Huber loss and the 6-dof normal equations
-are solved through a truncated eigen-decomposition, which both reports and
-disarms unconstrained directions (long corridors, single planes).
+As in F-LOAM (Wang et al., IROS 2021), a line's residual is the 3-vector
+e = (I - d d^T)(g - c) that rejects the point from the line, so each line
+constrains both directions across it; a plane's is the signed distance.
+The cost is the Huber loss of |e| and of the plane distances, and the
+6-dof normal equations are solved through a truncated eigen-decomposition,
+which both reports and disarms unconstrained directions (long corridors,
+single planes).
+
+Each tried pose costs one lean pass: one transform of the stacked edge
+and plane points, the rejection vectors, the residuals and the Huber cost,
+which is all the step test reads.  The Jacobian rows and weights are built
+only at the accepted pose.
 
 Pose updates are left-multiplicative: pose <- exp(delta) . pose, with the
 twist laid out [wx, wy, wz, vx, vy, vz].  Inside registration the pose is
@@ -32,7 +41,7 @@ the submap size below which registration is skipped are module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -171,6 +180,10 @@ class Correspondences:
     plane_points: np.ndarray  # (Np, 3) sensor frame
     plane_normals: np.ndarray  # (Np, 3) unit
     plane_offsets: np.ndarray  # (Np,) so that residual = n.g + d
+    points: np.ndarray = field(init=False)  # (Ne + Np, 3) edge then plane points
+
+    def __post_init__(self):
+        self.points = np.concatenate([self.edge_points, self.plane_points])
 
     def __len__(self) -> int:
         return len(self.edge_points) + len(self.plane_points)
@@ -259,25 +272,20 @@ def associate(
 def _residuals(corr: Correspondences, rotation: np.ndarray, translation: np.ndarray):
     """Evaluate the correspondences at the pose (rotation matrix, translation).
 
-    Returns the residuals, lines first (non-negative) then planes (signed);
-    the unit direction each residual is measured along (zero for a point
-    on its line); and the transformed points, in the same order.
+    Returns the transformed points, lines first then planes; each line's
+    rejection vector e = (I - d d^T)(g - c); and the residuals in the same
+    order as the points, |e| per line (non-negative) then the signed plane
+    distances n.g + d.
     """
-    g_edges = corr.edge_points @ rotation.T + translation
-    g_planes = corr.plane_points @ rotation.T + translation
-    rel = g_edges - corr.line_centroids
+    g = corr.points @ rotation.T + translation
+    ne = len(corr.edge_points)
+    rel = g[:ne] - corr.line_centroids
     along = np.einsum("ni,ni->n", rel, corr.line_directions)
     rej = rel - along[:, None] * corr.line_directions
-    er = np.linalg.norm(rej, axis=1)
-    edir = np.zeros_like(rej)
-    nz = er > 1e-12
-    edir[nz] = rej[nz] / er[nz, None]
-    pr = np.einsum("ni,ni->n", g_planes, corr.plane_normals) + corr.plane_offsets
-    return (
-        np.concatenate([er, pr]),
-        np.concatenate([edir, corr.plane_normals]),
-        np.concatenate([g_edges, g_planes]),
-    )
+    r = np.empty(len(g))
+    r[:ne] = np.linalg.norm(rej, axis=1)
+    r[ne:] = np.einsum("ni,ni->n", g[ne:], corr.plane_normals) + corr.plane_offsets
+    return g, rej, r
 
 
 def _huber_rho(r: np.ndarray, scale: float) -> np.ndarray:
@@ -296,16 +304,28 @@ def _cost(r: np.ndarray, num_edges: int, huber_scale: float) -> float:
     return float(rho[:num_edges].sum() + rho[num_edges:].sum())
 
 
-def _normal_equations(r, dirs, g, huber_scale: float):
-    """Robust Gauss-Newton (H, gradient); residual rows are J = [g x n, n]."""
-    (gx, gy, gz), (nx, ny, nz) = g.T, dirs.T
-    j = np.empty((len(r), 6))
+def _normal_equations(corr: Correspondences, g, rej, r, huber_scale: float):
+    """Robust Gauss-Newton (H, gradient) at one evaluation of corr.
+
+    A line adds three rows [g x m_k, m_k], one per row m_k of I - d d^T,
+    whose residuals are its rejection vector; a plane adds the row
+    [g x n, n] with its signed distance.  Every row of a correspondence
+    carries the Huber weight of its residual norm.
+    """
+    ne = len(rej)
+    d = corr.line_directions
+    lines = np.eye(3) - d[:, :, None] * d[:, None, :]  # (Ne, 3, 3), row k is m_k
+    dirs = np.concatenate([lines.reshape(-1, 3), corr.plane_normals])
+    pts = np.concatenate([np.repeat(g[:ne], 3, axis=0), g[ne:]])
+    (gx, gy, gz), (nx, ny, nz) = pts.T, dirs.T
+    j = np.empty((len(dirs), 6))
     j[:, 0] = gy * nz - gz * ny
     j[:, 1] = gz * nx - gx * nz
     j[:, 2] = gx * ny - gy * nx
     j[:, 3:] = dirs
-    jw = j * _huber_weight(r, huber_scale)[:, None]
-    return j.T @ jw, jw.T @ r
+    w = _huber_weight(r, huber_scale)
+    jw = j * np.concatenate([np.repeat(w[:ne], 3), w[ne:]])[:, None]
+    return j.T @ jw, jw.T @ np.concatenate([rej.ravel(), r[ne:]])
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +385,10 @@ def register(
             if len(corr) < MIN_TOTAL_MATCHES:
                 return _unregistered(rotation, translation, iterations)
             evaluation = _residuals(corr, rotation, translation)
-            cost = _cost(evaluation[0], len(corr.edge_points), cfg.huber_scale)
-        # frozen iterations reuse the evaluation of the accepted step
-        h, grad = _normal_equations(*evaluation, cfg.huber_scale)
+            cost = _cost(evaluation[2], len(corr.edge_points), cfg.huber_scale)
+        # the system is built only at accepted poses; frozen iterations
+        # reuse the evaluation of the accepted step
+        h, grad = _normal_equations(corr, *evaluation, cfg.huber_scale)
         if not (np.isfinite(h).all() and np.isfinite(grad).all()):
             return _unregistered(rotation, translation, iterations)
 
@@ -391,7 +412,7 @@ def register(
             step_r, step_t = exp_rt(alpha * delta)
             cand_r, cand_t = step_r @ rotation, step_r @ translation + step_t
             cand_eval = _residuals(corr, cand_r, cand_t)
-            c = _cost(cand_eval[0], len(corr.edge_points), cfg.huber_scale)
+            c = _cost(cand_eval[2], len(corr.edge_points), cfg.huber_scale)
             if c <= cost * (1.0 - 1e-8):
                 accepted = (cand_r, cand_t, cand_eval, c)
                 break
@@ -420,7 +441,7 @@ def register(
 
     return RegistrationResult(
         pose=Pose(project_rotation(rotation), translation),
-        final_cost=float(np.abs(evaluation[0]).mean()),
+        final_cost=float(np.abs(evaluation[2]).mean()),
         iterations=iterations,
         converged=converged,
         degenerate_directions=null_directions,

@@ -1,7 +1,14 @@
-import pytest
+import sys
+from pathlib import Path
 
-from featslam import pipeline
-from featslam.pipeline import SlamResult
+# this checkout's sources come after PYTHONPATH, so a checkout named there
+# is the one under test, and a plain ``pytest`` still finds the package
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+import pytest  # noqa: E402
+
+from featslam import pipeline  # noqa: E402
+from featslam.pipeline import SlamResult  # noqa: E402
 
 
 @pytest.fixture

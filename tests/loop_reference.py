@@ -6,8 +6,9 @@ or evaluate each pose once.  The functions here are the straightforward code
 they replace: per ring, segment, sector and candidate for feature
 extraction; per column shift for the descriptor distance; a dict per voxel
 grid; separate residual, objective and normal-equation evaluations for
-registration; a batched einsum, determinant and solve for the plane
-fits of the correspondence search; the unit-quaternion rotation
+registration, with each line's three rows built one line at a time; a
+batched einsum, determinant and solve for the plane fits of the
+correspondence search; the unit-quaternion rotation
 (``QuaternionRotation``) that a ``geometry.Pose`` stored before its rotation
 became a matrix, and SE(3) exp, log, left Jacobians and adjoint on one pose or twist
 at a time, with exp and log through quaternions, and the pose-graph
@@ -286,9 +287,10 @@ class VoxelSet:
 
 
 def residuals(corr, pose):
-    """Non-negative line residuals, their unit directions and signed plane
-    residuals, with the edge and plane branches evaluated apart."""
-    edir = np.zeros((len(corr.edge_points), 3))
+    """Line rejection vectors e = (I - d d^T)(g - c) and their norms, and
+    signed plane residuals, with the edge and plane branches evaluated
+    apart."""
+    rej = np.zeros((len(corr.edge_points), 3))
     er = np.zeros(len(corr.edge_points))
     if len(corr.edge_points):
         g = pose.apply(corr.edge_points)
@@ -296,13 +298,11 @@ def residuals(corr, pose):
         along = np.einsum("ni,ni->n", rel, corr.line_directions)
         rej = rel - along[:, None] * corr.line_directions
         er = np.linalg.norm(rej, axis=1)
-        nz = er > 1e-12
-        edir[nz] = rej[nz] / er[nz, None]
     pr = np.zeros(len(corr.plane_points))
     if len(corr.plane_points):
         g = pose.apply(corr.plane_points)
         pr = np.einsum("ni,ni->n", g, corr.plane_normals) + corr.plane_offsets
-    return er, edir, pr
+    return er, rej, pr
 
 
 def objective(corr, pose, huber_scale: float) -> float:
@@ -311,19 +311,19 @@ def objective(corr, pose, huber_scale: float) -> float:
 
 
 def build_system(corr, pose, huber_scale: float):
-    """Robust Gauss-Newton normal equations (H, g, objective, residuals);
-    lines on which their point lies exactly are left out of H and g."""
-    er, edir, pr = residuals(corr, pose)
+    """Robust Gauss-Newton normal equations (H, g, objective, residuals),
+    built one line at a time: a line's three rows are [g x m_k, m_k] for
+    the rows m_k of I - d d^T, its three residuals are its rejection
+    vector, and all three carry the Huber weight of the vector's norm."""
+    er, rej, pr = residuals(corr, pose)
     rows = []
     resid = []
     weights = []
-    if len(corr.edge_points):
-        g_pts = pose.apply(corr.edge_points)
-        nz = er > 1e-12
-        j = np.concatenate([np.cross(g_pts[nz], edir[nz]), edir[nz]], axis=1)
-        rows.append(j)
-        resid.append(er[nz])
-        weights.append(_huber_weight(er[nz], huber_scale))
+    for g, d, e, norm in zip(pose.apply(corr.edge_points), corr.line_directions, rej, er):
+        m = np.eye(3) - np.outer(d, d)
+        rows.append(np.concatenate([np.cross(g, m), m], axis=1))
+        resid.append(e)
+        weights.append(np.full(3, _huber_weight(norm, huber_scale)))
     if len(corr.plane_points):
         g_pts = pose.apply(corr.plane_points)
         j = np.concatenate(

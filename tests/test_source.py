@@ -2,12 +2,16 @@
 ``src/featslam`` is read by its module or listed in its ``__all__``, every
 name in an ``__all__`` is bound by its module, no function gives a
 module config a default, so a stage runs only with the config it is handed,
-and every exception class the package defines is one ``featslam run``
-reports."""
+every exception class the package defines is one ``featslam run``
+reports, and the package under test is the first one on ``PYTHONPATH``."""
 
 import ast
 import importlib
 import inspect
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,3 +159,25 @@ def test_exceptions_are_reported_by_the_cli(path):
                if cls.__module__ == module.__name__ and issubclass(cls, BaseException)]
     assert [cls.__name__ for cls in defined
             if not issubclass(cls, (ValueError, OSError))] == []
+
+
+def test_package_under_test_is_the_first_on_pythonpath():
+    # a checkout named in PYTHONPATH is the one tested; this checkout's src
+    # is what a plain ``pytest`` falls back to
+    roots = [Path(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    roots.append(Path(__file__).resolve().parent.parent / "src")
+    first = next(r for r in roots if (r / "featslam" / "__init__.py").is_file())
+    assert Path(featslam.__file__).resolve().parent == (first / "featslam").resolve()
+
+
+def test_pythonpath_checkout_is_tested(tmp_path):
+    shutil.copytree(Path(featslam.__file__).parent, tmp_path / "featslam",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    check = f"{Path(__file__).resolve()}::test_package_under_test_is_the_first_on_pythonpath"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", check],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
