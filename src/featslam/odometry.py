@@ -350,7 +350,6 @@ class RegistrationResult:
 
 
 MIN_TOTAL_MATCHES = 10
-MAX_STEP_HALVINGS = 8
 
 
 def _unregistered(rotation: np.ndarray, translation: np.ndarray,
@@ -404,27 +403,17 @@ def register(
         if not np.isfinite(delta).all():
             return _unregistered(rotation, translation, iterations)
 
-        # step halving against the frozen correspondences; a step must buy
-        # a real decrease or the iteration is treated as stalled
-        alpha = 1.0
-        accepted = None
-        for _ in range(MAX_STEP_HALVINGS):
-            step_r, step_t = exp_rt(alpha * delta)
-            cand_r, cand_t = step_r @ rotation, step_r @ translation + step_t
-            cand_eval = _residuals(corr, cand_r, cand_t)
-            c = _cost(cand_eval[2], len(corr.edge_points), cfg.huber_scale)
-            if c <= cost * (1.0 - 1e-8):
-                accepted = (cand_r, cand_t, cand_eval, c)
-                break
-            alpha *= 0.5
-        if accepted is None:
-            if frozen:
-                converged = True  # fixed objective flat along the step
-                break
-            frozen = True  # stalled against shifting associations
-            continue
-        rotation, translation, evaluation, cost = accepted
-        step_norm = np.linalg.norm(alpha * delta)
+        # the whole step against the current correspondences must buy a
+        # real decrease, or the objective is flat along it: converged
+        step_r, step_t = exp_rt(delta)
+        cand_r, cand_t = step_r @ rotation, step_r @ translation + step_t
+        cand_eval = _residuals(corr, cand_r, cand_t)
+        cand_cost = _cost(cand_eval[2], len(corr.edge_points), cfg.huber_scale)
+        if not cand_cost <= cost * (1.0 - 1e-8):
+            converged = True
+            break
+        rotation, translation, evaluation, cost = cand_r, cand_t, cand_eval, cand_cost
+        step_norm = np.linalg.norm(delta)
         if step_norm < CONVERGENCE_TOLERANCE:
             converged = True
             break

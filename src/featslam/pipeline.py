@@ -24,6 +24,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -464,7 +465,9 @@ def _write_outputs(
 def run(config: PipelineConfig) -> int:
     """Execute a full run and write all outputs; returns the exit status.
 
-    The input is loaded and checked before the output directory is made."""
+    The input is loaded and checked before the output directory is made.
+    A stderr note counts the registrations that estimated no direction of
+    the pose (``degenerate_directions`` 6)."""
     scans, truth = _load_input(config)
     if truth is not None and len(truth) != len(scans):
         raise ValueError(
@@ -472,5 +475,12 @@ def run(config: PipelineConfig) -> int:
         )
     out = Path(config["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _write_outputs(run_slam(scans, config), truth, out)
+    result = run_slam(scans, config)
+    _write_outputs(result, truth, out)
+    registered = [reg for reg in result.registrations if reg is not None]
+    unestimated = sum(reg.degenerate_directions == 6 for reg in registered)
+    if unestimated:
+        print(f"featslam: note: {unestimated} of {len(registered)} registrations "
+              "estimated no direction of the pose (degenerate_directions 6 in "
+              "frames.csv)", file=sys.stderr)
     return 0

@@ -314,42 +314,36 @@ def rounded_square_path(side: float, corner_radius: float, frames: int, laps: fl
 # Worlds
 # ---------------------------------------------------------------------------
 
+CORRIDOR_HALF_WIDTH = 3.0  # m, the straight corridor's and the square loop's
+POLE_SPACING = 5.0  # m, between the straight corridor's poles at density 1
+ROOM_HALF = 6.0  # m, half the side of each of the two rooms
+
 
 def _square_walls(half: float, z0=-1.5, z1=1.0):
     c = [(-half, -half), (half, -half), (half, half), (-half, half)]
     return [Wall(c[k], c[(k + 1) % 4], z0, z1) for k in range(4)]
 
 
-def corridor_world(
-    length: float,
-    density: float,
-    half_width: float = 3.0,
-    pole_spacing: float = 5.0,
-) -> World:
+def corridor_world(length: float, density: float) -> World:
     w = World()
     x0, x1 = -5.0, length
     w.walls = [
-        Wall((x0, -half_width), (x1, -half_width)),
-        Wall((x0, half_width), (x1, half_width)),
-        Wall((x1, -half_width), (x1, half_width)),
-        Wall((x0, -half_width), (x0, half_width)),
+        Wall((x0, -CORRIDOR_HALF_WIDTH), (x1, -CORRIDOR_HALF_WIDTH)),
+        Wall((x0, CORRIDOR_HALF_WIDTH), (x1, CORRIDOR_HALF_WIDTH)),
+        Wall((x1, -CORRIDOR_HALF_WIDTH), (x1, CORRIDOR_HALF_WIDTH)),
+        Wall((x0, -CORRIDOR_HALF_WIDTH), (x0, CORRIDOR_HALF_WIDTH)),
     ]
-    spacing = pole_spacing / max(density, 1e-6)
+    spacing = POLE_SPACING / max(density, 1e-6)
     x = x0 + 2.0
     side = 1.0
     while x < x1 - 1.0:
-        w.poles.append(Pole((x, side * (half_width - 0.6))))
+        w.poles.append(Pole((x, side * (CORRIDOR_HALF_WIDTH - 0.6))))
         side = -side
         x += spacing
     return w
 
 
-def square_loop_world(
-    side: float,
-    density: float,
-    seed: int,
-    corridor_half_width: float = 3.0,
-) -> World:
+def square_loop_world(side: float, density: float, seed: int) -> World:
     """Square-annulus corridor around the rounded-square trajectory.
 
     Poles are jittered by a seeded RNG so the four sides of the square do
@@ -357,8 +351,8 @@ def square_loop_world(
     """
     rng = np.random.default_rng(seed)
     w = World()
-    outer = side / 2.0 + corridor_half_width
-    inner = side / 2.0 - corridor_half_width
+    outer = side / 2.0 + CORRIDOR_HALF_WIDTH
+    inner = side / 2.0 - CORRIDOR_HALF_WIDTH
     w.walls = _square_walls(outer) + _square_walls(inner, z1=0.8)
     n_poles = int(16 * density)
     # scatter poles inside the corridor band, away from the centerline
@@ -390,7 +384,7 @@ def _room_walls(cx: float, cy: float, half: float, door_y):
     return walls
 
 
-def two_room_world(separation: float, seed: int, room_half: float = 6.0) -> World:
+def two_room_world(separation: float, seed: int) -> World:
     """Two geometrically identical rooms joined by a long corridor.
 
     Room B is room A translated by +separation in x, pole layout included,
@@ -403,24 +397,24 @@ def two_room_world(separation: float, seed: int, room_half: float = 6.0) -> Worl
     # sensor driving the y = -3 centerline, and the visible ground strip is
     # wide enough for valid plane fits
     door_y = (-5.5, -0.5)
-    w.walls = _room_walls(0.0, 0.0, room_half, door_y)
-    w.walls += _room_walls(separation, 0.0, room_half, door_y)
-    w.walls.append(Wall((room_half, -5.5), (separation - room_half, -5.5)))
-    w.walls.append(Wall((room_half, -0.5), (separation - room_half, -0.5)))
+    w.walls = _room_walls(0.0, 0.0, ROOM_HALF, door_y)
+    w.walls += _room_walls(separation, 0.0, ROOM_HALF, door_y)
+    w.walls.append(Wall((ROOM_HALF, -5.5), (separation - ROOM_HALF, -5.5)))
+    w.walls.append(Wall((ROOM_HALF, -0.5), (separation - ROOM_HALF, -0.5)))
     layout = [(-3.5, 2.5), (2.0, 3.5), (-2.0, -4.5), (4.0, -1.0), (-4.8, -1.5)]
     for dx, dy in layout:
         w.poles.append(Pole((dx, dy)))
         w.poles.append(Pole((separation + dx, dy)))
     # corridor anchors: alternating thin bollards plus wall stubs pin the
     # along-corridor direction that two parallel walls leave unobservable
-    x = room_half + 1.0
+    x = ROOM_HALF + 1.0
     side = -5.0
-    while x < separation - room_half - 0.5:
+    while x < separation - ROOM_HALF - 0.5:
         w.poles.append(Pole((x, side), radius=0.1))
         side = -1.0 if side == -5.0 else -5.0
         x += float(rng.uniform(1.5, 3.0))
-    x = room_half + 6.0
-    while x < separation - room_half - 3.0:
+    x = ROOM_HALF + 6.0
+    while x < separation - ROOM_HALF - 3.0:
         w.walls.append(Wall((x, -5.5), (x, -5.0)))
         w.walls.append(Wall((x + 2.0, -0.5), (x + 2.0, -1.0)))
         x += 10.0

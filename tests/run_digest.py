@@ -10,10 +10,13 @@ checkout; the worlds and configs are read from this checkout's
 ``bench/workloads.py``.  Each of loop_square, aliased_rooms and
 odometry_square runs at seeds 0, 1 and 2.  The output is sorted JSON: per
 run, the sha256 of the stacked trajectory, odometry and keyframe-pose
-matrices, of the keyframe frame indices and of the per-frame registration
-diagnostics (the ``frames.csv`` fields, a NaN row for the unregistered first
-frame), ``(from, to, accepted, cost.hex())`` per loop attempt and
-``(iterations, final_cost.hex())`` per solve.  BLAS runs on one thread.
+matrices, of the keyframe frame indices, of each frame's registration
+iterations (-1 for the unregistered first frame) and of the other per-frame
+registration diagnostics (the rest of the ``frames.csv`` fields, a NaN row
+for the first frame), ``(from, to, accepted, cost.hex())`` per loop attempt
+and ``(iterations, final_cost.hex())`` per solve.  The iteration counts have
+their own digest, so a change that moves only them shows as exactly that.
+BLAS runs on one thread.
 """
 
 import os
@@ -47,11 +50,16 @@ def _poses(poses) -> str:
     return _sha256(np.stack([p.matrix() for p in poses]))
 
 
+def _iterations(registrations) -> str:
+    return _sha256(np.array([-1 if reg is None else reg.iterations
+                             for reg in registrations], dtype=np.int64))
+
+
 def _registrations(registrations) -> str:
-    rows = np.full((len(registrations), 6), np.nan)
+    rows = np.full((len(registrations), 5), np.nan)
     for row, reg in zip(rows, registrations):
         if reg is not None:
-            row[:] = (reg.iterations, reg.converged, reg.degenerate_directions,
+            row[:] = (reg.converged, reg.degenerate_directions,
                       reg.num_edge_matches, reg.num_plane_matches, reg.final_cost)
     return _sha256(rows)
 
@@ -66,6 +74,7 @@ def digest(name: str, seed: int) -> dict:
         "odometry": _poses(result.odometry),
         "keyframe_poses": _poses(result.keyframe_poses),
         "keyframe_frames": _sha256(np.array(result.keyframe_frames, dtype=np.int64)),
+        "iterations": _iterations(result.registrations),
         "registrations": _registrations(result.registrations),
         "attempts": [[e.from_keyframe, e.to_keyframe, bool(e.accepted), float(e.cost).hex()]
                      for e in result.events],

@@ -62,6 +62,25 @@ def corner_submap(cfg=CFG):
     return submap
 
 
+@pytest.fixture
+def counts(monkeypatch):
+    """Counts of register's associate rounds and tried steps (exp_rt calls)."""
+    counts = {"associate": 0, "steps": 0}
+    associate = odo.associate
+
+    def counting_associate(*args, **kwargs):
+        counts["associate"] += 1
+        return associate(*args, **kwargs)
+
+    def counting_step(twist):
+        counts["steps"] += 1
+        return exp_rt(twist)
+
+    monkeypatch.setattr(odo, "associate", counting_associate)
+    monkeypatch.setattr(odo, "exp_rt", counting_step)
+    return counts
+
+
 def track(scans, submap, cfg=CFG):
     """Run process_frame over scans, keeping the frame poses as run_slam
     does; returns the poses and the registrations."""
@@ -432,6 +451,19 @@ class TestRegister:
         assert 1 <= res.iterations <= cfg.refine_iterations
         assert np.linalg.norm(res.pose.translation - move.inverse().translation) < 5e-3
 
+    def test_failed_step_ends_the_registration(self, monkeypatch, counts):
+        # no step can lower a constant cost: the first whole step fails, and
+        # the registration ends there without shortening it or re-associating
+        monkeypatch.setattr(odo, "_cost", lambda r, num_edges, huber_scale: 1.0)
+        move = translate(0.1, 0.05, 0.0).compose(rotz(1.0))
+        cloud = corner_cloud()
+        feats = FeatureCloud(edges=move.apply(cloud.edges), planars=move.apply(cloud.planars))
+        res = register(feats, corner_submap(), Pose.identity(), CFG)
+        assert res.converged
+        assert res.iterations == 1
+        assert counts == {"associate": 1, "steps": 1}
+        assert res.pose.matrix().tolist() == Pose.identity().matrix().tolist()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_system_returns_unregistered(self, monkeypatch):
         bad = Correspondences(
@@ -619,32 +651,22 @@ class TestEvaluationMatchesReference:
                 assert (np.abs(h - (h_rest + added)) <= tol * (rows * size**2).sum()).all()
                 assert (np.abs(grad - grad_rest) <= tol * (rows * size * res).sum()).all()
 
-    def test_each_pose_evaluated_once(self, monkeypatch):
-        counts = {"associate": 0, "steps": 0}
+    def test_each_pose_evaluated_once(self, monkeypatch, counts):
         evaluated = []
         keep_alive = []  # an id() is unique only while its object lives
-
-        def counting_associate(*args, **kwargs):
-            counts["associate"] += 1
-            return associate(*args, **kwargs)
-
-        def counting_step(twist):
-            counts["steps"] += 1
-            return exp_rt(twist)
 
         def counting_residuals(corr, rotation, translation):
             keep_alive.append(corr)
             evaluated.append((id(corr), rotation.tobytes() + translation.tobytes()))
             return unwrapped_residuals(corr, rotation, translation)
 
-        associate, unwrapped_residuals = odo.associate, odo._residuals
-        monkeypatch.setattr(odo, "associate", counting_associate)
-        monkeypatch.setattr(odo, "exp_rt", counting_step)
+        unwrapped_residuals = odo._residuals
         monkeypatch.setattr(odo, "_residuals", counting_residuals)
         scans, _ = TestProcessFrame.corridor_scans(3, 0.5)
         _, results = track(scans, Submap(CFG))
         iterations = sum(res.iterations for res in results if res)
         assert counts["associate"] < iterations  # some iterations froze
+        assert counts["steps"] == iterations  # one tried step per iteration
         assert len(evaluated) == counts["associate"] + counts["steps"]
         assert len(set(evaluated)) == len(evaluated)
 

@@ -517,10 +517,11 @@ class TestFrameLog:
         with open(path, newline="") as f:
             return list(csv.DictReader(f))
 
-    def test_rows_equal_the_slam_result(self, tmp_path):
+    def test_rows_equal_the_slam_result(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["run", "--synthetic", "square,frames=12,size=24,seed=3", "--out", str(out)])
         assert rc == 0
+        assert capsys.readouterr().err == ""  # every frame estimated its pose
         config = PipelineConfig.from_items(
             _synthetic_items("square,frames=12,size=24,seed=3")
         )
@@ -548,13 +549,18 @@ class TestFrameLog:
 
     @pytest.mark.parametrize("setting", ["features.max_edges_per_sector=0",
                                          "odometry.max_correspondence_distance=1e-6"])
-    def test_skipped_registration_reports_six_directions(self, tmp_path, setting):
+    def test_skipped_registration_reports_six_directions(self, tmp_path, capsys, setting):
         # a submap with no edges, or no match within reach, ends registration
-        # early: no direction was estimated, and the row must say so
+        # early: no direction was estimated, and the row and the run's one
+        # note must say so
         out = tmp_path / "out"
         rc = main(["run", "--synthetic", "square,frames=20,seed=0", "--set", setting,
                    "--out", str(out)])
         assert rc == 0
+        assert capsys.readouterr().err == (
+            "featslam: note: 19 of 19 registrations estimated no direction of the "
+            "pose (degenerate_directions 6 in frames.csv)\n"
+        )
         rows = self.rows(out / "frames.csv")[1:]
         assert len(rows) == 19
         assert all(row["degenerate_directions"] == "6" for row in rows)
