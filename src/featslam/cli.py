@@ -15,6 +15,7 @@ import sys
 from typing import Dict, Optional, Sequence
 
 from .pipeline import PipelineConfig, parse_config_file, parse_overrides, run
+from .simulate import WORLD_DEFAULTS
 
 __all__ = ["main", "build_parser"]
 
@@ -42,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument(
         "--synthetic", metavar="SPEC",
         help="simulate a world: SHAPE or comma-separated key=value pairs "
-             "(shape, frames, noise, seed, density, size, laps, step, separation)",
+             f"({', '.join(WORLD_DEFAULTS)})",
     )
     runp.add_argument(
         "--eval", dest="eval_path", metavar="GT_POSES",
@@ -64,7 +65,7 @@ def _synthetic_items(spec: str) -> Dict[str, str]:
         else:
             items["synthetic.shape"] = token
     if "synthetic.shape" not in items:
-        items["synthetic.shape"] = "square"
+        items["synthetic.shape"] = WORLD_DEFAULTS["shape"]
     return items
 
 

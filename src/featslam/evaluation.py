@@ -1,4 +1,4 @@
-"""Trajectory accuracy metrics and the dense-ICP baseline.
+"""Trajectory accuracy metrics.
 
 Accuracy follows the KITTI odometry protocol: relative pose errors over
 subsequences of 100..800 m, start frames stepped every 10 frames, each
@@ -6,10 +6,7 @@ error normalized by the subsequence length.  Both trajectories must already
 live in a common frame; KITTI runs are compared in the left-camera frame
 after conjugating the estimate with the LiDAR->camera calibration.
 
-Also holds a point-to-point ICP reference registration, kept out of the
-pipeline itself: it exists to benchmark the feature-based loop estimator
-against the classic dense baseline.  Writing a run's files is the
-pipeline's job; nothing here touches disk.
+Writing a run's files is the pipeline's job; nothing here touches disk.
 """
 
 from __future__ import annotations
@@ -18,16 +15,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import Pose, project_rotation
+from .geometry import Pose
 
 __all__ = [
     "SEGMENT_LENGTHS",
     "LengthErrors",
     "EvalReport",
-    "IcpResult",
-    "icp_point_to_point",
     "kitti_relative_errors",
 ]
 
@@ -116,57 +110,3 @@ def kitti_relative_errors(
         per_length=per_length,
         insufficient_length=False,
     )
-
-
-@dataclass
-class IcpResult:
-    pose: Pose  # global pose of the source cloud
-    rms: float  # root-mean-square inlier distance at the last sweep
-    iterations: int
-
-
-def icp_point_to_point(
-    source: np.ndarray,
-    target: np.ndarray,
-    initial: Pose,
-    max_iterations: int = 50,
-    max_correspondence_distance: float = 5.0,
-    tolerance: float = 1e-6,
-) -> IcpResult:
-    """Classic point-to-point ICP; dense reference for loop registration.
-
-    source (Nx3, sensor frame) is registered onto target (Mx3, global
-    frame).  Each sweep pairs every moved source point with its nearest
-    target neighbor, solves the best rigid alignment of the pairs in closed
-    form, and repeats until the update stalls or the iteration cap is hit.
-    """
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if len(source) < 3 or len(target) < 3:
-        raise ValueError("point-to-point ICP needs at least 3 points per cloud")
-    tree = cKDTree(target)
-    pose = initial
-    rms = float("inf")
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        moved = pose.apply(source)
-        dist, idx = tree.query(moved, k=1)
-        mask = dist <= max_correspondence_distance
-        if int(mask.sum()) < 3:
-            break
-        p = moved[mask]
-        q = target[idx[mask]]
-        rms = float(np.sqrt(np.mean(dist[mask] ** 2)))
-        p_centroid = p.mean(axis=0)
-        q_centroid = q.mean(axis=0)
-        h = (p - p_centroid).T @ (q - q_centroid)
-        u, _, vt = np.linalg.svd(h)
-        sign = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
-        r = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
-        t = q_centroid - r @ p_centroid
-        delta = Pose(project_rotation(r), t)
-        pose = delta.compose(pose)
-        if np.linalg.norm(t) + delta.angle() < tolerance:
-            break
-    return IcpResult(pose=pose, rms=rms, iterations=iterations)
-

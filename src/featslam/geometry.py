@@ -7,8 +7,8 @@ Conventions used throughout the package:
   the matrices and ``inverse`` transposes, and neither renormalizes.
   Odometry's constant-velocity prediction ``cur (prev^-1 cur)`` multiplies
   a product's drift off SO(3) by about 2.4 per frame, so every matrix an
-  optimizer hands back (registration, the pose-graph solve, ICP) or a file
-  holds goes through ``project_rotation``, the one projection onto SO(3).
+  optimizer hands back (registration, the pose-graph solve) or a file holds
+  goes through ``project_rotation``, the one projection onto SO(3).
 * Quaternions appear only in the TUM writer of :mod:`featslam.dataset_io`.
 * Twists are plain 6-vectors ``[wx, wy, wz, vx, vy, vz]`` -- rotational part
   first (rad), translational part second (m).

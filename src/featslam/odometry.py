@@ -31,8 +31,9 @@ when the tree is first read after a change, so a loop submap assembled
 from many keyframes builds only the two trees its registration queries.
 
 A registration that cannot estimate a pose (a submap too small, too few
-matches, a non-finite system or step) returns one result: the pose it
-had reached, infinite cost and all 6 directions unestimated.
+matches, a non-finite or all-zero system, a non-finite step) returns one
+result: the pose it had reached, infinite cost and all 6 directions
+unestimated.
 
 ``OdometryConfig`` holds the iteration budgets, the robust scale, the
 correspondence gate and the submap geometry; the solver's tolerances and
@@ -394,8 +395,7 @@ def register(
         vals, vecs = np.linalg.eigh(h)
         top = vals[-1]
         if top <= 0.0:
-            null_directions = 6
-            break
+            return _unregistered(rotation, translation, iterations)
         keep = vals > EIGENVALUE_FLOOR * top
         null_directions = int((~keep).sum())
         inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from featslam.cli import main
-from featslam.evaluation import icp_point_to_point
+from dense_icp import icp_point_to_point
 from featslam.features import FeatureCloud
 from featslam.geometry import Pose
 from featslam.loop_closure import (

@@ -125,6 +125,11 @@ class TestGroundTruth:
         assert len(poses) == 1
         np.testing.assert_allclose(poses[0].matrix(), np.eye(4), atol=1e-12)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "poses.txt"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n\n  \n1 0 0 4 0 1 0 0 0 0 1 0\n")
+        assert [pose.translation[0] for pose in load_poses(p)] == [0.0, 4.0]
+
     def test_wrong_token_count_reports_line(self, tmp_path):
         p = tmp_path / "poses.txt"
         p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 0 0 0 1\n")

@@ -1,5 +1,5 @@
-"""Relative-error metrics, the dense-ICP baseline, and the evaluation files
-a run writes (evaluation.json, plot.csv).
+"""Relative-error metrics and the evaluation files a run writes
+(evaluation.json, plot.csv).
 
 The metric oracle is a from-scratch evaluator working directly on 4x4
 matrices (numpy only, no shared helpers with the implementation).
@@ -16,7 +16,6 @@ from featslam.dataset_io import GroundTruthTrajectory
 from featslam.evaluation import (
     EvalReport,
     LengthErrors,
-    icp_point_to_point,
     kitti_relative_errors,
 )
 from featslam.geometry import Pose
@@ -118,11 +117,11 @@ class TestKittiMetrics:
         assert report.per_length[800].pairs == 11
 
     def test_short_trajectory_flagged(self):
-        truth = straight_trajectory(50.0)
-        report = kitti_relative_errors(truth, truth)
-        assert report.insufficient_length
-        assert report.per_length == {}
-        assert report.ate_percent is None and report.are_deg_per_100m is None
+        for truth in (straight_trajectory(50.0), []):
+            report = kitti_relative_errors(truth, truth)
+            assert report.insufficient_length
+            assert report.per_length == {}
+            assert report.ate_percent is None and report.are_deg_per_100m is None
 
     def test_length_mismatch_rejected(self):
         truth = straight_trajectory(200.0)
@@ -294,33 +293,3 @@ class TestEvalJson:
                 align.compose(est).translation[:2], abs=5e-7)
             assert [float(row[k]) for k in ("gt_x", "gt_y")] == pytest.approx(
                 gt.translation[:2], abs=5e-7)
-
-
-class TestIcpOracle:
-    def test_recovers_known_displacement(self):
-        rng = np.random.default_rng(3)
-        target = rng.uniform(-6.0, 6.0, size=(600, 3))
-        true_pose = Pose.from_rt([0.0, 0.0, 0.06], np.array([0.4, -0.25, 0.1]))
-        source = true_pose.inverse().apply(target)
-        result = icp_point_to_point(source, target, Pose.identity())
-        t_err = np.linalg.norm(result.pose.translation - true_pose.translation)
-        assert t_err < 1e-4
-        assert np.degrees(result.pose.inverse().compose(true_pose).angle()) < 0.01
-        assert result.rms < 1e-4
-
-    def test_far_clutter_ignored(self):
-        rng = np.random.default_rng(8)
-        target = rng.uniform(-6.0, 6.0, size=(500, 3))
-        clutter = rng.uniform(200.0, 220.0, size=(200, 3))
-        move = Pose(np.eye(3), np.array([0.3, 0.0, 0.0]))
-        source = move.inverse().apply(target)
-        result = icp_point_to_point(
-            source, np.vstack([target, clutter]), Pose.identity()
-        )
-        assert np.linalg.norm(result.pose.translation - move.translation) < 1e-4
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            icp_point_to_point(
-                np.zeros((2, 3)), np.zeros((10, 3)), Pose.identity()
-            )

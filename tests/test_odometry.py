@@ -483,6 +483,18 @@ class TestRegister:
         assert res.iterations == 1
         np.testing.assert_allclose(res.pose.matrix(), init.matrix(), atol=1e-12)
 
+    def test_zero_system_returns_unregistered(self, monkeypatch):
+        # a system with no curvature in any direction estimates nothing
+        monkeypatch.setattr(odo, "_normal_equations", lambda *a: (np.zeros((6, 6)), np.zeros(6)))
+        init = translate(0.5, -0.2, 0.1).compose(rotz(3.0))
+        res = register(corner_cloud(), corner_submap(), init, CFG)
+        assert res.final_cost == float("inf")
+        assert res.degenerate_directions == 6
+        assert (res.num_edge_matches, res.num_plane_matches) == (0, 0)
+        assert not res.converged
+        assert res.iterations == 1
+        np.testing.assert_allclose(res.pose.matrix(), init.matrix(), atol=1e-12)
+
 
 def random_correspondences(rng, n_edges=8, n_planes=12):
     edge_points = rng.uniform(-5, 5, size=(n_edges, 3))

@@ -62,6 +62,9 @@ class TestConfigValues:
         assert cfg["synthetic.noise"] == 0.05
         assert cfg["run.no_loop"] is True
         assert cfg["dataset.max_frames"] == 16
+        for text in ("off", "false", "0", "No"):
+            cfg = PipelineConfig.from_items({**SQUARE, "run.no_loop": text})
+            assert cfg["run.no_loop"] is False
 
     def test_bad_bool_rejected(self):
         with pytest.raises(ValueError, match="run.no_loop"):
@@ -70,6 +73,16 @@ class TestConfigValues:
     def test_bad_int_rejected(self):
         with pytest.raises(ValueError, match="dataset.max_frames"):
             PipelineConfig.from_items({**SQUARE, "dataset.max_frames": "sixty"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("output.dir", 5), ("run.no_loop", 1), ("dataset.max_frames", 2.5),
+        ("synthetic.noise", True),
+    ])
+    def test_value_of_another_type_rejected(self, key, value):
+        # values handed over as Python objects, not parsed from text
+        message = f"bad value for {key}: {value!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            PipelineConfig.from_items({**SQUARE, key: value})
 
     def test_no_input_rejected(self):
         with pytest.raises(ValueError, match="no input"):
@@ -290,8 +303,16 @@ class TestCliArgs:
             "synthetic.frames": "50",
             "synthetic.noise": "0.02",
         }
-        # bare key=value pairs imply the default shape
+        # bare key=value pairs imply the default shape; empty tokens are skipped
         assert _synthetic_items("frames=10")["synthetic.shape"] == "square"
+        assert _synthetic_items("square,,frames=8,") == {
+            "synthetic.shape": "square", "synthetic.frames": "8"}
+
+    def test_synthetic_help_names_the_world_keys(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        listed = re.search(r"key=value\s+pairs\s+\(([^)]*)\)", capsys.readouterr().out)
+        assert [key.strip() for key in listed.group(1).split(",")] == list(WORLD_DEFAULTS)
 
     def test_flag_precedence(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -699,3 +720,15 @@ class TestDatasetRun:
         # the camera frame differs from the LiDAR frame the plot is drawn in
         camera_xy = [p.translation[:2] for p in truth.camera_poses]
         assert not np.allclose(camera_xy, [p.translation[:2] for p in gt], atol=0.1)
+
+    def test_scans_without_poses(self, tmp_path):
+        # no truth: every file of the run but the evaluation and the plot
+        items = write_kitti_sequence(tmp_path, self.TR)
+        out = tmp_path / "out"
+        assert main(["run", "--set", f"dataset.scans={items['dataset.scans']}",
+                     "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "frames.csv", "graph.csv", "loops.csv", "map.ply",
+            "trajectory_kitti.txt", "trajectory_tum.txt"]
+        assert len((out / "trajectory_kitti.txt").read_text().splitlines()) == 3
+        assert len((out / "frames.csv").read_text().splitlines()) == 4

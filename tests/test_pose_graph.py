@@ -273,6 +273,18 @@ class TestOptimizeExamples:
         assert report.final_cost == 0.0
         assert report.iterations == 0
 
+    def test_no_finite_step_leaves_the_graph_unchanged(self, monkeypatch):
+        # every damping value up to the cap gives a non-finite step
+        monkeypatch.setattr(pg, "spsolve", lambda a, b: np.full(len(b), np.nan))
+        g, _ = noisy_chain_graph(np.random.default_rng(5), 6, [(5, 0)])
+        before = [p.matrix() for p in g.nodes]
+        report = optimize(g)
+        assert not report.converged
+        assert report.iterations == 0
+        assert report.final_cost == report.initial_cost > 0.0
+        for b, n in zip(before, g.nodes, strict=True):
+            np.testing.assert_array_equal(n.matrix(), b)
+
     def test_optimize_is_deterministic(self):
         results = []
         for _ in range(2):

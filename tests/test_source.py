@@ -1,9 +1,11 @@
 """Checks on the package source: every module-level import in
 ``src/featslam`` is read by its module or listed in its ``__all__``, every
-name in an ``__all__`` is bound by its module, no function gives a
-module config a default, so a stage runs only with the config it is handed,
-every exception class the package defines is one ``featslam run``
-reports, and the package under test is the first one on ``PYTHONPATH``."""
+name in an ``__all__`` is bound by its module, every public function, class
+and constant is read by the package or ``bench/``, so none exists only for
+a test, no function gives a module config a default, so a stage runs only
+with the config it is handed, every exception class the package defines is
+one ``featslam run`` reports, and the package under test is the first one
+on ``PYTHONPATH``."""
 
 import ast
 import importlib
@@ -45,6 +47,16 @@ def unused_imports(source: str) -> list:
     return sorted(bound - read - exports(tree))
 
 
+def _defined(node) -> list:
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def unbound_exports(source: str) -> list:
     """Names listed in the ``__all__`` of source that no module-level
     import, def, class or assignment binds."""
@@ -53,11 +65,8 @@ def unbound_exports(source: str) -> list:
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound |= {a.asname or a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        else:
+            bound |= set(_defined(node))
     return sorted(exports(tree) - bound)
 
 
@@ -148,6 +157,68 @@ def test_checker_finds_stale_exports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_exports_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def _reads(node) -> set:
+    """Names that code under node reads: loaded names and attributes and
+    the names of ``from`` imports."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            found.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            found |= {a.name for a in n.names}
+    return found
+
+
+def unread_public_names(package: dict, others=()) -> list:
+    """``module.name`` for each public function, class and constant bound at
+    module level in the sources of package (module name -> source) that no
+    code in package or others reads outside its own definition.  An
+    ``__all__`` entry is not a read."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    outside = set().union(*(_reads(ast.parse(source)) for source in others))
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = outside.union(*(r for m, r in reads.items() if m != module))
+        for statement in tree.body:
+            public = [name for name in _defined(statement) if not name.startswith("_")]
+            if public:
+                read = elsewhere.union(*(_reads(s) for s in tree.body if s is not statement))
+                unread += [f"{module}.{name}" for name in public if name not in read]
+    return sorted(unread)
+
+
+def test_checker_finds_unread_public_names():
+    package = {
+        "a": (
+            "import numpy as np\n"
+            "LIMIT = 3\n"
+            "_HIDDEN = 1\n"
+            "def f(x):\n"
+            "    return f(x - 1) if x else LIMIT\n"
+            "class C:\n"
+            "    def m(self) -> C:\n"
+            "        return C()\n"
+            "def g(): pass\n"
+            "H, K = 1, 2\n"
+            "__all__ = ['C', 'H', 'LIMIT', 'f', 'g']\n"
+        ),
+        "b": "from a import g\nimport a\nprint(a.C, K)\nSPARE = 0\n",
+    }
+    assert unread_public_names(package, ["from b import SPARE as S\n"]) == ["a.H", "a.f"]
+    assert unread_public_names(package) == ["a.H", "a.f", "b.SPARE"]
+
+
+def test_public_names_are_read_by_the_package_or_bench():
+    # no public function, class or constant exists only for a test
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    package = {p.stem: p.read_text() for p in SOURCES}
+    others = [p.read_text() for p in sorted(bench.glob("*.py"))]
+    assert unread_public_names(package, others) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
