@@ -78,6 +78,14 @@ def ring_from_elevation(xyz: np.ndarray) -> np.ndarray:
     return np.clip(np.nan_to_num(ring), 0, NUM_LASERS - 1).astype(int)
 
 
+def check_scan_file(path: str | os.PathLike) -> None:
+    """Raise FormatError unless the file's size is a whole number of
+    16-byte (x, y, z, intensity) points."""
+    nbytes = os.path.getsize(path)
+    if nbytes % 16 != 0:
+        raise FormatError(f"{path}: size {nbytes} bytes is not a multiple of 16")
+
+
 def load_scan(path: str | os.PathLike) -> RawScan:
     """Decode a KITTI velodyne .bin file; rings are the NUM_LASERS bins of
     the HDL-64E elevation span.
@@ -85,9 +93,7 @@ def load_scan(path: str | os.PathLike) -> RawScan:
     Points with a non-finite coordinate are dropped by RawScan (KITTI
     contains stray returns); the number removed is reported on the scan.
     """
-    nbytes = os.path.getsize(path)
-    if nbytes % 16 != 0:
-        raise FormatError(f"{path}: size {nbytes} bytes is not a multiple of 16")
+    check_scan_file(path)
     pts = np.fromfile(path, dtype="<f4").reshape(-1, 4)
     xyz = pts[:, :3].astype(np.float64)
     return RawScan(xyz=xyz, ring=ring_from_elevation(xyz))
@@ -154,24 +160,21 @@ def _quaternion(m: np.ndarray) -> np.ndarray:
     return -q if q[0] < 0.0 else q
 
 
-def _fmt(values) -> str:
-    return " ".join(f"{v:.12g}" for v in values)
-
-
 def export_trajectory(
     trajectory: list[Pose], path: str | os.PathLike, format: str = "kitti"
 ) -> None:
-    """Write poses as KITTI (row-major 3x4) or TUM (index tx ty tz qx qy qz qw)."""
-    if format not in ("kitti", "tum"):
+    """Write poses as KITTI (row-major 3x4) or TUM (index tx ty tz qx qy qz qw),
+    one line per pose and every number to 12 significant digits."""
+    if format == "kitti":
+        rows = [pose.matrix()[:3, :].reshape(-1) for pose in trajectory]
+        np.savetxt(path, np.reshape(rows, (-1, 12)), fmt="%.12g")
+    elif format == "tum":
+        # _quaternion gives (w, x, y, z); TUM puts w last
+        rows = [[i, *pose.translation, *_quaternion(pose.rotation)[[1, 2, 3, 0]]]
+                for i, pose in enumerate(trajectory)]
+        np.savetxt(path, np.reshape(rows, (-1, 8)), fmt=["%d"] + ["%.12g"] * 7)
+    else:
         raise ValueError(f"unknown trajectory format {format!r}")
-    with open(path, "w") as f:
-        for i, pose in enumerate(trajectory):
-            if format == "kitti":
-                f.write(_fmt(pose.matrix()[:3, :].reshape(-1)) + "\n")
-            else:
-                w, x, y, z = _quaternion(pose.rotation)
-                t = pose.translation
-                f.write(f"{i} " + _fmt([t[0], t[1], t[2], x, y, z, w]) + "\n")
 
 
 def export_map(clouds, path: str | os.PathLike) -> None:
@@ -179,12 +182,9 @@ def export_map(clouds, path: str | os.PathLike) -> None:
 
     clouds: iterable of (FeatureCloud, Pose) pairs.
     """
-    chunks = []
-    for cloud, pose in clouds:
-        for pts in (cloud.edges, cloud.planars):
-            if len(pts):
-                chunks.append(pose.apply(pts))
-    allpts = np.vstack(chunks) if chunks else np.zeros((0, 3))
+    allpts = np.concatenate([np.zeros((0, 3))] + [
+        pose.apply(pts) for cloud, pose in clouds for pts in (cloud.edges, cloud.planars)
+    ])
     with open(path, "w") as f:
         f.write(
             "ply\nformat ascii 1.0\n"
@@ -192,5 +192,4 @@ def export_map(clouds, path: str | os.PathLike) -> None:
             "property float x\nproperty float y\nproperty float z\n"
             "end_header\n"
         )
-        for p in allpts:
-            f.write(_fmt(p) + "\n")
+        np.savetxt(f, allpts, fmt="%.12g")

@@ -50,8 +50,6 @@ class EvalReport:
 
 def _path_distances(poses: Sequence[Pose]) -> np.ndarray:
     """Cumulative arc length along the trajectory, dist[0] = 0."""
-    if not poses:
-        return np.zeros(0)
     steps = [
         np.linalg.norm(poses[i].translation - poses[i - 1].translation)
         for i in range(1, len(poses))

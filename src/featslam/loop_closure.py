@@ -63,8 +63,8 @@ def is_new_keyframe(last: Pose, current: Pose, cfg: LoopClosureConfig) -> bool:
 
 
 def gate_distance(t_k: Pose, t_loop: Pose) -> float:
-    rel = t_loop.inverse().compose(t_k)
-    return float(np.linalg.norm(rel.translation))
+    """The length of the relative translation, |t_k - t_loop|."""
+    return float(np.linalg.norm(t_k.translation - t_loop.translation))
 
 
 def adaptive_threshold(k: int, cfg: LoopClosureConfig) -> float:

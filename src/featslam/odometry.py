@@ -186,9 +186,6 @@ class Correspondences:
     def __post_init__(self):
         self.points = np.concatenate([self.edge_points, self.plane_points])
 
-    def __len__(self) -> int:
-        return len(self.edge_points) + len(self.plane_points)
-
 
 def _empty():
     return np.zeros((0, 3))
@@ -382,7 +379,7 @@ def register(
         iterations += 1
         if not frozen:
             corr = associate(features, submap, rotation, translation, cfg)
-            if len(corr) < MIN_TOTAL_MATCHES:
+            if len(corr.points) < MIN_TOTAL_MATCHES:
                 return _unregistered(rotation, translation, iterations)
             evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[2], len(corr.edge_points), cfg.huber_scale)
@@ -418,14 +415,8 @@ def register(
             converged = True
             break
         if not frozen:
-            stagnant = (
-                prev_cost is not None
-                and cost > prev_cost * (1.0 - FREEZE_COST_REL)
-            )
-            if stagnant or step_norm < FREEZE_STEP:
-                frozen = True
-            if iterations >= cfg.max_iterations:
-                frozen = True
+            stagnant = prev_cost is not None and cost > prev_cost * (1.0 - FREEZE_COST_REL)
+            frozen = stagnant or step_norm < FREEZE_STEP or iterations >= cfg.max_iterations
             prev_cost = cost
 
     return RegistrationResult(
@@ -446,9 +437,8 @@ def register(
 
 def predict_pose(poses: Sequence[Pose]) -> Pose:
     """Constant-velocity extrapolation T_{k-1} (T_{k-2}^-1 T_{k-1}) from the
-    poses so far; one pose predicts zero velocity, none the identity."""
-    if not poses:
-        return Pose.identity()
+    poses so far, of which there is at least one; one pose predicts zero
+    velocity."""
     previous, current = poses[-min(len(poses), 2)], poses[-1]
     return current.compose(previous.inverse().compose(current))
 
@@ -459,10 +449,12 @@ def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConf
 
     poses are the poses of the frames before this one; only the submap
     changes.  Returns (features, pose, RegistrationResult or None).  The
-    first frame bootstraps the submap at the identity without registering.
+    first frame (no poses before it) bootstraps the submap at the identity
+    without registering; a later frame that meets an empty submap, as after
+    empty first scans, gets the unregistered result at its prediction.
     """
     features = extract_features(scan, feature_cfg)
-    if len(submap.edges.points) == 0 and len(submap.planars.points) == 0:
+    if not poses:
         pose = Pose.identity()
         result = None
     else:

@@ -28,13 +28,14 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .dataset_io import (
     GroundTruthTrajectory,
     RawScan,
+    check_scan_file,
     export_map,
     export_trajectory,
     load_ground_truth,
@@ -204,10 +205,6 @@ class PipelineConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def fixed_threshold(self) -> Optional[float]:
-        value = self["run.fixed_threshold"]
-        return value if value > 0.0 else None
-
 
 def parse_config_file(path) -> Dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blanks ignored."""
@@ -281,7 +278,8 @@ def _verify_loop(
     """
     loop_idx = match.candidate_keyframe_index
     d = gate_distance(poses[k], poses[loop_idx])
-    threshold = config.fixed_threshold() or adaptive_threshold(k, config.loop)
+    fixed = config["run.fixed_threshold"]
+    threshold = fixed if fixed > 0.0 else adaptive_threshold(k, config.loop)
     relative, cost, millis = None, float("inf"), 0.0
     if d <= threshold:  # the boundary counts as inside; NaN does not
         yaw = shift_to_yaw(match.best_column_shift, config.scan_context.num_sectors)
@@ -294,7 +292,7 @@ def _verify_loop(
     return relative
 
 
-def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
+def run_slam(scans: Iterable[RawScan], config: PipelineConfig) -> SlamResult:
     """Process scans end to end; returns trajectories, keyframes, and events."""
     sc_cfg = config.scan_context
     graph = PoseGraph(config.graph)
@@ -358,7 +356,9 @@ def run_slam(scans: Sequence[RawScan], config: PipelineConfig) -> SlamResult:
 def _load_input(config: PipelineConfig):
     """Returns (scans, truth).  Truth is None for a dataset without poses;
     a synthetic world's truth is in the LiDAR frame, so its calibration is
-    the identity."""
+    the identity.  A dataset's scans are an iterator that loads each file
+    as the run reaches it; the file sizes and the truth's pose count are
+    checked here, before any scan is loaded."""
     if config["synthetic.shape"]:
         scans, poses = generate_world(_section(config.values, "synthetic"))
         return scans, GroundTruthTrajectory(poses, Pose.identity())
@@ -371,11 +371,16 @@ def _load_input(config: PipelineConfig):
     paths = sorted(scan_dir.glob("*.bin"))[:end]
     if not paths:
         raise OSError(f"no .bin scans in dataset directory: {scan_dir}")
-    scans = [load_scan(p) for p in paths]
+    for path in paths:
+        check_scan_file(path)
+    scans = map(load_scan, paths)
     if not config["dataset.poses"]:
         return scans, None
-    truth = load_ground_truth(config["dataset.poses"], config["dataset.calib"])
-    return scans, GroundTruthTrajectory(truth.camera_poses[:end], truth.calibration)
+    loaded = load_ground_truth(config["dataset.poses"], config["dataset.calib"])
+    truth = GroundTruthTrajectory(loaded.camera_poses[:end], loaded.calibration)
+    if len(truth) != len(paths):
+        raise ValueError(f"ground truth has {len(truth)} poses for {len(paths)} scans")
+    return scans, truth
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -466,13 +471,16 @@ def run(config: PipelineConfig) -> int:
     """Execute a full run and write all outputs; returns the exit status.
 
     The input is loaded and checked before the output directory is made.
-    A stderr note counts the registrations that estimated no direction of
+    A stderr note says when a synthetic world has fewer frames than
+    ``synthetic.frames`` asked for (the two_rooms path has a fixed length),
+    and another counts the registrations that estimated no direction of
     the pose (``degenerate_directions`` 6)."""
     scans, truth = _load_input(config)
-    if truth is not None and len(truth) != len(scans):
-        raise ValueError(
-            f"ground truth has {len(truth)} poses for {len(scans)} scans"
-        )
+    asked = config["synthetic.frames"]
+    if config["synthetic.shape"] and len(scans) < asked:
+        print(f"featslam: note: the {config['synthetic.shape']} world has "
+              f"{len(scans)} frames, fewer than synthetic.frames = {asked}",
+              file=sys.stderr)
     out = Path(config["output.dir"])
     out.mkdir(parents=True, exist_ok=True)
     result = run_slam(scans, config)

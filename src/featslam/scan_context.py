@@ -17,8 +17,7 @@ import numpy as np
 
 from .features import FeatureCloud
 
-EMPTY_BIN = -1000.0
-_OCCUPIED_FLOOR = -999.0  # bins hold real z values (meters); never this low
+EMPTY_BIN = -1000.0  # bins hold real z values (meters); never this low
 
 
 @dataclass
@@ -58,20 +57,18 @@ class CandidateMatch:
 def build_descriptor(features: FeatureCloud, cfg: ScanContextConfig) -> ScanContextDescriptor:
     """Bin edge and planar points together by (planar range, azimuth)."""
     pts = np.vstack([features.edges, features.planars])
+    rho = np.hypot(pts[:, 0], pts[:, 1])
+    keep = rho < cfg.max_radius
+    pts, rho = pts[keep], rho[keep]
+    ring = np.floor(rho / (cfg.max_radius / cfg.num_rings)).astype(int)
+    ring = np.minimum(ring, cfg.num_rings - 1)  # rho just below max_radius can round up
+    azimuth = np.arctan2(pts[:, 1], pts[:, 0])
+    sector = np.floor(
+        (azimuth + np.pi) / (2.0 * np.pi) * cfg.num_sectors
+    ).astype(int) % cfg.num_sectors
     matrix = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
-    if len(pts):
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        keep = rho < cfg.max_radius
-        pts, rho = pts[keep], rho[keep]
-    if len(pts):
-        ring = np.floor(rho / (cfg.max_radius / cfg.num_rings)).astype(int)
-        ring = np.minimum(ring, cfg.num_rings - 1)  # rho just below max_radius can round up
-        azimuth = np.arctan2(pts[:, 1], pts[:, 0])
-        sector = np.floor(
-            (azimuth + np.pi) / (2.0 * np.pi) * cfg.num_sectors
-        ).astype(int) % cfg.num_sectors
-        np.maximum.at(matrix, (ring, sector), pts[:, 2])
-    ring_key = (matrix > _OCCUPIED_FLOOR).mean(axis=1)
+    np.maximum.at(matrix, (ring, sector), pts[:, 2])
+    ring_key = (matrix > EMPTY_BIN).mean(axis=1)
     return ScanContextDescriptor(matrix, ring_key)
 
 
@@ -99,8 +96,8 @@ def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
             f"descriptor shapes differ: {a.matrix.shape} vs {b.matrix.shape}"
         )
     num_sectors = a.matrix.shape[1]
-    a_occ = a.matrix > _OCCUPIED_FLOOR
-    b_occ = b.matrix > _OCCUPIED_FLOOR
+    a_occ = a.matrix > EMPTY_BIN
+    b_occ = b.matrix > EMPTY_BIN
     a_col_occ = a_occ.any(axis=0)
     b_col_occ = b_occ.any(axis=0)
     if not (a_col_occ.any() or b_col_occ.any()):
@@ -142,13 +139,7 @@ def query(
     keys = np.stack([d.ring_key for d in eligible])
     key_dist = np.linalg.norm(keys - probe.ring_key, axis=1)
     order = np.argsort(key_dist, kind="stable")[: cfg.num_candidates]
-
-    best: Optional[CandidateMatch] = None
-    for idx in order:
-        cand = eligible[idx]
-        dist, shift = descriptor_distance(probe, cand)
-        if best is None or dist < best.descriptor_distance:
-            best = CandidateMatch(int(idx), dist, shift)
-    if best is not None and best.descriptor_distance < cfg.similarity_threshold:
-        return best
-    return None
+    scored = [CandidateMatch(int(idx), *descriptor_distance(probe, eligible[idx]))
+              for idx in order]
+    best = min(scored, key=lambda match: match.descriptor_distance)  # the first of ties
+    return best if best.descriptor_distance < cfg.similarity_threshold else None

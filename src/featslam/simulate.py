@@ -277,25 +277,26 @@ def rounded_square_loop(side: float, corner_radius: float):
 
     def point_at(s):
         s = float(s) % perimeter
-        for length, kind, data in pieces:
+        for length, kind, data in pieces[:-1]:
             if s <= length + 1e-12:
-                if kind == "s":
-                    (x0, y0), yaw = data
-                    return (
-                        x0 + s * np.cos(yaw),
-                        y0 + s * np.sin(yaw),
-                        yaw,
-                    )
-                (cx, cy), a0 = data
-                a = a0 + s / r
-                return (
-                    cx + r * np.cos(a),
-                    cy + r * np.sin(a),
-                    a + np.pi / 2,
-                )
+                break
             s -= length
-        (x0, y0), yaw = pieces[-1][2]
-        return (x0, y0, yaw)
+        else:  # the last piece takes the remaining arc length
+            _, kind, data = pieces[-1]
+        if kind == "s":
+            (x0, y0), yaw = data
+            return (
+                x0 + s * np.cos(yaw),
+                y0 + s * np.sin(yaw),
+                yaw,
+            )
+        (cx, cy), a0 = data
+        a = a0 + s / r
+        return (
+            cx + r * np.cos(a),
+            cy + r * np.sin(a),
+            a + np.pi / 2,
+        )
 
     return perimeter, point_at
 
@@ -480,7 +481,8 @@ def check_world_spec(spec: dict) -> dict:
     that is not a finite number (an integer for frames and seed), or one
     below its limit: frames >= 1, seed, noise, density >= 0, and size,
     laps, step, separation > 0; a square course's size must also be at
-    least twice SQUARE_CORNER_RADIUS."""
+    least twice SQUARE_CORNER_RADIUS.  A two_rooms frames above its path's
+    length is not an error (see generate_world)."""
     unknown = set(spec) - set(WORLD_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown world spec keys: {sorted(unknown)}")
@@ -506,7 +508,9 @@ def generate_world(spec: dict):
     """Build (scans, ground_truth_poses) from a flat spec dict.
 
     Keys (all optional): shape, frames, noise, seed, density, size, laps,
-    step, separation; checked by check_world_spec.
+    step, separation; checked by check_world_spec.  The two_rooms path's
+    length is set by step and separation (291 poses at the defaults), and
+    frames only cuts it short: a larger frames gives fewer frames.
     """
     s = check_world_spec(spec)
 
@@ -519,8 +523,7 @@ def generate_world(spec: dict):
         poses = straight_path(s["frames"], s["step"])
     elif s["shape"] == "two_rooms":
         world = two_room_world(s["separation"], seed=s["seed"])
-        poses = two_room_path(s["separation"], step=s["step"])
-        poses = poses[: s["frames"]] if s["frames"] < len(poses) else poses
+        poses = two_room_path(s["separation"], step=s["step"])[: s["frames"]]
     else:  # static
         world = corridor_world(length=20.0, density=s["density"])
         poses = [Pose.identity() for _ in range(s["frames"])]

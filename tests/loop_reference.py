@@ -44,7 +44,7 @@ from featslam.pose_graph import _LAMBDA_INIT as LAMBDA_INIT
 from featslam.pose_graph import _LAMBDA_MAX as LAMBDA_MAX
 from featslam.pose_graph import _LAMBDA_MIN as LAMBDA_MIN
 from featslam.pose_graph import OptimizationReport
-from featslam.scan_context import _OCCUPIED_FLOOR as OCCUPIED_FLOOR
+from featslam.scan_context import EMPTY_BIN
 from featslam.scan_context import ScanContextDescriptor
 from featslam.simulate import Pole, Wall, World, _ground_hits
 
@@ -226,8 +226,8 @@ def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
             f"descriptor shapes differ: {a.matrix.shape} vs {b.matrix.shape}"
         )
     num_sectors = a.matrix.shape[1]
-    a_occ = a.matrix > OCCUPIED_FLOOR
-    b_occ = b.matrix > OCCUPIED_FLOOR
+    a_occ = a.matrix > EMPTY_BIN
+    b_occ = b.matrix > EMPTY_BIN
     av = np.where(a_occ, a.matrix, 0.0)
     bv = np.where(b_occ, b.matrix, 0.0)
     a_col_occ = a_occ.any(axis=0)

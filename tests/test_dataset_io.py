@@ -7,6 +7,7 @@ from featslam.dataset_io import (
     FormatError,
     GroundTruthTrajectory,
     RawScan,
+    _quaternion,
     export_map,
     export_trajectory,
     load_calibration,
@@ -218,6 +219,28 @@ class TestExportTrajectory:
         with pytest.raises(ValueError):
             export_trajectory([Pose.identity()], tmp_path / "x.txt", format="g2o")
 
+    @pytest.mark.parametrize("format", ["kitti", "tum"])
+    def test_empty_trajectory_writes_an_empty_file(self, tmp_path, format):
+        out = tmp_path / "traj.txt"
+        export_trajectory([], out, format=format)
+        assert out.read_bytes() == b""
+
+    def test_every_number_to_12_significant_digits(self, tmp_path):
+        rng = np.random.default_rng(4)
+        poses = [Pose.from_rt(rng.uniform(-2, 2, 3), rng.uniform(-1e4, 1e4, 3) * 10.0 ** k)
+                 for k in range(-8, 8)]
+
+        def line(values):
+            return " ".join(f"{v:.12g}" for v in values) + "\n"
+
+        export_trajectory(poses, tmp_path / "kitti.txt", format="kitti")
+        assert (tmp_path / "kitti.txt").read_text() == "".join(
+            line(p.matrix()[:3].ravel()) for p in poses)
+        export_trajectory(poses, tmp_path / "tum.txt", format="tum")
+        assert (tmp_path / "tum.txt").read_text() == "".join(
+            f"{i} " + line([*p.translation, *_quaternion(p.rotation)[[1, 2, 3, 0]]])
+            for i, p in enumerate(poses))
+
     def test_round_trip_1000_poses(self, tmp_path):
         rng = np.random.default_rng(11)
         poses = []
@@ -243,6 +266,7 @@ class TestExportMap:
         text = out.read_text()
         assert "element vertex 0" in text
         assert text.startswith("ply")
+        assert text.endswith("end_header\n")
 
     def test_single_point_transformed(self, tmp_path):
         cloud = self._Cloud([[0.0, 0.0, 0.0]], np.zeros((0, 3)))

@@ -93,9 +93,6 @@ def track(scans, submap, cfg=CFG):
 
 
 class TestPredictPose:
-    def test_first_frame_identity(self):
-        assert np.array_equal(predict_pose([]).matrix(), np.eye(4))
-
     def test_constant_velocity(self):
         np.testing.assert_allclose(
             predict_pose([Pose.identity(), translate(1, 0, 0)]).translation,

@@ -15,6 +15,7 @@ from featslam.geometry import Pose, project_rotation
 from featslam.loop_closure import (
     Keyframe,
     LoopClosureConfig,
+    adaptive_threshold,
     estimate_loop_pose,
     registration_config,
 )
@@ -35,6 +36,7 @@ from featslam.simulate import (
     rounded_square_path,
     simulate_scan,
     square_loop_world,
+    two_room_path,
 )
 
 SQUARE = {"synthetic.shape": "square"}
@@ -89,9 +91,19 @@ class TestConfigValues:
             PipelineConfig.from_items({})
 
     def test_fixed_threshold_nonpositive_means_adaptive(self):
-        assert PipelineConfig.from_items(SQUARE).fixed_threshold() is None
-        cfg = PipelineConfig.from_items({**SQUARE, "run.fixed_threshold": "80"})
-        assert cfg.fixed_threshold() == 80.0
+        # every keyframe after the first finds a match to gate: nothing is
+        # excluded and any descriptor distance below 1 is similar enough
+        items = {**SQUARE, "scan_context.exclude_recent": "0",
+                 "scan_context.similarity_threshold": "1.0"}
+        scans, _ = generate_world({"shape": "square", "frames": 8, "laps": 0.1, "seed": 0})
+        for fixed in ("0", "-1", "80"):
+            cfg = PipelineConfig.from_items({**items, "run.fixed_threshold": fixed})
+            events = run_slam(scans, cfg).events
+            assert len(events) >= 3
+            assert [e.d_thre for e in events] == [
+                80.0 if fixed == "80" else adaptive_threshold(e.from_keyframe, cfg.loop)
+                for e in events
+            ]
 
 
 class TestModuleConfigs:
@@ -371,6 +383,19 @@ class TestCliArgs:
         assert f"--fixed-threshold must be > 0, got {float(meters)}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_short_two_room_world_noted(self, tmp_path, capsys):
+        # the two-room path has a fixed length; frames only cuts it short
+        out = tmp_path / "out"
+        rc = main(["run", "--synthetic", "two_rooms,separation=20,step=2,frames=1000",
+                   "--no-loop", "--out", str(out)])
+        assert rc == 0
+        frames = len(two_room_path(20.0, 2.0))
+        assert capsys.readouterr().err == (
+            f"featslam: note: the two_rooms world has {frames} frames, fewer than "
+            "synthetic.frames = 1000\n"
+        )
+        assert len((out / "trajectory_kitti.txt").read_text().splitlines()) == frames
+
     def test_eval_path_noted_as_ignored_for_synthetic(self, tmp_path, capsys):
         rc = main(["run", "--synthetic", "square,frames=3",
                    "--eval", str(tmp_path / "poses.txt"),
@@ -638,6 +663,30 @@ class TestFrameLog:
         assert (row["degenerate_directions"], row["converged"]) == ("6", "0")
         assert float(row["final_cost"]) == float("inf")
 
+    def test_empty_first_scans(self, tmp_path, capsys):
+        # only frame 0 bootstraps the submap; frames that meet it still
+        # empty keep their prediction, unregistered, and the row and the
+        # note count them
+        scans, _ = generate_world({"shape": "square", "frames": 4, "size": 24, "seed": 0})
+        root = tmp_path / "scans"
+        root.mkdir()
+        for i in range(2):
+            (root / f"{i:06d}.bin").write_bytes(b"")
+        for i, scan in enumerate(scans, start=2):
+            points = np.column_stack([scan.xyz, np.zeros(len(scan))]).astype("<f4")
+            points.tofile(root / f"{i:06d}.bin")
+        out = tmp_path / "out"
+        assert main(["run", "--set", f"dataset.scans={root}", "--out", str(out)]) == 0
+        rows = self.rows(out / "frames.csv")
+        assert [row["degenerate_directions"] for row in rows] == ["", "6", "6", "0", "0", "0"]
+        assert [row["final_cost"] for row in rows[1:3]] == ["inf", "inf"]
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0"
+        assert (out / "trajectory_kitti.txt").read_text().splitlines()[:3] == [identity] * 3
+        assert capsys.readouterr().err == (
+            "featslam: note: 2 of 5 registrations estimated no direction "
+            "of the pose (degenerate_directions 6 in frames.csv)\n"
+        )
+
     def test_in_memory_nonfinite_points_reported(self, tmp_path):
         scans, _ = generate_world({"shape": "square", "frames": 4, "seed": 0})
         clean = scans[2]
@@ -692,7 +741,7 @@ class TestDatasetRun:
 
         config = PipelineConfig.from_items(items)
         scans, truth = pipeline._load_input(config)
-        assert len(truth) == len(scans) == 3
+        assert len(truth) == 3
         trajectory = run_slam(scans, config).trajectory
         tr, tr_inv = truth.calibration, truth.calibration.inverse()
         expected = kitti_relative_errors(
@@ -720,6 +769,37 @@ class TestDatasetRun:
         # the camera frame differs from the LiDAR frame the plot is drawn in
         camera_xy = [p.translation[:2] for p in truth.camera_poses]
         assert not np.allclose(camera_xy, [p.translation[:2] for p in gt], atol=0.1)
+
+    def test_malformed_scan_among_good_ones(self, tmp_path, capsys):
+        # every file is checked before the output directory is made, though
+        # the scans are loaded only as the run reaches them
+        items = write_kitti_sequence(tmp_path, self.TR)
+        bad = tmp_path / "scans" / "000001.bin"
+        bad.write_bytes(bad.read_bytes()[:-4])
+        out = tmp_path / "out"
+        sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value}")]
+        assert main(["run", *sets, "--out", str(out)]) == 1
+        assert "000001.bin: size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scans_loaded_one_at_a_time(self, tmp_path, monkeypatch):
+        items = write_kitti_sequence(tmp_path, self.TR)
+        calls = []
+        real_load, real_frame = pipeline.load_scan, pipeline.process_frame
+
+        def load_scan(path):
+            calls.append("load")
+            return real_load(path)
+
+        def process_frame(*args):
+            calls.append("frame")
+            return real_frame(*args)
+
+        monkeypatch.setattr(pipeline, "load_scan", load_scan)
+        monkeypatch.setattr(pipeline, "process_frame", process_frame)
+        assert main(["run", "--set", f"dataset.scans={items['dataset.scans']}",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["load", "frame"] * 3
 
     def test_scans_without_poses(self, tmp_path):
         # no truth: every file of the run but the evaluation and the plot

@@ -8,6 +8,7 @@ from featslam import simulate
 from featslam.geometry import Pose
 from featslam.simulate import (
     SHAPES,
+    SQUARE_CORNER_RADIUS,
     LidarModel,
     Pole,
     Wall,
@@ -15,10 +16,12 @@ from featslam.simulate import (
     circle_path,
     corridor_world,
     generate_world,
+    rounded_square_loop,
     rounded_square_path,
     simulate_scan,
     square_loop_world,
     straight_path,
+    two_room_path,
     two_room_world,
 )
 
@@ -341,6 +344,13 @@ class TestPaths:
         steps = np.abs(np.diff(np.unwrap(headings)))
         assert steps.max() < 0.2
 
+    def test_rounded_square_ends_on_its_last_half_edge(self):
+        # the last piece takes whatever arc length the others leave
+        perimeter, point_at = rounded_square_loop(24.0, SQUARE_CORNER_RADIUS)
+        for back in (4.5, 0.5, 1e-9):
+            np.testing.assert_allclose(point_at(perimeter - back), [-back, -12.0, 0.0],
+                                       atol=1e-9)
+
 
 class TestWorlds:
     def test_two_room_world_has_separated_rooms(self):
@@ -418,3 +428,13 @@ class TestGenerateWorld:
     def test_scan_count_matches_frames(self):
         scans, poses = generate_world({"shape": "corridor", "frames": 3, "noise": 0.01})
         assert len(scans) == 3 and len(poses) == 3
+
+    def test_two_room_frames_cut_the_path_short(self):
+        # the path's length is fixed by step and separation: frames cuts it
+        # and never extends it
+        path = two_room_path(20.0, 2.0)
+        for frames, want in ((10, 10), (1000, len(path))):
+            scans, poses = generate_world({"shape": "two_rooms", "separation": 20.0,
+                                           "step": 2.0, "frames": frames})
+            assert len(scans) == len(poses) == want
+            assert all(np.array_equal(p.matrix(), q.matrix()) for p, q in zip(poses, path))
