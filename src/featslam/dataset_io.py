@@ -79,9 +79,11 @@ def ring_from_elevation(xyz: np.ndarray) -> np.ndarray:
 
 
 def check_scan_file(path: str | os.PathLike) -> None:
-    """Raise FormatError unless the file's size is a whole number of
-    16-byte (x, y, z, intensity) points."""
-    nbytes = os.path.getsize(path)
+    """Raise OSError unless the file opens for reading, and FormatError
+    unless its size is a whole number of 16-byte (x, y, z, intensity)
+    points."""
+    with open(path, "rb") as f:
+        nbytes = os.fstat(f.fileno()).st_size
     if nbytes % 16 != 0:
         raise FormatError(f"{path}: size {nbytes} bytes is not a multiple of 16")
 

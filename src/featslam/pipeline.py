@@ -357,8 +357,8 @@ def _load_input(config: PipelineConfig):
     """Returns (scans, truth).  Truth is None for a dataset without poses;
     a synthetic world's truth is in the LiDAR frame, so its calibration is
     the identity.  A dataset's scans are an iterator that loads each file
-    as the run reaches it; the file sizes and the truth's pose count are
-    checked here, before any scan is loaded."""
+    as the run reaches it; here, before any scan is loaded, each file is
+    opened and its size checked, and the truth's poses are counted."""
     if config["synthetic.shape"]:
         scans, poses = generate_world(_section(config.values, "synthetic"))
         return scans, GroundTruthTrajectory(poses, Pose.identity())
@@ -470,14 +470,18 @@ def _write_outputs(
 def run(config: PipelineConfig) -> int:
     """Execute a full run and write all outputs; returns the exit status.
 
-    The input is loaded and checked before the output directory is made.
-    A stderr note says when a synthetic world has fewer frames than
-    ``synthetic.frames`` asked for (the two_rooms path has a fixed length),
-    and another counts the registrations that estimated no direction of
-    the pose (``degenerate_directions`` 6)."""
+    The input is checked before the output directory is made: a synthetic
+    world is generated whole, and each dataset scan file is opened and its
+    size checked, but read only when the run reaches its frame, so a file
+    that changes or fails to read after the check stops the run part-way.
+    When ``synthetic.frames`` is set away from its default and the world
+    has fewer frames (the two_rooms path has a fixed length), a stderr
+    note says so; another counts the registrations that estimated no
+    direction of the pose (``degenerate_directions`` 6)."""
     scans, truth = _load_input(config)
     asked = config["synthetic.frames"]
-    if config["synthetic.shape"] and len(scans) < asked:
+    if (config["synthetic.shape"] and asked != WORLD_DEFAULTS["frames"]
+            and len(scans) < asked):
         print(f"featslam: note: the {config['synthetic.shape']} world has "
               f"{len(scans)} frames, fewer than synthetic.frames = {asked}",
               file=sys.stderr)

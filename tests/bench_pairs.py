@@ -9,8 +9,9 @@ For each workload, each pair runs
 PARENT_CHECKOUT and once in this checkout, one run at a time; the side that
 runs first alternates from pair to pair, so a drift of the host's speed
 over time falls on both sides alike.  Each checkout runs its own
-``bench/`` on its own ``src/``, and the last line of each run's output is
-read as its result.  A run that exits non-zero or reports ``correct:
+``bench/`` on its own ``src/`` for the ``run_seconds`` T of
+``BENCHMARK.json``, and the last line of each run's output is read as its
+result.  A run that exits non-zero or reports ``correct:
 false`` stops the script.
 
 One line per run is printed as it ends.  Then, per workload and metric,
@@ -76,7 +77,6 @@ def main(argv=None) -> int:
                         help="workload to run (repeatable; default: those of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2 for quartiles")
@@ -88,7 +88,8 @@ def main(argv=None) -> int:
         runs = {side: {m["name"]: [] for m in metrics} for side in SIDES}
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                values = _run(checkouts[side], workload, args.seed, args.seconds)
+                values = _run(checkouts[side], workload, args.seed,
+                              benchmark["run_seconds"])
                 for m in metrics:
                     runs[side][m["name"]].append(values[m["name"]])
                 print(f"{workload} pair {pair} {side}: " + "  ".join(

@@ -396,6 +396,14 @@ class TestCliArgs:
         )
         assert len((out / "trajectory_kitti.txt").read_text().splitlines()) == frames
 
+    def test_default_frames_not_noted(self, tmp_path, capsys):
+        # the default frames asks for no length, so the cut path is no news
+        assert len(two_room_path(20.0, 2.0)) < WORLD_DEFAULTS["frames"]
+        rc = main(["run", "--synthetic", "two_rooms,separation=20,step=2",
+                   "--no-loop", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_eval_path_noted_as_ignored_for_synthetic(self, tmp_path, capsys):
         rc = main(["run", "--synthetic", "square,frames=3",
                    "--eval", str(tmp_path / "poses.txt"),
@@ -780,6 +788,19 @@ class TestDatasetRun:
         sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value}")]
         assert main(["run", *sets, "--out", str(out)]) == 1
         assert "000001.bin: size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_scan_among_good_ones(self, tmp_path, capsys):
+        # a directory named like a scan has a size that is a multiple of 16
+        # but does not open as a file; it fails before the output directory
+        items = write_kitti_sequence(tmp_path, self.TR)
+        bad = tmp_path / "scans" / "000001.bin"
+        bad.unlink()
+        bad.mkdir()
+        out = tmp_path / "out"
+        sets = [arg for key, value in items.items() for arg in ("--set", f"{key}={value}")]
+        assert main(["run", *sets, "--out", str(out)]) == 1
+        assert "000001.bin" in capsys.readouterr().err
         assert not out.exists()
 
     def test_scans_loaded_one_at_a_time(self, tmp_path, monkeypatch):
