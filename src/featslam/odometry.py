@@ -33,7 +33,8 @@ from many keyframes builds only the two trees its registration queries.
 A registration that cannot estimate a pose (a submap too small, too few
 matches, a non-finite or all-zero system, a non-finite step) returns one
 result: the pose it had reached, infinite cost and all 6 directions
-unestimated.
+unestimated.  Its frame is folded into the submap only when the submap was
+too small to register against.
 
 ``OdometryConfig`` holds the iteration budgets, the robust scale, the
 correspondence gate and the submap geometry; the solver's tolerances and
@@ -451,7 +452,10 @@ def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConf
     changes.  Returns (features, pose, RegistrationResult or None).  The
     first frame (no poses before it) bootstraps the submap at the identity
     without registering; a later frame that meets an empty submap, as after
-    empty first scans, gets the unregistered result at its prediction.
+    empty first scans, gets the unregistered result at its prediction and
+    is folded in there.  A frame whose registration failed against a
+    submap big enough to register against is not folded in: its pose is
+    not an estimate, and its points would be misplaced in the map.
     """
     features = extract_features(scan, feature_cfg)
     if not poses:
@@ -460,5 +464,6 @@ def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConf
     else:
         result = register(features, submap, predict_pose(poses), cfg)
         pose = result.pose
-    submap.insert(features, pose)
+    if result is None or result.iterations == 0 or np.isfinite(result.final_cost):
+        submap.insert(features, pose)
     return features, pose, result

@@ -15,8 +15,10 @@ iterations (-1 for the unregistered first frame) and of the other per-frame
 registration diagnostics (the rest of the ``frames.csv`` fields, a NaN row
 for the first frame), ``(from, to, accepted, cost.hex())`` per loop attempt
 and ``(iterations, final_cost.hex())`` per solve.  The iteration counts have
-their own digest, so a change that moves only them shows as exactly that.
-BLAS runs on one thread.
+their own digest, so a change that moves only them shows as exactly that;
+so do the features: one sha256 over every frame's ``extract_features``
+edges and planars, with their counts, in frame order.  BLAS runs on one
+thread.
 """
 
 import os
@@ -32,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from featslam.features import extract_features
 from featslam.pipeline import PipelineConfig, run_slam
 from featslam.simulate import generate_world
 
@@ -64,6 +67,16 @@ def _registrations(registrations) -> str:
     return _sha256(rows)
 
 
+def _features(scans, cfg) -> str:
+    h = hashlib.sha256()
+    for scan in scans:
+        fc = extract_features(scan, cfg)
+        h.update(np.array([len(fc.edges), len(fc.planars)], dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(fc.edges).tobytes())
+        h.update(np.ascontiguousarray(fc.planars).tobytes())
+    return h.hexdigest()
+
+
 def digest(name: str, seed: int) -> dict:
     w = WORKLOADS[name]
     scans = generate_world({**w.world, "seed": seed})[0]
@@ -74,6 +87,7 @@ def digest(name: str, seed: int) -> dict:
         "odometry": _poses(result.odometry),
         "keyframe_poses": _poses(result.keyframe_poses),
         "keyframe_frames": _sha256(np.array(result.keyframe_frames, dtype=np.int64)),
+        "features": _features(scans, config.features),
         "iterations": _iterations(result.registrations),
         "registrations": _registrations(result.registrations),
         "attempts": [[e.from_keyframe, e.to_keyframe, bool(e.accepted), float(e.cost).hex()]

@@ -5,7 +5,7 @@ import pytest
 
 import loop_reference as ref
 from featslam.dataset_io import RawScan
-from featslam.features import FeatureConfig, extract_features
+from featslam.features import FeatureConfig, _ring_segments, extract_features
 from featslam.geometry import Pose
 from featslam.simulate import generate_world
 
@@ -267,6 +267,114 @@ class TestMatchesLoopReference:
             assert_matches_loop(make_scan(xyz[perm], ring[perm]), configs[trial % 3])
 
 
+def polygon_ring(corners_deg, n=360, radius=10.0):
+    """Full-circle ring of n rays, half a step off the sector boundaries, onto
+    the polygon whose vertices sit at the given ascending azimuths (degrees)
+    on a circle of the given radius."""
+    theta = np.radians(np.arange(n) * 360.0 / n + 0.5) - np.pi
+    corners = np.radians(corners_deg)
+    a = radius * np.stack([np.cos(corners), np.sin(corners)], axis=1)
+    side = np.searchsorted(corners, theta) - 1  # -1: the side that wraps
+    start, edge = a[side], np.roll(a, -1, axis=0)[side] - a[side]
+    # the ray's distance t to the side: t d = start + u edge
+    dx, dy = np.cos(theta), np.sin(theta)
+    t = (start[:, 0] * edge[:, 1] - start[:, 1] * edge[:, 0]) / (dx * edge[:, 1] - dy * edge[:, 0])
+    return np.stack([t * dx, t * dy, np.zeros(n)], axis=1)
+
+
+def azimuths_deg(points):
+    return np.round(np.degrees(np.arctan2(points[:, 1], points[:, 0])), 6)
+
+
+class TestSelectionAcrossSectors:
+    """Sector s's planars are picked after its edges and before the edges of
+    the sectors after it, so only the edge windows of sectors <= s remove
+    its planar candidates."""
+
+    # corners are edges and every wall point a planar candidate; the budget
+    # takes every planar candidate a sector has
+    CFG = FeatureConfig(smoothness_threshold=0.02, occlusion_gap=5.0,
+                        max_planars_per_sector=60)
+
+    def check(self, corners_deg, edge_deg, kept_deg):
+        scan = make_scan(polygon_ring(corners_deg))
+        fc = extract_features(scan, self.CFG)
+        assert edge_deg in azimuths_deg(fc.edges)
+        # within the edge's window, in the sector picked before the edge's
+        assert set(kept_deg) <= set(azimuths_deg(fc.planars))
+        assert_matches_loop(scan, self.CFG)
+
+    def test_edge_window_reaching_back_a_sector(self):
+        # the edge at 2.5 deg (sector 3) covers -2.5..7.5 deg; the planars
+        # of sector 2 at its end were picked before it
+        self.check([-150.0, -90.0, 2.5, 90.0], 2.5, [-2.5, -1.5, -0.5])
+
+    def test_edge_window_wrapping_into_first_sector(self):
+        # the edge at 177.5 deg (sector 5) of the cyclic ring covers
+        # 172.5..-177.5 deg; the planars of sector 0 were picked first
+        self.check([-90.0, 0.0, 90.0, 177.5], 177.5, [-179.5, -178.5, -177.5])
+
+
+def assert_same_features(got, want):
+    assert got.edges.tobytes() == want.edges.tobytes()
+    assert got.planars.tobytes() == want.planars.tobytes()
+
+
+class TestOrderExactness:
+    """The ring and candidate orders hold on inputs the simulator never
+    sends: unordered rows, any integer ring ids, huge segment counts and
+    rings of very different sizes."""
+
+    @staticmethod
+    def square_scan():
+        return generate_world({"shape": "square", "frames": 2, "seed": 3})[0][1]
+
+    def test_shuffled_rows(self):
+        scan = self.square_scan()
+        azimuth = np.arctan2(scan.xyz[:, 1], scan.xyz[:, 0])
+        # no azimuth repeats within a ring, so no tie is left to scan order
+        assert len(np.unique(np.column_stack([scan.ring, azimuth]), axis=0)) == len(scan)
+        perm = np.random.default_rng(0).permutation(len(scan))
+        shuffled = extract_features(make_scan(scan.xyz[perm], scan.ring[perm]), CFG)
+        assert_same_features(shuffled, extract_features(scan, CFG))
+
+    @pytest.mark.parametrize("ids", [
+        np.arange(16, dtype=np.uint8),
+        np.linspace(-3, 40000, 16).astype(np.int64),
+        # a span of ids beyond 2**63: their differences wrap in int64
+        (np.arange(16, dtype=np.int64) - 7) * (2**60 - 1),
+    ], ids=["uint8", "int64_-3_to_40000", "int64_span_over_2**63"])
+    def test_ring_ids(self, ids):
+        scan = self.square_scan()
+        relabelled = RawScan(xyz=scan.xyz, ring=ids[scan.ring])
+        assert assert_matches_loop(relabelled) > 0
+        # ids in the same order select the same features
+        assert_same_features(extract_features(relabelled, CFG), extract_features(scan, CFG))
+
+    def test_more_segments_than_a_16_bit_key_holds(self):
+        # a ring of 6000 three-point clusters is cut into 6000 open segments,
+        # so sector * num_segments + segment outgrows 16 bits on the two
+        # full rings after it
+        cfg = FeatureConfig(num_sectors=12)
+        clusters = np.linspace(-np.pi, np.pi, 6000, endpoint=False) + 1e-4
+        theta = (clusters[:, None] + [0.0, 1e-5, 2e-5]).ravel()
+        dotted = 10.0 * np.stack([np.cos(theta), np.sin(theta), np.zeros(len(theta))], axis=1)
+        full = [gear_ring(z=-1.0), gear_ring(z=1.0, phase=2e-3)]
+        xyz = np.vstack([dotted] + full)
+        ring = np.repeat([0, 1, 2], [len(dotted), 360, 360])
+        num_segments = len(_ring_segments(ring, np.arctan2(xyz[:, 1], xyz[:, 0]),
+                                          cfg.gap_factor)[1])
+        assert num_segments == 6002
+        assert cfg.num_sectors * num_segments > 2**16
+        assert assert_matches_loop(make_scan(xyz, ring), cfg) > 0
+
+    def test_one_point_ring_beside_a_long_one(self):
+        # the median gaps' table is 2 x 20000
+        xyz = np.vstack([[[5.0, 1.0, -1.0]], gear_ring(n=20000)])
+        ring = np.r_[0, np.ones(20000, dtype=int)]
+        assert assert_matches_loop(make_scan(xyz, ring)) > 0
+
+
 class TestConfig:
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -275,3 +383,10 @@ class TestConfig:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             FeatureConfig(min_range=5.0, max_range=2.0)
+
+    @pytest.mark.parametrize("setting", [{"smoothness_threshold": -0.1},
+                                         {"max_planars_per_sector": -1},
+                                         {"gap_factor": 0.0}, {"occlusion_gap": -1.0}])
+    def test_rejects_bad_bounds(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            FeatureConfig(**setting)

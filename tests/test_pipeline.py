@@ -620,6 +620,33 @@ class TestFrameLog:
         assert all(row["degenerate_directions"] == "6" for row in rows)
         assert all(row["converged"] == "0" for row in rows)
 
+    @staticmethod
+    def break_frame(monkeypatch, bad_frame):
+        """Give frame bad_frame infinite plane normals, so its normal
+        equations are non-finite.  Returns a list that the run fills with
+        the submap's (edges, planars) before and after that frame."""
+        real_process_frame, real_associate = pipeline.process_frame, odometry.associate
+        frame, submaps = [], []
+
+        def process_frame(poses, scan, submap, *args):
+            frame[:] = [len(poses)]
+            if frame == [bad_frame]:
+                submaps.append((submap.edges.points, submap.planars.points))
+            out = real_process_frame(poses, scan, submap, *args)
+            if frame == [bad_frame]:
+                submaps.append((submap.edges.points, submap.planars.points))
+            return out
+
+        def associate(*args):
+            corr = real_associate(*args)
+            if frame == [bad_frame]:
+                corr.plane_normals = np.full_like(corr.plane_normals, np.inf)
+            return corr
+
+        monkeypatch.setattr(pipeline, "process_frame", process_frame)
+        monkeypatch.setattr(odometry, "associate", associate)
+        return submaps
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_system_is_an_unregistered_frame(self, monkeypatch, tmp_path):
         # a frame whose normal equations are non-finite gets the one failure
@@ -630,21 +657,7 @@ class TestFrameLog:
         config = PipelineConfig.from_items({**SQUARE, "run.no_loop": "true"})
         clean = run_slam(scans, config)
 
-        real_process_frame, real_associate = pipeline.process_frame, odometry.associate
-        frame = []
-
-        def process_frame(poses, *args):
-            frame[:] = [len(poses)]
-            return real_process_frame(poses, *args)
-
-        def associate(*args):
-            corr = real_associate(*args)
-            if frame == [bad_frame]:
-                corr.plane_normals = np.full_like(corr.plane_normals, np.inf)
-            return corr
-
-        monkeypatch.setattr(pipeline, "process_frame", process_frame)
-        monkeypatch.setattr(odometry, "associate", associate)
+        self.break_frame(monkeypatch, bad_frame)
         result = run_slam(scans, config)
 
         reg = result.registrations[bad_frame]
@@ -670,6 +683,22 @@ class TestFrameLog:
         row = self.rows(tmp_path / "frames.csv")[bad_frame]
         assert (row["degenerate_directions"], row["converged"]) == ("6", "0")
         assert float(row["final_cost"]) == float("inf")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_frame_not_folded_into_submap(self, monkeypatch):
+        # the failed frame's features would sit at a pose that is not an
+        # estimate: the submap after it is the submap before it
+        bad_frame = 30
+        scans, _ = generate_world({"shape": "square", "frames": 80, "size": 24,
+                                   "laps": 0.5, "seed": 0})
+        config = PipelineConfig.from_items({**SQUARE, "run.no_loop": "true"})
+        submaps = self.break_frame(monkeypatch, bad_frame)
+        result = run_slam(scans[: bad_frame + 1], config)
+        assert result.registrations[bad_frame].final_cost == float("inf")
+        (edges, planars), (edges_after, planars_after) = submaps
+        assert len(edges) and len(planars)
+        assert np.array_equal(edges_after, edges)
+        assert np.array_equal(planars_after, planars)
 
     def test_empty_first_scans(self, tmp_path, capsys):
         # only frame 0 bootstraps the submap; frames that meet it still
