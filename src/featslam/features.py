@@ -196,7 +196,8 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     if not centre.any():
         return FeatureCloud()
     # the far side of an occlusion silhouette is viewpoint-dependent: some
-    # neighbour is nearer by more than the gap, so the nearest one is
+    # neighbour is nearer by more than the gap.  Rounded subtraction is
+    # monotone, so testing the nearest neighbour decides as testing each does
     inner = len(pts) - 2 * hw
     nearest = rng[:inner]
     for k in range(1, w):

@@ -282,10 +282,6 @@ def polygon_ring(corners_deg, n=360, radius=10.0):
     return np.stack([t * dx, t * dy, np.zeros(n)], axis=1)
 
 
-def azimuths_deg(points):
-    return np.round(np.degrees(np.arctan2(points[:, 1], points[:, 0])), 6)
-
-
 class TestSelectionAcrossSectors:
     """Sector s's planars are picked after its edges and before the edges of
     the sectors after it, so only the edge windows of sectors <= s remove
@@ -299,9 +295,11 @@ class TestSelectionAcrossSectors:
     def check(self, corners_deg, edge_deg, kept_deg):
         scan = make_scan(polygon_ring(corners_deg))
         fc = extract_features(scan, self.CFG)
-        assert edge_deg in azimuths_deg(fc.edges)
+        edges, planars = (np.round(np.degrees(np.arctan2(p[:, 1], p[:, 0])), 6)
+                          for p in (fc.edges, fc.planars))
+        assert edge_deg in edges
         # within the edge's window, in the sector picked before the edge's
-        assert set(kept_deg) <= set(azimuths_deg(fc.planars))
+        assert set(kept_deg) <= set(planars)
         assert_matches_loop(scan, self.CFG)
 
     def test_edge_window_reaching_back_a_sector(self):
