@@ -93,15 +93,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = PipelineConfig.from_items(_collect_items(args))
-        if config["synthetic.shape"] and config["dataset.poses"]:
-            # synthetic worlds carry exact truth; an external pose file has
-            # no frame correspondence with generated scans
-            print(
-                "featslam: note: ignoring dataset.poses for synthetic input",
-                file=sys.stderr,
-            )
-        return run(config)
+        return run(PipelineConfig.from_items(_collect_items(args)))
     except (ValueError, OSError) as e:
         print(f"featslam: {e}", file=sys.stderr)
         return 1

@@ -9,6 +9,10 @@ A point whose smoothness exceeds the threshold is an edge candidate,
 otherwise a planar candidate.  Selection is budgeted per ring and azimuthal
 sector so features cover the whole scan.
 
+The window's half width, the threshold, the sector count and the per-sector
+budgets, the gap factor and the occlusion gap are module constants, fixed
+as LOAM fixes them; ``FeatureConfig`` holds only the sensor's range limits.
+
 Rings that span the full circle are treated as cyclic sequences; rings with
 large azimuthal gaps (dropouts, limited geometry) are split into open
 segments at the gaps, and segment endpoints are left unscored.
@@ -47,34 +51,33 @@ class FeatureCloud:
     planars: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
 
 
+NEIGHBORHOOD_HALF_WIDTH = 5
+SMOOTHNESS_THRESHOLD = 0.1
+MAX_EDGES_PER_SECTOR = 2
+MAX_PLANARS_PER_SECTOR = 4
+NUM_SECTORS = 6
+# A ring is split into open segments where the azimuthal gap between
+# consecutive points exceeds GAP_FACTOR x the ring's median gap.
+GAP_FACTOR = 5.0
+# Points on the far side of a range discontinuity (occlusion
+# silhouettes) are viewpoint-dependent and excluded from selection.
+OCCLUSION_GAP = 0.5
+
+
 @dataclass
 class FeatureConfig:
-    neighborhood_half_width: int = 5
-    smoothness_threshold: float = 0.1
     min_range: float = 2.0
     max_range: float = 90.0
-    max_edges_per_sector: int = 2
-    max_planars_per_sector: int = 4
-    num_sectors: int = 6
-    # A ring is split into open segments where the azimuthal gap between
-    # consecutive points exceeds gap_factor x the ring's median gap.
-    gap_factor: float = 5.0
-    # Points on the far side of a range discontinuity (occlusion
-    # silhouettes) are viewpoint-dependent and excluded from selection.
-    occlusion_gap: float = 0.5
 
     def __post_init__(self):
-        for name in ("neighborhood_half_width", "num_sectors"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (0 < self.min_range < self.max_range):
             raise ValueError("need 0 < min_range < max_range")
-        for name in ("smoothness_threshold", "max_edges_per_sector", "max_planars_per_sector"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("gap_factor", "occlusion_gap"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
+
+def sector_of(azimuth: np.ndarray, num_sectors: int) -> np.ndarray:
+    """The sector, of num_sectors equal ones counted from -pi, of each
+    azimuth (radians, in [-pi, pi]); pi wraps round to sector 0."""
+    return np.floor((azimuth + np.pi) / (2 * np.pi) * num_sectors).astype(int) % num_sectors
 
 
 def _argsort_ints(key: np.ndarray, top: int) -> np.ndarray:
@@ -105,10 +108,10 @@ def _norms(p: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x + y * y) + z * z)
 
 
-def _ring_segments(ring: np.ndarray, azimuth: np.ndarray, gap_factor: float):
+def _ring_segments(ring: np.ndarray, azimuth: np.ndarray):
     """Order every ring by azimuth and split it into segments at gaps.
 
-    A ring is cut after every gap wider than gap_factor x its median gap
+    A ring is cut after every gap wider than GAP_FACTOR x its median gap
     (the gap after its last point wraps round to its first).  A ring with
     no such gap is one cyclic segment; a cut ring becomes open segments,
     starting after its first cut.
@@ -140,7 +143,7 @@ def _ring_segments(ring: np.ndarray, azimuth: np.ndarray, gap_factor: float):
     table.sort(axis=1)
     rows = np.arange(len(first))
     median = (table[rows, (count - 1) // 2] + table[rows, count // 2]) / 2
-    big = gaps > gap_factor * np.maximum(median, 1e-9)[ring_of]
+    big = gaps > GAP_FACTOR * np.maximum(median, 1e-9)[ring_of]
 
     cuts = np.flatnonzero(big)
     first_cut = cuts[np.diff(ring_of[cuts], prepend=-1) != 0]
@@ -159,10 +162,10 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     """Classify scan points into edge and planar features.
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
-    max_edges_per_sector with sigma > threshold become edges, up to
-    max_planars_per_sector with sigma <= threshold become planars.  Points
-    within half_width of a selected edge are suppressed from further
-    selection.  RawScan has already dropped non-finite points.
+    MAX_EDGES_PER_SECTOR with sigma > SMOOTHNESS_THRESHOLD become edges, up
+    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Points
+    within NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from
+    further selection.  RawScan has already dropped non-finite points.
 
     Features come out in (ring, segment, sector, pick) order.
     """
@@ -170,11 +173,11 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     if len(xyz) == 0:
         return FeatureCloud()
 
-    hw = cfg.neighborhood_half_width
+    hw = NEIGHBORHOOD_HALF_WIDTH
     w = 2 * hw + 1
-    num_sectors = cfg.num_sectors
+    num_sectors = NUM_SECTORS
     azimuth = np.arctan2(xyz[:, 1], xyz[:, 0])
-    order, start, length, cyclic = _ring_segments(ring, azimuth, cfg.gap_factor)
+    order, start, length, cyclic = _ring_segments(ring, azimuth)
 
     # lay the segments end to end, each cyclic one wrapped by half a window
     # on either side, so that every window is a slice of the layout
@@ -203,7 +206,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     for k in range(1, w):
         if k != hw:
             nearest = np.minimum(nearest, rng[k : inner + k])
-    centre[hw : hw + inner] &= rng[hw : hw + inner] - nearest <= cfg.occlusion_gap
+    centre[hw : hw + inner] &= rng[hw : hw + inner] - nearest <= OCCLUSION_GAP
     cand = np.flatnonzero(centre)
 
     # add each window up one neighbour at a time, in order: this rounds as
@@ -212,9 +215,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     for k in range(2, w):
         window_sum += pts[k : inner + k]
     sigma = _norms(window_sum - w * pts[hw : hw + inner])[cand - hw] / (2 * hw * rng[cand])
-    sector = np.floor(
-        (azimuth[source[cand]] + np.pi) / (2 * np.pi) * num_sectors
-    ).astype(int) % num_sectors
+    sector = sector_of(azimuth[source[cand]], num_sectors)
 
     # candidates grouped by (sector, segment), in ascending sigma with ties
     # in layout order
@@ -222,7 +223,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     by_sigma = _argsort_stable(sigma)
     by_group = by_sigma[_argsort_ints(group[by_sigma], num_sectors * num_segments - 1)]
     cand, group, sector = cand[by_group], group[by_group], sector[by_group]
-    is_edge = sigma[by_group] > cfg.smoothness_threshold
+    is_edge = sigma[by_group] > SMOOTHNESS_THRESHOLD
 
     # edges, sector by sector, one per segment a round: the highest sigma
     # not yet suppressed, ties to the later point; its window is suppressed
@@ -237,7 +238,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
         block = slice(bounds[s], bounds[s + 1])
         block_edge = edge[block]
         block_point, block_seg = source[block_edge], seg[block_edge]
-        for _ in range(cfg.max_edges_per_sector):
+        for _ in range(MAX_EDGES_PER_SECTOR):
             pick = np.flatnonzero(suppressed_in[block_point] > s)
             if len(pick) == 0:
                 break
@@ -255,7 +256,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     run = np.arange(len(planar))
     new_group = np.r_[True, group[1:] != group[:-1]]
     rank = run - np.maximum.accumulate(np.where(new_group, run, 0))
-    planar = planar[rank < cfg.max_planars_per_sector]
+    planar = planar[rank < MAX_PLANARS_PER_SECTOR]
 
     def by_segment(at):
         # picks come in (sector, pick) order per segment

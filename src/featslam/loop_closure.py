@@ -21,22 +21,23 @@ from .geometry import Pose
 from .odometry import OdometryConfig, Submap, register
 
 
+COST_THRESHOLD = 0.3  # mean |residual| (m) to accept a loop
+KEYFRAME_TRANSLATION = 1.0  # m
+KEYFRAME_ROTATION_DEG = 10.0
+
+
 @dataclass
 class LoopClosureConfig:
     base_threshold: float = 20.0  # m, the distance gate at keyframe 0
     n: float = 100.0  # trajectory-length divisor: gate widens by 1 m per n keyframes
     submap_half_width: int = 10  # keyframes on each side of the loop frame
-    cost_threshold: float = 0.3  # mean |residual| (m) to accept a loop
-    keyframe_translation: float = 1.0  # m
-    keyframe_rotation_deg: float = 10.0
     max_iterations: int = 50  # loop registration's cap in place of odometry's
 
     def __post_init__(self):
-        for name in ("base_threshold", "n", "cost_threshold"):
+        for name in ("base_threshold", "n"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("submap_half_width", "keyframe_translation", "keyframe_rotation_deg",
-                     "max_iterations"):
+        for name in ("submap_half_width", "max_iterations"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -53,13 +54,13 @@ class Keyframe:
     odometry_pose: Pose
 
 
-def is_new_keyframe(last: Pose, current: Pose, cfg: LoopClosureConfig) -> bool:
+def is_new_keyframe(last: Pose, current: Pose) -> bool:
     """Promote when motion since the last keyframe exceeds
-    ``keyframe_translation`` (m) or ``keyframe_rotation_deg``."""
+    ``KEYFRAME_TRANSLATION`` (m) or ``KEYFRAME_ROTATION_DEG``."""
     rel = last.inverse().compose(current)
-    if np.linalg.norm(rel.translation) > cfg.keyframe_translation:
+    if np.linalg.norm(rel.translation) > KEYFRAME_TRANSLATION:
         return True
-    return np.degrees(rel.angle()) > cfg.keyframe_rotation_deg
+    return np.degrees(rel.angle()) > KEYFRAME_ROTATION_DEG
 
 
 def gate_distance(t_k: Pose, t_loop: Pose) -> float:
@@ -91,7 +92,7 @@ def estimate_loop_pose(
     odometry chain, and it is independent of how far odometry has wandered.
 
     Returns the registration's cost and, when the registration converged,
-    is not degenerate and costs less than ``cost_threshold``, the current
+    is not degenerate and costs less than ``COST_THRESHOLD``, the current
     keyframe's pose in the loop keyframe's frame (None otherwise).
     """
     reg_cfg = registration_config(cfg, odometry)
@@ -106,7 +107,7 @@ def estimate_loop_pose(
     )
     result = register(keyframes[current_index].features, submap, initial, reg_cfg)
 
-    if not (result.final_cost < cfg.cost_threshold and result.converged
+    if not (result.final_cost < COST_THRESHOLD and result.converged
             and not result.degenerate):
         return None, result.final_cost
     return latest_poses[loop_index].inverse().compose(result.pose), result.final_cost

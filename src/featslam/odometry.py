@@ -36,9 +36,9 @@ result: the pose it had reached, infinite cost and all 6 directions
 unestimated.  Its frame is folded into the submap only when the submap was
 too small to register against.
 
-``OdometryConfig`` holds the iteration budgets, the robust scale, the
-correspondence gate and the submap geometry; the solver's tolerances and
-the submap size below which registration is skipped are module constants.
+``OdometryConfig`` holds the iteration budgets, the correspondence gate
+and the submap geometry; the Huber scale, the solver's tolerances and the
+submap size below which registration is skipped are module constants.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from featslam.geometry import Pose, exp_rt, project_rotation
 class OdometryConfig:
     max_iterations: int = 20
     refine_iterations: int = 40
-    huber_scale: float = 0.3  # m
     max_correspondence_distance: float = 5.0  # m, gate on the 5th neighbor
     edge_voxel_size: float = 0.4  # m
     planar_voxel_size: float = 0.8  # m
@@ -67,8 +66,8 @@ class OdometryConfig:
         for name in ("max_iterations", "refine_iterations"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("huber_scale", "max_correspondence_distance", "edge_voxel_size",
-                     "planar_voxel_size", "crop_radius"):
+        for name in ("max_correspondence_distance", "edge_voxel_size", "planar_voxel_size",
+                     "crop_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.max_iterations + self.refine_iterations < 1:
@@ -79,6 +78,7 @@ class OdometryConfig:
 
 
 KNN = 5  # neighbors per correspondence
+HUBER_SCALE = 0.3  # m
 CONVERGENCE_TOLERANCE = 1e-4  # |twist step|, combined rad/m
 # re-association is frozen once the step or the cost improvement falls
 # below these, so the final iterate is the exact minimizer of one
@@ -287,23 +287,23 @@ def _residuals(corr: Correspondences, rotation: np.ndarray, translation: np.ndar
     return g, rej, r
 
 
-def _huber_rho(r: np.ndarray, scale: float) -> np.ndarray:
+def _huber_rho(r: np.ndarray) -> np.ndarray:
     a = np.abs(r)
-    return np.where(a <= scale, 0.5 * a * a, scale * (a - 0.5 * scale))
+    return np.where(a <= HUBER_SCALE, 0.5 * a * a, HUBER_SCALE * (a - 0.5 * HUBER_SCALE))
 
 
-def _huber_weight(r: np.ndarray, scale: float) -> np.ndarray:
+def _huber_weight(r: np.ndarray) -> np.ndarray:
     a = np.abs(r)
-    return np.where(a <= scale, 1.0, scale / np.maximum(a, 1e-300))
+    return np.where(a <= HUBER_SCALE, 1.0, HUBER_SCALE / np.maximum(a, 1e-300))
 
 
-def _cost(r: np.ndarray, num_edges: int, huber_scale: float) -> float:
+def _cost(r: np.ndarray, num_edges: int) -> float:
     """Huber objective; the line and the plane terms are summed apart."""
-    rho = _huber_rho(r, huber_scale)
+    rho = _huber_rho(r)
     return float(rho[:num_edges].sum() + rho[num_edges:].sum())
 
 
-def _normal_equations(corr: Correspondences, g, rej, r, huber_scale: float):
+def _normal_equations(corr: Correspondences, g, rej, r):
     """Robust Gauss-Newton (H, gradient) at one evaluation of corr.
 
     A line adds three rows [g x m_k, m_k], one per row m_k of I - d d^T,
@@ -322,7 +322,7 @@ def _normal_equations(corr: Correspondences, g, rej, r, huber_scale: float):
     j[:, 1] = gz * nx - gx * nz
     j[:, 2] = gx * ny - gy * nx
     j[:, 3:] = dirs
-    w = _huber_weight(r, huber_scale)
+    w = _huber_weight(r)
     jw = j * np.concatenate([np.repeat(w[:ne], 3), w[ne:]])[:, None]
     return j.T @ jw, jw.T @ np.concatenate([rej.ravel(), r[ne:]])
 
@@ -383,10 +383,10 @@ def register(
             if len(corr.points) < MIN_TOTAL_MATCHES:
                 return _unregistered(rotation, translation, iterations)
             evaluation = _residuals(corr, rotation, translation)
-            cost = _cost(evaluation[2], len(corr.edge_points), cfg.huber_scale)
+            cost = _cost(evaluation[2], len(corr.edge_points))
         # the system is built only at accepted poses; frozen iterations
         # reuse the evaluation of the accepted step
-        h, grad = _normal_equations(corr, *evaluation, cfg.huber_scale)
+        h, grad = _normal_equations(corr, *evaluation)
         if not (np.isfinite(h).all() and np.isfinite(grad).all()):
             return _unregistered(rotation, translation, iterations)
 
@@ -406,7 +406,7 @@ def register(
         step_r, step_t = exp_rt(delta)
         cand_r, cand_t = step_r @ rotation, step_r @ translation + step_t
         cand_eval = _residuals(corr, cand_r, cand_t)
-        cand_cost = _cost(cand_eval[2], len(corr.edge_points), cfg.huber_scale)
+        cand_cost = _cost(cand_eval[2], len(corr.edge_points))
         if not cand_cost <= cost * (1.0 - 1e-8):
             converged = True
             break

@@ -312,7 +312,7 @@ def run_slam(scans: Iterable[RawScan], config: PipelineConfig) -> SlamResult:
         frame_poses.append(pose)
         registrations.append(registration)
         dropped_points.append(scan.dropped)
-        if not keyframes or is_new_keyframe(keyframes[-1].odometry_pose, pose, config.loop):
+        if not keyframes or is_new_keyframe(keyframes[-1].odometry_pose, pose):
             k = len(keyframes)
             keyframes.append(Keyframe(frame_index=i, features=features, odometry_pose=pose))
             add_odometry_node(graph, correction.compose(pose))
@@ -474,11 +474,17 @@ def run(config: PipelineConfig) -> int:
     world is generated whole, and each dataset scan file is opened and its
     size checked, but read only when the run reaches its frame, so a file
     that changes or fails to read after the check stops the run part-way.
-    When ``synthetic.frames`` is set away from its default and the world
-    has fewer frames (the two_rooms path has a fixed length), a stderr
-    note says so; another counts the registrations that estimated no
+    A stderr note says that ``dataset.poses`` is ignored for a synthetic
+    world; another, when ``synthetic.frames`` is set away from its default
+    and the world has fewer frames (the two_rooms path has a fixed
+    length), says so; a third counts the registrations that estimated no
     direction of the pose (``degenerate_directions`` 6)."""
     scans, truth = _load_input(config)
+    if config["synthetic.shape"] and config["dataset.poses"]:
+        # synthetic worlds carry exact truth; an external pose file has
+        # no frame correspondence with generated scans
+        print("featslam: note: ignoring dataset.poses for synthetic input",
+              file=sys.stderr)
     asked = config["synthetic.frames"]
     if (config["synthetic.shape"] and asked != WORLD_DEFAULTS["frames"]
             and len(scans) < asked):

@@ -11,10 +11,10 @@ Optimization minimizes
 over all node poses except node 0, which is held fixed to remove the global
 gauge freedom.  ``Lambda_e = diag(1/sigma^2)`` is diagonal, as in GTSAM's
 ``noiseModel::Diagonal``: one rotation and one translation sigma per edge
-kind, four of the five fields of ``PoseGraphConfig``.  ``rho`` is the
-identity for odometry edges and a Huber kernel for loop edges, whose scale
-is the fifth field.  State updates are left-multiplicative, matching the
-rest of the package: ``T <- exp_rt(delta) T``.  The LM damping schedule,
+kind, the four fields of ``PoseGraphConfig``.  ``rho`` is the identity for
+odometry edges and a Huber kernel for loop edges.  State updates are
+left-multiplicative, matching the rest of the package:
+``T <- exp_rt(delta) T``.  The Huber scale, the LM damping schedule,
 stopping thresholds and iteration cap are module constants.
 """
 
@@ -50,6 +50,7 @@ _LAMBDA_MIN = 1e-12
 _COST_REL_TOLERANCE = 1e-6
 _GRADIENT_TOLERANCE = 1e-8
 _MAX_ITERATIONS = 50  # LM steps per solve
+HUBER_SCALE = 1.0  # loop edges' kernel, on the whitened residual norm
 
 
 def _whitener(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
@@ -60,14 +61,12 @@ def _whitener(rotation_sigma: float, translation_sigma: float) -> np.ndarray:
 
 @dataclass
 class PoseGraphConfig:
-    """Edge standard deviations (rad for rotation, m for translation) and the
-    loop edges' robust kernel."""
+    """Edge standard deviations (rad for rotation, m for translation)."""
 
     odometry_rotation_sigma: float = 0.01
     odometry_translation_sigma: float = 0.05
     loop_rotation_sigma: float = 0.05
     loop_translation_sigma: float = 0.2
-    huber_scale: float = 1.0
 
     def __post_init__(self):
         for name in ("odometry_rotation_sigma", "odometry_translation_sigma",
@@ -81,8 +80,6 @@ class PoseGraphConfig:
                 raise ValueError(
                     f"{name} must be > 0 with 1/sigma^2 finite and positive, got {sigma!r}"
                 )
-        if not self.huber_scale > 0.0:
-            raise ValueError("huber_scale must be positive")
 
 
 @dataclass
@@ -146,7 +143,6 @@ class _EdgeArrays:
 
     def __init__(self, edges: List[PoseGraphEdge], num_nodes: int, config: PoseGraphConfig):
         self.num_nodes = num_nodes
-        self.huber = config.huber_scale
         self.from_node = np.array([e.from_node for e in edges])
         self.to_node = np.array([e.to_node for e in edges])
         self.robust = np.array([e.robust for e in edges])
@@ -204,7 +200,7 @@ def _evaluate(
     s = (rw * rw).sum(axis=1)
     # Huber on the squared norm: rho(s) = s inside the scale, else
     # 2 delta sqrt(s) - delta^2 with weight rho'(s) = delta / sqrt(s)
-    delta = edges.huber
+    delta = HUBER_SCALE
     root = np.sqrt(s)
     outer = edges.robust & (s > delta * delta)
     rho = np.where(outer, 2.0 * delta * root - delta * delta, s)

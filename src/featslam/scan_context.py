@@ -15,9 +15,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .features import FeatureCloud
+from .features import FeatureCloud, sector_of
 
 EMPTY_BIN = -1000.0  # bins hold real z values (meters); never this low
+NUM_CANDIDATES = 10  # ring-key nearest neighbours scored by the full distance
 
 
 @dataclass
@@ -25,12 +26,11 @@ class ScanContextConfig:
     num_rings: int = 20
     num_sectors: int = 60
     max_radius: float = 80.0
-    num_candidates: int = 10
     similarity_threshold: float = 0.2
     exclude_recent: int = 50
 
     def __post_init__(self):
-        for name in ("num_rings", "num_sectors", "num_candidates"):
+        for name in ("num_rings", "num_sectors"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         # descriptor distances are >= 0, so a threshold <= 0 accepts no match
@@ -63,9 +63,7 @@ def build_descriptor(features: FeatureCloud, cfg: ScanContextConfig) -> ScanCont
     ring = np.floor(rho / (cfg.max_radius / cfg.num_rings)).astype(int)
     ring = np.minimum(ring, cfg.num_rings - 1)  # rho just below max_radius can round up
     azimuth = np.arctan2(pts[:, 1], pts[:, 0])
-    sector = np.floor(
-        (azimuth + np.pi) / (2.0 * np.pi) * cfg.num_sectors
-    ).astype(int) % cfg.num_sectors
+    sector = sector_of(azimuth, cfg.num_sectors)
     matrix = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
     np.maximum.at(matrix, (ring, sector), pts[:, 2])
     ring_key = (matrix > EMPTY_BIN).mean(axis=1)
@@ -138,7 +136,7 @@ def query(
         return None
     keys = np.stack([d.ring_key for d in eligible])
     key_dist = np.linalg.norm(keys - probe.ring_key, axis=1)
-    order = np.argsort(key_dist, kind="stable")[: cfg.num_candidates]
+    order = np.argsort(key_dist, kind="stable")[:NUM_CANDIDATES]
     scored = [CandidateMatch(int(idx), *descriptor_distance(probe, eligible[idx]))
               for idx in order]
     best = min(scored, key=lambda match: match.descriptor_distance)  # the first of ties

@@ -28,6 +28,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from featslam.dataset_io import RawScan
+from featslam import features
 from featslam.features import FeatureCloud, FeatureConfig
 from featslam.geometry import DegenerateRotationError, Pose, skew
 from featslam.odometry import (
@@ -146,15 +147,18 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     """The per-ring loop that features.extract_features replaces.
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
-    max_edges_per_sector with sigma > threshold become edges, up to
-    max_planars_per_sector with sigma <= threshold become planars.  Points
-    within half_width of a selected edge are suppressed from further
-    selection.
+    MAX_EDGES_PER_SECTOR with sigma > SMOOTHNESS_THRESHOLD become edges, up
+    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Points
+    within NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from
+    further selection.  These are the constants of ``features``, read at
+    each call.
     """
     if len(scan) == 0:
         return FeatureCloud()
 
-    hw = cfg.neighborhood_half_width
+    hw = features.NEIGHBORHOOD_HALF_WIDTH
+    num_sectors = features.NUM_SECTORS
+    threshold = features.SMOOTHNESS_THRESHOLD
     edges, planars = [], []
     for ring_id in np.unique(scan.ring):
         pts = scan.xyz[scan.ring == ring_id]
@@ -165,29 +169,29 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
         pts = pts[order]
         azimuth = azimuth[order]
 
-        for seg_idx, cyclic in ring_segments(azimuth, cfg.gap_factor):
+        for seg_idx, cyclic in ring_segments(azimuth, features.GAP_FACTOR):
             seg = pts[seg_idx]
             sigma, scorable = segment_smoothness(seg, hw, cyclic)
             rng = np.linalg.norm(seg, axis=1)
             scorable &= (rng >= cfg.min_range) & (rng <= cfg.max_range)
-            scorable &= ~occluded(rng, hw, cyclic, cfg.occlusion_gap)
+            scorable &= ~occluded(rng, hw, cyclic, features.OCCLUSION_GAP)
 
             sector = np.floor(
-                (azimuth[seg_idx] + np.pi) / (2 * np.pi) * cfg.num_sectors
-            ).astype(int) % cfg.num_sectors
+                (azimuth[seg_idx] + np.pi) / (2 * np.pi) * num_sectors
+            ).astype(int) % num_sectors
 
             suppressed = np.zeros(len(seg), dtype=bool)
             n = len(seg)
-            for s in range(cfg.num_sectors):
+            for s in range(num_sectors):
                 cand = np.flatnonzero(scorable & (sector == s))
                 if len(cand) == 0:
                     continue
                 by_sigma = cand[np.argsort(sigma[cand], kind="stable")]
                 picked_edges = 0
                 for i in by_sigma[::-1]:
-                    if picked_edges >= cfg.max_edges_per_sector:
+                    if picked_edges >= features.MAX_EDGES_PER_SECTOR:
                         break
-                    if sigma[i] <= cfg.smoothness_threshold:
+                    if sigma[i] <= threshold:
                         break  # descending order: no edge candidates remain
                     if suppressed[i]:
                         continue
@@ -200,9 +204,9 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
                         suppressed[max(lo, 0) : min(hi + 1, n)] = True
                 picked_planars = 0
                 for i in by_sigma:
-                    if picked_planars >= cfg.max_planars_per_sector:
+                    if picked_planars >= features.MAX_PLANARS_PER_SECTOR:
                         break
-                    if sigma[i] > cfg.smoothness_threshold:
+                    if sigma[i] > threshold:
                         break
                     if suppressed[i]:
                         continue
@@ -305,12 +309,12 @@ def residuals(corr, pose):
     return er, rej, pr
 
 
-def objective(corr, pose, huber_scale: float) -> float:
+def objective(corr, pose) -> float:
     er, _, pr = residuals(corr, pose)
-    return float(_huber_rho(er, huber_scale).sum() + _huber_rho(pr, huber_scale).sum())
+    return float(_huber_rho(er).sum() + _huber_rho(pr).sum())
 
 
-def build_system(corr, pose, huber_scale: float):
+def build_system(corr, pose):
     """Robust Gauss-Newton normal equations (H, g, objective, residuals),
     built one line at a time: a line's three rows are [g x m_k, m_k] for
     the rows m_k of I - d d^T, its three residuals are its rejection
@@ -323,7 +327,7 @@ def build_system(corr, pose, huber_scale: float):
         m = np.eye(3) - np.outer(d, d)
         rows.append(np.concatenate([np.cross(g, m), m], axis=1))
         resid.append(e)
-        weights.append(np.full(3, _huber_weight(norm, huber_scale)))
+        weights.append(np.full(3, _huber_weight(norm)))
     if len(corr.plane_points):
         g_pts = pose.apply(corr.plane_points)
         j = np.concatenate(
@@ -331,8 +335,8 @@ def build_system(corr, pose, huber_scale: float):
         )
         rows.append(j)
         resid.append(pr)
-        weights.append(_huber_weight(pr, huber_scale))
-    total = float(_huber_rho(er, huber_scale).sum() + _huber_rho(pr, huber_scale).sum())
+        weights.append(_huber_weight(pr))
+    total = float(_huber_rho(er).sum() + _huber_rho(pr).sum())
     if not rows:
         return np.zeros((6, 6)), np.zeros(6), total, np.zeros(0)
     j = np.vstack(rows)
@@ -733,14 +737,13 @@ def apply_step(nodes, delta):
 def optimize(graph) -> OptimizationReport:
     """Levenberg-Marquardt on Pose lists, with a separate cost pass per trial
     step and a normal-equation pass per accepted state.  The graph's edges
-    carry their information matrices (``information_edges``); the stopping
-    thresholds and the iteration cap are read from ``pose_graph`` at each
-    call."""
+    carry their information matrices (``information_edges``); the Huber
+    scale, the stopping thresholds and the iteration cap are read from
+    ``pose_graph`` at each call."""
     if not graph.nodes:
         raise ValueError("cannot optimize an empty graph")
-    cfg = graph.config
     nodes = list(graph.nodes)
-    cost = graph_cost(nodes, graph.edges, cfg.huber_scale)
+    cost = graph_cost(nodes, graph.edges, pose_graph.HUBER_SCALE)
     initial_cost = cost
     iterations = 0
     converged = False
@@ -750,7 +753,7 @@ def optimize(graph) -> OptimizationReport:
 
     lam = LAMBDA_INIT
     for _ in range(pose_graph._MAX_ITERATIONS):
-        h, g = build_normal_equations(nodes, graph.edges, cfg.huber_scale)
+        h, g = build_normal_equations(nodes, graph.edges, pose_graph.HUBER_SCALE)
         if np.linalg.norm(g) < pose_graph._GRADIENT_TOLERANCE:
             converged = True
             break
@@ -761,7 +764,7 @@ def optimize(graph) -> OptimizationReport:
             delta = spsolve(damped.tocsc(), -g)
             if np.all(np.isfinite(delta)):
                 candidate = apply_step(nodes, delta)
-                new_cost = graph_cost(candidate, graph.edges, cfg.huber_scale)
+                new_cost = graph_cost(candidate, graph.edges, pose_graph.HUBER_SCALE)
                 if new_cost < cost:
                     rel_decrease = (cost - new_cost) / max(cost, 1e-300)
                     nodes = candidate

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
+from featslam import features
 from featslam.dataset_io import RawScan
 from featslam.features import FeatureConfig, _ring_segments, extract_features
 from featslam.geometry import Pose
@@ -97,14 +98,13 @@ class TestExtractFeatures:
     def test_rotation_equivariance_at_sector_multiples(self):
         # a 60-deg-periodic radial wobble breaks smoothness ties between
         # arc points while keeping the world congruent under the rotation
-        cfg = FeatureConfig()
         xyz = gear_ring(phase=0.004321)
         theta = np.arctan2(xyz[:, 1], xyz[:, 0])
         rho = np.hypot(xyz[:, 0], xyz[:, 1]) + 0.15 * np.sin(6 * theta + 0.7)
         xyz = np.stack([rho * np.cos(theta), rho * np.sin(theta), xyz[:, 2]], axis=1)
-        rot = Pose.from_rt([0, 0, 2 * np.pi / cfg.num_sectors], np.zeros(3)).rotation
-        fc0 = extract_features(make_scan(xyz), cfg)
-        fc1 = extract_features(make_scan(xyz @ rot.T), cfg)
+        rot = Pose.from_rt([0, 0, 2 * np.pi / features.NUM_SECTORS], np.zeros(3)).rotation
+        fc0 = extract_features(make_scan(xyz), CFG)
+        fc1 = extract_features(make_scan(xyz @ rot.T), CFG)
 
         def canon(pts):
             return sorted(tuple(np.round(p, 9)) for p in pts)
@@ -131,7 +131,7 @@ class TestExtractFeatures:
         fc = extract_features(scan, CFG)
         index_of = {tuple(p): i for i, p in enumerate(xyz)}
         idx = sorted(index_of[tuple(p)] for p in fc.edges)
-        hw = CFG.neighborhood_half_width
+        hw = features.NEIGHBORHOOD_HALF_WIDTH
         n = len(xyz)
         for a, b in zip(idx, idx[1:] + [idx[0] + n]):
             assert (b - a) > hw
@@ -203,9 +203,9 @@ class TestExtractFeatures:
         assert fc.edges.shape == (0, 3) and fc.planars.shape == (0, 3)
 
 
-def assert_matches_loop(scan, cfg=CFG):
-    got = extract_features(scan, cfg)
-    want = ref.extract_features(scan, cfg)
+def assert_matches_loop(scan):
+    got = extract_features(scan, CFG)
+    want = ref.extract_features(scan, CFG)
     assert np.array_equal(got.edges, want.edges)
     assert np.array_equal(got.planars, want.planars)
     return len(got.edges) + len(got.planars)
@@ -238,15 +238,15 @@ class TestMatchesLoopReference:
     def test_empty_scan(self):
         assert assert_matches_loop(make_scan(np.zeros((0, 3)))) == 0
 
-    def test_random_rings_with_gaps_and_ties(self):
+    def test_random_rings_with_gaps_and_ties(self, monkeypatch):
         # shuffled multi-ring scans with dropouts, range steps, repeated
         # azimuths and rings of every size, under several budgets
         rng = np.random.default_rng(21)
-        configs = [
-            FeatureConfig(),
-            FeatureConfig(neighborhood_half_width=3, max_edges_per_sector=3,
-                          max_planars_per_sector=2, num_sectors=4),
-            FeatureConfig(smoothness_threshold=0.02, occlusion_gap=0.2),
+        settings = [
+            {},
+            {"NEIGHBORHOOD_HALF_WIDTH": 3, "MAX_EDGES_PER_SECTOR": 3,
+             "MAX_PLANARS_PER_SECTOR": 2, "NUM_SECTORS": 4},
+            {"SMOOTHNESS_THRESHOLD": 0.02, "OCCLUSION_GAP": 0.2},
         ]
         for trial in range(30):
             parts, rings = [], []
@@ -264,7 +264,10 @@ class TestMatchesLoopReference:
                 rings.append(np.full(len(theta), ring_id))
             xyz, ring = np.vstack(parts), np.concatenate(rings)
             perm = rng.permutation(len(xyz))
-            assert_matches_loop(make_scan(xyz[perm], ring[perm]), configs[trial % 3])
+            with monkeypatch.context() as patch:
+                for name, value in settings[trial % 3].items():
+                    patch.setattr(features, name, value)
+                assert_matches_loop(make_scan(xyz[perm], ring[perm]))
 
 
 def polygon_ring(corners_deg, n=360, radius=10.0):
@@ -287,20 +290,23 @@ class TestSelectionAcrossSectors:
     the sectors after it, so only the edge windows of sectors <= s remove
     its planar candidates."""
 
-    # corners are edges and every wall point a planar candidate; the budget
-    # takes every planar candidate a sector has
-    CFG = FeatureConfig(smoothness_threshold=0.02, occlusion_gap=5.0,
-                        max_planars_per_sector=60)
+    @pytest.fixture(autouse=True)
+    def settings(self, monkeypatch):
+        # corners are edges and every wall point a planar candidate; the
+        # budget takes every planar candidate a sector has
+        monkeypatch.setattr(features, "SMOOTHNESS_THRESHOLD", 0.02)
+        monkeypatch.setattr(features, "OCCLUSION_GAP", 5.0)
+        monkeypatch.setattr(features, "MAX_PLANARS_PER_SECTOR", 60)
 
     def check(self, corners_deg, edge_deg, kept_deg):
         scan = make_scan(polygon_ring(corners_deg))
-        fc = extract_features(scan, self.CFG)
+        fc = extract_features(scan, CFG)
         edges, planars = (np.round(np.degrees(np.arctan2(p[:, 1], p[:, 0])), 6)
                           for p in (fc.edges, fc.planars))
         assert edge_deg in edges
         # within the edge's window, in the sector picked before the edge's
         assert set(kept_deg) <= set(planars)
-        assert_matches_loop(scan, self.CFG)
+        assert_matches_loop(scan)
 
     def test_edge_window_reaching_back_a_sector(self):
         # the edge at 2.5 deg (sector 3) covers -2.5..7.5 deg; the planars
@@ -349,22 +355,21 @@ class TestOrderExactness:
         # ids in the same order select the same features
         assert_same_features(extract_features(relabelled, CFG), extract_features(scan, CFG))
 
-    def test_more_segments_than_a_16_bit_key_holds(self):
+    def test_more_segments_than_a_16_bit_key_holds(self, monkeypatch):
         # a ring of 6000 three-point clusters is cut into 6000 open segments,
         # so sector * num_segments + segment outgrows 16 bits on the two
         # full rings after it
-        cfg = FeatureConfig(num_sectors=12)
+        monkeypatch.setattr(features, "NUM_SECTORS", 12)
         clusters = np.linspace(-np.pi, np.pi, 6000, endpoint=False) + 1e-4
         theta = (clusters[:, None] + [0.0, 1e-5, 2e-5]).ravel()
         dotted = 10.0 * np.stack([np.cos(theta), np.sin(theta), np.zeros(len(theta))], axis=1)
         full = [gear_ring(z=-1.0), gear_ring(z=1.0, phase=2e-3)]
         xyz = np.vstack([dotted] + full)
         ring = np.repeat([0, 1, 2], [len(dotted), 360, 360])
-        num_segments = len(_ring_segments(ring, np.arctan2(xyz[:, 1], xyz[:, 0]),
-                                          cfg.gap_factor)[1])
+        num_segments = len(_ring_segments(ring, np.arctan2(xyz[:, 1], xyz[:, 0]))[1])
         assert num_segments == 6002
-        assert cfg.num_sectors * num_segments > 2**16
-        assert assert_matches_loop(make_scan(xyz, ring), cfg) > 0
+        assert features.NUM_SECTORS * num_segments > 2**16
+        assert assert_matches_loop(make_scan(xyz, ring)) > 0
 
     def test_one_point_ring_beside_a_long_one(self):
         # the median gaps' table is 2 x 20000
@@ -374,17 +379,6 @@ class TestOrderExactness:
 
 
 class TestConfig:
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(neighborhood_half_width=0)
-
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             FeatureConfig(min_range=5.0, max_range=2.0)
-
-    @pytest.mark.parametrize("setting", [{"smoothness_threshold": -0.1},
-                                         {"max_planars_per_sector": -1},
-                                         {"gap_factor": 0.0}, {"occlusion_gap": -1.0}])
-    def test_rejects_bad_bounds(self, setting):
-        with pytest.raises(ValueError, match=next(iter(setting))):
-            FeatureConfig(**setting)

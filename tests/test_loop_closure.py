@@ -6,6 +6,7 @@ import pytest
 from featslam.features import FeatureCloud
 from featslam.geometry import Pose
 from featslam.loop_closure import (
+    COST_THRESHOLD,
     Keyframe,
     LoopClosureConfig,
     LoopEvent,
@@ -122,13 +123,13 @@ class TestVerifyCandidate:
 
 class TestKeyframePromotion:
     def test_translation_promotes(self):
-        assert is_new_keyframe(Pose.identity(), translate(1.1, 0, 0), CFG)
+        assert is_new_keyframe(Pose.identity(), translate(1.1, 0, 0))
 
     def test_rotation_promotes(self):
-        assert is_new_keyframe(Pose.identity(), rotz(11.0), CFG)
+        assert is_new_keyframe(Pose.identity(), rotz(11.0))
 
     def test_small_motion_does_not(self):
-        assert not is_new_keyframe(Pose.identity(), translate(0.5, 0, 0).compose(rotz(5)), CFG)
+        assert not is_new_keyframe(Pose.identity(), translate(0.5, 0, 0).compose(rotz(5)))
 
 
 def make_keyframes(poses, clouds):
@@ -143,7 +144,7 @@ class TestEstimateLoopPose:
         keyframes = make_keyframes(poses, [cloud, cloud, cloud])
         relative, cost = estimate_loop_pose(2, keyframes, 0, poses, CFG, ODOMETRY, 0.0)
         assert relative is not None
-        assert cost < CFG.cost_threshold
+        assert cost < COST_THRESHOLD
         assert np.linalg.norm(relative.translation) < 1e-4
         assert relative.angle() < 1e-4
 
@@ -171,7 +172,7 @@ class TestEstimateLoopPose:
         keyframes = make_keyframes(poses, [tiny, tiny])
         relative, cost = estimate_loop_pose(1, keyframes, 0, poses, CFG, ODOMETRY, 0.0)
         assert relative is None
-        assert not cost < CFG.cost_threshold
+        assert not cost < COST_THRESHOLD
 
     def test_store_not_mutated(self):
         cloud = corner_cloud()

@@ -404,9 +404,9 @@ class TestRegister:
         # each iteration's normal equations are built at the accepted state
         trace = []
 
-        def tracing_normal_equations(corr, g, rej, r, huber_scale):
-            trace.append(float(odo._huber_rho(r, huber_scale).sum()))
-            return normal_equations(corr, g, rej, r, huber_scale)
+        def tracing_normal_equations(corr, g, rej, r):
+            trace.append(float(odo._huber_rho(r).sum()))
+            return normal_equations(corr, g, rej, r)
 
         normal_equations = odo._normal_equations
         monkeypatch.setattr(odo, "_normal_equations", tracing_normal_equations)
@@ -451,7 +451,7 @@ class TestRegister:
     def test_failed_step_ends_the_registration(self, monkeypatch, counts):
         # no step can lower a constant cost: the first whole step fails, and
         # the registration ends there without shortening it or re-associating
-        monkeypatch.setattr(odo, "_cost", lambda r, num_edges, huber_scale: 1.0)
+        monkeypatch.setattr(odo, "_cost", lambda r, num_edges: 1.0)
         move = translate(0.1, 0.05, 0.0).compose(rotz(1.0))
         cloud = corner_cloud()
         feats = FeatureCloud(edges=move.apply(cloud.edges), planars=move.apply(cloud.planars))
@@ -513,27 +513,26 @@ def residuals(corr, pose):
     return odo._residuals(corr, pose.rotation, pose.translation)
 
 
-def evaluate(corr, pose, huber):
+def evaluate(corr, pose):
     """Cost, H and gradient the way register reads them off one evaluation."""
     g, rej, r = residuals(corr, pose)
-    h, grad = odo._normal_equations(corr, g, rej, r, huber)
-    return odo._cost(r, len(corr.edge_points), huber), h, grad
+    h, grad = odo._normal_equations(corr, g, rej, r)
+    return odo._cost(r, len(corr.edge_points)), h, grad
 
 
 class TestJacobian:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        huber = 0.3
         for trial in range(20):
             corr = random_correspondences(rng)
             pose = random_pose(rng)
-            _, _, grad = evaluate(corr, pose, huber)
+            _, _, grad = evaluate(corr, pose)
             h = 1e-6
             for k in range(6):
                 e = np.zeros(6)
                 e[k] = h
-                up, _, _ = evaluate(corr, ref.exp(e).compose(pose), huber)
-                dn, _, _ = evaluate(corr, ref.exp(-e).compose(pose), huber)
+                up, _, _ = evaluate(corr, ref.exp(e).compose(pose))
+                dn, _, _ = evaluate(corr, ref.exp(-e).compose(pose))
                 fd = (up - dn) / (2 * h)
                 denom = max(abs(fd), abs(grad[k]), 1e-6)
                 assert abs(fd - grad[k]) / denom < 1e-4, (trial, k)
@@ -549,12 +548,12 @@ class TestLineHessian:
         # bounds both, and H_kl then lies within
         # sum_rows w (|J_k| + |J_l| + delta) delta of the differenced sum.
         rng = np.random.default_rng(13)
-        huber, step, delta = 0.3, 1e-5, 1e-7
+        step, delta = 1e-5, 1e-7
         for _ in range(10):
             corr = random_correspondences(rng, n_edges=12, n_planes=0)
             pose = random_pose(rng)
             g, rej, r = residuals(corr, pose)
-            h, _ = odo._normal_equations(corr, g, rej, r, huber)
+            h, _ = odo._normal_equations(corr, g, rej, r)
             jac = np.empty((len(rej), 3, 6))
             for k in range(6):
                 twist = np.zeros(6)
@@ -565,7 +564,7 @@ class TestLineHessian:
                     moved.append(odo._residuals(corr, step_r @ pose.rotation,
                                                 step_r @ pose.translation + step_t)[1])
                 jac[:, :, k] = (moved[0] - moved[1]) / (2 * step)
-            w = odo._huber_weight(r, huber)
+            w = odo._huber_weight(r)
             want = np.einsum("n,nik,nil->kl", w, jac, jac)
             tol = delta * (np.einsum("n,nik->k", w, np.abs(jac))[:, None]
                            + np.einsum("n,nil->l", w, np.abs(jac))[None, :]
@@ -578,10 +577,8 @@ class TestEvaluationMatchesReference:
     normal-equation passes it replaces (tests/loop_reference.py), which
     build each line's three rows one line at a time."""
 
-    HUBER = 0.3
-
     def check(self, corr, pose):
-        cost, h, grad = evaluate(corr, pose, self.HUBER)
+        cost, h, grad = evaluate(corr, pose)
         g, rej, r = residuals(corr, pose)
         # register transforms the edge and plane points as one stack; numpy
         # takes a matrix-vector path for a one-row product, so the stack and
@@ -600,8 +597,8 @@ class TestEvaluationMatchesReference:
         moved = Correspondences(g[:ne], corr.line_centroids, corr.line_directions,
                                 g[ne:], corr.plane_normals, corr.plane_offsets)
         ident = Pose.identity()
-        ref_h, ref_grad, ref_cost, _ = ref.build_system(moved, ident, self.HUBER)
-        assert cost == ref_cost == ref.objective(moved, ident, self.HUBER)
+        ref_h, ref_grad, ref_cost, _ = ref.build_system(moved, ident)
+        assert cost == ref_cost == ref.objective(moved, ident)
         er, ref_rej, pr = ref.residuals(moved, ident)
         assert np.array_equal(r, np.concatenate([er, pr]))
         assert np.array_equal(rej, ref_rej)
@@ -644,14 +641,14 @@ class TestEvaluationMatchesReference:
                     corr.line_directions[1:], corr.plane_points,
                     corr.plane_normals, corr.plane_offsets,
                 )
-                h_rest, grad_rest = evaluate(rest, pose, self.HUBER)[1:]
+                h_rest, grad_rest = evaluate(rest, pose)[1:]
                 d = corr.line_directions[0]
                 a = np.concatenate([-skew(g[0]), np.eye(3)], axis=1)
                 added = a.T @ (np.eye(3) - np.outer(d, d)) @ a
                 assert np.linalg.matrix_rank(added) == 2
 
                 ne = len(corr.edge_points)
-                w = odo._huber_weight(r, self.HUBER)
+                w = odo._huber_weight(r)
                 rows = np.concatenate([np.repeat(w[:ne], 3), w[ne:]])
                 pts = np.concatenate([np.repeat(g[:ne], 3, axis=0), g[ne:]])
                 size = 1.0 + np.linalg.norm(pts, axis=1)

@@ -2,11 +2,12 @@ import csv
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from featslam import loop_closure, odometry, pipeline
+from featslam import features, loop_closure, odometry, pipeline
 from featslam.cli import _collect_items, _synthetic_items, build_parser, main
 from featslam.dataset_io import RawScan, load_ground_truth
 from featslam.evaluation import kitti_relative_errors
@@ -119,10 +120,11 @@ class TestModuleConfigs:
 
     def test_feature_and_odometry_sections(self):
         cfg = PipelineConfig.from_items(
-            {**SQUARE, "features.min_range": "3.5", "odometry.huber_scale": "0.7"}
+            {**SQUARE, "features.min_range": "3.5",
+             "odometry.max_correspondence_distance": "0.7"}
         )
         assert cfg.features.min_range == 3.5
-        assert cfg.odometry.huber_scale == 0.7
+        assert cfg.odometry.max_correspondence_distance == 0.7
 
     @staticmethod
     def registered_with(monkeypatch, *configs):
@@ -206,12 +208,12 @@ class TestIterationBudget:
         ({"loop.max_iterations": "0", "odometry.refine_iterations": "0"},
          "loop: max_iterations + refine_iterations must be >= 1"),
         # a non-finite float would pass every "x <= 0" check and switch a
-        # stage off: no graph correction, no loop, or the adaptive gate
+        # stage off: no match, no loop, no correspondence, or the adaptive gate
         *[({key: value}, f"bad value for {key}: {value} is not finite")
           for key, value in (
-              ("graph.huber_scale", "nan"), ("loop.base_threshold", "nan"),
-              ("loop.n", "nan"), ("loop.cost_threshold", "nan"),
-              ("odometry.huber_scale", "nan"), ("run.fixed_threshold", "nan"),
+              ("scan_context.similarity_threshold", "nan"), ("loop.base_threshold", "nan"),
+              ("loop.n", "nan"), ("scan_context.max_radius", "nan"),
+              ("odometry.max_correspondence_distance", "nan"), ("run.fixed_threshold", "nan"),
               ("graph.loop_translation_sigma", "inf"),
           )],
         # world specs that hung, crashed or gave a wrong world
@@ -235,9 +237,8 @@ class TestIterationBudget:
         # values that ran to exit 0 with a broken result
         ({"odometry.crop_radius": "-1"}, "odometry: crop_radius must be > 0, got -1.0"),
         ({"odometry.edge_voxel_size": "0"}, "odometry: edge_voxel_size must be > 0, got 0.0"),
-        ({"scan_context.num_candidates": "0"}, "scan_context: num_candidates must be >= 1, got 0"),
-        ({"scan_context.num_candidates": "-1"},
-         "scan_context: num_candidates must be >= 1, got -1"),
+        ({"scan_context.num_rings": "0"}, "scan_context: num_rings must be >= 1, got 0"),
+        ({"scan_context.num_sectors": "0"}, "scan_context: num_sectors must be >= 1, got 0"),
         ({"loop.submap_half_width": "-3"}, "loop: submap_half_width must be >= 0, got -3"),
     ])
     def test_rejected_before_any_frame(self, tmp_path, capsys, items, message):
@@ -280,6 +281,40 @@ class TestRangeChecks:
 
     def test_allow_list_names_numeric_keys(self):
         assert set(NEGATIVE_ALLOWED) <= set(NUMERIC_KEYS)
+
+
+# Settings that are module constants, not keys: no run varies them.
+REMOVED_KEYS = [
+    "features.neighborhood_half_width", "features.smoothness_threshold",
+    "features.max_edges_per_sector", "features.max_planars_per_sector",
+    "features.num_sectors", "features.gap_factor", "features.occlusion_gap",
+    "odometry.huber_scale", "scan_context.num_candidates", "loop.cost_threshold",
+    "loop.keyframe_translation", "loop.keyframe_rotation_deg", "graph.huber_scale",
+]
+
+
+class TestRemovedKeys:
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_rejected_as_unknown(self, tmp_path, capsys, key):
+        out = tmp_path / "out"
+        rc = main(["run", "--synthetic", "square,frames=3", "--set", f"{key}=1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"unknown configuration key: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReadme:
+    def test_names_only_real_keys(self):
+        # every backticked `section.name` or `section.name=value`, but for
+        # `section.*` globs and file names such as `features.py`
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        sections = sorted({key.split(".", 1)[0] for key in pipeline._KEYS})
+        pattern = rf"`((?:{'|'.join(sections)})\.[^`=\s]+)(?:=[^`]*)?`"
+        named = [key for key in re.findall(pattern, text)
+                 if not key.endswith(("*", ".py", ".csv"))]
+        assert len(named) >= 10
+        assert [key for key in named if key not in pipeline._KEYS] == []
 
 
 class TestConfigFile:
@@ -410,6 +445,15 @@ class TestCliArgs:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         assert "ignoring dataset.poses" in capsys.readouterr().err
+
+    def test_run_notes_ignored_poses(self, tmp_path, capsys):
+        # the note comes from the run, so a run started from Python gives it
+        config = PipelineConfig.from_items(
+            {**SQUARE, "synthetic.frames": "3", "dataset.poses": str(tmp_path / "poses.txt"),
+             "output.dir": str(tmp_path / "out")})
+        assert pipeline.run(config) == 0
+        assert capsys.readouterr().err == (
+            "featslam: note: ignoring dataset.poses for synthetic input\n")
 
 
 class TestDegenerateInputs:
@@ -601,14 +645,20 @@ class TestFrameLog:
             assert float(row["final_cost"]) == reg.final_cost
         assert [int(row["dropped_points"]) for row in rows] == result.dropped_points
 
-    @pytest.mark.parametrize("setting", ["features.max_edges_per_sector=0",
-                                         "odometry.max_correspondence_distance=1e-6"])
-    def test_skipped_registration_reports_six_directions(self, tmp_path, capsys, setting):
+    @pytest.mark.parametrize("constants, sets", [
+        pytest.param({"MAX_EDGES_PER_SECTOR": 0}, [], id="features.max_edges_per_sector=0"),
+        pytest.param({}, ["--set", "odometry.max_correspondence_distance=1e-6"],
+                     id="odometry.max_correspondence_distance=1e-6"),
+    ])
+    def test_skipped_registration_reports_six_directions(self, tmp_path, capsys, monkeypatch,
+                                                         constants, sets):
         # a submap with no edges, or no match within reach, ends registration
         # early: no direction was estimated, and the row and the run's one
         # note must say so
+        for name, value in constants.items():
+            monkeypatch.setattr(features, name, value)
         out = tmp_path / "out"
-        rc = main(["run", "--synthetic", "square,frames=20,seed=0", "--set", setting,
+        rc = main(["run", "--synthetic", "square,frames=20,seed=0", *sets,
                    "--out", str(out)])
         assert rc == 0
         assert capsys.readouterr().err == (
