@@ -382,3 +382,9 @@ class TestConfig:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
             FeatureConfig(min_range=5.0, max_range=2.0)
+
+    @pytest.mark.parametrize("setting", [{"min_range": 0.0}, {"min_range": -1.0},
+                                         {"max_range": 2.0}, {"max_range": float("nan")}])
+    def test_rejects_bad_bounds(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            FeatureConfig(**setting)

@@ -266,23 +266,6 @@ NEGATIVE_ALLOWED = {
 NUMERIC_KEYS = [key for key, value in pipeline._KEYS.items() if type(value) in (int, float)]
 
 
-class TestRangeChecks:
-    @pytest.mark.parametrize("key", NUMERIC_KEYS)
-    def test_minus_one_rejected_naming_the_key(self, key):
-        # a key added without a range check fails here
-        items = {**SQUARE, key: "-1"}
-        if key in NEGATIVE_ALLOWED:
-            assert PipelineConfig.from_items(items)[key] == -1
-            return
-        section, name = key.split(".", 1)
-        with pytest.raises(ValueError, match=f"^{section}: ") as e:
-            PipelineConfig.from_items(items)
-        assert name in str(e.value)
-
-    def test_allow_list_names_numeric_keys(self):
-        assert set(NEGATIVE_ALLOWED) <= set(NUMERIC_KEYS)
-
-
 # Settings that are module constants, not keys: no run varies them.
 REMOVED_KEYS = [
     "features.neighborhood_half_width", "features.smoothness_threshold",
@@ -291,6 +274,24 @@ REMOVED_KEYS = [
     "odometry.huber_scale", "scan_context.num_candidates", "loop.cost_threshold",
     "loop.keyframe_translation", "loop.keyframe_rotation_deg", "graph.huber_scale",
 ]
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("key", NUMERIC_KEYS + REMOVED_KEYS)
+    def test_minus_one_rejected_naming_the_key(self, key):
+        # a key added without a range check fails here; a removed one is unknown
+        items = {**SQUARE, key: "-1"}
+        if key in NEGATIVE_ALLOWED:
+            assert PipelineConfig.from_items(items)[key] == -1
+            return
+        section, name = key.split(".", 1)
+        prefix = "unknown configuration key" if key in REMOVED_KEYS else section
+        with pytest.raises(ValueError, match=f"^{prefix}: ") as e:
+            PipelineConfig.from_items(items)
+        assert name in str(e.value)
+
+    def test_allow_list_names_numeric_keys(self):
+        assert set(NEGATIVE_ALLOWED) <= set(NUMERIC_KEYS)
 
 
 class TestRemovedKeys:
