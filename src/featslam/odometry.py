@@ -127,7 +127,9 @@ class _VoxelSet:
     def tree(self):
         """cKDTree over the points, or None while the set is empty."""
         if self._tree is None and len(self.points):
-            self._tree = cKDTree(self.points)
+            # median splits buy nothing for a tree queried a few times
+            # before the next change; sliding midpoint builds faster
+            self._tree = cKDTree(self.points, balanced_tree=False)
         return self._tree
 
     def insert(self, points: np.ndarray) -> None:

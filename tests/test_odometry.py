@@ -193,9 +193,9 @@ class TestSubmap:
     def test_inserts_build_no_tree_until_queried(self, monkeypatch):
         built = []
 
-        def counting_tree(points):
+        def counting_tree(points, **kwargs):
             built.append(len(points))
-            return cKDTree(points)
+            return cKDTree(points, **kwargs)
 
         monkeypatch.setattr(odo, "cKDTree", counting_tree)
         cloud = corner_cloud()
