@@ -17,6 +17,12 @@ and plane points, the rejection vectors, the residuals and the Huber cost,
 which is all the step test reads.  The Jacobian rows and weights are built
 only at the accepted pose.
 
+Correspondences are made anew on each of the first ``max_iterations``
+iterations (2 by default: F-LOAM matches each scan to the map in two
+rounds), and the remaining ``refine_iterations`` refine the pose against
+the last ones, frozen.  A stagnant cost or a small step freezes them
+sooner, which matters for larger budgets such as loop refinement's.
+
 Pose updates are left-multiplicative: pose <- exp(delta) . pose, with the
 twist laid out [wx, wy, wz, vx, vy, vz].  Inside registration the pose is
 a rotation matrix and a translation, and each tried step is composed with
@@ -55,7 +61,9 @@ from featslam.geometry import Pose, exp_rt, project_rotation
 
 @dataclass
 class OdometryConfig:
-    max_iterations: int = 20
+    # iterations that re-associate before the rest refine on frozen
+    # correspondences: F-LOAM's two matching rounds per scan
+    max_iterations: int = 2
     refine_iterations: int = 40
     max_correspondence_distance: float = 5.0  # m, gate on the 5th neighbor
     edge_voxel_size: float = 0.4  # m
@@ -344,6 +352,7 @@ class RegistrationResult:
     degenerate_directions: int = 0
     num_edge_matches: int = 0
     num_plane_matches: int = 0
+    associations: int = 0  # associate calls made
 
     @property
     def degenerate(self) -> bool:
@@ -354,10 +363,11 @@ MIN_TOTAL_MATCHES = 10
 
 
 def _unregistered(rotation: np.ndarray, translation: np.ndarray,
-                  iterations: int) -> RegistrationResult:
+                  iterations: int, associations: int) -> RegistrationResult:
     """The result of a registration that could not estimate a pose."""
     return RegistrationResult(Pose(project_rotation(rotation), translation),
-                              float("inf"), iterations, degenerate_directions=6)
+                              float("inf"), iterations, degenerate_directions=6,
+                              associations=associations)
 
 
 def register(
@@ -370,11 +380,12 @@ def register(
     rotation, translation = initial.rotation, initial.translation
     if (len(submap.edges.points) < MIN_SUBMAP_EDGES
             or len(submap.planars.points) < MIN_SUBMAP_PLANARS):
-        return _unregistered(rotation, translation, 0)
+        return _unregistered(rotation, translation, 0, 0)
 
     converged = False
     null_directions = 0
     iterations = 0
+    associations = 0
     prev_cost = None
     frozen = False
     budget = cfg.max_iterations + cfg.refine_iterations
@@ -382,26 +393,27 @@ def register(
         iterations += 1
         if not frozen:
             corr = associate(features, submap, rotation, translation, cfg)
+            associations += 1
             if len(corr.points) < MIN_TOTAL_MATCHES:
-                return _unregistered(rotation, translation, iterations)
+                return _unregistered(rotation, translation, iterations, associations)
             evaluation = _residuals(corr, rotation, translation)
             cost = _cost(evaluation[2], len(corr.edge_points))
         # the system is built only at accepted poses; frozen iterations
         # reuse the evaluation of the accepted step
         h, grad = _normal_equations(corr, *evaluation)
         if not (np.isfinite(h).all() and np.isfinite(grad).all()):
-            return _unregistered(rotation, translation, iterations)
+            return _unregistered(rotation, translation, iterations, associations)
 
         vals, vecs = np.linalg.eigh(h)
         top = vals[-1]
         if top <= 0.0:
-            return _unregistered(rotation, translation, iterations)
+            return _unregistered(rotation, translation, iterations, associations)
         keep = vals > EIGENVALUE_FLOOR * top
         null_directions = int((~keep).sum())
         inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
         delta = -vecs @ (inv * (vecs.T @ grad))
         if not np.isfinite(delta).all():
-            return _unregistered(rotation, translation, iterations)
+            return _unregistered(rotation, translation, iterations, associations)
 
         # the whole step against the current correspondences must buy a
         # real decrease, or the objective is flat along it: converged
@@ -430,6 +442,7 @@ def register(
         degenerate_directions=null_directions,
         num_edge_matches=len(corr.edge_points),
         num_plane_matches=len(corr.plane_points),
+        associations=associations,
     )
 
 

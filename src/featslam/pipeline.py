@@ -412,15 +412,17 @@ def _write_outputs(
     keyframes = set(result.keyframe_frames)
     frame_rows = []
     for i, (reg, dropped) in enumerate(zip(result.registrations, result.dropped_points)):
-        fields = [""] * 6
+        fields = [""] * 7
         if reg is not None:
-            fields = [reg.iterations, int(reg.converged), reg.degenerate_directions,
-                      reg.num_edge_matches, reg.num_plane_matches, reg.final_cost]
+            fields = [reg.iterations, reg.associations, int(reg.converged),
+                      reg.degenerate_directions, reg.num_edge_matches,
+                      reg.num_plane_matches, reg.final_cost]
         frame_rows.append([i, int(i in keyframes), *fields, dropped])
     _write_csv(
         out / "frames.csv",
-        ["frame", "keyframe", "iterations", "converged", "degenerate_directions",
-         "edge_matches", "plane_matches", "final_cost", "dropped_points"],
+        ["frame", "keyframe", "iterations", "associations", "converged",
+         "degenerate_directions", "edge_matches", "plane_matches", "final_cost",
+         "dropped_points"],
         frame_rows,
     )
     # one row per pose-graph solve: the keyframe that triggered it, the graph

@@ -6,6 +6,7 @@ import featslam.odometry as odo
 import loop_reference as ref
 from featslam.features import FeatureCloud, FeatureConfig, extract_features
 from featslam.geometry import Pose, exp_rt, skew
+from featslam.loop_closure import LoopClosureConfig, registration_config
 from featslam.odometry import (
     Correspondences,
     OdometryConfig,
@@ -461,6 +462,20 @@ class TestRegister:
         assert counts == {"associate": 1, "steps": 1}
         assert res.pose.matrix().tolist() == Pose.identity().matrix().tolist()
 
+    def test_displaced_start_associates_per_budget(self, counts):
+        # the default re-associates twice and refines frozen; loop
+        # refinement's larger budget re-associates until the freeze tests fire
+        move = translate(0.5, -0.3, 0.1).compose(rotz(5.0))
+        cloud = corner_cloud()
+        feats = FeatureCloud(edges=move.apply(cloud.edges), planars=move.apply(cloud.planars))
+        expected = move.inverse()
+        for cfg, rounds in ((CFG, 2), (registration_config(LoopClosureConfig(), CFG), 3)):
+            counts["associate"] = 0
+            res = register(feats, corner_submap(), Pose.identity(), cfg)
+            assert res.converged
+            assert res.associations == counts["associate"] == rounds
+            assert np.linalg.norm(res.pose.translation - expected.translation) < 1e-9
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_system_returns_unregistered(self, monkeypatch):
         bad = Correspondences(
@@ -681,7 +696,7 @@ class TestIterations:
     @pytest.mark.parametrize("shape", ["square", "two_rooms", "corridor"])
     def test_registrations_converge_in_few_iterations(self, shape):
         # a line's rejection vector gives Gauss-Newton both directions
-        # across the line, so a frame takes a handful of iterations (3.9-9.4
+        # across the line, so a frame takes a handful of iterations (3.5-9.6
         # on average here; one row per line, along e, took 12.4-15.7 and
         # ran frames into the 60-iteration budget)
         for seed in (0, 1):
@@ -690,6 +705,16 @@ class TestIterations:
             registered = results[1:]
             assert all(res.converged for res in registered), (shape, seed)
             assert np.mean([res.iterations for res in registered]) <= 11, (shape, seed)
+
+
+class TestAssociationRounds:
+    def test_default_associates_at_most_twice(self, counts):
+        scans, _ = generate_world({"shape": "square", "frames": 30, "seed": 0})
+        _, results = track(scans, Submap(CFG))
+        rounds = [res.associations for res in results[1:]]
+        assert counts["associate"] == sum(rounds)
+        assert max(rounds) == 2
+        assert min(rounds) >= 1
 
 
 class TestProcessFrame:

@@ -49,7 +49,7 @@ LOOP_SQUARE = {**SQUARE, "odometry.max_iterations": "2", "odometry.refine_iterat
 class TestConfigValues:
     def test_defaults_filled(self):
         cfg = PipelineConfig.from_items(SQUARE)
-        assert cfg["odometry.max_iterations"] == 20
+        assert cfg["odometry.max_iterations"] == 2
         assert cfg["scan_context.num_sectors"] == 60
         assert cfg["output.dir"] == "featslam_out"
 
@@ -608,8 +608,9 @@ class TestEndToEnd:
 
 
 class TestFrameLog:
-    COLUMNS = ["frame", "keyframe", "iterations", "converged", "degenerate_directions",
-               "edge_matches", "plane_matches", "final_cost", "dropped_points"]
+    COLUMNS = ["frame", "keyframe", "iterations", "associations", "converged",
+               "degenerate_directions", "edge_matches", "plane_matches", "final_cost",
+               "dropped_points"]
 
     @staticmethod
     def rows(path):
@@ -639,6 +640,7 @@ class TestFrameLog:
         assert all(rows[0][key] == "" for key in self.COLUMNS[2:-1])
         for row, reg in zip(rows[1:], result.registrations[1:]):
             assert int(row["iterations"]) == reg.iterations
+            assert int(row["associations"]) == reg.associations
             assert row["converged"] == str(int(reg.converged))
             assert int(row["degenerate_directions"]) == reg.degenerate_directions
             assert int(row["edge_matches"]) == reg.num_edge_matches
