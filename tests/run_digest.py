@@ -12,8 +12,9 @@ odometry_square runs at seeds 0, 1 and 2.  The output is sorted JSON: per
 run, the sha256 of the stacked trajectory, odometry and keyframe-pose
 matrices, of the keyframe frame indices, of each frame's registration
 iterations (-1 for the unregistered first frame) and of the other per-frame
-registration diagnostics (the rest of the ``frames.csv`` fields, a NaN row
-for the first frame), ``(from, to, accepted, cost.hex())`` per loop attempt
+registration diagnostics (the ``frames.csv`` fields converged through
+final_cost, a NaN row for the first frame), ``(from, to, accepted,
+cost.hex())`` per loop attempt
 and ``(iterations, final_cost.hex())`` per solve.  The iteration counts have
 their own digest, so a change that moves only them shows as exactly that;
 so do the features: one sha256 over every frame's ``extract_features``
