@@ -5,9 +5,9 @@ poses are already within an adaptive distance gate that widens as the
 trajectory (and hence accumulated drift) grows. Accepted candidates are
 refined by registering the current feature cloud against a submap assembled
 around the loop keyframe, with the run's odometry settings and the loop's
-own iteration cap (``registration_config``). An accepted registration gives
-the relative pose that the pose graph takes as a loop edge; each attempt,
-accepted or not, is recorded once, as a ``LoopEvent``.
+own association rounds (``registration_config``). An accepted registration
+gives the relative pose that the pose graph takes as a loop edge; each
+attempt, accepted or not, is recorded once, as a ``LoopEvent``.
 """
 
 import dataclasses
@@ -31,19 +31,19 @@ class LoopClosureConfig:
     base_threshold: float = 20.0  # m, the distance gate at keyframe 0
     n: float = 100.0  # trajectory-length divisor: gate widens by 1 m per n keyframes
     submap_half_width: int = 10  # keyframes on each side of the loop frame
-    max_iterations: int = 50  # loop registration's cap in place of odometry's
+    max_iterations: int = 50  # association rounds, at least 1, in place of odometry's
 
     def __post_init__(self):
         for name in ("base_threshold", "n"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("submap_half_width", "max_iterations"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, low in (("submap_half_width", 0), ("max_iterations", 1)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def registration_config(config: LoopClosureConfig, odometry: OdometryConfig) -> OdometryConfig:
-    """Loop registration runs the odometry settings with the loop's iteration cap."""
+    """Loop registration runs the odometry settings with the loop's association rounds."""
     return dataclasses.replace(odometry, max_iterations=config.max_iterations)
 
 

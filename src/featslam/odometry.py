@@ -17,11 +17,12 @@ and plane points, the rejection vectors, the residuals and the Huber cost,
 which is all the step test reads.  The Jacobian rows and weights are built
 only at the accepted pose.
 
-Correspondences are made anew on each of the first ``max_iterations``
-iterations (2 by default: F-LOAM matches each scan to the map in two
-rounds), and the remaining ``refine_iterations`` refine the pose against
-the last ones, frozen.  A stagnant cost or a small step freezes them
-sooner, which matters for larger budgets such as loop refinement's.
+``max_iterations`` counts association rounds, at least 1 (2 by default:
+F-LOAM matches each scan to the map in two rounds): correspondences are
+made anew on each of the first ``max_iterations`` iterations, and the
+remaining ``refine_iterations`` refine the pose against the last ones,
+frozen.  A stagnant cost or a small step freezes them sooner, which
+matters for larger budgets such as loop refinement's.
 
 Pose updates are left-multiplicative: pose <- exp(delta) . pose, with the
 twist laid out [wx, wy, wz, vx, vy, vz].  Inside registration the pose is
@@ -61,7 +62,7 @@ from featslam.geometry import Pose, exp_rt, project_rotation
 
 @dataclass
 class OdometryConfig:
-    # iterations that re-associate before the rest refine on frozen
+    # association rounds, at least 1, before the rest refine on frozen
     # correspondences: F-LOAM's two matching rounds per scan
     max_iterations: int = 2
     refine_iterations: int = 40
@@ -71,18 +72,13 @@ class OdometryConfig:
     crop_radius: float = 100.0  # m
 
     def __post_init__(self):
-        for name in ("max_iterations", "refine_iterations"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, low in (("max_iterations", 1), ("refine_iterations", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("max_correspondence_distance", "edge_voxel_size", "planar_voxel_size",
                      "crop_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.max_iterations + self.refine_iterations < 1:
-            raise ValueError(
-                "max_iterations + refine_iterations must be >= 1, got "
-                f"{self.max_iterations} + {self.refine_iterations}"
-            )
 
 
 KNN = 5  # neighbors per correspondence
@@ -133,8 +129,8 @@ class _VoxelSet:
 
     @property
     def tree(self):
-        """cKDTree over the points, or None while the set is empty."""
-        if self._tree is None and len(self.points):
+        """cKDTree over the points."""
+        if self._tree is None:
             # median splits buy nothing for a tree queried a few times
             # before the next change; sliding midpoint builds faster
             self._tree = cKDTree(self.points, balanced_tree=False)
@@ -198,10 +194,6 @@ class Correspondences:
         self.points = np.concatenate([self.edge_points, self.plane_points])
 
 
-def _empty():
-    return np.zeros((0, 3))
-
-
 def _fit_planes(a: np.ndarray):
     """Least-squares planes n.p = -1 through each group of points a (N, K, 3).
 
@@ -243,39 +235,31 @@ def associate(
     cfg: OdometryConfig,
 ):
     """Match features, at the pose (rotation matrix, translation), to
-    submap lines and planes."""
-    e_pts, e_cent, e_dir = _empty(), _empty(), _empty()
-    if len(features.edges) and submap.edges.tree is not None:
-        g = features.edges @ rotation.T + translation
-        dist, idx = submap.edges.tree.query(g, k=KNN)
-        near = dist[:, -1] <= cfg.max_correspondence_distance
-        group = submap.edges.points[idx]  # (N, 5, 3)
-        cent = group.mean(axis=1)
-        q = group - cent[:, None, :]
-        cov = np.einsum("nki,nkj->nij", q, q) / KNN
-        vals, vecs = np.linalg.eigh(cov)  # ascending
-        linear = vals[:, 2] >= LINE_EIGEN_RATIO * vals[:, 1]
-        keep = near & linear
-        e_pts = features.edges[keep]
-        e_cent = cent[keep]
-        e_dir = vecs[keep][:, :, 2]
+    submap lines and planes.  The submap holds at least ``KNN`` points of
+    each kind, as ``register`` checks; an empty cloud gives no matches."""
+    g = features.edges @ rotation.T + translation
+    dist, idx = submap.edges.tree.query(g, k=KNN)
+    near = dist[:, -1] <= cfg.max_correspondence_distance
+    group = submap.edges.points[idx]  # (N, 5, 3)
+    cent = group.mean(axis=1)
+    q = group - cent[:, None, :]
+    cov = np.einsum("nki,nkj->nij", q, q) / KNN
+    vals, vecs = np.linalg.eigh(cov)  # ascending
+    linear = vals[:, 2] >= LINE_EIGEN_RATIO * vals[:, 1]
+    keep = near & linear
+    e_pts, e_cent, e_dir = features.edges[keep], cent[keep], vecs[keep][:, :, 2]
 
-    p_pts, p_n, p_d = _empty(), _empty(), np.zeros(0)
-    if len(features.planars) and submap.planars.tree is not None:
-        g = features.planars @ rotation.T + translation
-        dist, idx = submap.planars.tree.query(g, k=KNN)
-        near = dist[:, -1] <= cfg.max_correspondence_distance
-        a = submap.planars.points[idx]  # (N, 5, 3)
-        unit, offset, ok = _fit_planes(a)
-        # every neighbor must lie on the fitted plane
-        d_fit = np.abs(np.einsum("nki,ni->nk", a, unit) + offset[:, None])
-        flat = (d_fit <= PLANE_FIT_TOLERANCE).all(axis=1)
-        keep = near & ok & flat
-        p_pts = features.planars[keep]
-        p_n = unit[keep]
-        p_d = offset[keep]
-
-    return Correspondences(e_pts, e_cent, e_dir, p_pts, p_n, p_d)
+    g = features.planars @ rotation.T + translation
+    dist, idx = submap.planars.tree.query(g, k=KNN)
+    near = dist[:, -1] <= cfg.max_correspondence_distance
+    a = submap.planars.points[idx]  # (N, 5, 3)
+    unit, offset, ok = _fit_planes(a)
+    # every neighbor must lie on the fitted plane
+    d_fit = np.abs(np.einsum("nki,ni->nk", a, unit) + offset[:, None])
+    flat = (d_fit <= PLANE_FIT_TOLERANCE).all(axis=1)
+    keep = near & ok & flat
+    return Correspondences(e_pts, e_cent, e_dir, features.planars[keep], unit[keep],
+                           offset[keep])
 
 
 def _residuals(corr: Correspondences, rotation: np.ndarray, translation: np.ndarray):
@@ -431,7 +415,7 @@ def register(
             break
         if not frozen:
             stagnant = prev_cost is not None and cost > prev_cost * (1.0 - FREEZE_COST_REL)
-            frozen = stagnant or step_norm < FREEZE_STEP or iterations >= cfg.max_iterations
+            frozen = stagnant or step_norm < FREEZE_STEP or associations >= cfg.max_iterations
             prev_cost = cost
 
     return RegistrationResult(

@@ -52,7 +52,6 @@ from .loop_closure import (
     estimate_loop_pose,
     gate_distance,
     is_new_keyframe,
-    registration_config,
 )
 from .odometry import (
     OdometryConfig,
@@ -197,7 +196,6 @@ class PipelineConfig:
             section: _checked(section, config_class, **_section(values, section))
             for section, config_class in _SECTIONS.items()
         }
-        _checked("loop", registration_config, configs["loop"], configs["odometry"])
         if synthetic:
             _checked("synthetic", check_world_spec, _section(values, "synthetic"))
         return cls(values, **configs)

@@ -72,6 +72,16 @@ class TestInverse:
             assert pose_close(lhs, rhs, tol=1e-9)
 
 
+class TestRepr:
+    def test_format(self):
+        assert repr(Pose.identity()) == (
+            "Pose(t=[0.0000, 0.0000, 0.0000], "
+            "R=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])"
+        )
+        assert repr(Pose(np.eye(3), [1.0, -2.5, 0.123456])).startswith(
+            "Pose(t=[1.0000, -2.5000, 0.1235], R=")
+
+
 class TestApply:
     def test_identity(self):
         np.testing.assert_allclose(

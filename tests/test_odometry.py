@@ -178,10 +178,11 @@ class TestSubmap:
 
     def test_crop_rebuilds_the_trees(self):
         submap = corner_submap()
-        assert submap.edges.tree is not None and submap.planars.tree is not None
+        trees = submap.edges.tree, submap.planars.tree
         submap.insert(FeatureCloud(), translate(150.0, 0.0, 0.0))
         assert (len(submap.edges.points), len(submap.planars.points)) == (0, 0)
-        assert submap.edges.tree is None and submap.planars.tree is None
+        for voxels, tree in zip((submap.edges, submap.planars), trees):
+            assert voxels.tree is not tree and voxels.tree.n == 0
 
     def test_trees_index_the_current_points(self):
         scans, _ = TestProcessFrame.corridor_scans(8, 0.5)
@@ -438,16 +439,19 @@ class TestRegister:
         with pytest.raises(ValueError, match="refine_iterations must be >= 0"):
             OdometryConfig(refine_iterations=-1)
 
-    def test_refinement_only_budget(self):
-        # the loop-registration key may leave only the frozen refinement
-        cfg = OdometryConfig(max_iterations=0)
+    def test_one_round_budget(self):
+        # the smallest budget associates once and refines on that round
+        cfg = OdometryConfig(max_iterations=1)
         submap = corner_submap(cfg)
         move = translate(0.1, 0.05, 0.0).compose(rotz(1.0))
         cloud = corner_cloud()
         feats = FeatureCloud(edges=move.apply(cloud.edges), planars=move.apply(cloud.planars))
         res = register(feats, submap, Pose.identity(), cfg)
-        assert 1 <= res.iterations <= cfg.refine_iterations
+        assert res.associations == 1
+        assert 1 <= res.iterations <= 1 + cfg.refine_iterations
         assert np.linalg.norm(res.pose.translation - move.inverse().translation) < 5e-3
+        with pytest.raises(ValueError, match="max_iterations must be >= 1, got 0"):
+            OdometryConfig(max_iterations=0)
 
     def test_failed_step_ends_the_registration(self, monkeypatch, counts):
         # no step can lower a constant cost: the first whole step fails, and
@@ -495,6 +499,18 @@ class TestRegister:
         assert res.iterations == 1
         np.testing.assert_allclose(res.pose.matrix(), init.matrix(), atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_step_returns_unregistered(self, monkeypatch):
+        # a finite system whose inverse overflows gives a non-finite step
+        monkeypatch.setattr(odo, "_normal_equations",
+                            lambda *a: (1e-310 * np.eye(6), np.full(6, 1e10)))
+        init = translate(0.5, -0.2, 0.1).compose(rotz(3.0))
+        res = register(corner_cloud(), corner_submap(), init, CFG)
+        assert (res.final_cost, res.degenerate_directions) == (float("inf"), 6)
+        assert not res.converged
+        assert (res.iterations, res.associations) == (1, 1)
+        np.testing.assert_allclose(res.pose.matrix(), init.matrix(), atol=1e-12)
+
     def test_zero_system_returns_unregistered(self, monkeypatch):
         # a system with no curvature in any direction estimates nothing
         monkeypatch.setattr(odo, "_normal_equations", lambda *a: (np.zeros((6, 6)), np.zeros(6)))
@@ -506,6 +522,39 @@ class TestRegister:
         assert not res.converged
         assert res.iterations == 1
         np.testing.assert_allclose(res.pose.matrix(), init.matrix(), atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOneKindOfFeature:
+    """Clouds with no edges or no planars reach ``associate``, which matches
+    the kind present and gives no match of the other, without a warning."""
+
+    MOVE = translate(0.1, 0.05, 0.0).compose(rotz(1.0))
+
+    def register(self, *kinds):
+        cloud = corner_cloud()
+        feats = FeatureCloud(**{kind: self.MOVE.apply(getattr(cloud, kind)) for kind in kinds})
+        return register(feats, corner_submap(), Pose.identity(), CFG)
+
+    def test_planars_only(self):
+        res = self.register("planars")
+        assert res.converged
+        assert (res.num_edge_matches, res.num_plane_matches) == (0, 670)
+        assert res.associations == 2
+        assert np.linalg.norm(res.pose.translation - self.MOVE.inverse().translation) < 1e-9
+
+    def test_edges_only(self):
+        # vertical lines leave the motion along them unestimated
+        res = self.register("edges")
+        assert res.converged
+        assert (res.num_edge_matches, res.num_plane_matches) == (75, 0)
+        assert res.degenerate_directions == 1
+
+    def test_empty_cloud_is_unregistered(self):
+        res = self.register()
+        assert (res.final_cost, res.degenerate_directions) == (float("inf"), 6)
+        assert (res.iterations, res.associations) == (1, 1)
+        assert res.pose.matrix().tolist() == Pose.identity().matrix().tolist()
 
 
 def random_correspondences(rng, n_edges=8, n_planes=12):

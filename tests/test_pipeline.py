@@ -201,12 +201,12 @@ class TestModuleConfigs:
 class TestIterationBudget:
     @pytest.mark.parametrize("items, message", [
         ({"odometry.max_iterations": "0", "odometry.refine_iterations": "0"},
-         "odometry: max_iterations + refine_iterations must be >= 1, got 0 + 0"),
-        ({"odometry.max_iterations": "-1"}, "odometry: max_iterations must be >= 0"),
+         "odometry: max_iterations must be >= 1, got 0"),
+        ({"odometry.max_iterations": "-1"}, "odometry: max_iterations must be >= 1, got -1"),
         ({"odometry.refine_iterations": "-3"}, "odometry: refine_iterations must be >= 0"),
-        ({"loop.max_iterations": "-1"}, "loop: max_iterations must be >= 0"),
+        ({"loop.max_iterations": "-1"}, "loop: max_iterations must be >= 1, got -1"),
         ({"loop.max_iterations": "0", "odometry.refine_iterations": "0"},
-         "loop: max_iterations + refine_iterations must be >= 1"),
+         "loop: max_iterations must be >= 1, got 0"),
         # a non-finite float would pass every "x <= 0" check and switch a
         # stage off: no match, no loop, no correspondence, or the adaptive gate
         *[({key: value}, f"bad value for {key}: {value} is not finite")
@@ -251,11 +251,33 @@ class TestIterationBudget:
         assert message in capsys.readouterr().err
         assert not out.exists()  # the run never started
 
-    def test_loop_refinement_only_budget_is_valid(self):
-        cfg = PipelineConfig.from_items({**SQUARE, "loop.max_iterations": "0"})
+    def test_loop_zero_rounds_rejected(self, tmp_path, capsys):
+        # zero rounds with the refine budget left at 40, a budget the sum
+        # rule let through: loop refinement, like odometry, associates at
+        # least once
+        message = "loop: max_iterations must be >= 1, got 0"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            PipelineConfig.from_items({**SQUARE, "loop.max_iterations": "0"})
+        out = tmp_path / "out"
+        rc = main(["run", "--synthetic", "square,frames=3", "--set", "loop.max_iterations=0",
+                   "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_round_without_refinement_is_valid(self, tmp_path):
+        # the smallest budget of both phases, which the sum rule once checked
+        cfg = PipelineConfig.from_items({**SQUARE, "odometry.max_iterations": "1",
+                                         "odometry.refine_iterations": "0"})
+        assert (cfg.odometry.max_iterations, cfg.odometry.refine_iterations) == (1, 0)
         registration = registration_config(cfg.loop, cfg.odometry)
-        assert registration.max_iterations == 0
-        assert registration.refine_iterations == 40
+        assert (registration.max_iterations, registration.refine_iterations) == (50, 0)
+        out = tmp_path / "out"
+        assert main(["run", "--synthetic", "square,frames=3,seed=0", "--set",
+                     "odometry.max_iterations=1", "--set", "odometry.refine_iterations=0",
+                     "--out", str(out)]) == 0
+        rows = TestFrameLog.rows(out / "frames.csv")[1:]
+        assert [(row["iterations"], row["associations"]) for row in rows] == [("1", "1")] * 2
 
 
 # Numeric keys for which -1 is a valid value, with the reason.
@@ -776,6 +798,26 @@ class TestFrameLog:
             "featslam: note: 2 of 5 registrations estimated no direction "
             "of the pose (degenerate_directions 6 in frames.csv)\n"
         )
+
+    def test_empty_scans_mid_run(self):
+        # frames 20-24 of a 60-frame square run are empty: each associates
+        # once, finds no match and keeps its prediction, unregistered, and
+        # the run registers on past the gap
+        scans, truth = generate_world({"shape": "square", "frames": 230, "noise": 0.01,
+                                       "seed": 0, "size": 24.0, "laps": 1.5})
+        scans, truth = scans[:60], truth[:60]
+        gap = range(20, 25)
+        for i in gap:
+            scans[i] = RawScan(xyz=np.zeros((0, 3)), ring=np.zeros(0, dtype=int))
+        result = run_slam(scans, PipelineConfig.from_items({**SQUARE, "run.no_loop": "true"}))
+        unregistered = [i for i, reg in enumerate(result.registrations)
+                        if reg is not None and reg.final_cost == float("inf")]
+        assert unregistered == list(gap)
+        assert [result.registrations[i].associations for i in gap] == [1] * len(gap)
+        align = truth[0].compose(result.trajectory[0].inverse())
+        errors = [np.linalg.norm(align.compose(p).translation - t.translation)
+                  for p, t in zip(result.trajectory, truth)]
+        assert max(errors) < 1.5  # 0.875 m; 0.410 m without the gap
 
     def test_in_memory_nonfinite_points_reported(self, tmp_path):
         scans, _ = generate_world({"shape": "square", "frames": 4, "seed": 0})
