@@ -3,11 +3,12 @@
 A Scan Context match (Kim & Kim, IROS 2018) is only trusted when the two
 poses are already within an adaptive distance gate that widens as the
 trajectory (and hence accumulated drift) grows. Accepted candidates are
-refined by registering the current feature cloud against a submap assembled
-around the loop keyframe, with the run's odometry settings and the loop's
-own association rounds (``registration_config``). An accepted registration
-gives the relative pose that the pose graph takes as a loop edge; each
-attempt, accepted or not, is recorded once, as a ``LoopEvent``.
+refined by registering the current feature cloud against the uncropped
+submap of the keyframes within ``submap_half_width`` of the loop keyframe,
+with the run's odometry settings and the loop's own association rounds
+(``registration_config``). An accepted registration gives the relative
+pose that the pose graph takes as a loop edge; each attempt, accepted or
+not, is recorded once, as a ``LoopEvent``.
 """
 
 import dataclasses

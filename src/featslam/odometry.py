@@ -32,10 +32,11 @@ a rotation matrix and a translation, and each tried step is composed with
 compound rounding.
 
 The stage's only state is its submap: two keep-first voxel sets, edges
-and planars, cropped around the latest pose.  The prediction is read from
-the frame poses the caller already holds.  Each set builds its KD-tree
-when the tree is first read after a change, so a loop submap assembled
-from many keyframes builds only the two trees its registration queries.
+and planars, which ``process_frame`` crops to ``CROP_RADIUS`` around each
+pose it folds in.  The prediction is read from the frame poses the caller
+already holds.  Each set builds its KD-tree when first read after a change,
+so a loop submap assembled from many keyframes builds only the two trees
+its registration queries.
 
 A registration that cannot estimate a pose (a submap too small, too few
 matches, a non-finite or all-zero system, a non-finite step) returns one
@@ -44,8 +45,8 @@ unestimated.  Its frame is folded into the submap only when the submap was
 too small to register against.
 
 ``OdometryConfig`` holds the iteration budgets, the correspondence gate
-and the submap geometry; the Huber scale, the solver's tolerances and the
-submap size below which registration is skipped are module constants.
+and the voxel sizes; the Huber scale, the solver's tolerances, the crop
+radius and the smallest submap registered against are module constants.
 """
 
 from __future__ import annotations
@@ -69,14 +70,12 @@ class OdometryConfig:
     max_correspondence_distance: float = 5.0  # m, gate on the 5th neighbor
     edge_voxel_size: float = 0.4  # m
     planar_voxel_size: float = 0.8  # m
-    crop_radius: float = 100.0  # m
 
     def __post_init__(self):
         for name, low in (("max_iterations", 1), ("refine_iterations", 0)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("max_correspondence_distance", "edge_voxel_size", "planar_voxel_size",
-                     "crop_radius"):
+        for name in ("max_correspondence_distance", "edge_voxel_size", "planar_voxel_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
@@ -94,6 +93,7 @@ MIN_SUBMAP_EDGES = 10
 MIN_SUBMAP_PLANARS = 50
 LINE_EIGEN_RATIO = 3.0  # largest eigenvalue must exceed ratio x second
 PLANE_FIT_TOLERANCE = 0.2  # m, every neighbor must sit on the fitted plane
+CROP_RADIUS = 100.0  # m, odometry's window around the latest pose
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +158,16 @@ class _VoxelSet:
 
 
 class Submap:
-    """Global-frame edge and planar voxel sets, cropped around the latest
-    pose."""
+    """Global-frame edge and planar voxel sets; the caller crops them."""
 
     def __init__(self, cfg: OdometryConfig):
         self.edges = _VoxelSet(cfg.edge_voxel_size)
         self.planars = _VoxelSet(cfg.planar_voxel_size)
-        self.crop_radius = cfg.crop_radius
 
     def insert(self, features: FeatureCloud, pose: Pose) -> None:
-        """Add features transformed by pose, then crop around the pose."""
-        for voxels, points in ((self.edges, features.edges), (self.planars, features.planars)):
-            voxels.insert(pose.apply(points))
-            voxels.crop(pose.translation, self.crop_radius)
+        """Add features transformed by pose."""
+        self.edges.insert(pose.apply(features.edges))
+        self.planars.insert(pose.apply(features.planars))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,6 @@ def register(
         return _unregistered(rotation, translation, 0, 0)
 
     converged = False
-    null_directions = 0
     iterations = 0
     associations = 0
     prev_cost = None
@@ -445,7 +441,7 @@ def predict_pose(poses: Sequence[Pose]) -> Pose:
 
 def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConfig,
                   feature_cfg: FeatureConfig):
-    """Extract features, register against the submap, fold them in.
+    """Extract features, register, fold them into the submap and crop it.
 
     poses are the poses of the frames before this one; only the submap
     changes.  Returns (features, pose, RegistrationResult or None).  The
@@ -465,4 +461,6 @@ def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConf
         pose = result.pose
     if result is None or result.iterations == 0 or np.isfinite(result.final_cost):
         submap.insert(features, pose)
+        for voxels in (submap.edges, submap.planars):
+            voxels.crop(pose.translation, CROP_RADIUS)
     return features, pose, result

@@ -261,13 +261,12 @@ def optimize(graph: PoseGraph) -> OptimizationReport:
     converged = False
 
     lam = _LAMBDA_INIT
-    for _ in range(_MAX_ITERATIONS):
+    while iterations < _MAX_ITERATIONS and not converged:
         h, g = _normal_equations(edges, current)
         if np.linalg.norm(g) < _GRADIENT_TOLERANCE:
             converged = True
             break
         diag = h.diagonal()
-        stepped = False
         while lam <= _LAMBDA_MAX:
             damped = h + sparse.diags(lam * np.maximum(diag, 1e-32))
             delta = spsolve(damped.tocsc(), -g)
@@ -280,19 +279,14 @@ def optimize(graph: PoseGraph) -> OptimizationReport:
                 trial = _evaluate(edges, cand_rot, cand_trans)
                 if trial.cost < current.cost:
                     rel_decrease = (current.cost - trial.cost) / max(current.cost, 1e-300)
+                    converged = rel_decrease < _COST_REL_TOLERANCE
                     rotation, translation, current = cand_rot, cand_trans, trial
                     lam = max(lam / 3.0, _LAMBDA_MIN)
                     iterations += 1
-                    stepped = True
-                    if rel_decrease < _COST_REL_TOLERANCE:
-                        converged = True
                     break
             lam *= 10.0
-        if not stepped:
-            converged = False  # damping exhausted; keep best iterate
-            break
-        if converged:
-            break
+        else:
+            break  # damping exhausted; keep best iterate, not converged
 
     if iterations:
         graph.nodes[1:] = map(Pose, project_rotation(rotation[1:]), translation[1:])

@@ -15,7 +15,8 @@ from featslam.loop_closure import (
     gate_distance,
     is_new_keyframe,
 )
-from featslam.odometry import OdometryConfig
+from featslam import loop_closure
+from featslam.odometry import OdometryConfig, Submap, register
 
 CFG = LoopClosureConfig()
 ODOMETRY = OdometryConfig()
@@ -173,6 +174,28 @@ class TestEstimateLoopPose:
         relative, cost = estimate_loop_pose(1, keyframes, 0, poses, CFG, ODOMETRY, 0.0)
         assert relative is None
         assert not cost < COST_THRESHOLD
+
+    def test_window_is_not_cropped(self, monkeypatch):
+        # keyframes 0 and 1 lie over 100 m, odometry's crop radius, from
+        # keyframe 4, the last of the window: loop refinement keeps them
+        cloud = corner_cloud()
+        poses = [translate(40.0 * i, 0, 0) for i in range(5)] + [Pose.identity()]
+        keyframes = make_keyframes(poses, [cloud] * 6)
+        received = []
+
+        def spy(features, submap, initial, cfg):
+            received.append(submap)
+            return register(features, submap, initial, cfg)
+
+        monkeypatch.setattr(loop_closure, "register", spy)
+        estimate_loop_pose(5, keyframes, 2, poses, CFG, ODOMETRY, 0.0)
+        (submap,) = received
+        early = Submap(ODOMETRY)
+        for i in (0, 1):
+            early.insert(cloud, poses[i])
+        for voxels, kept in ((submap.edges, early.edges), (submap.planars, early.planars)):
+            far = np.linalg.norm(voxels.points - poses[4].translation, axis=1) > 100.0
+            assert len(kept.points) and np.array_equal(voxels.points[far], kept.points)
 
     def test_store_not_mutated(self):
         cloud = corner_cloud()

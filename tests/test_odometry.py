@@ -82,6 +82,21 @@ def counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def crops(monkeypatch):
+    """Each _VoxelSet.crop call: (voxel set, center, radius, points removed)."""
+    calls = []
+    crop = odo._VoxelSet.crop
+
+    def recording_crop(voxels, center, radius):
+        before = len(voxels.points)
+        crop(voxels, center, radius)
+        calls.append((voxels, center.copy(), radius, before - len(voxels.points)))
+
+    monkeypatch.setattr(odo._VoxelSet, "crop", recording_crop)
+    return calls
+
+
 def track(scans, submap, cfg=CFG):
     """Run process_frame over scans, keeping the frame poses as run_slam
     does; returns the poses and the registrations."""
@@ -139,6 +154,8 @@ class TestSubmap:
         )
         submap = Submap(CFG)
         submap.insert(cloud, Pose.identity())
+        assert len(submap.planars.points) == 2  # the submap itself crops nothing
+        submap.planars.crop(np.zeros(3), odo.CROP_RADIUS)
         assert len(submap.planars.points) == 1
         np.testing.assert_allclose(submap.planars.points[0], [1, 0, 0])
 
@@ -152,8 +169,10 @@ class TestSubmap:
                 planars=rng.uniform(-50, 50, size=(800, 3)),
             )
             submap.insert(cloud, Pose.identity())
-        bound_e = (2 * cfg.crop_radius / cfg.edge_voxel_size) ** 3
-        bound_p = (2 * cfg.crop_radius / cfg.planar_voxel_size) ** 3
+            for voxels in (submap.edges, submap.planars):
+                voxels.crop(np.zeros(3), odo.CROP_RADIUS)
+        bound_e = (2 * odo.CROP_RADIUS / cfg.edge_voxel_size) ** 3
+        bound_p = (2 * odo.CROP_RADIUS / cfg.planar_voxel_size) ** 3
         assert len(submap.edges.points) <= bound_e
         assert len(submap.planars.points) <= bound_p
 
@@ -179,18 +198,21 @@ class TestSubmap:
     def test_crop_rebuilds_the_trees(self):
         submap = corner_submap()
         trees = submap.edges.tree, submap.planars.tree
-        submap.insert(FeatureCloud(), translate(150.0, 0.0, 0.0))
+        for voxels in (submap.edges, submap.planars):
+            voxels.crop(np.array([150.0, 0.0, 0.0]), odo.CROP_RADIUS)
         assert (len(submap.edges.points), len(submap.planars.points)) == (0, 0)
         for voxels, tree in zip((submap.edges, submap.planars), trees):
             assert voxels.tree is not tree and voxels.tree.n == 0
 
-    def test_trees_index_the_current_points(self):
+    def test_trees_index_the_current_points(self, monkeypatch, crops):
+        monkeypatch.setattr(odo, "CROP_RADIUS", 12.0)
         scans, _ = TestProcessFrame.corridor_scans(8, 0.5)
-        poses, submap = [], Submap(OdometryConfig(crop_radius=12.0))
+        poses, submap = [], Submap(CFG)
         for scan in scans:
             poses.append(process_frame(poses, scan, submap, CFG, FEATURES)[1])
             for voxels in (submap.edges, submap.planars):
                 assert np.array_equal(voxels.tree.data, voxels.points)
+        assert sum(removed for *_, removed in crops) > 0
 
     def test_inserts_build_no_tree_until_queried(self, monkeypatch):
         built = []
@@ -781,6 +803,19 @@ class TestProcessFrame:
         rng = np.random.default_rng(seed)
         path = straight_path(frames, step)
         return [simulate_scan(world, p, model, rng) for p in path], path
+
+    def test_crops_around_the_pose_it_folds_in(self, monkeypatch, crops):
+        monkeypatch.setattr(odo, "CROP_RADIUS", 6.0)
+        scans, _ = self.corridor_scans(6, 0.5)
+        poses, submap = [], Submap(CFG)
+        for scan in scans:
+            crops.clear()
+            pose = process_frame(poses, scan, submap, CFG, FEATURES)[1]
+            poses.append(pose)
+            assert [voxels for voxels, *_ in crops] == [submap.edges, submap.planars]
+            for voxels, center, radius, _ in crops:
+                assert np.array_equal(center, pose.translation) and radius == 6.0
+                assert np.linalg.norm(voxels.points - center, axis=1).max() <= 6.0
 
     def test_single_frame_identity(self):
         scans, _ = self.corridor_scans(1, 0.5)
