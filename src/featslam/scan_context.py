@@ -2,9 +2,10 @@
 
 A feature cloud is summarized as a ring x sector matrix of maximum point
 heights. Matching a pair of descriptors scans all cyclic column shifts, so
-the distance is invariant to the yaw at which a place is revisited. The
-shifts are scored together: the dot products of every column pair are
-formed once, and each shift gathers the pairs it lines up.
+the distance is invariant to the yaw at which a place is revisited. A query
+scores a stack of candidates against the probe, every shift together: one
+product forms the dot products of every column pair, and each shift
+gathers the pairs it lines up.
 
 The database is a list in keyframe order, as in Kim & Kim (IROS 2018): a
 descriptor's position in it is its keyframe index.
@@ -43,8 +44,9 @@ class ScanContextConfig:
 
 @dataclass
 class ScanContextDescriptor:
-    matrix: np.ndarray  # (num_rings, num_sectors), EMPTY_BIN where no points
-    ring_key: np.ndarray  # (num_rings,) occupancy ratio in [0, 1]
+    # a stack of descriptors has leading axes on both fields
+    matrix: np.ndarray  # (..., num_rings, num_sectors), EMPTY_BIN where no points
+    ring_key: np.ndarray  # (..., num_rings) occupancy ratio in [0, 1]
 
 
 @dataclass
@@ -85,40 +87,38 @@ def shift_to_yaw(shift: int, num_sectors: int) -> float:
 def descriptor_distance(a: ScanContextDescriptor, b: ScanContextDescriptor):
     """Minimum column-wise cosine distance over all cyclic sector shifts.
 
-    Returns (distance in [0, 1], best shift); the first of equally good
-    shifts wins. Columns empty in both descriptors are skipped; if every
-    column is skipped the distance is 1.
+    ``b.matrix`` may be a stack ``(..., rings, sectors)`` of candidates,
+    each scored against ``a``. Returns (distance in [0, 1], best shift),
+    each of the stack's leading shape; the first of equally good shifts
+    wins. Columns empty in both descriptors are skipped; if every column is
+    skipped the distance is 1.
     """
-    if a.matrix.shape != b.matrix.shape:
+    if a.matrix.shape != b.matrix.shape[-2:]:
         raise ValueError(
             f"descriptor shapes differ: {a.matrix.shape} vs {b.matrix.shape}"
         )
     num_sectors = a.matrix.shape[1]
     a_occ = a.matrix > EMPTY_BIN
     b_occ = b.matrix > EMPTY_BIN
-    a_col_occ = a_occ.any(axis=0)
-    b_col_occ = b_occ.any(axis=0)
-    if not (a_col_occ.any() or b_col_occ.any()):
-        return (1.0, 0)
     av = np.where(a_occ, a.matrix, 0.0)
     bv = np.where(b_occ, b.matrix, 0.0)
     # row s, column j: b's column that faces a's column j at shift s
     column = np.arange(num_sectors)
     shifted = (column[:, None] + column) % num_sectors
-    col_occ = a_col_occ | b_col_occ[shifted]
-    # every column pair's dot product, summed over rings in ring order
-    dot = (av[:, :, None] * bv[:, None, :]).sum(axis=0)[column, shifted]
-    denom = np.linalg.norm(av, axis=0) * np.linalg.norm(bv, axis=0)[shifted]
+    col_occ = a_occ.any(axis=0) | b_occ.any(axis=-2)[..., shifted]
+    # every column pair's dot product
+    dot = (av.T @ bv)[..., column, shifted]
+    denom = np.linalg.norm(av, axis=0) * np.linalg.norm(bv, axis=-2)[..., shifted]
     # a zero column against an occupied one carries no directional
     # information: score it as maximally distant rather than dividing
     cos = np.where(denom > 0.0, dot / np.where(denom > 0.0, denom, 1.0), 0.0)
     col_dist = 1.0 - cos
     # snap float dust to zero so shifted twins compare exactly equal
     col_dist = np.where(np.abs(col_dist) < 1e-12, 0.0, col_dist)
-    mean = np.where(col_occ, col_dist, 0.0).sum(axis=1) / col_occ.sum(axis=1)
-    dist = np.clip(mean, 0.0, 1.0)
-    shift = int(np.argmin(dist))  # a distance of 1 at every shift gives (1.0, 0)
-    return (float(dist[shift]), shift)
+    count = col_occ.sum(axis=-1)
+    total = np.where(col_occ, col_dist, 0.0).sum(axis=-1)
+    dist = np.where(count > 0, np.clip(total / np.maximum(count, 1), 0.0, 1.0), 1.0)
+    return dist.min(axis=-1), dist.argmin(axis=-1)
 
 
 def query(
@@ -137,7 +137,8 @@ def query(
     keys = np.stack([d.ring_key for d in eligible])
     key_dist = np.linalg.norm(keys - probe.ring_key, axis=1)
     order = np.argsort(key_dist, kind="stable")[:NUM_CANDIDATES]
-    scored = [CandidateMatch(int(idx), *descriptor_distance(probe, eligible[idx]))
-              for idx in order]
-    best = min(scored, key=lambda match: match.descriptor_distance)  # the first of ties
-    return best if best.descriptor_distance < cfg.similarity_threshold else None
+    dist, shift = descriptor_distance(probe, ScanContextDescriptor(
+        np.stack([eligible[idx].matrix for idx in order]), keys[order]))
+    best = int(np.argmin(dist))  # the first of ties
+    match = CandidateMatch(int(order[best]), float(dist[best]), int(shift[best]))
+    return match if match.descriptor_distance < cfg.similarity_threshold else None

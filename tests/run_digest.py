@@ -17,9 +17,10 @@ final_cost, a NaN row for the first frame), ``(from, to, accepted,
 cost.hex())`` per loop attempt
 and ``(iterations, final_cost.hex())`` per solve.  The iteration counts have
 their own digest, so a change that moves only them shows as exactly that;
-so do the features: one sha256 over every frame's ``extract_features``
-edges and planars, with their counts, in frame order.  BLAS runs on one
-thread.
+so do the attempts' Scan Context distances (``sc_distances``, one sha256
+of their float64 values in attempt order) and the features: one sha256
+over every frame's ``extract_features`` edges and planars, with their
+counts, in frame order.  BLAS runs on one thread.
 """
 
 import os
@@ -93,6 +94,8 @@ def digest(name: str, seed: int) -> dict:
         "registrations": _registrations(result.registrations),
         "attempts": [[e.from_keyframe, e.to_keyframe, bool(e.accepted), float(e.cost).hex()]
                      for e in result.events],
+        "sc_distances": _sha256(np.array([e.sc_distance for e in result.events],
+                                         dtype=np.float64)),
         "solves": [[s.report.iterations, float(s.report.final_cost).hex()]
                    for s in result.solves],
     }

@@ -197,6 +197,29 @@ class TestEstimateLoopPose:
             far = np.linalg.norm(voxels.points - poses[4].translation, axis=1) > 100.0
             assert len(kept.points) and np.array_equal(voxels.points[far], kept.points)
 
+    def test_window_matches_one_insert_per_keyframe(self, monkeypatch):
+        # keyframes a few cm and degrees apart share most voxels, so which
+        # point each voxel keeps depends on the order the window is inserted in
+        cloud = corner_cloud()
+        poses = [translate(0.07 * i, -0.05 * i, 0).compose(rotz(3.0 * i)) for i in range(8)]
+        keyframes = make_keyframes(poses, [cloud] * 8)
+        received = []
+
+        def spy(features, submap, initial, cfg):
+            received.append(submap)
+            return register(features, submap, initial, cfg)
+
+        monkeypatch.setattr(loop_closure, "register", spy)
+        estimate_loop_pose(7, keyframes, 2, poses, CFG, ODOMETRY, 0.0)
+        (submap,) = received
+        expected = Submap(ODOMETRY)
+        for i in range(7):  # the window: keyframes 0 to 6, before the current one
+            expected.insert(cloud, poses[i])
+        for voxels, kept, inserted in ((submap.edges, expected.edges, cloud.edges),
+                                       (submap.planars, expected.planars, cloud.planars)):
+            assert len(kept.points) < 7 * len(inserted)  # shared voxels kept once
+            assert np.array_equal(voxels.points, kept.points)
+
     def test_store_not_mutated(self):
         cloud = corner_cloud()
         poses = [Pose.identity(), translate(0.2, 0, 0), translate(0.4, 0, 0)]

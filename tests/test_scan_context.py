@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import loop_reference as ref
+from featslam import scan_context
 from featslam.features import FeatureCloud
 from featslam.scan_context import (
     EMPTY_BIN,
@@ -230,6 +231,31 @@ class TestQuery:
         dists = [descriptor_distance(probe, d)[0] for d in store]
         assert int(np.argmin(dists)) == 17
 
+    def test_first_of_tied_candidates_in_ring_key_order(self):
+        rng = np.random.default_rng(9)
+        probe = build_descriptor(random_cloud(rng), CFG)
+        store = [build_descriptor(random_cloud(rng), CFG) for _ in range(100)]
+        store[10] = store[40] = probe
+        assert query(store, probe, CFG).candidate_keyframe_index == 10
+        # keyframe 10's twin with a farther ring key now follows keyframe 40
+        store[10] = ScanContextDescriptor(probe.matrix, probe.ring_key + 1e-3)
+        assert query(store, probe, CFG).candidate_keyframe_index == 40
+
+    def test_one_scorer_call_per_query(self, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append(b.matrix.shape)
+            return descriptor_distance(a, b)
+
+        monkeypatch.setattr(scan_context, "descriptor_distance", spy)
+        rng = np.random.default_rng(10)
+        store = [build_descriptor(random_cloud(rng, n=80), CFG) for _ in range(60)]
+        for k in range(len(store) + 1):  # keyframes 0-49 have none eligible
+            query(store[:k], store[k % len(store)], CFG)
+        shape = (CFG.num_rings, CFG.num_sectors)
+        assert calls == [(min(k - 50, 10), *shape) for k in range(51, 61)]
+
 
 class TestShiftToYaw:
     def test_wrap_past_half_turn(self):
@@ -326,3 +352,26 @@ class TestMatchesLoopReference:
         a[0, ::2] = 1.0
         b[10, 1::3] = 2.0
         assert self.assert_matches(descriptor(a), descriptor(b)) == (1.0, 0)
+
+    def test_stack_of_candidates(self):
+        # one call scores a (2, 4) stack; each element is its pair's score
+        rng = np.random.default_rng(17)
+        cfg = ScanContextConfig()
+        probe = build_descriptor(random_cloud(rng, safe_bins=False), CFG)
+        matrices = [build_descriptor(random_cloud(rng, safe_bins=False), CFG).matrix
+                    for _ in range(6)]
+        matrices += [np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN),
+                     np.roll(probe.matrix, 11, axis=1)]
+        stack = np.stack(matrices).reshape(2, 4, cfg.num_rings, cfg.num_sectors)
+        dist, shift = descriptor_distance(
+            probe, ScanContextDescriptor(stack, (stack > EMPTY_BIN).mean(-1)))
+        assert dist.shape == shift.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            ref_dist, ref_shift = ref.descriptor_distance(probe, descriptor(stack[idx]))
+            assert shift[idx] == ref_shift
+            assert abs(dist[idx] - ref_dist) <= 1e-15
+        assert (dist[1, 2], shift[1, 2]) == (1.0, 0)  # the all-empty candidate
+        assert (dist[1, 3], shift[1, 3]) == (0.0, 11)  # the shifted twin
+        narrow = stack[0, :, :, 1:]
+        with pytest.raises(ValueError):
+            descriptor_distance(probe, ScanContextDescriptor(narrow, narrow.mean(-1)))
