@@ -54,19 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _synthetic_items(spec: str) -> Dict[str, str]:
-    items: Dict[str, str] = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" in token:
-            key, value = token.split("=", 1)
-            items[f"synthetic.{key.strip()}"] = value.strip()
-        else:
-            items["synthetic.shape"] = token
-    if "synthetic.shape" not in items:
-        items["synthetic.shape"] = WORLD_DEFAULTS["shape"]
-    return items
+    pairs = [t if "=" in t else f"shape={t}" for t in spec.split(",") if t.strip()]
+    items = parse_overrides([f"shape={WORLD_DEFAULTS['shape']}", *pairs])
+    return {f"synthetic.{key}": value for key, value in items.items()}
 
 
 def _collect_items(args) -> Dict[str, str]:

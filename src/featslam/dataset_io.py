@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from featslam.geometry import Pose
 
@@ -147,21 +148,6 @@ def load_ground_truth(
     return GroundTruthTrajectory(camera_poses=poses, calibration=calib)
 
 
-def _quaternion(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z), w >= 0, of a rotation matrix by
-    Shepperd's method: the row of 4 q q^T with the largest diagonal entry."""
-    t = np.trace(m)
-    k = np.array([
-        [1.0 + t, m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]],
-        [m[2, 1] - m[1, 2], 1.0 + 2.0 * m[0, 0] - t, m[0, 1] + m[1, 0], m[0, 2] + m[2, 0]],
-        [m[0, 2] - m[2, 0], m[0, 1] + m[1, 0], 1.0 + 2.0 * m[1, 1] - t, m[1, 2] + m[2, 1]],
-        [m[1, 0] - m[0, 1], m[0, 2] + m[2, 0], m[1, 2] + m[2, 1], 1.0 + 2.0 * m[2, 2] - t],
-    ])
-    q = k[np.argmax(np.diag(k))]
-    q = q / np.linalg.norm(q)
-    return -q if q[0] < 0.0 else q
-
-
 def export_trajectory(
     trajectory: list[Pose], path: str | os.PathLike, format: str = "kitti"
 ) -> None:
@@ -171,9 +157,11 @@ def export_trajectory(
         rows = [pose.matrix()[:3, :].reshape(-1) for pose in trajectory]
         np.savetxt(path, np.reshape(rows, (-1, 12)), fmt="%.12g")
     elif format == "tum":
-        # _quaternion gives (w, x, y, z); TUM puts w last
-        rows = [[i, *pose.translation, *_quaternion(pose.rotation)[[1, 2, 3, 0]]]
-                for i, pose in enumerate(trajectory)]
+        # SciPy's rows are (x, y, z, w), TUM's order; each is flipped to w >= 0
+        rotations = np.reshape([pose.rotation for pose in trajectory], (-1, 3, 3))
+        quat = Rotation.from_matrix(rotations).as_quat()
+        quat[quat[:, 3] < 0.0] *= -1.0
+        rows = [[i, *pose.translation, *q] for i, (pose, q) in enumerate(zip(trajectory, quat))]
         np.savetxt(path, np.reshape(rows, (-1, 8)), fmt=["%d"] + ["%.12g"] * 7)
     else:
         raise ValueError(f"unknown trajectory format {format!r}")

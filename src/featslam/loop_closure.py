@@ -6,9 +6,10 @@ trajectory (and hence accumulated drift) grows. Accepted candidates are
 refined by registering the current feature cloud, with the run's odometry
 settings and the loop's own association rounds (``registration_config``),
 against the uncropped window of keyframes within ``submap_half_width`` of
-the loop keyframe, one insert per voxel set in window order. An accepted
-registration gives the relative pose that the pose graph takes as a loop
-edge; each attempt, accepted or not, is recorded once, as a ``LoopEvent``.
+the loop keyframe, filled by one ``Submap.insert`` in window order. An
+accepted registration gives the relative pose that the pose graph takes as
+a loop edge; each attempt, accepted or not, is recorded once, as a
+``LoopEvent``.
 """
 
 import dataclasses
@@ -100,10 +101,11 @@ def estimate_loop_pose(
     submap = Submap(reg_cfg)
     lo = max(0, loop_index - cfg.submap_half_width)
     hi = min(loop_index + cfg.submap_half_width, current_index - 1)
-    # one insert per voxel set, in window order, keeps what per-keyframe inserts would
+    # one insert, in window order, keeps what per-keyframe inserts would
     window = [(keyframes[i].features, latest_poses[i]) for i in range(lo, hi + 1)]
-    submap.edges.insert(np.concatenate([pose.apply(f.edges) for f, pose in window]))
-    submap.planars.insert(np.concatenate([pose.apply(f.planars) for f, pose in window]))
+    edges = np.concatenate([pose.apply(f.edges) for f, pose in window])
+    planars = np.concatenate([pose.apply(f.planars) for f, pose in window])
+    submap.insert(FeatureCloud(edges, planars), Pose.identity())
 
     initial = latest_poses[loop_index].compose(
         Pose.from_rt(np.array([0.0, 0.0, yaw_hint]), np.zeros(3))

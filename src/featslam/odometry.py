@@ -386,13 +386,12 @@ def register(
 
         vals, vecs = np.linalg.eigh(h)
         top = vals[-1]
-        if top <= 0.0:
-            return _unregistered(rotation, translation, iterations, associations)
         keep = vals > EIGENVALUE_FLOOR * top
         null_directions = int((~keep).sum())
         inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
         delta = -vecs @ (inv * (vecs.T @ grad))
-        if not np.isfinite(delta).all():
+        # an all-zero system keeps no direction and gives a zero step
+        if not (top > 0.0 and np.isfinite(delta).all()):
             return _unregistered(rotation, translation, iterations, associations)
 
         # the whole step against the current correspondences must buy a

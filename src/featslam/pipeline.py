@@ -14,6 +14,7 @@ Configuration is a flat ``key = value`` file with dotted keys plus
 ``--set key=value`` overrides.  The table of known keys is the simulator's
 world defaults plus one key per field of each module config dataclass
 (``_SECTIONS``); unknown keys are rejected.  ``PipelineConfig.from_items``
+takes every value as text, parses it as the type of its key's default and
 builds each module config once, so every value is range-checked by the
 config it builds before a run starts.
 """
@@ -128,26 +129,18 @@ _KEYS: Dict[str, object] = {
 _PARSERS = {str: str, int: int, float: float, bool: _parse_bool}
 
 
-def _coerce(key: str, value) -> object:
+def _coerce(key: str, text: str) -> object:
     if key not in _KEYS:
         raise ValueError(f"unknown configuration key: {key}")
-    kind = type(_KEYS[key])
-    if isinstance(value, str):
-        try:
-            value = _PARSERS[kind](value)
-        except ValueError as e:
-            raise ValueError(f"bad value for {key}: {e}") from e
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        if not math.isfinite(value):
-            raise ValueError(f"bad value for {key}: {value!r} is not finite")
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, (str, Path)):
-        return str(value)
-    raise ValueError(f"bad value for {key}: {value!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"bad value for {key}: {text!r}")
+    try:
+        value = _PARSERS[type(_KEYS[key])](text)
+    except ValueError as e:
+        raise ValueError(f"bad value for {key}: {e}") from e
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"bad value for {key}: {value!r} is not finite")
+    return value
 
 
 def _section(values: Dict[str, object], prefix: str) -> Dict[str, object]:
@@ -179,9 +172,9 @@ class PipelineConfig:
     graph: PoseGraphConfig
 
     @classmethod
-    def from_items(cls, items: Dict[str, object]) -> "PipelineConfig":
-        """Coerce items over the defaults and build every module config, so
-        that a bad value fails before a run."""
+    def from_items(cls, items: Dict[str, str]) -> "PipelineConfig":
+        """Parse the text items over the defaults and build every module
+        config, so that a bad value fails before a run."""
         values = dict(_KEYS)
         for key, value in items.items():
             values[key] = _coerce(key, value)

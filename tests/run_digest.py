@@ -18,9 +18,11 @@ cost.hex())`` per loop attempt
 and ``(iterations, final_cost.hex())`` per solve.  The iteration counts have
 their own digest, so a change that moves only them shows as exactly that;
 so do the attempts' Scan Context distances (``sc_distances``, one sha256
-of their float64 values in attempt order) and the features: one sha256
+of their float64 values in attempt order), the features (one sha256
 over every frame's ``extract_features`` edges and planars, with their
-counts, in frame order.  BLAS runs on one thread.
+counts, in frame order) and the TUM writer (``tum``, the sha256 of the
+file ``export_trajectory(trajectory, path, "tum")`` writes).  BLAS runs on
+one thread.
 """
 
 import os
@@ -32,10 +34,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from featslam.dataset_io import export_trajectory
 from featslam.features import extract_features
 from featslam.pipeline import PipelineConfig, run_slam
 from featslam.simulate import generate_world
@@ -79,6 +83,13 @@ def _features(scans, cfg) -> str:
     return h.hexdigest()
 
 
+def _tum(trajectory) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory_tum.txt"
+        export_trajectory(trajectory, path, "tum")
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digest(name: str, seed: int) -> dict:
     w = WORKLOADS[name]
     scans = generate_world({**w.world, "seed": seed})[0]
@@ -98,6 +109,7 @@ def digest(name: str, seed: int) -> dict:
                                          dtype=np.float64)),
         "solves": [[s.report.iterations, float(s.report.final_cost).hex()]
                    for s in result.solves],
+        "tum": _tum(result.trajectory),
     }
 
 

@@ -2,12 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from featslam.dataset_io import (
     FormatError,
     GroundTruthTrajectory,
     RawScan,
-    _quaternion,
     export_map,
     export_trajectory,
     load_calibration,
@@ -233,12 +233,16 @@ class TestExportTrajectory:
         def line(values):
             return " ".join(f"{v:.12g}" for v in values) + "\n"
 
+        def quaternion(rotation):  # SciPy's (x, y, z, w), flipped to w >= 0
+            q = Rotation.from_matrix(rotation).as_quat()
+            return -q if q[3] < 0.0 else q
+
         export_trajectory(poses, tmp_path / "kitti.txt", format="kitti")
         assert (tmp_path / "kitti.txt").read_text() == "".join(
             line(p.matrix()[:3].ravel()) for p in poses)
         export_trajectory(poses, tmp_path / "tum.txt", format="tum")
         assert (tmp_path / "tum.txt").read_text() == "".join(
-            f"{i} " + line([*p.translation, *_quaternion(p.rotation)[[1, 2, 3, 0]]])
+            f"{i} " + line([*p.translation, *quaternion(p.rotation)])
             for i, p in enumerate(poses))
 
     def test_round_trip_1000_poses(self, tmp_path):

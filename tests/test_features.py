@@ -125,6 +125,19 @@ class TestExtractFeatures:
         fc = extract_features(make_scan(gear_ring(n=9)), CFG)
         assert len(fc.edges) + len(fc.planars) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, planars", [
+        (3, 0), (6, 0), (8, 0), (10, 0), (11, 1), (12, 2), (15, 4),
+    ])
+    def test_short_open_segment(self, n, planars):
+        # a 60-deg arc is one open segment; shorter than a window (11
+        # points) it has no window centre, and extraction must stop there
+        theta = np.linspace(0.0, np.pi / 3, n)
+        xyz = np.stack([10.0 * np.cos(theta), 10.0 * np.sin(theta), np.zeros(n)], axis=1)
+        fc = extract_features(make_scan(xyz), CFG)
+        assert len(fc.edges) == 0
+        assert len(fc.planars) == planars
+
     def test_edge_neighbor_suppression(self):
         xyz = gear_ring(n=720)
         scan = make_scan(xyz)

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 import loop_reference as ref
-from featslam import dataset_io, geometry
+from featslam import geometry
 from featslam.dataset_io import export_trajectory
 from featslam.geometry import DegenerateRotationError, Pose, project_rotation
-
-
-def rotz(deg):
-    return Pose.from_rt([0, 0, np.deg2rad(deg)], np.zeros(3))
-
-
-def translate(x, y, z):
-    return Pose(np.eye(3), np.array([x, y, z], dtype=float))
+from shapes import rotz, translate
 
 
 def pose_close(a, b, tol=1e-9):
@@ -366,10 +360,11 @@ class TestMatrixRotation:
             assert not derived.translation.flags.writeable
 
     def test_tum_quaternion_round_trip(self, tmp_path):
-        # Random rotations, 141 of them with trace <= 0 (Shepperd's second
-        # branch), and the half turns about each axis (w = 0): the writer's
-        # quaternion has w >= 0 and rebuilds the matrix within 8 eps
-        # (measured 4 eps); the file holds it to 12 significant digits.
+        # Random rotations, 141 of them with trace <= 0 (the quaternion is
+        # taken from a diagonal entry, not the trace), and the half turns
+        # about each axis (w = 0): SciPy's quaternion, flipped to w >= 0,
+        # rebuilds the matrix within 8 eps (measured 4 eps); the file holds
+        # it to 12 significant digits.
         eps = np.finfo(float).eps
         rng = np.random.default_rng(14)
         rotations = []
@@ -384,7 +379,8 @@ class TestMatrixRotation:
         export_trajectory([Pose(r, np.zeros(3)) for r in rotations], path, format="tum")
         written = np.loadtxt(path)[:, [7, 4, 5, 6]]  # w, x, y, z
         for r, line in zip(rotations, written):
-            q = dataset_io._quaternion(r)
+            q = Rotation.from_matrix(r).as_quat()[[3, 0, 1, 2]]  # w, x, y, z
+            q = -q if q[0] < 0.0 else q
             assert q[0] >= 0.0 and line[0] >= 0.0
             np.testing.assert_allclose(line, q, rtol=1e-11, atol=1e-12)
             rebuilt = ref.QuaternionRotation(*q).matrix()

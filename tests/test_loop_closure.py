@@ -17,42 +17,14 @@ from featslam.loop_closure import (
 )
 from featslam import loop_closure
 from featslam.odometry import OdometryConfig, Submap, register
+from shapes import corner_cloud, grid, rotz, translate
 
 CFG = LoopClosureConfig()
 ODOMETRY = OdometryConfig()
 
 
-def translate(x, y, z):
-    return Pose(np.eye(3), [x, y, z])
-
-
-def rotz(deg):
-    return Pose.from_rt([0, 0, np.radians(deg)], np.zeros(3))
-
-
 def angle_between(a, b):
     return a.inverse().compose(b).angle()
-
-
-def grid(xs, ys, zs):
-    g = np.meshgrid(xs, ys, zs, indexing="ij")
-    return np.stack([a.ravel() for a in g], axis=1)
-
-
-def corner_cloud():
-    step = 0.35
-    wall_a = grid(np.arange(-1.0, 7, step), [-3.0], np.arange(-1.8, 1.2, step))
-    wall_b = grid([-3.0], np.arange(-1.0, 7, step), np.arange(-1.8, 1.2, step))
-    floor = grid(np.arange(-1.0, 7, 0.5), np.arange(-1.0, 7, 0.5), [-1.8])
-    zline = np.arange(-1.8, 1.2, 0.12)
-    edges = np.vstack(
-        [
-            np.stack([np.full_like(zline, -3.0), np.full_like(zline, -3.0), zline], 1),
-            np.stack([np.full_like(zline, 6.65), np.full_like(zline, -3.0), zline], 1),
-            np.stack([np.full_like(zline, -3.0), np.full_like(zline, 6.65), zline], 1),
-        ]
-    )
-    return FeatureCloud(edges=edges, planars=np.vstack([wall_a, wall_b, floor]))
 
 
 class TestGateDistance:

@@ -87,6 +87,12 @@ class TestConfigValues:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             PipelineConfig.from_items({**SQUARE, key: value})
 
+    def test_value_of_the_keys_own_type_rejected(self):
+        # values arrive as text; an int for an int key is rejected too
+        message = "bad value for synthetic.frames: 12"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            PipelineConfig.from_items({"synthetic.shape": "square", "synthetic.frames": 12})
+
     def test_no_input_rejected(self):
         with pytest.raises(ValueError, match="no input"):
             PipelineConfig.from_items({})

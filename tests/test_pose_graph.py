@@ -24,6 +24,7 @@ from featslam.pose_graph import (
     add_odometry_node,
     optimize,
 )
+from shapes import rotz
 
 
 SIGMAS = ("odometry_rotation_sigma", "odometry_translation_sigma",
@@ -33,10 +34,6 @@ CFG = PoseGraphConfig()
 
 def tpose(x, y=0.0, z=0.0):
     return Pose(np.eye(3), np.array([x, y, z], dtype=float))
-
-
-def rotz(deg):
-    return Pose.from_rt([0.0, 0.0, np.deg2rad(deg)], np.zeros(3))
 
 
 def random_pose(rng, rot_scale=0.5, trans_scale=2.0):
