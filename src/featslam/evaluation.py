@@ -6,6 +6,13 @@ error normalized by the subsequence length.  Both trajectories must already
 live in a common frame; KITTI runs are compared in the left-camera frame
 after conjugating the estimate with the LiDAR->camera calibration.
 
+One rule differs from the KITTI devkit: a subsequence ends at the first
+frame whose arc distance from its start reaches L (``>=``), where the
+devkit's ``lastFrameFromSegmentLength`` takes the first one past it
+(``>``).  The two pick different frames only at exact ties, such as the
+corridor world's 0.5 m steps; ``test_straight_line_pair_counts`` in
+``tests/test_evaluation.py`` pins the rule used here.
+
 Writing a run's files is the pipeline's job; nothing here touches disk.
 """
 

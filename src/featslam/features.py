@@ -10,8 +10,8 @@ otherwise a planar candidate.  Selection is budgeted per ring and azimuthal
 sector so features cover the whole scan.
 
 The window's half width, the threshold, the sector count and the per-sector
-budgets, the gap factor and the occlusion gap are module constants, fixed
-as LOAM fixes them; ``FeatureConfig`` holds only the sensor's range limits.
+budgets, the gap factor, the occlusion gap and the range limits of the
+points scored are module constants, fixed as LOAM fixes them.
 
 Rings that span the full circle are treated as cyclic sequences; rings with
 large azimuthal gaps (dropouts, limited geometry) are split into open
@@ -62,16 +62,9 @@ GAP_FACTOR = 5.0
 # Points on the far side of a range discontinuity (occlusion
 # silhouettes) are viewpoint-dependent and excluded from selection.
 OCCLUSION_GAP = 0.5
-
-
-@dataclass
-class FeatureConfig:
-    min_range: float = 2.0
-    max_range: float = 90.0
-
-    def __post_init__(self):
-        if not (0 < self.min_range < self.max_range):
-            raise ValueError("need 0 < min_range < max_range")
+# only points whose range (m) lies in [MIN_RANGE, MAX_RANGE] are scored
+MIN_RANGE = 2.0
+MAX_RANGE = 90.0
 
 
 def sector_of(azimuth: np.ndarray, num_sectors: int) -> np.ndarray:
@@ -158,14 +151,15 @@ def _ring_segments(ring: np.ndarray, azimuth: np.ndarray):
     return by_ring[order], start, stop - start, rotate[ring_of[start]] == 0
 
 
-def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
+def extract_features(scan: RawScan) -> FeatureCloud:
     """Classify scan points into edge and planar features.
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
     MAX_EDGES_PER_SECTOR with sigma > SMOOTHNESS_THRESHOLD become edges, up
-    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Points
-    within NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from
-    further selection.  RawScan has already dropped non-finite points.
+    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Only points
+    with range in [MIN_RANGE, MAX_RANGE] are scored.  Points within
+    NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from further
+    selection.  RawScan has already dropped non-finite points.
 
     Features come out in (ring, segment, sector, pick) order.
     """
@@ -195,7 +189,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
     # each is at least hw from either end of the layout
     margin = (hw - pad)[seg]
     centre = (length[seg] >= w) & (local >= margin) & (local < length[seg] - margin)
-    centre &= (rng >= cfg.min_range) & (rng <= cfg.max_range)
+    centre &= (rng >= MIN_RANGE) & (rng <= MAX_RANGE)
     if not centre.any():
         return FeatureCloud()
     # the far side of an occlusion silhouette is viewpoint-dependent: some

@@ -2,14 +2,15 @@
 
 A Scan Context match (Kim & Kim, IROS 2018) is only trusted when the two
 poses are already within an adaptive distance gate that widens as the
-trajectory (and hence accumulated drift) grows. Accepted candidates are
-refined by registering the current feature cloud, with the run's odometry
-settings and the loop's own association rounds (``registration_config``),
-against the uncropped window of keyframes within ``submap_half_width`` of
-the loop keyframe, filled by one ``Submap.insert`` in window order. An
-accepted registration gives the relative pose that the pose graph takes as
-a loop edge; each attempt, accepted or not, is recorded once, as a
-``LoopEvent``.
+trajectory (and hence accumulated drift) grows: ``BASE_THRESHOLD`` at
+keyframe 0, one metre wider per ``KEYFRAMES_PER_M`` keyframes. Accepted
+candidates are refined by registering the current feature cloud, with the
+run's odometry settings and the loop's own association rounds
+(``registration_config``), against the uncropped window of keyframes
+within ``submap_half_width`` of the loop keyframe, filled by one
+``Submap.insert`` in window order. An accepted registration gives the
+relative pose that the pose graph takes as a loop edge; each attempt,
+accepted or not, is recorded once, as a ``LoopEvent``.
 """
 
 import dataclasses
@@ -26,19 +27,16 @@ from .odometry import OdometryConfig, Submap, register
 COST_THRESHOLD = 0.3  # mean |residual| (m) to accept a loop
 KEYFRAME_TRANSLATION = 1.0  # m
 KEYFRAME_ROTATION_DEG = 10.0
+BASE_THRESHOLD = 20.0  # m, the distance gate at keyframe 0
+KEYFRAMES_PER_M = 100.0  # the gate widens by 1 m per this many keyframes
 
 
 @dataclass
 class LoopClosureConfig:
-    base_threshold: float = 20.0  # m, the distance gate at keyframe 0
-    n: float = 100.0  # trajectory-length divisor: gate widens by 1 m per n keyframes
     submap_half_width: int = 10  # keyframes on each side of the loop frame
     max_iterations: int = 50  # association rounds, at least 1, in place of odometry's
 
     def __post_init__(self):
-        for name in ("base_threshold", "n"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         for name, low in (("submap_half_width", 0), ("max_iterations", 1)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -70,9 +68,9 @@ def gate_distance(t_k: Pose, t_loop: Pose) -> float:
     return float(np.linalg.norm(t_k.translation - t_loop.translation))
 
 
-def adaptive_threshold(k: int, cfg: LoopClosureConfig) -> float:
-    """The loop gate for keyframe k: ``base_threshold + k / n``."""
-    return cfg.base_threshold + k / cfg.n
+def adaptive_threshold(k: int) -> float:
+    """The loop gate (m) for keyframe k: ``BASE_THRESHOLD + k / KEYFRAMES_PER_M``."""
+    return BASE_THRESHOLD + k / KEYFRAMES_PER_M
 
 
 def estimate_loop_pose(

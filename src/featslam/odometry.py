@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import cKDTree
 
-from featslam.features import FeatureCloud, FeatureConfig, extract_features
+from featslam.features import FeatureCloud, extract_features
 from featslam.geometry import Pose, exp_rt, project_rotation
 
 
@@ -438,8 +438,7 @@ def predict_pose(poses: Sequence[Pose]) -> Pose:
     return current.compose(previous.inverse().compose(current))
 
 
-def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConfig,
-                  feature_cfg: FeatureConfig):
+def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConfig):
     """Extract features, register, fold them into the submap and crop it.
 
     poses are the poses of the frames before this one; only the submap
@@ -451,7 +450,7 @@ def process_frame(poses: Sequence[Pose], scan, submap: Submap, cfg: OdometryConf
     submap big enough to register against is not folded in: its pose is
     not an estimate, and its points would be misplaced in the map.
     """
-    features = extract_features(scan, feature_cfg)
+    features = extract_features(scan)
     if not poses:
         pose = Pose.identity()
         result = None

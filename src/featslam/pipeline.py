@@ -8,7 +8,7 @@ graph, so the next keyframe's loop search reads the poses of the latest
 solve.  Each loop attempt is logged once, as a ``LoopEvent``.  The
 keyframe list, the graph's nodes and the descriptor database grow
 together, so keyframe k is entry k of each.  Every stage is called with
-the module config the run built.
+the module config the run built, where it has one.
 
 Configuration is a flat ``key = value`` file with dotted keys plus
 ``--set key=value`` overrides.  The table of known keys is the simulator's
@@ -43,7 +43,6 @@ from .dataset_io import (
     load_scan,
 )
 from .evaluation import kitti_relative_errors
-from .features import FeatureConfig
 from .geometry import Pose
 from .loop_closure import (
     Keyframe,
@@ -103,7 +102,6 @@ def _parse_bool(text: str) -> bool:
 
 # section -> the module config its keys build, one key per field
 _SECTIONS = {
-    "features": FeatureConfig,
     "odometry": OdometryConfig,
     "scan_context": ScanContextConfig,
     "loop": LoopClosureConfig,
@@ -165,7 +163,6 @@ class PipelineConfig:
     """Validated flat configuration and the module configs built from it."""
 
     values: Dict[str, object]
-    features: FeatureConfig
     odometry: OdometryConfig
     scan_context: ScanContextConfig
     loop: LoopClosureConfig
@@ -270,7 +267,7 @@ def _verify_loop(
     loop_idx = match.candidate_keyframe_index
     d = gate_distance(poses[k], poses[loop_idx])
     fixed = config["run.fixed_threshold"]
-    threshold = fixed if fixed > 0.0 else adaptive_threshold(k, config.loop)
+    threshold = fixed if fixed > 0.0 else adaptive_threshold(k)
     relative, cost, millis = None, float("inf"), 0.0
     if d <= threshold:  # the boundary counts as inside; NaN does not
         yaw = shift_to_yaw(match.best_column_shift, config.scan_context.num_sectors)
@@ -298,8 +295,7 @@ def run_slam(scans: Iterable[RawScan], config: PipelineConfig) -> SlamResult:
     dropped_points: List[int] = []
     solves: List[GraphSolve] = []
     for i, scan in enumerate(scans):
-        features, pose, registration = process_frame(frame_poses, scan, submap,
-                                                     config.odometry, config.features)
+        features, pose, registration = process_frame(frame_poses, scan, submap, config.odometry)
         frame_poses.append(pose)
         registrations.append(registration)
         dropped_points.append(scan.dropped)

@@ -1,14 +1,16 @@
 """Yaw-invariant polar descriptors for place recognition.
 
 A feature cloud is summarized as a ring x sector matrix of maximum point
-heights. Matching a pair of descriptors scans all cyclic column shifts, so
-the distance is invariant to the yaw at which a place is revisited. A query
+heights: ``NUM_RINGS`` rings of equal width out to ``MAX_RADIUS``, the 20
+rings and 80 m that Kim & Kim (IROS 2018) fix, by ``num_sectors`` sectors.
+Matching a pair of descriptors scans all cyclic column shifts, so the
+distance is invariant to the yaw at which a place is revisited. A query
 scores a stack of candidates against the probe, every shift together: one
 product forms the dot products of every column pair, and each shift
 gathers the pairs it lines up.
 
-The database is a list in keyframe order, as in Kim & Kim (IROS 2018): a
-descriptor's position in it is its keyframe index.
+The database is a list in keyframe order, as in Kim & Kim: a descriptor's
+position in it is its keyframe index.
 """
 
 from dataclasses import dataclass
@@ -20,24 +22,23 @@ from .features import FeatureCloud, sector_of
 
 EMPTY_BIN = -1000.0  # bins hold real z values (meters); never this low
 NUM_CANDIDATES = 10  # ring-key nearest neighbours scored by the full distance
+NUM_RINGS = 20
+MAX_RADIUS = 80.0  # m; points at this planar range or beyond are not binned
 
 
 @dataclass
 class ScanContextConfig:
-    num_rings: int = 20
     num_sectors: int = 60
-    max_radius: float = 80.0
     similarity_threshold: float = 0.2
     exclude_recent: int = 50
 
     def __post_init__(self):
-        for name in ("num_rings", "num_sectors"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.num_sectors >= 1:
+            raise ValueError(f"num_sectors must be >= 1, got {self.num_sectors}")
         # descriptor distances are >= 0, so a threshold <= 0 accepts no match
-        for name in ("max_radius", "similarity_threshold"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.similarity_threshold > 0:
+            raise ValueError(
+                f"similarity_threshold must be > 0, got {self.similarity_threshold}")
         if not self.exclude_recent >= 0:
             raise ValueError(f"exclude_recent must be >= 0, got {self.exclude_recent}")
 
@@ -45,8 +46,8 @@ class ScanContextConfig:
 @dataclass
 class ScanContextDescriptor:
     # a stack of descriptors has leading axes on both fields
-    matrix: np.ndarray  # (..., num_rings, num_sectors), EMPTY_BIN where no points
-    ring_key: np.ndarray  # (..., num_rings) occupancy ratio in [0, 1]
+    matrix: np.ndarray  # (..., NUM_RINGS, num_sectors), EMPTY_BIN where no points
+    ring_key: np.ndarray  # (..., NUM_RINGS) occupancy ratio in [0, 1]
 
 
 @dataclass
@@ -60,13 +61,13 @@ def build_descriptor(features: FeatureCloud, cfg: ScanContextConfig) -> ScanCont
     """Bin edge and planar points together by (planar range, azimuth)."""
     pts = np.vstack([features.edges, features.planars])
     rho = np.hypot(pts[:, 0], pts[:, 1])
-    keep = rho < cfg.max_radius
+    keep = rho < MAX_RADIUS
     pts, rho = pts[keep], rho[keep]
-    ring = np.floor(rho / (cfg.max_radius / cfg.num_rings)).astype(int)
-    ring = np.minimum(ring, cfg.num_rings - 1)  # rho just below max_radius can round up
+    ring = np.floor(rho / (MAX_RADIUS / NUM_RINGS)).astype(int)
+    ring = np.minimum(ring, NUM_RINGS - 1)  # rho just below MAX_RADIUS can round up
     azimuth = np.arctan2(pts[:, 1], pts[:, 0])
     sector = sector_of(azimuth, cfg.num_sectors)
-    matrix = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
+    matrix = np.full((NUM_RINGS, cfg.num_sectors), EMPTY_BIN)
     np.maximum.at(matrix, (ring, sector), pts[:, 2])
     ring_key = (matrix > EMPTY_BIN).mean(axis=1)
     return ScanContextDescriptor(matrix, ring_key)

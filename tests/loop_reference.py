@@ -29,7 +29,7 @@ from scipy.sparse.linalg import spsolve
 
 from featslam.dataset_io import RawScan
 from featslam import features
-from featslam.features import FeatureCloud, FeatureConfig
+from featslam.features import FeatureCloud
 from featslam.geometry import DegenerateRotationError, Pose, skew
 from featslam.odometry import (
     KNN,
@@ -143,15 +143,15 @@ def ring_segments(azimuth: np.ndarray, gap_factor: float):
     return segments
 
 
-def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
+def extract_features(scan: RawScan) -> FeatureCloud:
     """The per-ring loop that features.extract_features replaces.
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
     MAX_EDGES_PER_SECTOR with sigma > SMOOTHNESS_THRESHOLD become edges, up
-    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Points
-    within NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from
-    further selection.  These are the constants of ``features``, read at
-    each call.
+    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Only points
+    with range in [MIN_RANGE, MAX_RANGE] are scored.  Points within
+    NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from further
+    selection.  These are the constants of ``features``, read at each call.
     """
     if len(scan) == 0:
         return FeatureCloud()
@@ -173,7 +173,7 @@ def extract_features(scan: RawScan, cfg: FeatureConfig) -> FeatureCloud:
             seg = pts[seg_idx]
             sigma, scorable = segment_smoothness(seg, hw, cyclic)
             rng = np.linalg.norm(seg, axis=1)
-            scorable &= (rng >= cfg.min_range) & (rng <= cfg.max_range)
+            scorable &= (rng >= features.MIN_RANGE) & (rng <= features.MAX_RANGE)
             scorable &= ~occluded(rng, hw, cyclic, features.OCCLUSION_GAP)
 
             sector = np.floor(

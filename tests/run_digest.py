@@ -2,12 +2,16 @@
 trajectories, loop decisions and graph solves bit for bit.
 
     PYTHONPATH=src python3 tests/run_digest.py > change.json
-    PYTHONPATH=<other checkout>/src python3 tests/run_digest.py > parent.json
+    (cd <other checkout> && PYTHONPATH=src python3 tests/run_digest.py) > parent.json
     cmp parent.json change.json
 
-``featslam`` is imported from ``PYTHONPATH``, so the same script digests any
-checkout; the worlds and configs are read from this checkout's
-``bench/workloads.py``.  Each of loop_square, aliased_rooms and
+``featslam`` is imported from ``PYTHONPATH`` and the worlds and configs
+are read from this checkout's ``bench/workloads.py``.  The script calls
+the package's public functions, so it digests a checkout whose signatures
+it was written for: when a change alters one, run each checkout's own
+script against its own ``src`` and ``cmp`` the outputs.  Each script reads
+its own checkout's ``bench/workloads.py``, so the two must hold the same
+workloads.  Each of loop_square, aliased_rooms and
 odometry_square runs at seeds 0, 1 and 2.  The output is sorted JSON: per
 run, the sha256 of the stacked trajectory, odometry and keyframe-pose
 matrices, of the keyframe frame indices, of each frame's registration
@@ -73,10 +77,10 @@ def _registrations(registrations) -> str:
     return _sha256(rows)
 
 
-def _features(scans, cfg) -> str:
+def _features(scans) -> str:
     h = hashlib.sha256()
     for scan in scans:
-        fc = extract_features(scan, cfg)
+        fc = extract_features(scan)
         h.update(np.array([len(fc.edges), len(fc.planars)], dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(fc.edges).tobytes())
         h.update(np.ascontiguousarray(fc.planars).tobytes())
@@ -100,7 +104,7 @@ def digest(name: str, seed: int) -> dict:
         "odometry": _poses(result.odometry),
         "keyframe_poses": _poses(result.keyframe_poses),
         "keyframe_frames": _sha256(np.array(result.keyframe_frames, dtype=np.int64)),
-        "features": _features(scans, config.features),
+        "features": _features(scans),
         "iterations": _iterations(result.registrations),
         "registrations": _registrations(result.registrations),
         "attempts": [[e.from_keyframe, e.to_keyframe, bool(e.accepted), float(e.cost).hex()]

@@ -6,11 +6,9 @@ import pytest
 import loop_reference as ref
 from featslam import features
 from featslam.dataset_io import RawScan
-from featslam.features import FeatureConfig, _ring_segments, extract_features
+from featslam.features import _ring_segments, extract_features
 from featslam.geometry import Pose
 from featslam.simulate import generate_world
-
-CFG = FeatureConfig()
 
 
 def make_scan(xyz, ring=None):
@@ -60,27 +58,27 @@ class TestComputeSmoothness:
 
 class TestExtractFeatures:
     def test_empty_scan(self):
-        fc = extract_features(make_scan(np.zeros((0, 3))), CFG)
+        fc = extract_features(make_scan(np.zeros((0, 3))))
         assert len(fc.edges) + len(fc.planars) == 0
         assert fc.edges.shape == (0, 3)
         assert fc.planars.shape == (0, 3)
 
     def test_gear_ring_budgets_saturate(self):
-        fc = extract_features(make_scan(gear_ring()), CFG)
+        fc = extract_features(make_scan(gear_ring()))
         # 6 sectors x (2 edges, 4 planars), one ring
         assert len(fc.edges) == 12
         assert len(fc.planars) == 24
 
     def test_features_are_scan_members(self):
         scan = make_scan(gear_ring())
-        fc = extract_features(scan, CFG)
+        fc = extract_features(scan)
         rows = {tuple(p) for p in scan.xyz}
         for p in np.vstack([fc.edges, fc.planars]):
             assert tuple(p) in rows
 
     def test_edges_sit_near_radius_steps(self):
         xyz = gear_ring()
-        fc = extract_features(make_scan(xyz), CFG)
+        fc = extract_features(make_scan(xyz))
         radius = np.hypot(fc.edges[:, 0], fc.edges[:, 1])
         theta = np.arctan2(fc.edges[:, 1], fc.edges[:, 0])
         # each edge within 2 samples (2 deg) of a 30-deg step boundary
@@ -89,7 +87,7 @@ class TestExtractFeatures:
         assert (dist < np.radians(2.5)).all()
 
     def test_planars_avoid_radius_steps(self):
-        fc = extract_features(make_scan(gear_ring()), CFG)
+        fc = extract_features(make_scan(gear_ring()))
         theta = np.arctan2(fc.planars[:, 1], fc.planars[:, 0])
         frac = (theta + np.pi) % (np.pi / 6)
         dist = np.minimum(frac, np.pi / 6 - frac)
@@ -103,8 +101,8 @@ class TestExtractFeatures:
         rho = np.hypot(xyz[:, 0], xyz[:, 1]) + 0.15 * np.sin(6 * theta + 0.7)
         xyz = np.stack([rho * np.cos(theta), rho * np.sin(theta), xyz[:, 2]], axis=1)
         rot = Pose.from_rt([0, 0, 2 * np.pi / features.NUM_SECTORS], np.zeros(3)).rotation
-        fc0 = extract_features(make_scan(xyz), CFG)
-        fc1 = extract_features(make_scan(xyz @ rot.T), CFG)
+        fc0 = extract_features(make_scan(xyz))
+        fc1 = extract_features(make_scan(xyz @ rot.T))
 
         def canon(pts):
             return sorted(tuple(np.round(p, 9)) for p in pts)
@@ -113,16 +111,24 @@ class TestExtractFeatures:
         assert canon(fc0.planars @ rot.T) == canon(fc1.planars)
 
     def test_range_gating(self):
-        # all points closer than min_range: nothing selected
-        fc = extract_features(make_scan(gear_ring(r_low=0.5, r_high=0.7)), CFG)
+        # all points closer than MIN_RANGE: nothing selected
+        fc = extract_features(make_scan(gear_ring(r_low=0.5, r_high=0.7)))
         assert len(fc.edges) + len(fc.planars) == 0
-        # all points beyond max_range: nothing selected
-        fc = extract_features(make_scan(gear_ring(r_low=95.0, r_high=133.0)), CFG)
+        # all points beyond MAX_RANGE: nothing selected
+        fc = extract_features(make_scan(gear_ring(r_low=95.0, r_high=133.0)))
         assert len(fc.edges) + len(fc.planars) == 0
+
+    @pytest.mark.parametrize("name, value", [("MIN_RANGE", 14.5), ("MAX_RANGE", 9.5)])
+    def test_range_limits_read_at_call_time(self, monkeypatch, name, value):
+        # a 10-14 m ring lies inside the default limits and outside the new one
+        scan = make_scan(gear_ring())
+        assert assert_matches_loop(scan) > 0
+        monkeypatch.setattr(features, name, value)
+        assert assert_matches_loop(scan) == 0
 
     def test_tiny_ring_skipped(self):
         # fewer points than one window: no features, no crash
-        fc = extract_features(make_scan(gear_ring(n=9)), CFG)
+        fc = extract_features(make_scan(gear_ring(n=9)))
         assert len(fc.edges) + len(fc.planars) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -134,14 +140,14 @@ class TestExtractFeatures:
         # points) it has no window centre, and extraction must stop there
         theta = np.linspace(0.0, np.pi / 3, n)
         xyz = np.stack([10.0 * np.cos(theta), 10.0 * np.sin(theta), np.zeros(n)], axis=1)
-        fc = extract_features(make_scan(xyz), CFG)
+        fc = extract_features(make_scan(xyz))
         assert len(fc.edges) == 0
         assert len(fc.planars) == planars
 
     def test_edge_neighbor_suppression(self):
         xyz = gear_ring(n=720)
         scan = make_scan(xyz)
-        fc = extract_features(scan, CFG)
+        fc = extract_features(scan)
         index_of = {tuple(p): i for i, p in enumerate(xyz)}
         idx = sorted(index_of[tuple(p)] for p in fc.edges)
         hw = features.NEIGHBORHOOD_HALF_WIDTH
@@ -154,7 +160,7 @@ class TestExtractFeatures:
         upper = gear_ring(z=3.0)
         xyz = np.vstack([lower, upper])
         ring = np.r_[np.zeros(len(lower), int), np.ones(len(upper), int)]
-        fc = extract_features(make_scan(xyz, ring), CFG)
+        fc = extract_features(make_scan(xyz, ring))
         assert len(fc.edges) == 24
         assert len(fc.planars) == 48
 
@@ -164,7 +170,7 @@ class TestExtractFeatures:
         xyz = gear_ring(n=720)
         theta = np.arctan2(xyz[:, 1], xyz[:, 0])
         keep = ~((theta > 0.3) & (theta < 0.3 + np.pi / 2))
-        fc = extract_features(make_scan(xyz[keep]), CFG)
+        fc = extract_features(make_scan(xyz[keep]))
         assert len(fc.edges) > 0
         # no feature may sit hard against the hole boundary
         th = np.arctan2(fc.planars[:, 1], fc.planars[:, 0])
@@ -205,20 +211,20 @@ class TestExtractFeatures:
         keep[bad] = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = extract_features(dirty, CFG)
-        want = extract_features(make_scan(clean.xyz[keep], clean.ring[keep]), CFG)
+            got = extract_features(dirty)
+        want = extract_features(make_scan(clean.xyz[keep], clean.ring[keep]))
         assert np.array_equal(got.edges, want.edges)
         assert np.array_equal(got.planars, want.planars)
         assert np.isfinite(got.edges).all() and np.isfinite(got.planars).all()
 
     def test_all_nonfinite_scan(self):
-        fc = extract_features(make_scan(np.full((40, 3), np.nan)), CFG)
+        fc = extract_features(make_scan(np.full((40, 3), np.nan)))
         assert fc.edges.shape == (0, 3) and fc.planars.shape == (0, 3)
 
 
 def assert_matches_loop(scan):
-    got = extract_features(scan, CFG)
-    want = ref.extract_features(scan, CFG)
+    got = extract_features(scan)
+    want = ref.extract_features(scan)
     assert np.array_equal(got.edges, want.edges)
     assert np.array_equal(got.planars, want.planars)
     return len(got.edges) + len(got.planars)
@@ -313,7 +319,7 @@ class TestSelectionAcrossSectors:
 
     def check(self, corners_deg, edge_deg, kept_deg):
         scan = make_scan(polygon_ring(corners_deg))
-        fc = extract_features(scan, CFG)
+        fc = extract_features(scan)
         edges, planars = (np.round(np.degrees(np.arctan2(p[:, 1], p[:, 0])), 6)
                           for p in (fc.edges, fc.planars))
         assert edge_deg in edges
@@ -352,8 +358,8 @@ class TestOrderExactness:
         # no azimuth repeats within a ring, so no tie is left to scan order
         assert len(np.unique(np.column_stack([scan.ring, azimuth]), axis=0)) == len(scan)
         perm = np.random.default_rng(0).permutation(len(scan))
-        shuffled = extract_features(make_scan(scan.xyz[perm], scan.ring[perm]), CFG)
-        assert_same_features(shuffled, extract_features(scan, CFG))
+        shuffled = extract_features(make_scan(scan.xyz[perm], scan.ring[perm]))
+        assert_same_features(shuffled, extract_features(scan))
 
     @pytest.mark.parametrize("ids", [
         np.arange(16, dtype=np.uint8),
@@ -366,7 +372,7 @@ class TestOrderExactness:
         relabelled = RawScan(xyz=scan.xyz, ring=ids[scan.ring])
         assert assert_matches_loop(relabelled) > 0
         # ids in the same order select the same features
-        assert_same_features(extract_features(relabelled, CFG), extract_features(scan, CFG))
+        assert_same_features(extract_features(relabelled), extract_features(scan))
 
     def test_more_segments_than_a_16_bit_key_holds(self, monkeypatch):
         # a ring of 6000 three-point clusters is cut into 6000 open segments,
@@ -389,15 +395,3 @@ class TestOrderExactness:
         xyz = np.vstack([[[5.0, 1.0, -1.0]], gear_ring(n=20000)])
         ring = np.r_[0, np.ones(20000, dtype=int)]
         assert assert_matches_loop(make_scan(xyz, ring)) > 0
-
-
-class TestConfig:
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(min_range=5.0, max_range=2.0)
-
-    @pytest.mark.parametrize("setting", [{"min_range": 0.0}, {"min_range": -1.0},
-                                         {"max_range": 2.0}, {"max_range": float("nan")}])
-    def test_rejects_bad_bounds(self, setting):
-        with pytest.raises(ValueError, match=next(iter(setting))):
-            FeatureConfig(**setting)

@@ -50,28 +50,25 @@ class TestGateDistance:
 
 class TestAdaptiveThreshold:
     def test_zero_keyframes(self):
-        assert adaptive_threshold(0, CFG) == pytest.approx(20.0)
+        assert adaptive_threshold(0) == pytest.approx(20.0)
 
-    def test_five_hundred_over_fifty(self):
-        assert adaptive_threshold(500, LoopClosureConfig(n=50)) == pytest.approx(30.0)
+    def test_five_hundred_over_fifty(self, monkeypatch):
+        monkeypatch.setattr(loop_closure, "KEYFRAMES_PER_M", 50.0)
+        assert adaptive_threshold(500) == pytest.approx(30.0)
 
     def test_hundred_over_hundred(self):
-        assert adaptive_threshold(100, LoopClosureConfig(n=100)) == pytest.approx(21.0)
+        assert adaptive_threshold(100) == pytest.approx(21.0)
 
-    def test_monotone_in_k(self):
-        cfg = LoopClosureConfig(n=37.0)
-        values = [adaptive_threshold(k, cfg) for k in range(0, 1000, 13)]
+    def test_monotone_in_k(self, monkeypatch):
+        monkeypatch.setattr(loop_closure, "KEYFRAMES_PER_M", 37.0)
+        values = [adaptive_threshold(k) for k in range(0, 1000, 13)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            LoopClosureConfig(base_threshold=-1)
-        with pytest.raises(ValueError):
-            LoopClosureConfig(n=0)
-        with pytest.raises(ValueError):
-            LoopClosureConfig(base_threshold=float("nan"))
-        with pytest.raises(ValueError):
-            LoopClosureConfig(n=float("nan"))
+        with pytest.raises(ValueError, match="submap_half_width"):
+            LoopClosureConfig(submap_half_width=-1)
+        with pytest.raises(ValueError, match="max_iterations"):
+            LoopClosureConfig(max_iterations=0)
 
 
 class TestVerifyCandidate:
@@ -79,19 +76,19 @@ class TestVerifyCandidate:
     candidate is kept when gate_distance <= adaptive_threshold."""
 
     def test_inside_gate(self):
-        assert gate_distance(translate(5, 0, 0), Pose.identity()) <= adaptive_threshold(0, CFG)
+        assert gate_distance(translate(5, 0, 0), Pose.identity()) <= adaptive_threshold(0)
 
     def test_outside_gate(self):
-        assert gate_distance(translate(25, 0, 0), Pose.identity()) > adaptive_threshold(0, CFG)
+        assert gate_distance(translate(25, 0, 0), Pose.identity()) > adaptive_threshold(0)
 
     def test_boundary_inclusive(self):
         d = gate_distance(translate(20, 0, 0), Pose.identity())
-        assert d == adaptive_threshold(0, CFG) == 20.0
+        assert d == adaptive_threshold(0) == 20.0
 
     def test_gate_widens_with_keyframes(self):
         d = gate_distance(translate(25, 0, 0), Pose.identity())
-        assert d > adaptive_threshold(0, CFG)
-        assert d <= adaptive_threshold(600, CFG)
+        assert d > adaptive_threshold(0)
+        assert d <= adaptive_threshold(600)
 
 
 class TestKeyframePromotion:

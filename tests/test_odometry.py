@@ -4,7 +4,7 @@ from scipy.spatial import cKDTree
 
 import featslam.odometry as odo
 import loop_reference as ref
-from featslam.features import FeatureCloud, FeatureConfig, extract_features
+from featslam.features import FeatureCloud, extract_features
 from featslam.geometry import Pose, exp_rt, skew
 from featslam.loop_closure import LoopClosureConfig, registration_config
 from featslam.odometry import (
@@ -19,7 +19,6 @@ from featslam.simulate import generate_world
 from shapes import corner_cloud, grid, rotz, translate
 
 CFG = OdometryConfig()
-FEATURES = FeatureConfig()
 
 
 def corner_submap(cfg=CFG):
@@ -67,7 +66,7 @@ def track(scans, submap, cfg=CFG):
     does; returns the poses and the registrations."""
     poses, results = [], []
     for scan in scans:
-        _, pose, res = process_frame(poses, scan, submap, cfg, FEATURES)
+        _, pose, res = process_frame(poses, scan, submap, cfg)
         poses.append(pose)
         results.append(res)
     return poses, results
@@ -174,7 +173,7 @@ class TestSubmap:
         scans, _ = TestProcessFrame.corridor_scans(8, 0.5)
         poses, submap = [], Submap(CFG)
         for scan in scans:
-            poses.append(process_frame(poses, scan, submap, CFG, FEATURES)[1])
+            poses.append(process_frame(poses, scan, submap, CFG)[1])
             for voxels in (submap.edges, submap.planars):
                 assert np.array_equal(voxels.tree.data, voxels.points)
         assert sum(removed for *_, removed in crops) > 0
@@ -279,7 +278,7 @@ class TestAssociateMatchesReference:
         cfg = OdometryConfig()
         submap = Submap(cfg)
         frame_poses, _ = track(scans[:5], submap, cfg)
-        features = extract_features(scans[5], FEATURES)
+        features = extract_features(scans[5])
         rng = np.random.default_rng(seed)
         start = predict_pose(frame_poses)
         poses = [start] + [random_pose(rng).compose(start) for _ in range(4)]
@@ -775,7 +774,7 @@ class TestProcessFrame:
         poses, submap = [], Submap(CFG)
         for scan in scans:
             crops.clear()
-            pose = process_frame(poses, scan, submap, CFG, FEATURES)[1]
+            pose = process_frame(poses, scan, submap, CFG)[1]
             poses.append(pose)
             assert [voxels for voxels, *_ in crops] == [submap.edges, submap.planars]
             for voxels, center, radius, _ in crops:
@@ -784,7 +783,7 @@ class TestProcessFrame:
 
     def test_single_frame_identity(self):
         scans, _ = self.corridor_scans(1, 0.5)
-        _, pose, res = process_frame([], scans[0], Submap(CFG), CFG, FEATURES)
+        _, pose, res = process_frame([], scans[0], Submap(CFG), CFG)
         assert res is None
         assert np.allclose(pose.matrix(), np.eye(4))
 

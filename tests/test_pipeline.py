@@ -1,5 +1,7 @@
+import ast
 import csv
 import dataclasses
+import importlib
 import json
 import re
 from pathlib import Path
@@ -11,7 +13,7 @@ from featslam import features, loop_closure, odometry, pipeline
 from featslam.cli import _collect_items, _synthetic_items, build_parser, main
 from featslam.dataset_io import RawScan, load_ground_truth
 from featslam.evaluation import kitti_relative_errors
-from featslam.features import FeatureCloud, FeatureConfig
+from featslam.features import FeatureCloud
 from featslam.geometry import Pose, project_rotation
 from featslam.loop_closure import (
     Keyframe,
@@ -108,7 +110,7 @@ class TestConfigValues:
             events = run_slam(scans, cfg).events
             assert len(events) >= 3
             assert [e.d_thre for e in events] == [
-                80.0 if fixed == "80" else adaptive_threshold(e.from_keyframe, cfg.loop)
+                80.0 if fixed == "80" else adaptive_threshold(e.from_keyframe)
                 for e in events
             ]
 
@@ -116,7 +118,6 @@ class TestConfigValues:
 class TestModuleConfigs:
     def test_defaults_equal_module_defaults(self):
         cfg = PipelineConfig.from_items(SQUARE)
-        assert cfg.features == FeatureConfig()
         assert cfg.odometry == OdometryConfig()
         assert cfg.scan_context == ScanContextConfig()
         assert cfg.loop == LoopClosureConfig()
@@ -125,12 +126,11 @@ class TestModuleConfigs:
         assert world == {**WORLD_DEFAULTS, "shape": "square"}
 
     def test_feature_and_odometry_sections(self):
-        cfg = PipelineConfig.from_items(
-            {**SQUARE, "features.min_range": "3.5",
-             "odometry.max_correspondence_distance": "0.7"}
-        )
-        assert cfg.features.min_range == 3.5
+        # feature extraction has no settings left, so no section; odometry's
+        # keys build its config
+        cfg = PipelineConfig.from_items({**SQUARE, "odometry.max_correspondence_distance": "0.7"})
         assert cfg.odometry.max_correspondence_distance == 0.7
+        assert [key for key in pipeline._KEYS if key.startswith("features.")] == []
 
     @staticmethod
     def registered_with(monkeypatch, *configs):
@@ -161,9 +161,8 @@ class TestModuleConfigs:
         assert self.registered_with(monkeypatch, cfg.loop, cfg.odometry) == expected
 
     # section -> config class whose fields are the section's keys
-    SECTIONS = {"features": FeatureConfig, "odometry": OdometryConfig,
-                "scan_context": ScanContextConfig, "loop": LoopClosureConfig,
-                "graph": PoseGraphConfig}
+    SECTIONS = {"odometry": OdometryConfig, "scan_context": ScanContextConfig,
+                "loop": LoopClosureConfig, "graph": PoseGraphConfig}
 
     @pytest.mark.parametrize("section", SECTIONS)
     def test_key_table_is_the_config_fields(self, section):
@@ -179,21 +178,21 @@ class TestModuleConfigs:
         assert nonscalar == {}
 
     def test_run_uses_the_configs_it_was_given(self, monkeypatch):
-        cfg = PipelineConfig.from_items({**SQUARE, "features.min_range": "3.5"})
+        cfg = PipelineConfig.from_items({**SQUARE, "odometry.max_correspondence_distance": "4.5"})
         real = pipeline.process_frame
         seen = []
 
-        def spy(poses, scan, submap, odometry, features):
-            seen.append((list(poses), odometry, features))
-            return real(poses, scan, submap, odometry, features)
+        def spy(poses, scan, submap, odometry):
+            seen.append((list(poses), odometry))
+            return real(poses, scan, submap, odometry)
 
         monkeypatch.setattr(pipeline, "process_frame", spy)
         scans, _ = generate_world({"shape": "square", "frames": 3, "seed": 0})
         result = run_slam(scans, cfg)
         assert len(seen) == 3
-        assert all(odo is cfg.odometry and feat is cfg.features for _, odo, feat in seen)
+        assert all(odo is cfg.odometry for _, odo in seen)
         # call i predicts from the poses of the i frames before it
-        assert [poses for poses, _, _ in seen] == [result.odometry[:i] for i in range(3)]
+        assert [poses for poses, _ in seen] == [result.odometry[:i] for i in range(3)]
 
     def test_graph_information_from_sigmas(self):
         cfg = PipelineConfig.from_items(
@@ -213,12 +212,14 @@ class TestIterationBudget:
         ({"loop.max_iterations": "-1"}, "loop: max_iterations must be >= 1, got -1"),
         ({"loop.max_iterations": "0", "odometry.refine_iterations": "0"},
          "loop: max_iterations must be >= 1, got 0"),
-        # a non-finite float would pass every "x <= 0" check and switch a
-        # stage off: no match, no loop, no correspondence, or the adaptive gate
+        # a non-finite float would pass an "x > 0" check (inf) or every
+        # "x <= 0" check (nan) and break a stage: every match or none, one
+        # voxel, no correspondence, or the adaptive gate
         *[({key: value}, f"bad value for {key}: {value} is not finite")
           for key, value in (
-              ("scan_context.similarity_threshold", "nan"), ("loop.base_threshold", "nan"),
-              ("loop.n", "nan"), ("scan_context.max_radius", "nan"),
+              ("scan_context.similarity_threshold", "nan"), ("odometry.edge_voxel_size", "nan"),
+              ("odometry.planar_voxel_size", "inf"),
+              ("scan_context.similarity_threshold", "inf"),
               ("odometry.max_correspondence_distance", "nan"), ("run.fixed_threshold", "nan"),
               ("graph.loop_translation_sigma", "inf"),
           )],
@@ -243,7 +244,8 @@ class TestIterationBudget:
         # values that ran to exit 0 with a broken result
         ({"odometry.crop_radius": "-1"}, "unknown configuration key: odometry.crop_radius"),
         ({"odometry.edge_voxel_size": "0"}, "odometry: edge_voxel_size must be > 0, got 0.0"),
-        ({"scan_context.num_rings": "0"}, "scan_context: num_rings must be >= 1, got 0"),
+        ({"scan_context.exclude_recent": "-1"},
+         "scan_context: exclude_recent must be >= 0, got -1"),
         ({"scan_context.num_sectors": "0"}, "scan_context: num_sectors must be >= 1, got 0"),
         ({"loop.submap_half_width": "-3"}, "loop: submap_half_width must be >= 0, got -3"),
     ])
@@ -301,7 +303,8 @@ REMOVED_KEYS = [
     "features.num_sectors", "features.gap_factor", "features.occlusion_gap",
     "odometry.huber_scale", "scan_context.num_candidates", "loop.cost_threshold",
     "loop.keyframe_translation", "loop.keyframe_rotation_deg", "graph.huber_scale",
-    "odometry.crop_radius",
+    "odometry.crop_radius", "features.min_range", "features.max_range",
+    "scan_context.num_rings", "scan_context.max_radius", "loop.base_threshold", "loop.n",
 ]
 
 
@@ -337,14 +340,31 @@ class TestRemovedKeys:
 class TestReadme:
     def test_names_only_real_keys(self):
         # every backticked `section.name` or `section.name=value`, but for
-        # `section.*` globs and file names such as `features.py`
+        # `section.*` globs and file names such as `features.py`; the
+        # sections of removed keys are searched too
         text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        sections = sorted({key.split(".", 1)[0] for key in pipeline._KEYS})
+        sections = sorted({key.split(".", 1)[0] for key in [*pipeline._KEYS, *REMOVED_KEYS]})
         pattern = rf"`((?:{'|'.join(sections)})\.[^`=\s]+)(?:=[^`]*)?`"
         named = [key for key in re.findall(pattern, text)
                  if not key.endswith(("*", ".py", ".csv"))]
         assert len(named) >= 10
         assert [key for key in named if key not in pipeline._KEYS] == []
+
+    def test_constants_match_modules(self):
+        # every backticked `NAME = value` of the Configuration section is the
+        # constant of the module whose `<module>.py` was named last before it
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        module, found = None, []
+        for token in (" ".join(t.split()) for t in re.findall(r"`([^`]+)`", section)):
+            if re.fullmatch(r"\w+\.py", token):
+                module = importlib.import_module(f"featslam.{token[:-3]}")
+            elif match := re.fullmatch(r"([A-Z][A-Z0-9_]*) = (\S+)", token):
+                found.append((module, match[1], match[2]))
+        assert len(found) >= 10
+        wrong = [(module.__name__, name, value) for module, name, value in found
+                 if getattr(module, name) != ast.literal_eval(value)]
+        assert wrong == []
 
 
 class TestConfigFile:

@@ -26,9 +26,9 @@ def random_cloud(rng, n=300, safe_bins=True):
     """Random points; optionally placed at bin centers so yaw shifts are exact."""
     cfg = ScanContextConfig()
     if safe_bins:
-        ring = rng.integers(0, cfg.num_rings, n)
+        ring = rng.integers(0, scan_context.NUM_RINGS, n)
         sector = rng.integers(0, cfg.num_sectors, n)
-        rho = (ring + 0.5) * cfg.max_radius / cfg.num_rings
+        rho = (ring + 0.5) * scan_context.MAX_RADIUS / scan_context.NUM_RINGS
         az = -np.pi + (sector + 0.5) * 2 * np.pi / cfg.num_sectors
     else:
         rho = rng.uniform(1, 79, n)
@@ -63,13 +63,15 @@ class TestBuildDescriptor:
         assert (d.matrix == EMPTY_BIN).all()
 
     @pytest.mark.parametrize("num_rings, max_radius", [(19, 90.0), (17, 70.0), (39, 80.0)])
-    def test_range_just_inside_max_radius_lands_in_the_last_ring(self, num_rings, max_radius):
-        # rho / (max_radius / num_rings) rounds up to num_rings for these
-        cfg = ScanContextConfig(num_rings=num_rings, max_radius=max_radius)
+    def test_range_just_inside_max_radius_lands_in_the_last_ring(self, monkeypatch, num_rings,
+                                                                 max_radius):
+        # rho / (MAX_RADIUS / NUM_RINGS) rounds up to NUM_RINGS for these
+        monkeypatch.setattr(scan_context, "NUM_RINGS", num_rings)
+        monkeypatch.setattr(scan_context, "MAX_RADIUS", max_radius)
         rho = np.nextafter(max_radius, 0.0)
         assert np.floor(rho / (max_radius / num_rings)) == num_rings
-        d = build_descriptor(cloud([[rho, 0.0, 1.5]]), cfg)
-        assert d.matrix[num_rings - 1, cfg.num_sectors // 2] == 1.5
+        d = build_descriptor(cloud([[rho, 0.0, 1.5]]), CFG)
+        assert d.matrix[num_rings - 1, CFG.num_sectors // 2] == 1.5
         assert (d.matrix > EMPTY_BIN).sum() == 1
 
     def test_ring_key_occupancy(self):
@@ -101,8 +103,8 @@ class TestDescriptorDistance:
 
     def test_disjoint_columns_max_distance(self):
         cfg = ScanContextConfig()
-        a = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
-        b = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
+        a = np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN)
+        b = np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN)
         a[:, 0] = 1.0
         b[:, 1] = 1.0
         da = ScanContextDescriptor(a, (a > EMPTY_BIN).mean(1))
@@ -115,8 +117,8 @@ class TestDescriptorDistance:
 
     def test_no_shared_structure_at_any_shift(self):
         cfg = ScanContextConfig()
-        a = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
-        b = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
+        a = np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN)
+        b = np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN)
         a[0, :] = 1.0  # ring 0 occupied everywhere
         b[10, :] = 1.0  # ring 10 occupied everywhere: orthogonal columns
         da = ScanContextDescriptor(a, (a > EMPTY_BIN).mean(1))
@@ -135,7 +137,7 @@ class TestDescriptorDistance:
 
     def test_dimension_mismatch_rejected(self):
         a = build_descriptor(cloud([[10.0, 0.0, 1.0]]), CFG)
-        small = ScanContextConfig(num_rings=10)
+        small = ScanContextConfig(num_sectors=30)
         b = build_descriptor(cloud([[10.0, 0.0, 1.0]]), small)
         with pytest.raises(ValueError):
             descriptor_distance(a, b)
@@ -253,7 +255,7 @@ class TestQuery:
         store = [build_descriptor(random_cloud(rng, n=80), CFG) for _ in range(60)]
         for k in range(len(store) + 1):  # keyframes 0-49 have none eligible
             query(store[:k], store[k % len(store)], CFG)
-        shape = (CFG.num_rings, CFG.num_sectors)
+        shape = (scan_context.NUM_RINGS, CFG.num_sectors)
         assert calls == [(min(k - 50, 10), *shape) for k in range(51, 61)]
 
 
@@ -315,7 +317,7 @@ class TestMatchesLoopReference:
         for _ in range(100):  # sparse matrices with exact-zero columns and heights
             pair = []
             for _ in range(2):
-                m = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
+                m = np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN)
                 hit = rng.random(m.shape) < rng.uniform(0.02, 0.5)
                 m[hit] = np.round(rng.uniform(-1.0, 3.0, hit.sum()), 1)
                 pair.append(descriptor(m))
@@ -332,14 +334,14 @@ class TestMatchesLoopReference:
         # a pattern repeating every 20 columns matches its twin at 3 shifts
         rng = np.random.default_rng(16)
         cfg = ScanContextConfig()
-        tile = np.where(rng.random((cfg.num_rings, 20)) < 0.3, 1.5, EMPTY_BIN)
+        tile = np.where(rng.random((scan_context.NUM_RINGS, 20)) < 0.3, 1.5, EMPTY_BIN)
         d = descriptor(np.tile(tile, (1, cfg.num_sectors // 20)))
         twin = descriptor(np.roll(d.matrix, 27, axis=1))
         assert self.assert_matches(d, twin) == (0.0, 7)
 
     def test_empty_descriptors(self):
         cfg = ScanContextConfig()
-        empty = descriptor(np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN))
+        empty = descriptor(np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN))
         full = build_descriptor(random_cloud(np.random.default_rng(15)), CFG)
         assert self.assert_matches(empty, empty) == (1.0, 0)
         assert self.assert_matches(full, empty) == (1.0, 0)
@@ -347,7 +349,7 @@ class TestMatchesLoopReference:
 
     def test_orthogonal_columns(self):
         cfg = ScanContextConfig()
-        a = np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN)
+        a = np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN)
         b = a.copy()
         a[0, ::2] = 1.0
         b[10, 1::3] = 2.0
@@ -360,9 +362,9 @@ class TestMatchesLoopReference:
         probe = build_descriptor(random_cloud(rng, safe_bins=False), CFG)
         matrices = [build_descriptor(random_cloud(rng, safe_bins=False), CFG).matrix
                     for _ in range(6)]
-        matrices += [np.full((cfg.num_rings, cfg.num_sectors), EMPTY_BIN),
+        matrices += [np.full((scan_context.NUM_RINGS, cfg.num_sectors), EMPTY_BIN),
                      np.roll(probe.matrix, 11, axis=1)]
-        stack = np.stack(matrices).reshape(2, 4, cfg.num_rings, cfg.num_sectors)
+        stack = np.stack(matrices).reshape(2, 4, scan_context.NUM_RINGS, cfg.num_sectors)
         dist, shift = descriptor_distance(
             probe, ScanContextDescriptor(stack, (stack > EMPTY_BIN).mean(-1)))
         assert dist.shape == shift.shape == (2, 4)
