@@ -6,13 +6,6 @@ error normalized by the subsequence length.  Both trajectories must already
 live in a common frame; KITTI runs are compared in the left-camera frame
 after conjugating the estimate with the LiDAR->camera calibration.
 
-One rule differs from the KITTI devkit: a subsequence ends at the first
-frame whose arc distance from its start reaches L (``>=``), where the
-devkit's ``lastFrameFromSegmentLength`` takes the first one past it
-(``>``).  The two pick different frames only at exact ties, such as the
-corridor world's 0.5 m steps; ``test_straight_line_pair_counts`` in
-``tests/test_evaluation.py`` pins the rule used here.
-
 Writing a run's files is the pipeline's job; nothing here touches disk.
 """
 
@@ -90,7 +83,8 @@ def kitti_relative_errors(
         t_errs: List[float] = []
         r_errs: List[float] = []
         for s in range(0, n, _START_STRIDE):
-            e = int(np.searchsorted(dist, dist[s] + length))
+            # the first frame past length, as the devkit's lastFrameFromSegmentLength
+            e = int(np.searchsorted(dist, dist[s] + length, side="right"))
             if e >= n:
                 break  # later starts only have less path left
             rel_truth = truth[s].inverse().compose(truth[e])

@@ -18,7 +18,10 @@ One line per run is printed as it ends.  Then, per workload and metric,
 in the metric's unit: each side's median and quartiles over the pairs, the
 median over pairs of the ratio change / parent, the pairs the change wins
 (ties count for neither side), and whether the change's median is worse
-than the parent's by more than the metric's bound from ``BENCHMARK.json``.
+than the parent's by more than the metric's bound from ``BENCHMARK.json``:
+``YES`` when it is; ``unresolved`` when it is not but the parent's
+quartiles lie further apart than the bound and some change run is no
+better than some parent run, so the pairs cannot tell; ``no`` otherwise.
 This script is not part of the test suite.
 """
 
@@ -59,7 +62,14 @@ def _summary(metric: dict, runs: dict) -> str:
     ratio = statistics.median(c / p for p, c in zip(parent, change))
     p_med, c_med = statistics.median(parent), statistics.median(change)
     worsening = (c_med - p_med) / p_med if lower else (p_med - c_med) / p_med
-    verdict = "YES" if worsening > metric["bound"] else "no"
+    _, p_q1, p_q3 = _quartiles(parent)
+    all_better = max(change) < min(parent) if lower else min(change) > max(parent)
+    if worsening > metric["bound"]:
+        verdict = "YES"
+    elif (p_q3 - p_q1) / p_med > metric["bound"] and not all_better:
+        verdict = "unresolved"
+    else:
+        verdict = "no"
     sides = "  ".join(
         "{} {:.4g} [{:.4g}, {:.4g}]".format(side, *_quartiles(runs[side])) for side in SIDES
     )

@@ -67,7 +67,7 @@ def brute_force_metrics(est_mats, gt_mats):
             target = d[s] + length
             end = None
             for j in range(s, len(gt_mats)):
-                if d[j] >= target:
+                if d[j] > target:
                     end = j
                     break
             if end is None:
@@ -111,10 +111,11 @@ class TestKittiMetrics:
         truth = straight_trajectory(900.0)
         report = kitti_relative_errors(truth, truth)
         assert sorted(report.per_length) == list(range(100, 900, 100))
-        # 901 frames at 1 m spacing, starts every 10 frames:
-        # L=100 admits starts 0..800 (81), L=800 admits starts 0..100 (11).
-        assert report.per_length[100].pairs == 81
-        assert report.per_length[800].pairs == 11
+        # 901 frames at 1 m spacing, starts every 10 frames; a subsequence
+        # ends at the first frame past L, so L=100 admits starts 0..790 (80)
+        # and L=800 admits starts 0..90 (10).
+        assert report.per_length[100].pairs == 80
+        assert report.per_length[800].pairs == 10
 
     def test_short_trajectory_flagged(self):
         for truth in (straight_trajectory(50.0), []):
@@ -248,7 +249,7 @@ class TestEvalJson:
         data = written_evaluation(write_run, [_event(42.0)], estimate, lidar_truth(truth))
         assert data["ate_percent"] == pytest.approx(report.ate_percent)
         assert data["are_deg_per_100m"] == pytest.approx(report.are_deg_per_100m)
-        assert data["per_length"]["100"]["pairs"] == 81
+        assert data["per_length"]["100"]["pairs"] == 80
         assert data["loops_accepted"] == 1
         assert data["mean_loop_ms"] == pytest.approx(42.0)
         assert data["insufficient_length"] is False

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import functools
 import importlib
 import json
 import re
@@ -656,6 +657,52 @@ class TestEndToEnd:
         ]
 
 
+MID_RUN_GAP = range(20, 25)
+MID_RUN_SCANS = {  # what replaces each scan of the gap, by case
+    "clean": lambda scan, i: scan,
+    "empty": lambda scan, i: RawScan(xyz=np.zeros((0, 3)), ring=np.zeros(0, dtype=int)),
+    "single_point": lambda scan, i: RawScan(xyz=scan.xyz[:1], ring=scan.ring[:1]),
+    "origin": lambda scan, i: RawScan(xyz=np.zeros_like(scan.xyz), ring=scan.ring),
+    "scaled_1e6": lambda scan, i: RawScan(xyz=scan.xyz * 1e6, ring=scan.ring),
+    "ring_per_point": lambda scan, i: RawScan(xyz=scan.xyz, ring=np.arange(len(scan))),
+    "all_nan": lambda scan, i: RawScan(xyz=np.full_like(scan.xyz, np.nan), ring=scan.ring),
+    "rings_plus_2_40": lambda scan, i: RawScan(xyz=scan.xyz, ring=scan.ring + 2**40),
+    "rings_minus_100": lambda scan, i: RawScan(xyz=scan.xyz, ring=scan.ring - 100),
+    "float_rings": lambda scan, i: RawScan(xyz=scan.xyz, ring=scan.ring.astype(float)),
+    "shuffled": lambda scan, i: RawScan(
+        *(a[np.random.default_rng(i).permutation(len(scan))] for a in (scan.xyz, scan.ring))
+    ),
+    "far_point": lambda scan, i: RawScan(xyz=np.vstack([scan.xyz, [3e38, 0.0, 0.0]]),
+                                         ring=np.append(scan.ring, 0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _mid_run(case):
+    """The loop-closure-free run of the first 60 frames of a 1.5-lap square
+    with frames 20-24 replaced as MID_RUN_SCANS[case] says, and each
+    frame's position error after aligning the first poses."""
+    scans, truth = generate_world({"shape": "square", "frames": 230, "noise": 0.01,
+                                   "seed": 0, "size": 24.0, "laps": 1.5})
+    scans, truth = scans[:60], truth[:60]
+    for i in MID_RUN_GAP:
+        scans[i] = MID_RUN_SCANS[case](scans[i], i)
+    result = run_slam(scans, PipelineConfig.from_items({**SQUARE, "run.no_loop": "true"}))
+    align = truth[0].compose(result.trajectory[0].inverse())
+    errors = [np.linalg.norm(align.compose(p).translation - t.translation)
+              for p, t in zip(result.trajectory, truth)]
+    return result, errors
+
+
+def _unregistered(result):
+    return [i for i, reg in enumerate(result.registrations)
+            if reg is not None and reg.final_cost == float("inf")]
+
+
+def _matrices(result):
+    return np.stack([p.matrix() for p in result.trajectory]).tobytes()
+
+
 class TestFrameLog:
     COLUMNS = ["frame", "keyframe", "iterations", "associations", "converged",
                "degenerate_directions", "edge_matches", "plane_matches", "final_cost",
@@ -826,25 +873,26 @@ class TestFrameLog:
             "of the pose (degenerate_directions 6 in frames.csv)\n"
         )
 
-    def test_empty_scans_mid_run(self):
-        # frames 20-24 of a 60-frame square run are empty: each associates
-        # once, finds no match and keeps its prediction, unregistered, and
-        # the run registers on past the gap
-        scans, truth = generate_world({"shape": "square", "frames": 230, "noise": 0.01,
-                                       "seed": 0, "size": 24.0, "laps": 1.5})
-        scans, truth = scans[:60], truth[:60]
-        gap = range(20, 25)
-        for i in gap:
-            scans[i] = RawScan(xyz=np.zeros((0, 3)), ring=np.zeros(0, dtype=int))
-        result = run_slam(scans, PipelineConfig.from_items({**SQUARE, "run.no_loop": "true"}))
-        unregistered = [i for i, reg in enumerate(result.registrations)
-                        if reg is not None and reg.final_cost == float("inf")]
-        assert unregistered == list(gap)
-        assert [result.registrations[i].associations for i in gap] == [1] * len(gap)
-        align = truth[0].compose(result.trajectory[0].inverse())
-        errors = [np.linalg.norm(align.compose(p).translation - t.translation)
-                  for p, t in zip(result.trajectory, truth)]
-        assert max(errors) < 1.5  # 0.875 m; 0.410 m without the gap
+    @pytest.mark.parametrize("case, gap_fails, same_as, max_error", [
+        # no features in the gap: each of its frames associates once, finds
+        # no match and keeps its prediction, unregistered, and the run
+        # registers on past the gap
+        pytest.param("empty", True, None, 1.5, id="empty"),  # 0.875 m
+        *(pytest.param(case, True, "empty", 1.5, id=case) for case in (
+            "single_point", "origin", "scaled_1e6", "ring_per_point", "all_nan")),
+        # ring ids only group the points, and their order is no feature
+        *(pytest.param(case, False, "clean", 1.0, id=case) for case in (
+            "rings_plus_2_40", "rings_minus_100", "float_rings", "shuffled")),  # 0.410 m
+        pytest.param("far_point", False, None, 1.0, id="far_point"),  # 0.559 m
+    ])
+    def test_empty_scans_mid_run(self, case, gap_fails, same_as, max_error):
+        result, errors = _mid_run(case)
+        assert _unregistered(result) == (list(MID_RUN_GAP) if gap_fails else [])
+        associations = [result.registrations[i].associations for i in MID_RUN_GAP]
+        assert associations == [1 if gap_fails else 2] * len(MID_RUN_GAP)
+        if same_as is not None:
+            assert _matrices(result) == _matrices(_mid_run(same_as)[0])
+        assert max(errors) < max_error
 
     def test_in_memory_nonfinite_points_reported(self, tmp_path):
         scans, _ = generate_world({"shape": "square", "frames": 4, "seed": 0})
