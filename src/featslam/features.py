@@ -10,8 +10,9 @@ otherwise a planar candidate.  Selection is budgeted per ring and azimuthal
 sector so features cover the whole scan.
 
 The window's half width, the threshold, the sector count and the per-sector
-budgets, the gap factor, the occlusion gap and the range limits of the
-points scored are module constants, fixed as LOAM fixes them.
+budgets, the gap factor, the occlusion gap and the range limits are module
+constants, fixed as LOAM fixes them.  Returns past MAX_RANGE enter no
+window; returns nearer than MIN_RANGE are neighbours but are never scored.
 
 Rings that span the full circle are treated as cyclic sequences; rings with
 large azimuthal gaps (dropouts, limited geometry) are split into open
@@ -62,7 +63,7 @@ GAP_FACTOR = 5.0
 # Points on the far side of a range discontinuity (occlusion
 # silhouettes) are viewpoint-dependent and excluded from selection.
 OCCLUSION_GAP = 0.5
-# only points whose range (m) lies in [MIN_RANGE, MAX_RANGE] are scored
+# m: returns past MAX_RANGE are dropped, those nearer than MIN_RANGE unscored
 MIN_RANGE = 2.0
 MAX_RANGE = 90.0
 
@@ -156,14 +157,18 @@ def extract_features(scan: RawScan) -> FeatureCloud:
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
     MAX_EDGES_PER_SECTOR with sigma > SMOOTHNESS_THRESHOLD become edges, up
-    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Only points
-    with range in [MIN_RANGE, MAX_RANGE] are scored.  Points within
+    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Points past
+    MAX_RANGE are dropped first, as RawScan drops non-finite ones; points
+    nearer than MIN_RANGE are not scored.  Points within
     NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from further
-    selection.  RawScan has already dropped non-finite points.
+    selection.
 
     Features come out in (ring, segment, sector, pick) order.
     """
-    xyz, ring = scan.xyz, scan.ring
+    xyz, ring, rng = scan.xyz, scan.ring, _norms(scan.xyz)
+    kept = rng <= MAX_RANGE
+    if not kept.all():
+        xyz, ring, rng = xyz[kept], ring[kept], rng[kept]
     if len(xyz) == 0:
         return FeatureCloud()
 
@@ -182,14 +187,14 @@ def extract_features(scan: RawScan) -> FeatureCloud:
     local = np.arange(len(seg)) - np.repeat(np.cumsum(span) - span + pad, span)
     source = order[start[seg] + local % length[seg]]
     pts = xyz.take(source, axis=0)
-    rng = _norms(pts)
+    rng = rng.take(source)
 
     # window centres: every point of a cyclic segment (not its wrap copies)
     # and the interior of an open one, in segments at least a window long;
     # each is at least hw from either end of the layout
     margin = (hw - pad)[seg]
     centre = (length[seg] >= w) & (local >= margin) & (local < length[seg] - margin)
-    centre &= (rng >= MIN_RANGE) & (rng <= MAX_RANGE)
+    centre &= rng >= MIN_RANGE
     if not centre.any():
         return FeatureCloud()
     # the far side of an occlusion silhouette is viewpoint-dependent: some

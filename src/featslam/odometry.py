@@ -108,18 +108,10 @@ def _voxel_keys(points: np.ndarray, voxel: float) -> np.ndarray:
     return (ijk[:, 0] << 42) | (ijk[:, 1] << 21) | ijk[:, 2]
 
 
-def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which keys occur in sorted_keys."""
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
-    return sorted_keys[pos] == keys
-
-
 class _VoxelSet:
     """Keep-first voxel grid over 3-d points: the points in insertion order,
-    the sorted keys of their voxels for membership tests, and a search tree
-    over the points, built when first read after a change."""
+    the sorted keys of their voxels, and a search tree over the points,
+    built when first read after a change."""
 
     def __init__(self, voxel: float):
         self.voxel = voxel
@@ -137,14 +129,16 @@ class _VoxelSet:
         return self._tree
 
     def insert(self, points: np.ndarray) -> None:
-        keys = _voxel_keys(points, self.voxel)
-        unique, first = np.unique(keys, return_index=True)
-        new = ~_member(self.keys, unique)
-        if not new.any():
+        # return_index sorts stably, so a stored voxel's first index is below
+        # len(self.keys); the others' are the batch's first point per new voxel
+        stored = len(self.keys)
+        keys, first = np.unique(np.concatenate([self.keys, _voxel_keys(points, self.voxel)]),
+                                return_index=True)
+        first = np.sort(first[first >= stored]) - stored  # in batch order
+        if len(first) == 0:
             return
-        first = np.sort(first[new])  # first point per new voxel, in batch order
         self.points = np.concatenate([self.points, points[first]])
-        self.keys = np.sort(np.concatenate([self.keys, unique[new]]))
+        self.keys = keys
         self._tree = None
 
     def crop(self, center: np.ndarray, radius: float) -> None:

@@ -148,20 +148,23 @@ def extract_features(scan: RawScan) -> FeatureCloud:
 
     Per ring and azimuthal sector: candidates sorted by smoothness; up to
     MAX_EDGES_PER_SECTOR with sigma > SMOOTHNESS_THRESHOLD become edges, up
-    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Only points
-    with range in [MIN_RANGE, MAX_RANGE] are scored.  Points within
-    NEIGHBORHOOD_HALF_WIDTH of a selected edge are suppressed from further
-    selection.  These are the constants of ``features``, read at each call.
+    to MAX_PLANARS_PER_SECTOR with sigma <= it become planars.  Points
+    past MAX_RANGE are dropped first; points nearer than MIN_RANGE are not
+    scored.  Points within NEIGHBORHOOD_HALF_WIDTH of a selected edge are
+    suppressed from further selection.  These are the constants of
+    ``features``, read at each call.
     """
-    if len(scan) == 0:
+    kept = np.linalg.norm(scan.xyz, axis=1) <= features.MAX_RANGE
+    xyz, rings = scan.xyz[kept], scan.ring[kept]
+    if len(xyz) == 0:
         return FeatureCloud()
 
     hw = features.NEIGHBORHOOD_HALF_WIDTH
     num_sectors = features.NUM_SECTORS
     threshold = features.SMOOTHNESS_THRESHOLD
     edges, planars = [], []
-    for ring_id in np.unique(scan.ring):
-        pts = scan.xyz[scan.ring == ring_id]
+    for ring_id in np.unique(rings):
+        pts = xyz[rings == ring_id]
         if len(pts) < 2 * hw + 1:
             continue
         azimuth = np.arctan2(pts[:, 1], pts[:, 0])
@@ -173,7 +176,7 @@ def extract_features(scan: RawScan) -> FeatureCloud:
             seg = pts[seg_idx]
             sigma, scorable = segment_smoothness(seg, hw, cyclic)
             rng = np.linalg.norm(seg, axis=1)
-            scorable &= (rng >= features.MIN_RANGE) & (rng <= features.MAX_RANGE)
+            scorable &= rng >= features.MIN_RANGE
             scorable &= ~occluded(rng, hw, cyclic, features.OCCLUSION_GAP)
 
             sector = np.floor(

@@ -217,6 +217,19 @@ class TestExtractFeatures:
         assert np.array_equal(got.planars, want.planars)
         assert np.isfinite(got.edges).all() and np.isfinite(got.planars).all()
 
+    def test_far_rows_dropped(self):
+        # returns at 95 m, 200 m and 3e38 m, each behind a point of its ring,
+        # leave the scan before the rings are ordered
+        scans, _ = generate_world({"shape": "square", "frames": 2, "seed": 4})
+        clean = scans[1]
+        behind = np.random.default_rng(12).choice(len(clean), size=3, replace=False)
+        unit = clean.xyz[behind] / np.linalg.norm(clean.xyz[behind], axis=1)[:, None]
+        far = unit * np.array([95.0, 200.0, 3e38])[:, None]
+        scan = make_scan(np.vstack([clean.xyz, far]), np.r_[clean.ring, clean.ring[behind]])
+        want = extract_features(clean)
+        assert_same_features(extract_features(scan), want)
+        assert assert_matches_loop(scan) == len(want.edges) + len(want.planars) > 0
+
     def test_all_nonfinite_scan(self):
         fc = extract_features(make_scan(np.full((40, 3), np.nan)))
         assert fc.edges.shape == (0, 3) and fc.planars.shape == (0, 3)
